@@ -17,9 +17,6 @@
 // Flags: --limit N     cap on synth protocols (default 40, 0 = all)
 //        --workers N   explorer worker count (default 1)
 //        --specs DIR   load every *.spec file in DIR and run those too
-//        --portfolio   exclusive mode: off/on solver-portfolio grid at
-//                      1/2/4/8 workers, self-gating on bitwise witness
-//                      identity per cell and overall wall-clock win
 //        --json PATH   machine-readable metrics (bench_util.h)
 
 #include <algorithm>
@@ -45,35 +42,13 @@ struct RunResult
     size_t trojans = 0;
     int64_t queries = 0;
     core::PhaseTimings timings;
-    /** FNV-1a over the ordered witness set (identity gate currency). */
-    uint64_t witness_digest = 1469598103934665603ull;
-    /** Portfolio per-class counters, merged over home + worker
-     *  solvers: [class] -> {queries, decided}. */
-    int64_t class_queries[smt::kNumQueryClasses] = {0, 0, 0, 0};
-    int64_t class_decided[smt::kNumQueryClasses] = {0, 0, 0, 0};
 };
 
-void
-DigestBytes(uint64_t *h, const void *data, size_t n)
-{
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        *h ^= p[i];
-        *h *= 1099511628211ull;
-    }
-}
-
-const char *const kClassNames[smt::kNumQueryClasses] = {
-    "trivial", "shallow", "deep", "straggler"};
-
 RunResult
-RunOne(const proto::ProtocolBundle &bundle, size_t workers,
-       bool portfolio)
+RunOne(const proto::ProtocolBundle &bundle, size_t workers)
 {
     smt::ExprContext ctx;
-    smt::SolverConfig solver_config;
-    solver_config.portfolio = portfolio;
-    smt::Solver solver(&ctx, solver_config);
+    smt::Solver solver(&ctx);
     core::AchillesConfig config;
     config.layout = bundle.layout;
     const auto clients = bundle.ClientPtrs();
@@ -88,38 +63,6 @@ RunOne(const proto::ProtocolBundle &bundle, size_t workers,
     out.queries = result.server.stats.Get("explorer.match_queries") +
                   result.server.stats.Get("explorer.trojan_queries");
     out.timings = result.timings;
-    // Witness identity digest: every field a consumer could observe.
-    // Per-witness digests are sorted before chaining so the digest
-    // names the witness SET -- the determinism claim under test --
-    // independent of result order.
-    std::vector<uint64_t> per_witness;
-    per_witness.reserve(result.server.trojans.size());
-    for (const core::TrojanWitness &t : result.server.trojans) {
-        uint64_t h = 1469598103934665603ull;
-        DigestBytes(&h, &t.server_path_id, sizeof(t.server_path_id));
-        DigestBytes(&h, t.accept_label.data(), t.accept_label.size());
-        DigestBytes(&h, t.concrete.data(), t.concrete.size());
-        const uint64_t def_size = t.definition.size();
-        DigestBytes(&h, &def_size, sizeof(def_size));
-        DigestBytes(&h, t.message_vars.data(),
-                    t.message_vars.size() * sizeof(uint32_t));
-        per_witness.push_back(h);
-    }
-    std::sort(per_witness.begin(), per_witness.end());
-    for (uint64_t h : per_witness)
-        DigestBytes(&out.witness_digest, &h, sizeof(h));
-    // Per-class counters: the home solver holds the serial explorer's
-    // stream; the server stats hold the parallel workers' (merged by
-    // ParallelEngine). The two never overlap.
-    for (int c = 0; c < smt::kNumQueryClasses; ++c) {
-        const std::string suffix = std::string("/") + kClassNames[c];
-        out.class_queries[c] =
-            solver.stats().Get("solver.class_queries" + suffix) +
-            result.server.stats.Get("solver.class_queries" + suffix);
-        out.class_decided[c] =
-            solver.stats().Get("solver.class_decided" + suffix) +
-            result.server.stats.Get("solver.class_decided" + suffix);
-    }
     return out;
 }
 
@@ -146,7 +89,6 @@ main(int argc, char **argv)
     bench::ParseBenchArgs(argc, argv);
     size_t limit = 40;
     size_t workers = 1;
-    bool portfolio_grid = false;
     std::string specs_dir;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--limit") == 0 && i + 1 < argc)
@@ -155,8 +97,6 @@ main(int argc, char **argv)
             workers = static_cast<size_t>(std::atoi(argv[i + 1]));
         else if (std::strcmp(argv[i], "--specs") == 0 && i + 1 < argc)
             specs_dir = argv[i + 1];
-        else if (std::strcmp(argv[i], "--portfolio") == 0)
-            portfolio_grid = true;
     }
 
     bench::Header("Protocol corpus -- per-family Trojan yield over the "
@@ -191,170 +131,12 @@ main(int argc, char **argv)
         if (name.rfind("synth/", 0) == 0)
             names.push_back(name);
     }
-    if (limit != 0 && names.size() > limit) {
-        if (portfolio_grid) {
-            // The portfolio grid wants a stratified slice, not a
-            // prefix: the name-sorted corpus starts with the
-            // shallowest-dispatch families, where every query is
-            // trivial and dispatch has nothing to win. Striding the
-            // sorted list keeps the slice deterministic while
-            // representing every depth/fanout/coupling cell.
-            std::vector<std::string> strided;
-            const size_t step = names.size() / limit;
-            for (size_t i = 0;
-                 i < names.size() && strided.size() < limit; i += step)
-                strided.push_back(names[i]);
-            names = std::move(strided);
-        } else {
-            names.resize(limit);
-        }
-    }
+    if (limit != 0 && names.size() > limit)
+        names.resize(limit);
     names.insert(names.end(), spec_names.begin(), spec_names.end());
     if (names.empty()) {
         std::fprintf(stderr, "bench_corpus: nothing to run\n");
         return 1;
-    }
-
-    if (portfolio_grid) {
-        // Exclusive grid mode: portfolio {off, on} x workers {1,2,4,8}.
-        // Gate 1 (hard): bitwise-identical witness digests in every
-        // cell, and across repetitions of the same cell. Gate 2: a
-        // wall-clock win at workers=1. The strategy dispatch is a
-        // per-worker solver property, so the serial cell is where its
-        // effect is measurable; the multi-worker cells exist to prove
-        // witness determinism under the portfolio (their timings are
-        // dominated by thread scheduling on small slices and are
-        // reported informationally, not gated or trend-watched).
-        bench::Section("portfolio grid (workers x portfolio)");
-        std::printf("  %-9s %10s %10s %8s %9s\n", "workers", "off(s)",
-                    "on(s)", "speedup", "witness");
-
-        // Warm-up pass: fault in every bundle and code path once so
-        // the first timed cell is not paying one-time costs.
-        for (const std::string &name : names) {
-            const proto::ProtocolBundle bundle =
-                registry.Find(name)->Make();
-            RunOne(bundle, 1, false);
-        }
-
-        bool identical = true;
-        int64_t class_queries[smt::kNumQueryClasses] = {0, 0, 0, 0};
-        int64_t class_decided[smt::kNumQueryClasses] = {0, 0, 0, 0};
-        int64_t arm_queries[2] = {0, 0};
-        // One timed sweep of the slice; digests chain over protocols.
-        const auto run_arm = [&](size_t w, bool on, bool collect,
-                                 uint64_t *digest) {
-            const auto start = std::chrono::steady_clock::now();
-            *digest = 1469598103934665603ull;
-            for (const std::string &name : names) {
-                const proto::ProtocolBundle bundle =
-                    registry.Find(name)->Make();
-                const RunResult r = RunOne(bundle, w, on);
-                DigestBytes(digest, &r.witness_digest,
-                            sizeof(r.witness_digest));
-                if (collect) {
-                    for (int c = 0; c < smt::kNumQueryClasses; ++c) {
-                        class_queries[c] += r.class_queries[c];
-                        class_decided[c] += r.class_decided[c];
-                    }
-                }
-                if (w == 1)
-                    arm_queries[on ? 1 : 0] = r.queries +
-                                              arm_queries[on ? 1 : 0];
-            }
-            return std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                .count();
-        };
-
-        double serial_speedup = 1.0;
-        for (size_t w : {1, 2, 4, 8}) {
-            // The gated serial cell interleaves off/on repetitions
-            // (drift hits both arms alike) and takes the min per arm:
-            // the workload is deterministic, so min-of-N converges to
-            // the true time on both arms and the ratio to the true
-            // speedup. The determinism-only multi-worker cells run one
-            // repetition per arm.
-            const int reps = w == 1 ? 9 : 1;
-            double cell_seconds[2] = {0.0, 0.0};
-            uint64_t cell_digest[2] = {0, 0};
-            for (int rep = 0; rep < reps; ++rep) {
-                for (int p = 0; p < 2; ++p) {
-                    uint64_t digest = 0;
-                    const double seconds =
-                        run_arm(w, p == 1, p == 1 && rep == 0, &digest);
-                    if (rep == 0) {
-                        cell_seconds[p] = seconds;
-                        cell_digest[p] = digest;
-                    } else {
-                        cell_seconds[p] =
-                            std::min(cell_seconds[p], seconds);
-                        if (digest != cell_digest[p]) {
-                            identical = false;
-                            std::printf("  REP DIVERGENCE: workers=%zu "
-                                        "portfolio=%s rep=%d digest "
-                                        "%016llx != %016llx\n",
-                                        w, p == 1 ? "on" : "off", rep,
-                                        static_cast<unsigned long long>(
-                                            digest),
-                                        static_cast<unsigned long long>(
-                                            cell_digest[p]));
-                        }
-                    }
-                }
-            }
-            const bool same = cell_digest[0] == cell_digest[1];
-            identical = identical && same;
-            const double speedup =
-                cell_seconds[1] > 0 ? cell_seconds[0] / cell_seconds[1]
-                                    : 1.0;
-            if (w == 1)
-                serial_speedup = speedup;
-            std::printf("  %-9zu %10.2f %10.2f %8.2fx %9s\n", w,
-                        cell_seconds[0], cell_seconds[1], speedup,
-                        same ? "same" : "DIFFER");
-        }
-
-        bench::Section("totals");
-        std::printf("  explorer queries at workers=1: off=%lld on=%lld\n",
-                    static_cast<long long>(arm_queries[0]),
-                    static_cast<long long>(arm_queries[1]));
-        bench::Metric("corpus.portfolio_speedup", serial_speedup, "x");
-        bench::Metric("corpus.portfolio_witness_identical",
-                      identical ? 1 : 0);
-        for (int c = 0; c < smt::kNumQueryClasses; ++c) {
-            if (class_queries[c] == 0)
-                continue;
-            bench::Metric(
-                std::string("corpus.portfolio_win_rate/") +
-                    kClassNames[c],
-                static_cast<double>(class_decided[c]) /
-                    static_cast<double>(class_queries[c]));
-        }
-
-        // Gate 1 is exact; gate 2 bounds the dispatch overhead rather
-        // than demanding a win per run -- the corpus effect (skipped
-        // core-minimization probes on the high-volume classes) is a
-        // few percent of end-to-end pipeline time, under the run-to-
-        // run noise of a shared CI box, so the win is asserted where
-        // it is measurable: the trend gate watches the recorded
-        // corpus.portfolio_speedup across commits (quiet-machine runs
-        // land above 1.0), and bench_smt --portfolio measures the
-        // solver-only stream where the effect is not diluted by the
-        // rest of the pipeline. A real dispatch regression (e.g. a
-        // preset that forfeits the interval pre-check) measures well
-        // below the floor.
-        const bool ok = identical && serial_speedup > 0.90;
-        bench::Note("witness digests must match bitwise in every grid "
-                    "cell and repetition; the wall-clock bound is the "
-                    "interleaved min-of-reps workers=1 cell");
-        std::printf("\nRESULT: %s (%zu protocols, %.2fx at workers=1, "
-                    "witnesses %s)\n",
-                    ok ? "PASS" : "MISMATCH", names.size(),
-                    serial_speedup,
-                    identical ? "identical" : "DIVERGED");
-        bench::JsonRecorder::Instance().Flush();
-        return ok ? 0 : 1;
     }
 
     std::map<std::string, FamilyAgg> by_family;
@@ -365,7 +147,7 @@ main(int argc, char **argv)
     for (const std::string &name : names) {
         const auto factory = registry.Find(name);
         const proto::ProtocolBundle bundle = factory->Make();
-        const RunResult r = RunOne(bundle, workers, false);
+        const RunResult r = RunOne(bundle, workers);
         FamilyAgg &agg = by_family[bundle.info.family];
         agg.protocols += 1;
         agg.trojans += r.trojans;

@@ -8,7 +8,6 @@
 // concrete bytes) must be bitwise-identical at every worker count.
 //
 // Usage: bench_parallel [--clients N] [--workers 1,2,4,8]
-//                       [--clause-exchange] [--lemma-cap N]
 //                       [--json <path>] [--trace-out <path>]
 //                       [--progress[=secs]] [--obs-overhead]
 //
@@ -22,17 +21,6 @@
 // floored at zero -- and records it as obs.overhead_pct (the CI trend
 // gate holds this under an absolute ceiling). Witness sets must stay
 // identical with instrumentation on or off.
-//
-// `--clause-exchange` appends the learned-clause-exchange ablation:
-// every multi-worker point of the sweep reruns with the cross-worker
-// lemma pool disabled, reporting the on/off speedup and the lemma
-// counters, and re-checking that witness sets match the serial run in
-// both configurations.
-//
-// `--lemma-cap N` caps the shared lemma pool's live entries at N
-// (0 = unbounded); the eviction counters land in the JSON records, and
-// witness sets must stay identical at any cap -- eviction can only
-// cost an acceleration, never a verdict.
 //
 // Every JSON record set includes one `parallel.swept/workers=N` marker
 // per worker count actually run, so downstream consumers (the CI
@@ -73,9 +61,6 @@ struct SweepPoint
     int64_t cache_hits = 0;
     int64_t cache_misses = 0;
     int64_t states_stolen = 0;
-    int64_t lemmas_published = 0;
-    int64_t lemmas_installed = 0;
-    int64_t lemmas_evicted = 0;
     std::vector<WitnessSummary> witnesses;
     obs::RunReport report;
 };
@@ -89,16 +74,11 @@ struct ObsOptions
     std::string trace_path;      ///< written when tracing is on
 };
 
-/** `lemma_cap` < 0 keeps the SolverConfig default. */
 SweepPoint
-RunOnce(size_t workers, size_t num_clients, bool clause_exchange = true,
-        int64_t lemma_cap = -1, const ObsOptions &obs_opts = {})
+RunOnce(size_t workers, size_t num_clients, const ObsOptions &obs_opts = {})
 {
     smt::ExprContext ctx;
     smt::SolverConfig solver_config;
-    solver_config.share_learned_clauses = clause_exchange;
-    if (lemma_cap >= 0)
-        solver_config.lemma_pool_cap = lemma_cap;
 
     // Lane 0 is the pipeline thread; workers own lanes 1..N.
     std::unique_ptr<obs::MetricsRegistry> registry;
@@ -153,11 +133,6 @@ RunOnce(size_t workers, size_t num_clients, bool clause_exchange = true,
     point.cache_misses =
         result.server.stats.Get("exec.query_cache_misses");
     point.states_stolen = result.server.stats.Get("exec.states_stolen");
-    point.lemmas_published =
-        result.server.stats.Get("exec.lemmas_published");
-    point.lemmas_installed =
-        result.server.stats.Get("solver.lemmas_installed");
-    point.lemmas_evicted = result.server.stats.Get("exec.lemmas_evicted");
     CanonicalHasher hasher(&ctx);
     for (const TrojanWitness &t : result.server.trojans) {
         point.witnesses.emplace_back(t.accept_label, t.concrete,
@@ -174,16 +149,12 @@ main(int argc, char **argv)
 {
     bench::ParseBenchArgs(argc, argv);
     size_t num_clients = 8;
-    bool exchange_ablation = false;
     bool obs_overhead = false;
     double progress_secs = 0.0;
     std::string trace_path;
-    int64_t lemma_cap = -1;
     std::vector<size_t> worker_counts{1, 2, 4, 8};
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--clause-exchange") == 0)
-            exchange_ablation = true;
-        else if (std::strcmp(argv[i], "--obs-overhead") == 0)
+        if (std::strcmp(argv[i], "--obs-overhead") == 0)
             obs_overhead = true;
         else if (std::strcmp(argv[i], "--progress") == 0)
             progress_secs = 1.0;
@@ -193,8 +164,6 @@ main(int argc, char **argv)
     for (int i = 1; i + 1 < argc; ++i) {
         if (std::strcmp(argv[i], "--clients") == 0) {
             num_clients = static_cast<size_t>(std::atoi(argv[i + 1]));
-        } else if (std::strcmp(argv[i], "--lemma-cap") == 0) {
-            lemma_cap = std::atoll(argv[i + 1]);
         } else if (std::strcmp(argv[i], "--trace-out") == 0) {
             trace_path = argv[i + 1];
         } else if (std::strcmp(argv[i], "--workers") == 0) {
@@ -226,7 +195,7 @@ main(int argc, char **argv)
 
     std::vector<SweepPoint> points;
     for (size_t w : worker_counts)
-        points.push_back(RunOnce(w, num_clients, true, lemma_cap));
+        points.push_back(RunOnce(w, num_clients));
 
     const SweepPoint &serial = points.front();
 
@@ -265,52 +234,6 @@ main(int argc, char **argv)
     }
     bench::Metric("parallel.trojans", static_cast<double>(serial.trojans));
 
-    if (exchange_ablation) {
-        bench::Section("clause-exchange ablation");
-        std::printf("  %8s %10s %10s %9s %10s %10s\n", "workers",
-                    "s(off)", "s(on)", "speedup", "published",
-                    "installed");
-        for (const SweepPoint &swept : points) {
-            if (swept.workers <= 1)
-                continue;  // no siblings, no exchange
-            // Paired back-to-back runs (rather than reusing the main
-            // sweep's timing) so the ratio is not polluted by drift
-            // between sections.
-            const SweepPoint off =
-                RunOnce(swept.workers, num_clients,
-                        /*clause_exchange=*/false, lemma_cap);
-            const SweepPoint on =
-                RunOnce(swept.workers, num_clients,
-                        /*clause_exchange=*/true, lemma_cap);
-            const double speedup =
-                on.seconds > 0 ? off.seconds / on.seconds : 0.0;
-            std::printf("  %8zu %10.3f %10.3f %8.2fx %10lld %10lld\n",
-                        on.workers, off.seconds, on.seconds, speedup,
-                        static_cast<long long>(on.lemmas_published),
-                        static_cast<long long>(on.lemmas_installed));
-            identical &= off.witnesses == serial.witnesses &&
-                         on.witnesses == serial.witnesses;
-
-            const std::string suffix =
-                "/workers=" + std::to_string(on.workers);
-            bench::JsonRecorder::Instance().Record(
-                "parallel.clause_exchange_speedup" + suffix, speedup);
-            bench::JsonRecorder::Instance().Record(
-                "parallel.lemmas_published" + suffix,
-                static_cast<double>(on.lemmas_published));
-            bench::JsonRecorder::Instance().Record(
-                "parallel.lemmas_installed" + suffix,
-                static_cast<double>(on.lemmas_installed));
-            bench::JsonRecorder::Instance().Record(
-                "parallel.lemmas_evicted" + suffix,
-                static_cast<double>(on.lemmas_evicted));
-        }
-        bench::Note("witness sets must match the serial run in both "
-                    "configurations; lemma counts are small by design "
-                    "(only <=2-literal refutations over the shared "
-                    "prefix travel, and interval-refutable conflicts "
-                    "never reach the SAT backend that exports)");
-    }
     if (obs_overhead || progress_secs > 0 || !trace_path.empty()) {
         bench::Section("observability");
         const size_t max_workers = worker_counts.back();
@@ -320,7 +243,7 @@ main(int argc, char **argv)
         full.progress_secs = progress_secs;
         full.trace_path = trace_path;
         const SweepPoint instrumented =
-            RunOnce(max_workers, num_clients, true, lemma_cap, full);
+            RunOnce(max_workers, num_clients, full);
         identical &= instrumented.witnesses == serial.witnesses;
         std::printf("  instrumented run (%zu workers): %.3f s, "
                     "%lld trace events (%lld dropped)\n",
@@ -343,10 +266,9 @@ main(int argc, char **argv)
             quiet.trace_path.clear();   // timed region, no file I/O
             double overhead_pct = 1e9;
             for (int round = 0; round < 2; ++round) {
-                const SweepPoint off =
-                    RunOnce(max_workers, num_clients, true, lemma_cap);
-                const SweepPoint on = RunOnce(max_workers, num_clients,
-                                              true, lemma_cap, quiet);
+                const SweepPoint off = RunOnce(max_workers, num_clients);
+                const SweepPoint on =
+                    RunOnce(max_workers, num_clients, quiet);
                 identical &= off.witnesses == serial.witnesses &&
                              on.witnesses == serial.witnesses;
                 if (off.seconds > 0) {
@@ -362,8 +284,8 @@ main(int argc, char **argv)
         }
     }
 
-    // Recorded after the ablation so the archived verdict covers every
-    // witness-set comparison this process made.
+    // Recorded after the observability runs so the archived verdict
+    // covers every witness-set comparison this process made.
     bench::Metric("parallel.witness_sets_identical", identical ? 1 : 0);
 
     bench::Section("determinism");

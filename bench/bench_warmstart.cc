@@ -164,7 +164,7 @@ main(int argc, char **argv)
     }
 
     bench::Header("Warm-start knowledge persistence (cold vs warm runs)");
-    bench::Note("snapshot = prune index + lemma pool + query cache; "
+    bench::Note("snapshot = prune index + query cache; "
                 "restored facts only skip queries they already answer");
 
     const size_t worker_counts[] = {1, 2, 4, 8};
@@ -220,10 +220,10 @@ main(int argc, char **argv)
             return 1;
         }
         std::printf("  snapshot: %zu entries (%zu cores, %zu overlay, "
-                    "%zu query cores, %zu lemmas, %zu queries)\n",
+                    "%zu query cores, %zu queries)\n",
                     warm.TotalEntries(), warm.cores.size(),
                     warm.overlay.size(), warm.query_cores.size(),
-                    warm.lemmas.size(), warm.queries.size());
+                    warm.queries.size());
 
         std::printf("  %-9s %10s %10s %10s %10s %8s\n", "workers",
                     "cold(s)", "warm(s)", "cold(q)", "warm(q)",

@@ -12,14 +12,10 @@ drop in any watched higher-is-better metric:
   * smt.incremental_speedup
   * smt.trail_reuse_speedup
   * parallel.speedup/workers=N                 (N in BOTH sweeps)
-  * parallel.clause_exchange_speedup/workers=N (N in BOTH sweeps)
   * fig11.core_query_reduction_pct/<section>/workers=N
   * fig11.prune_index_query_reduction_pct/<section>/workers=N
   * fig11.overlay_hit_rate/<section>/workers=N
   * corpus.trojan_yield[/<family>]             (bench_corpus)
-  * corpus.portfolio_speedup                   (bench_corpus --portfolio)
-  * smt.portfolio_speedup
-  * smt.portfolio_win_rate/<class>             (bench_smt --portfolio)
   * warmstart.speedup                          (bench_warmstart)
   * warmstart.query_reduction_pct
   * warmstart.corpus_query_reduction_pct
@@ -64,7 +60,6 @@ WATCHED_PATTERNS = [
     "smt.incremental_speedup",
     "smt.trail_reuse_speedup",
     "parallel.speedup/workers=*",
-    "parallel.clause_exchange_speedup/workers=*",
     "fig11.core_query_reduction_pct/*",
     "fig11.prune_index_query_reduction_pct/*",
     "fig11.overlay_hit_rate/*",
@@ -72,9 +67,6 @@ WATCHED_PATTERNS = [
     "fig11.prefilter_hit_rate/*",
     "corpus.trojan_yield",
     "corpus.trojan_yield/*",
-    "corpus.portfolio_speedup",
-    "smt.portfolio_speedup",
-    "smt.portfolio_win_rate/*",
     "warmstart.speedup",
     "warmstart.query_reduction_pct",
     "warmstart.corpus_query_reduction_pct",
@@ -85,10 +77,7 @@ LOWER_IS_BETTER_PATTERNS = [
     "corpus.queries_per_protocol/*",
 ]
 # Per-worker metrics gated on the sweep markers both record sets carry.
-SWEEP_METRIC_PREFIXES = (
-    "parallel.speedup/workers=",
-    "parallel.clause_exchange_speedup/workers=",
-)
+SWEEP_METRIC_PREFIXES = ("parallel.speedup/workers=",)
 SWEEP_MARKER_PREFIX = "parallel.swept/workers="
 # metric -> highest acceptable value, checked against current alone.
 CEILING_METRICS = {

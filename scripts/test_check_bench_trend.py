@@ -226,52 +226,6 @@ class BatchMetricsTest(unittest.TestCase):
         self.assertIn("one-sided", out)
 
 
-class PortfolioMetricsTest(unittest.TestCase):
-    def test_corpus_portfolio_speedup_drop_fails(self):
-        code, out = run_gate(
-            current=[{"metric": "corpus.portfolio_speedup",
-                      "value": 0.9}],
-            baseline=[{"metric": "corpus.portfolio_speedup",
-                       "value": 1.4}])
-        self.assertEqual(code, 1, out)
-        self.assertIn("corpus.portfolio_speedup", out)
-
-    def test_per_worker_portfolio_timings_are_not_watched(self):
-        # The multi-worker grid cells are determinism checks whose
-        # timings are scheduler-dominated on small slices; the bench
-        # does not emit per-worker speedup records, and a stray one
-        # must not be gated.
-        code, out = run_gate(
-            current=[{"metric": "corpus.portfolio_speedup/workers=4",
-                      "value": 0.8}],
-            baseline=[{"metric": "corpus.portfolio_speedup/workers=4",
-                       "value": 1.3}])
-        self.assertEqual(code, 0, out)
-
-    def test_win_rate_drop_fails(self):
-        code, out = run_gate(
-            current=[{"metric": "smt.portfolio_win_rate/deep",
-                      "value": 0.3}],
-            baseline=[{"metric": "smt.portfolio_win_rate/deep",
-                       "value": 0.9}])
-        self.assertEqual(code, 1, out)
-        self.assertIn("smt.portfolio_win_rate", out)
-
-    def test_portfolio_metrics_absent_from_baseline_are_warn_only(self):
-        # A baseline artifact that predates the --portfolio ablation
-        # must not fail the gate: the comparison is one-sided.
-        code, out = run_gate(
-            current=[
-                {"metric": "corpus.portfolio_speedup", "value": 1.2},
-                {"metric": "smt.portfolio_speedup", "value": 1.1},
-                {"metric": "smt.portfolio_win_rate/straggler",
-                 "value": 0.5}],
-            baseline=[{"metric": "smt.incremental_speedup",
-                       "value": 10.0}])
-        self.assertEqual(code, 0, out)
-        self.assertIn("one-sided", out)
-
-
 class WarmstartMetricsTest(unittest.TestCase):
     def test_query_reduction_drop_fails(self):
         code, out = run_gate(

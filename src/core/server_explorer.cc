@@ -84,11 +84,6 @@ class ServerExplorer::WorkerListener : public symexec::Listener
         if (owner->config_.trojan_stream_budget.enabled()) {
             smt::SolverConfig budgeted = wc->solver->config();
             budgeted.stream_budget = owner->config_.trojan_stream_budget;
-            // The budgeted stream neither exports nor needs lemmas;
-            // keep the worker's clause channel exclusive to the main
-            // solver.
-            budgeted.clause_sink = nullptr;
-            budgeted.clause_source = nullptr;
             trojan_solver_ =
                 std::make_unique<smt::Solver>(&wc->ctx, budgeted);
         }
@@ -242,8 +237,6 @@ ServerExplorer::ServerExplorer(
     if (config_.trojan_stream_budget.enabled()) {
         smt::SolverConfig budgeted = solver_->config();
         budgeted.stream_budget = config_.trojan_stream_budget;
-        budgeted.clause_sink = nullptr;
-        budgeted.clause_source = nullptr;
         home_trojan_solver_ =
             std::make_unique<smt::Solver>(ctx_, budgeted);
     }
@@ -534,13 +527,6 @@ ServerExplorer::TrojanQuery(
         plane.stats->Bump("explorer.trojan_core_subsumed");
         return smt::CheckResult(smt::CheckStatus::kUnsat);
     }
-    // A query that consulted the knowledge base but was not discharged
-    // is near-miss territory: similar refutations exist in the index,
-    // so it is likely UNSAT-adjacent and worth a deeper strategy. The
-    // hint only steers the portfolio classifier (solver.h); it cannot
-    // change any verdict.
-    if (cores && path_fps != nullptr && plane.prune != nullptr)
-        solver->NotePruneNearMiss();
     plane.stats->Bump("explorer.trojan_queries");
     smt::CheckResult result = solver->CheckSatAssuming(
         path_constraints, negations, model);
@@ -851,17 +837,15 @@ ServerExplorer::RunParallel()
     exec::ParallelEngine::KnowledgeHook restore;
     if (config_.knowledge_in != nullptr) {
         const persist::KnowledgeSnapshot *in = config_.knowledge_in;
-        restore = [in](exec::PruneIndex *prune, exec::QueryCache *cache,
-                       exec::ClauseExchange *exchange) {
-            persist::RestoreKnowledge(*in, prune, cache, exchange);
+        restore = [in](exec::PruneIndex *prune, exec::QueryCache *cache) {
+            persist::RestoreKnowledge(*in, prune, cache);
         };
     }
     exec::ParallelEngine::KnowledgeHook capture;
     if (config_.knowledge_out != nullptr) {
         persist::KnowledgeSnapshot *out = config_.knowledge_out;
-        capture = [out](exec::PruneIndex *prune, exec::QueryCache *cache,
-                        exec::ClauseExchange *exchange) {
-            persist::CaptureKnowledge(prune, cache, exchange, out);
+        capture = [out](exec::PruneIndex *prune, exec::QueryCache *cache) {
+            persist::CaptureKnowledge(prune, cache, out);
         };
     }
     if (restore || capture)
@@ -920,7 +904,7 @@ ServerExplorer::Run()
                                    config_.mode == SearchMode::kAPosteriori);
     if (home_kb && config_.knowledge_in != nullptr) {
         persist::RestoreKnowledge(*config_.knowledge_in, home_prune_.get(),
-                                  nullptr, nullptr);
+                                  nullptr);
     }
     std::vector<symexec::PathResult> paths;
     if (config_.engine.num_workers > 1) {
@@ -1005,7 +989,7 @@ ServerExplorer::Run()
     }
 
     if (home_kb && config_.knowledge_out != nullptr) {
-        persist::CaptureKnowledge(home_prune_.get(), nullptr, nullptr,
+        persist::CaptureKnowledge(home_prune_.get(), nullptr,
                                   config_.knowledge_out);
     }
     if (home_prune_ != nullptr)

@@ -3,7 +3,6 @@
 #include "exec/prune_index.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace achilles {
 namespace exec {
@@ -12,8 +11,8 @@ PruneIndex::PruneIndex(PruneIndexConfig config) : config_(config)
 {
     if (config_.shards == 0)
         config_.shards = 1;
-    InitStore(&cores_, config_.core_cap, config_.core_policy);
-    InitStore(&overlay_, config_.overlay_cap, config_.overlay_policy);
+    InitStore(&cores_, config_.core_cap);
+    InitStore(&overlay_, config_.overlay_cap);
     size_t query_shards = config_.shards;
     if (config_.query_core_cap != 0 && config_.query_core_cap < query_shards)
         query_shards = config_.query_core_cap;
@@ -26,8 +25,7 @@ PruneIndex::PruneIndex(PruneIndexConfig config) : config_(config)
 }
 
 void
-PruneIndex::InitStore(SubsumptionStore *store, size_t cap,
-                      const PruneStorePolicy &policy) const
+PruneIndex::InitStore(SubsumptionStore *store, size_t cap) const
 {
     // A cap below the shard count would overshoot with one entry per
     // shard; shrink the stripe count instead so the documented bound
@@ -40,27 +38,7 @@ PruneIndex::InitStore(SubsumptionStore *store, size_t cap,
         store->shards.push_back(
             std::make_unique<SubsumptionStore::Shard>());
     store->per_shard_cap = cap == 0 ? 0 : cap / shards;
-    store->policy = policy;
 }
-
-namespace {
-
-/** Entries a halving round keeps: ceil(n * keep_fraction), clamped to
- *  [0, n]. At the default 0.5 this is exactly the historical
- *  (n + 1) / 2 "keep the upper half" rule (n * 0.5 is exact in a
- *  double for any shard-sized n). */
-size_t
-KeepTarget(size_t n, double keep_fraction)
-{
-    if (keep_fraction <= 0.0)
-        return 0;
-    if (keep_fraction >= 1.0)
-        return n;
-    const double want = std::ceil(static_cast<double>(n) * keep_fraction);
-    return std::min(n, static_cast<size_t>(want));
-}
-
-}  // namespace
 
 bool
 PruneIndex::Fingerprint(const std::vector<smt::ExprRef> &exprs,
@@ -103,24 +81,23 @@ void
 PruneIndex::EvictHalf(SubsumptionStore *store,
                       SubsumptionStore::Shard *shard)
 {
-    // ReduceDB-style halving: keep the policy's fraction of the more
-    // active entries, breaking ties toward younger ones, then rebuild
-    // the bucket map. Entries with cross-worker hits since the last
-    // round are hot cores -- proven to transfer between workers -- and
-    // are exempt from this round unconditionally (when the store policy
-    // keeps the exemption on); the exemption is consumed (cross_hits
-    // reset), so a core that goes cold competes on (activity, stamp)
-    // next time. A shard where more than the keep target's entries are
-    // hot temporarily exceeds it; the next halving corrects that.
+    // ReduceDB-style halving: keep the more active ceil(n/2) entries,
+    // breaking ties toward younger ones, then rebuild the bucket map.
+    // Entries with cross-worker hits since the last round are hot
+    // cores -- proven to transfer between workers -- and are exempt
+    // from this round unconditionally; the exemption is consumed
+    // (cross_hits reset), so a core that goes cold competes on
+    // (activity, stamp) next time. A shard where more than half the
+    // entries are hot temporarily exceeds the target; the next halving
+    // corrects that.
     std::vector<Entry> &entries = shard->entries;
-    const size_t keep =
-        KeepTarget(entries.size(), store->policy.keep_fraction);
+    const size_t keep = (entries.size() + 1) / 2;
     std::vector<Entry> kept;
     kept.reserve(keep);
     std::vector<uint32_t> cold;
     cold.reserve(entries.size());
     for (uint32_t i = 0; i < entries.size(); ++i) {
-        if (store->policy.hot_exemption && entries[i].cross_hits > 0) {
+        if (entries[i].cross_hits > 0) {
             entries[i].cross_hits = 0;
             hot_exemptions_.fetch_add(1, std::memory_order_relaxed);
             kept.push_back(std::move(entries[i]));
@@ -300,7 +277,8 @@ PruneIndex::PutQueryCore(const PruneFpVec &query_fps,
         shard.map.size() >= query_core_shard_cap_ &&
         shard.map.find(key) == shard.map.end()) {
         // Reduce by (activity, stamp), the same ReduceDB rule as the
-        // subsumption stores, keeping this store's policy fraction.
+        // subsumption stores (without the hot exemption: query cores
+        // carry no cross-worker attribution).
         std::vector<std::pair<uint64_t, const QueryCoreEntry *>> scored;
         scored.reserve(shard.map.size());
         for (const auto &[k, e] : shard.map)
@@ -311,8 +289,7 @@ PruneIndex::PutQueryCore(const PruneFpVec &query_fps,
                           return a.second->activity > b.second->activity;
                       return a.second->stamp > b.second->stamp;
                   });
-        const size_t keep = KeepTarget(
-            scored.size(), config_.query_core_policy.keep_fraction);
+        const size_t keep = (scored.size() + 1) / 2;
         std::unordered_map<uint64_t, QueryCoreEntry> kept;
         kept.reserve(keep);
         for (size_t i = 0; i < keep; ++i)

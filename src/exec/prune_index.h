@@ -44,11 +44,11 @@
 //
 // Soundness: every stored fact is a refutation the solver actually
 // produced, translated into the same context-independent fingerprint
-// currency as exec/expr_transfer, exec/query_cache and
-// exec/clause_exchange. A subsumption hit answers exactly what the
-// skipped query would have answered (kUnsat), so live sets -- and
-// therefore witness sets -- are bitwise identical with the index on or
-// off, at any worker count, under any eviction schedule. Consumers gate
+// currency as exec/expr_transfer and exec/query_cache. A subsumption
+// hit answers exactly what the skipped query would have answered
+// (kUnsat), so live sets -- and therefore witness sets -- are bitwise
+// identical with the index on or off, at any worker count, under any
+// eviction schedule. Consumers gate
 // recording and probing on SolverConfig::unbudgeted() so kUnknown
 // conservatism is preserved (a budgeted stream records nothing and
 // skips nothing).
@@ -56,8 +56,10 @@
 // Eviction: ReduceDB-style activity/age halving, per shard. Every entry
 // carries an activity counter (bumped on each subsumption hit or
 // re-discovery) and an insertion stamp; when a shard reaches its cap
-// the lower half by (activity, then stamp) is dropped. This caps all
-// three stores for long-running service deployments; because hits are
+// it keeps ceil(n/2) entries ranked by (activity, then stamp). On the
+// core and overlay stores, entries with cross-worker hits since the
+// last round are exempt from it (see EvictHalf). This caps all three
+// stores for long-running service deployments; because hits are
 // query-equivalent, eviction can only cost future skips, never flip a
 // verdict.
 
@@ -80,33 +82,11 @@ namespace exec {
 
 /** Context-independent structural fingerprint of one assertion: the
  *  (struct_hash, struct_hash2) pair, the shared currency of the query
- *  cache and the clause exchange. */
+ *  cache. */
 using PruneFp = std::pair<uint64_t, uint64_t>;
 /** A fingerprint set, sorted ascending (subset probes use
  *  std::includes). */
 using PruneFpVec = std::vector<PruneFp>;
-
-/**
- * Per-store eviction policy: how a full shard's halving round behaves.
- * The defaults reproduce the historical shared rule bit-for-bit (keep
- * ceil(n/2) by (activity, stamp) with the hot-core exemption), so a
- * config that never touches the policies behaves exactly as before;
- * per-store overrides let the overlay and delegated-core stores be
- * tuned independently of the Trojan-core index.
- */
-struct PruneStorePolicy
-{
-    /**
-     * Fraction of a full shard's entries a halving round keeps
-     * (keep = ceil(n * keep_fraction), clamped to [0, n]). 0.5 is
-     * exactly the historical "keep the upper half" rule.
-     */
-    double keep_fraction = 0.5;
-    /** Exempt entries with cross-worker hits since the last round
-     *  (consuming the exemption). Ignored by the query-core store,
-     *  which does not track cross-worker attribution. */
-    bool hot_exemption = true;
-};
 
 struct PruneIndexConfig
 {
@@ -127,13 +107,6 @@ struct PruneIndexConfig
      * Single-context (serial) owners leave it unlimited.
      */
     uint32_t shared_var_limit = 0xffffffffu;
-    /** Eviction policy for the core subsumption index (store 1). */
-    PruneStorePolicy core_policy;
-    /** Eviction policy for the differentFrom overlay (store 2). */
-    PruneStorePolicy overlay_policy;
-    /** Eviction policy for the delegated query-core store (store 3);
-     *  hot_exemption is ignored here. */
-    PruneStorePolicy query_core_policy;
 };
 
 /**
@@ -316,7 +289,6 @@ class PruneIndex
         };
         std::vector<std::unique_ptr<Shard>> shards;
         size_t per_shard_cap = 0;
-        PruneStorePolicy policy;
         /** Total live entries across shards, maintained by Record /
          *  EvictHalf: lets probes skip an empty store without taking
          *  any shard lock (the differentFrom overlay is empty for the
@@ -348,8 +320,7 @@ class PruneIndex
 
     static PruneFp KeyOf(const PruneFpVec &primary,
                          const PruneFpVec &secondary);
-    void InitStore(SubsumptionStore *store, size_t cap,
-                   const PruneStorePolicy &policy) const;
+    void InitStore(SubsumptionStore *store, size_t cap) const;
     SubsumptionStore::Shard &ShardFor(SubsumptionStore &store,
                                       const PruneFp &key) const;
     void Record(SubsumptionStore *store, size_t publisher,
@@ -359,8 +330,7 @@ class PruneIndex
                const PruneFpVec &primary_set,
                const PruneFpVec &secondary_set, uint64_t *payload,
                std::atomic<int64_t> *hit_counter);
-    /** Drop a full shard's lower entries by (activity, stamp), keeping
-     *  the store policy's fraction. */
+    /** Drop a full shard's lower half by (activity, stamp). */
     void EvictHalf(SubsumptionStore *store,
                    SubsumptionStore::Shard *shard);
     static size_t StoreSize(const SubsumptionStore &store);

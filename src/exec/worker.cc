@@ -47,25 +47,12 @@ ParallelEngine::Run()
     prune_index_ = std::make_unique<PruneIndex>(prune_config_);
     cache_ = std::make_unique<QueryCache>();
     cache_->SetPruneIndex(prune_index_.get());
-    // The learned-clause exchange shares one worker's short refutation
-    // lemmas with its siblings. Only meaningful with siblings to share
-    // with, and only wired when the incremental backends that produce
-    // the lemmas are on.
-    if (n > 1 && solver_config_.share_learned_clauses &&
-        solver_config_.enable_incremental) {
-        clause_exchange_ = std::make_unique<ClauseExchange>(
-            16, solver_config_.lemma_pool_cap > 0
-                    ? static_cast<size_t>(solver_config_.lemma_pool_cap)
-                    : 0);
-    }
     // Warm start: restore persisted knowledge into the freshly built
     // stores before any worker thread exists. Restored facts only skip
     // queries whose answers they already are, so witness sets stay
     // bitwise identical to a cold run's.
-    if (restore_hook_) {
-        restore_hook_(prune_index_.get(), cache_.get(),
-                      clause_exchange_.get());
-    }
+    if (restore_hook_)
+        restore_hook_(prune_index_.get(), cache_.get());
 
     SchedulerConfig sched_config;
     sched_config.num_workers = n;
@@ -108,15 +95,6 @@ ParallelEngine::Run()
         });
         reg->RegisterGauge("exec.states_stolen",
                            [sched] { return sched->states_stolen(); });
-        if (clause_exchange_) {
-            const ClauseExchange *pool = clause_exchange_.get();
-            reg->RegisterGauge("lemmas.published",
-                               [pool] { return pool->published(); });
-            reg->RegisterGauge("lemmas.fetched",
-                               [pool] { return pool->fetched(); });
-            reg->RegisterGauge("lemmas.evicted",
-                               [pool] { return pool->evicted(); });
-        }
     }
 
     // Per-worker engines explore disjoint subtrees; ids must therefore
@@ -138,15 +116,6 @@ ParallelEngine::Run()
         wc->bridge->MirrorHomeVars();
         smt::SolverConfig worker_config = solver_config_;
         worker_config.obs = solver_config_.obs.ForLane(i + 1);
-        if (clause_exchange_) {
-            wc->clause_channel = std::make_unique<ClauseChannel>(
-                clause_exchange_.get(), i);
-            worker_config.clause_sink = wc->clause_channel.get();
-            worker_config.clause_source = wc->clause_channel.get();
-            // Lemmas may only name assertions over the id-aligned
-            // prefix -- the same portability rule as the query cache.
-            worker_config.clause_share_var_limit = shared_var_limit;
-        }
         wc->solver = std::make_unique<CachedSolver>(
             &wc->ctx, cache_.get(), shared_var_limit, worker_config);
         wc->engine = std::make_unique<symexec::Engine>(
@@ -206,8 +175,6 @@ ParallelEngine::Run()
     scheduler_->ExportStats(&stats_);
     cache_->ExportStats(&stats_);
     prune_index_->ExportStats(&stats_);
-    if (clause_exchange_)
-        clause_exchange_->ExportStats(&stats_);
     stats_.Set("exec.workers", static_cast<int64_t>(n));
 
     // The gauges registered above read components this engine owns;
@@ -232,18 +199,11 @@ ParallelEngine::Run()
         freeze("prune.hot_exemptions", prune_index_->hot_exemptions());
         freeze("engine.frontier", 0);
         freeze("exec.states_stolen", scheduler_->states_stolen());
-        if (clause_exchange_) {
-            freeze("lemmas.published", clause_exchange_->published());
-            freeze("lemmas.fetched", clause_exchange_->fetched());
-            freeze("lemmas.evicted", clause_exchange_->evicted());
-        }
     }
     // Everything this run proved, for the next run's warm start. After
     // the join, so the stores are quiescent.
-    if (capture_hook_) {
-        capture_hook_(prune_index_.get(), cache_.get(),
-                      clause_exchange_.get());
-    }
+    if (capture_hook_)
+        capture_hook_(prune_index_.get(), cache_.get());
     return results;
 }
 

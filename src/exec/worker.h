@@ -6,12 +6,10 @@
 // incremental assumption-based SAT backend that persists CNF and
 // learned clauses across the worker's model-less query stream) and a
 // symexec::Engine driven state-by-state -- plus an ExprBridge that
-// re-homes states stolen from other workers, and a ClauseChannel onto
-// the shared learned-clause exchange so one worker's short refutation
-// lemmas prune its siblings' searches (exec/clause_exchange.h).
-// ParallelEngine wires the pool to the work-stealing scheduler and
-// exposes the same surface as the serial engine: set an incoming
-// message, run, get PathResults in the home context.
+// re-homes states stolen from other workers. ParallelEngine wires the
+// pool to the work-stealing scheduler and exposes the same surface as
+// the serial engine: set an incoming message, run, get PathResults in
+// the home context.
 //
 // Determinism: worker engines derive state ids from the fork tree
 // (schedule-independent), contexts are variable-id-aligned, expression
@@ -42,7 +40,6 @@
 #include <mutex>
 #include <vector>
 
-#include "exec/clause_exchange.h"
 #include "exec/expr_transfer.h"
 #include "exec/prune_index.h"
 #include "exec/query_cache.h"
@@ -60,11 +57,6 @@ struct WorkerContext
     size_t worker_id = 0;
     smt::ExprContext ctx;
     std::unique_ptr<ExprBridge> bridge;
-    /** This worker's face of the shared learned-clause pool (null when
-     *  the exchange is off or the run is serial); the solver's
-     *  clause_sink/clause_source point at it, so it is declared before
-     *  the solver to outlive it through teardown. */
-    std::unique_ptr<ClauseChannel> clause_channel;
     std::unique_ptr<CachedSolver> solver;
     std::unique_ptr<symexec::Engine> engine;
     /** Worker-context replicas of the home incoming-message bytes. */
@@ -119,13 +111,12 @@ class ParallelEngine
     }
 
     /**
-     * Hook over the run's shared knowledge stores (the clause-exchange
-     * pointer is null when the exchange is off). Used by the warm-start
-     * persistence layer (src/persist), which this subsystem must not
-     * depend on -- callers inject the snapshot logic from above.
+     * Hook over the run's shared knowledge stores. Used by the
+     * warm-start persistence layer (src/persist), which this subsystem
+     * must not depend on -- callers inject the snapshot logic from
+     * above.
      */
-    using KnowledgeHook =
-        std::function<void(PruneIndex *, QueryCache *, ClauseExchange *)>;
+    using KnowledgeHook = std::function<void(PruneIndex *, QueryCache *)>;
 
     /**
      * `restore` runs after the shared stores are constructed and before
@@ -153,8 +144,6 @@ class ParallelEngine
     size_t num_workers() const { return workers_.size(); }
     WorkerContext &worker(size_t i) { return *workers_[i]; }
     QueryCache *query_cache() { return cache_.get(); }
-    /** The shared lemma pool (null when the exchange is disabled). */
-    ClauseExchange *clause_exchange() { return clause_exchange_.get(); }
     /** The run's shared pruning knowledge base. */
     PruneIndex *prune_index() { return prune_index_.get(); }
 
@@ -173,7 +162,6 @@ class ParallelEngine
     PruneIndexConfig prune_config_;
     std::unique_ptr<PruneIndex> prune_index_;
     std::unique_ptr<QueryCache> cache_;
-    std::unique_ptr<ClauseExchange> clause_exchange_;
     std::unique_ptr<WorkStealingScheduler> scheduler_;
     std::vector<std::unique_ptr<WorkerContext>> workers_;
     std::vector<std::unique_ptr<symexec::Listener>> listeners_;

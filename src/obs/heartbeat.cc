@@ -39,12 +39,11 @@ HeartbeatSample::Format() const
         buf, sizeof(buf),
         "progress t=%.1fs states=%lld frontier=%lld queries=%lld "
         "(%.1f/s) cache=%.1f%% prune=%.1f%% overlay=%.1f%% "
-        "lemmas=%lld/%lld unknown=%.1f%%",
+        "unknown=%.1f%%",
         elapsed_seconds, static_cast<long long>(states_explored),
         static_cast<long long>(frontier), static_cast<long long>(queries),
         queries_per_sec, cache_hit_rate, prune_hit_rate, overlay_hit_rate,
-        static_cast<long long>(lemmas_published),
-        static_cast<long long>(lemmas_fetched), unknown_rate);
+        unknown_rate);
     return buf;
 }
 
@@ -120,8 +119,6 @@ Heartbeat::Sample()
                                ValueOf(agg, "prune.core_probes"));
     s.overlay_hit_rate = Percent(ValueOf(agg, "prune.overlay_hits"),
                                  ValueOf(agg, "prune.overlay_probes"));
-    s.lemmas_published = ValueOf(agg, "lemmas.published");
-    s.lemmas_fetched = ValueOf(agg, "lemmas.fetched");
     s.unknown_rate = Percent(ValueOf(agg, "solver.unknowns"), s.queries);
     return s;
 }

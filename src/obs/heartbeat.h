@@ -6,7 +6,7 @@
 // structures), and reports one line of live run state:
 //
 //   states explored, frontier depth, queries + queries/sec, cache /
-//   prune-index / overlay hit rates, lemma traffic, kUnknown rate
+//   prune-index / overlay hit rates, kUnknown rate
 //
 // Rates are deltas between consecutive samples. The line goes through
 // the leveled logger by default (whole-line writes, run-id prefix); a
@@ -40,8 +40,6 @@ struct HeartbeatSample
     double cache_hit_rate = 0.0;    ///< shared query cache, percent
     double prune_hit_rate = 0.0;    ///< prune-index core probes, percent
     double overlay_hit_rate = 0.0;  ///< differentFrom overlay, percent
-    int64_t lemmas_published = 0;
-    int64_t lemmas_fetched = 0;
     double unknown_rate = 0.0;      ///< kUnknown verdicts, percent
 
     std::string Format() const;

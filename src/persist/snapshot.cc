@@ -16,12 +16,20 @@ namespace {
 constexpr char kMagic[8] = {'A', 'C', 'H', 'S', 'N', 'A', 'P', '\0'};
 
 // Section tags. Unknown tags fail the load: a future writer's snapshot
-// is not partially importable, per the all-or-nothing rule.
+// is not partially importable, per the all-or-nothing rule. Tag 4 held
+// version 1's lemma pool; it is retired, not reused.
 constexpr uint32_t kSectionCores = 1;
 constexpr uint32_t kSectionOverlay = 2;
 constexpr uint32_t kSectionQueryCores = 3;
-constexpr uint32_t kSectionLemmas = 4;
 constexpr uint32_t kSectionQueries = 5;
+constexpr uint32_t kSectionCount = 4;
+
+bool
+KnownSection(uint32_t tag)
+{
+    return tag == kSectionCores || tag == kSectionOverlay ||
+           tag == kSectionQueryCores || tag == kSectionQueries;
+}
 
 // ------------------------------------------------------------ encoding
 
@@ -186,32 +194,6 @@ DecodeQueryCores(Reader *r,
 }
 
 std::vector<uint8_t>
-EncodeLemmas(const std::vector<exec::Lemma> &lemmas)
-{
-    std::vector<uint8_t> buf;
-    PutU64(&buf, lemmas.size());
-    for (const exec::Lemma &lemma : lemmas)
-        PutFpVec(&buf, lemma);
-    return buf;
-}
-
-bool
-DecodeLemmas(Reader *r, std::vector<exec::Lemma> *out)
-{
-    const uint64_t count = r->U64();
-    if (!r->ok || count > (r->size - r->pos) / 8)
-        return false;
-    out->reserve(static_cast<size_t>(count));
-    for (uint64_t i = 0; i < count; ++i) {
-        exec::Lemma lemma;
-        if (!GetFpVec(r, &lemma) || lemma.empty())
-            return false;
-        out->push_back(std::move(lemma));
-    }
-    return r->ok;
-}
-
-std::vector<uint8_t>
 EncodeQueries(const std::vector<exec::QueryCache::ExportedEntry> &entries)
 {
     std::vector<uint8_t> buf;
@@ -310,10 +292,6 @@ Canonicalize(KnowledgeSnapshot *snap)
     snap->query_cores.erase(std::unique(snap->query_cores.begin(),
                                         snap->query_cores.end(), qc_eq),
                             snap->query_cores.end());
-    std::sort(snap->lemmas.begin(), snap->lemmas.end());
-    snap->lemmas.erase(
-        std::unique(snap->lemmas.begin(), snap->lemmas.end()),
-        snap->lemmas.end());
     // Queries: dedup by fingerprint vector, preferring the entry that
     // carries a model (models are pure functions of the query, so any
     // carrier has the same bytes).
@@ -378,13 +356,12 @@ SaveSnapshot(const KnowledgeSnapshot &snapshot, const std::string &path,
     file.insert(file.end(), kMagic, kMagic + sizeof(kMagic));
     PutU32(&file, kSnapshotFormatVersion);
     PutU64(&file, canonical.protocol_fingerprint);
-    PutU32(&file, 5);  // section count
+    PutU32(&file, kSectionCount);
     AppendSection(&file, kSectionCores, EncodeEntries(canonical.cores));
     AppendSection(&file, kSectionOverlay,
                   EncodeEntries(canonical.overlay));
     AppendSection(&file, kSectionQueryCores,
                   EncodeQueryCores(canonical.query_cores));
-    AppendSection(&file, kSectionLemmas, EncodeLemmas(canonical.lemmas));
     AppendSection(&file, kSectionQueries,
                   EncodeQueries(canonical.queries));
 
@@ -459,7 +436,7 @@ LoadSnapshot(const std::string &path, uint64_t expected_fingerprint,
         if (Crc32(payload, static_cast<size_t>(payload_size)) != crc)
             return fail("section CRC mismatch (tag " +
                         std::to_string(tag) + ")");
-        if (tag == 0 || tag > 5 || seen[tag])
+        if (!KnownSection(tag) || seen[tag])
             return fail("unknown or duplicate section tag " +
                         std::to_string(tag));
         seen[tag] = true;
@@ -474,9 +451,6 @@ LoadSnapshot(const std::string &path, uint64_t expected_fingerprint,
                 break;
             case kSectionQueryCores:
                 decoded = DecodeQueryCores(&sec, &snap.query_cores);
-                break;
-            case kSectionLemmas:
-                decoded = DecodeLemmas(&sec, &snap.lemmas);
                 break;
             case kSectionQueries:
                 decoded = DecodeQueries(&sec, &snap.queries);
@@ -499,8 +473,7 @@ LoadSnapshot(const std::string &path, uint64_t expected_fingerprint,
 
 void
 RestoreKnowledge(const KnowledgeSnapshot &snapshot,
-                 exec::PruneIndex *prune, exec::QueryCache *cache,
-                 exec::ClauseExchange *exchange)
+                 exec::PruneIndex *prune, exec::QueryCache *cache)
 {
     if (prune != nullptr) {
         prune->ImportCores(snapshot.cores);
@@ -509,15 +482,11 @@ RestoreKnowledge(const KnowledgeSnapshot &snapshot,
     }
     if (cache != nullptr)
         cache->Import(snapshot.queries);
-    if (exchange != nullptr)
-        exchange->Import(snapshot.lemmas);
 }
 
 void
 CaptureKnowledge(const exec::PruneIndex *prune,
-                 const exec::QueryCache *cache,
-                 const exec::ClauseExchange *exchange,
-                 KnowledgeSnapshot *out)
+                 const exec::QueryCache *cache, KnowledgeSnapshot *out)
 {
     if (prune != nullptr) {
         prune->ExportCores(&out->cores);
@@ -526,8 +495,6 @@ CaptureKnowledge(const exec::PruneIndex *prune,
     }
     if (cache != nullptr)
         cache->Export(&out->queries);
-    if (exchange != nullptr)
-        exchange->Export(&out->lemmas);
 }
 
 }  // namespace persist

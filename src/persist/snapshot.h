@@ -1,13 +1,13 @@
 // Achilles reproduction -- warm-start knowledge persistence.
 //
-// Cross-run snapshot/restore of the three knowledge stores the
+// Cross-run snapshot/restore of the two knowledge stores the
 // exploration builds as it proves things: the PruneIndex (two-part core
-// subsumption, differentFrom overlay, delegated query cores), the
-// clause-exchange lemma pool, and the cross-worker query cache. Every
-// run today rediscovers from scratch what prior runs already proved;
-// all three stores speak context-independent structural fingerprints
-// by construction, so persisting them is a format problem, not a
-// semantics problem -- the same (struct_hash, struct_hash2) pairs mean
+// subsumption, differentFrom overlay, delegated query cores) and the
+// cross-worker query cache. Every run today rediscovers from scratch
+// what prior runs already proved; both stores speak context-independent
+// structural fingerprints by construction, so persisting them is a
+// format problem, not a semantics problem -- the same
+// (struct_hash, struct_hash2) pairs mean
 // the same assertions in any run of the same protocol, because the
 // protocol's deterministic construction assigns the same variable ids.
 //
@@ -20,8 +20,8 @@
 //            | payload bytes
 //
 // Section payloads encode counted vectors of fixed-width integers (see
-// snapshot.cc); tags are kSectionCores/Overlay/QueryCores/Lemmas/
-// Queries. The protocol fingerprint (persist/fingerprint.h) is a
+// snapshot.cc); tags are kSectionCores/Overlay/QueryCores/Queries
+// (1, 2, 3 and 5). The protocol fingerprint (persist/fingerprint.h) is a
 // structural hash of the materialized protocol bundle, so a snapshot of
 // an edited protocol silently misses instead of poisoning the run.
 //
@@ -44,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/clause_exchange.h"
 #include "exec/prune_index.h"
 #include "exec/query_cache.h"
 
@@ -53,7 +52,7 @@ namespace persist {
 
 /** Current snapshot format version (bumped on layout changes; loaders
  *  reject other versions, degrading to a cold start). */
-constexpr uint32_t kSnapshotFormatVersion = 1;
+constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /**
  * Everything a run's knowledge stores proved, in portable form.
@@ -68,20 +67,19 @@ struct KnowledgeSnapshot
     std::vector<exec::PruneIndex::ExportedEntry> cores;
     std::vector<exec::PruneIndex::ExportedEntry> overlay;
     std::vector<exec::PruneIndex::ExportedQueryCore> query_cores;
-    std::vector<exec::Lemma> lemmas;
     std::vector<exec::QueryCache::ExportedEntry> queries;
 
     bool
     Empty() const
     {
         return cores.empty() && overlay.empty() && query_cores.empty() &&
-               lemmas.empty() && queries.empty();
+               queries.empty();
     }
     size_t
     TotalEntries() const
     {
         return cores.size() + overlay.size() + query_cores.size() +
-               lemmas.size() + queries.size();
+               queries.size();
     }
 };
 
@@ -108,18 +106,16 @@ bool LoadSnapshot(const std::string &path, uint64_t expected_fingerprint,
 
 /**
  * Import a snapshot into live stores; null stores are skipped (serial
- * runs have no query cache or lemma pool). Routed through the stores'
- * normal record paths, so dedup and eviction apply.
+ * runs have no query cache). Routed through the stores' normal record
+ * paths, so dedup and eviction apply.
  */
 void RestoreKnowledge(const KnowledgeSnapshot &snapshot,
-                      exec::PruneIndex *prune, exec::QueryCache *cache,
-                      exec::ClauseExchange *exchange);
+                      exec::PruneIndex *prune, exec::QueryCache *cache);
 
 /** Append the live stores' contents to `*out`; null stores are
  *  skipped. Does not touch `out->protocol_fingerprint`. */
 void CaptureKnowledge(const exec::PruneIndex *prune,
                       const exec::QueryCache *cache,
-                      const exec::ClauseExchange *exchange,
                       KnowledgeSnapshot *out);
 
 }  // namespace persist

@@ -14,6 +14,23 @@
 namespace achilles {
 namespace smt {
 
+namespace {
+
+// Search heuristics. Restarts are geometric: the first after
+// kRestartBase conflicts, each later interval kRestartGrowth times the
+// previous one. Learnt clauses are capped at max(kLearntFloor,
+// clauses / kLearntDivisor) and the cap grows by kLearntGrowthPct
+// percent after every ReduceDB.
+constexpr int64_t kRestartBase = 100;
+constexpr double kRestartGrowth = 1.5;
+constexpr double kVarDecay = 0.95;
+constexpr double kClauseDecay = 0.999;
+constexpr int64_t kLearntFloor = 4000;
+constexpr int64_t kLearntDivisor = 3;
+constexpr int64_t kLearntGrowthPct = 10;
+
+}  // namespace
+
 SatSolver::SatSolver() = default;
 
 uint32_t
@@ -27,7 +44,6 @@ SatSolver::NewVar()
     level_.push_back(0);
     reason_.push_back(kNoClause);
     seen_.push_back(0);
-    var_shared_.push_back(0);
     watches_.emplace_back();
     watches_.emplace_back();
     heap_pos_.push_back(-1);
@@ -291,6 +307,18 @@ SatSolver::BumpVar(uint32_t var)
 }
 
 void
+SatSolver::DecayVarActivity()
+{
+    var_inc_ /= kVarDecay;
+}
+
+void
+SatSolver::DecayClauseActivity()
+{
+    cla_inc_ /= kClauseDecay;
+}
+
+void
 SatSolver::RescaleActivities()
 {
     for (double &a : activity_)
@@ -391,36 +419,9 @@ SatSolver::PickBranchLit()
         const uint32_t v = HeapPop();
         if (assigns_[v] != LBool::kUndef)
             continue;
-        switch (params_.phase_policy) {
-        case PhasePolicy::kNegative:
-            return Lit(v, /*negated=*/true);
-        case PhasePolicy::kPositive:
-            return Lit(v, /*negated=*/false);
-        case PhasePolicy::kSaved:
-            break;
-        }
         return Lit(v, saved_phase_[v] == 0);
     }
     return Lit::FromCode(0xffffffffu);
-}
-
-int64_t
-SatSolver::Luby(int64_t i)
-{
-    // The reluctant-doubling sequence: find the subsequence 2^k - 1
-    // containing i and recurse into its position.
-    int64_t size = 1;
-    int64_t seq = 0;
-    while (size < i + 1) {
-        size = 2 * size + 1;
-        ++seq;
-    }
-    while (size - 1 != i) {
-        size = (size - 1) / 2;
-        --seq;
-        i = i % size;
-    }
-    return int64_t{1} << seq;
 }
 
 void
@@ -615,46 +616,6 @@ SatSolver::MinimizeCore()
     core_ = std::move(work);
 }
 
-bool
-SatSolver::AllVarsShared(const std::vector<Lit> &lits) const
-{
-    for (Lit l : lits) {
-        if (l.var() >= var_shared_.size() || !var_shared_[l.var()])
-            return false;
-    }
-    return true;
-}
-
-void
-SatSolver::MaybeExportLearnt(const std::vector<Lit> &learnt)
-{
-    if (!export_hook_ || learnt.empty() || learnt.size() > kExportMaxLits ||
-        !AllVarsShared(learnt)) {
-        return;
-    }
-    stats_.Bump("sat.clauses_exported");
-    export_hook_(learnt);
-}
-
-void
-SatSolver::MaybeExportCore()
-{
-    // A core over shared assumption guards is the same implied clause a
-    // learnt all-guard clause would be: the disjunction of the negated
-    // core literals. Exporting it shares exactly the "pathS ∧ ¬pathC_i"
-    // refutations sibling workers re-derive from scratch.
-    if (!export_hook_ || core_.empty() || core_.size() > kExportMaxLits ||
-        !AllVarsShared(core_)) {
-        return;
-    }
-    std::vector<Lit> clause;
-    clause.reserve(core_.size());
-    for (Lit l : core_)
-        clause.push_back(~l);
-    stats_.Bump("sat.cores_exported");
-    export_hook_(clause);
-}
-
 SatStatus
 SatSolver::Solve(const std::vector<Lit> &assumptions, int64_t max_conflicts)
 {
@@ -676,8 +637,6 @@ SatSolver::Solve(const std::vector<Lit> &assumptions, int64_t max_conflicts)
         max_conflicts < 0) {
         MinimizeCore();
     }
-    if (status == SatStatus::kUnsat)
-        MaybeExportCore();
     last_solve_conflicts_ = stats_.Get("sat.conflicts") - conflicts_before;
     return status;
 }
@@ -869,21 +828,17 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
     BacktrackTo(keep_level);
     if (learnt_cap_ <= 0) {
         learnt_cap_ = std::max<int64_t>(
-            params_.learnt_floor,
-            static_cast<int64_t>(clauses_.size()) / params_.learnt_divisor);
+            kLearntFloor,
+            static_cast<int64_t>(clauses_.size()) / kLearntDivisor);
     }
     if (static_cast<int64_t>(learnts_.size()) >= learnt_cap_) {
         BacktrackTo(0);  // ReduceDB runs off the root level
         ReduceDB();
-        learnt_cap_ += learnt_cap_ * params_.learnt_growth_pct / 100;
+        learnt_cap_ += learnt_cap_ * kLearntGrowthPct / 100;
     }
 
     int64_t conflicts = 0;
-    int64_t restart_number = 0;
-    int64_t restart_budget =
-        params_.restart_schedule == RestartSchedule::kLuby
-            ? params_.restart_base * Luby(restart_number)
-            : params_.restart_base;
+    int64_t restart_budget = kRestartBase;
     int64_t conflicts_at_restart = 0;
 
     while (true) {
@@ -911,7 +866,6 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
             std::vector<Lit> learnt;
             uint32_t btlevel = 0;
             Analyze(conflict, &learnt, &btlevel);
-            MaybeExportLearnt(learnt);
             // Never backjump into the middle of the assumption prefix
             // without re-checking it; jumping to the assumption boundary
             // is always safe.
@@ -949,18 +903,13 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
             }
             if (conflicts - conflicts_at_restart >= restart_budget) {
                 conflicts_at_restart = conflicts;
-                ++restart_number;
                 restart_budget =
-                    params_.restart_schedule == RestartSchedule::kLuby
-                        ? params_.restart_base * Luby(restart_number)
-                        : static_cast<int64_t>(restart_budget *
-                                               params_.restart_growth);
+                    static_cast<int64_t>(restart_budget * kRestartGrowth);
                 stats_.Bump("sat.restarts");
                 BacktrackTo(0);
                 if (static_cast<int64_t>(learnts_.size()) >= learnt_cap_) {
                     ReduceDB();
-                    learnt_cap_ += learnt_cap_ * params_.learnt_growth_pct /
-                                   100;
+                    learnt_cap_ += learnt_cap_ * kLearntGrowthPct / 100;
                 }
             }
             continue;

@@ -9,7 +9,6 @@
 #define ACHILLES_SMT_SAT_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "support/logging.h"
@@ -49,47 +48,6 @@ enum class LBool : uint8_t { kFalse = 0, kTrue = 1, kUndef = 2 };
 
 /** Result of a Solve() call. */
 enum class SatStatus { kSat, kUnsat, kUnknown };
-
-/** Restart schedule of the CDCL search loop. */
-enum class RestartSchedule : uint8_t
-{
-    kGeometric,  // budget grows by restart_growth after each restart
-    kLuby,       // budget = restart_base * Luby(restart number)
-};
-
-/** First-try decision polarity. */
-enum class PhasePolicy : uint8_t
-{
-    kSaved,     // last assigned polarity (phase saving; the default)
-    kNegative,  // always try false first (MiniSat's classic default)
-    kPositive,  // always try true first
-};
-
-/**
- * Tunable heuristics of the CDCL core. The defaults reproduce the
- * solver's historical fixed point bit-exactly; the portfolio layer in
- * the facade swaps presets per query class. Every field only steers
- * the search order -- verdicts (and, for deterministic single-strategy
- * streams, models) are unaffected by which preset found them.
- */
-struct SatParams
-{
-    RestartSchedule restart_schedule = RestartSchedule::kGeometric;
-    /** First restart interval, in conflicts. */
-    int64_t restart_base = 100;
-    /** Geometric growth factor (ignored under Luby). */
-    double restart_growth = 1.5;
-    PhasePolicy phase_policy = PhasePolicy::kSaved;
-    /** VSIDS variable-activity decay (var_inc /= var_decay). */
-    double var_decay = 0.95;
-    /** Learnt-clause activity decay. */
-    double clause_decay = 0.999;
-    /** ReduceDB auto-cap = max(learnt_floor, clauses/learnt_divisor). */
-    int64_t learnt_floor = 4000;
-    int64_t learnt_divisor = 3;
-    /** Cap growth after each ReduceDB, in percent. */
-    int64_t learnt_growth_pct = 10;
-};
 
 /**
  * CDCL SAT solver.
@@ -195,54 +153,6 @@ class SatSolver
      *  conflict budgets settle their carry-forward against this). */
     int64_t last_solve_conflicts() const { return last_solve_conflicts_; }
 
-    // -- Learned-clause exchange hooks --------------------------------
-    //
-    // A learnt clause whose literals are all negated assumption guards
-    // is a solver-independent refutation lemma ("these guarded
-    // assertions are jointly unsatisfiable"); sibling solvers over the
-    // same shared-variable prefix can import it and prune their own
-    // searches. The SAT layer exports such clauses through a hook and
-    // leaves the guard-to-expression mapping to the facade.
-
-    /** Maximum exported clause size: units and binaries only (larger
-     *  lemmas rarely transfer and bloat the exchange). */
-    static constexpr uint32_t kExportMaxLits = 2;
-
-    /** Mark a variable as belonging to the designated shared prefix:
-     *  only clauses over shared variables are ever exported. */
-    void
-    SetVarShared(uint32_t var, bool shared)
-    {
-        ACHILLES_CHECK(var < NumVars());
-        var_shared_[var] = shared ? 1 : 0;
-    }
-
-    /**
-     * Install the export hook: invoked with every learnt clause of at
-     * most kExportMaxLits literals whose variables are all marked
-     * shared, and with every final unsat core of that size over shared
-     * variables (as the negated core literals -- the same implied
-     * clause). The hook runs inside Solve; it must not call back into
-     * this solver.
-     */
-    void
-    SetLearntExportHook(std::function<void(const std::vector<Lit> &)> hook)
-    {
-        export_hook_ = std::move(hook);
-    }
-
-    /**
-     * Add a clause learned by a sibling solver (an implied clause, so
-     * adding it never changes verdicts). Same normalization as
-     * AddClause; resets any kept assumption trail.
-     */
-    bool
-    ImportClause(std::vector<Lit> lits)
-    {
-        stats_.Bump("sat.clauses_imported");
-        return AddClause(std::move(lits));
-    }
-
     /** Model value of a variable (valid after kSat). */
     bool
     Value(uint32_t var) const
@@ -274,17 +184,6 @@ class SatSolver
     void SetLearntCap(int64_t cap) { learnt_cap_ = cap; }
     size_t NumLearnts() const { return learnts_.size(); }
 
-    /**
-     * Swap the search-heuristic parameter set. Takes effect on the next
-     * Solve; a zeroed learnt cap re-auto-sizes from the new floor.
-     * Defaults reproduce the historical behavior bit-exactly.
-     */
-    void SetParams(const SatParams &params) { params_ = params; }
-    const SatParams &params() const { return params_; }
-
-    /** Luby restart sequence (1,1,2,1,1,2,4,...), 0-indexed. */
-    static int64_t Luby(int64_t i);
-
     /** Solver statistics (conflicts, decisions, propagations...). */
     const StatsRegistry &stats() const { return stats_; }
 
@@ -314,9 +213,6 @@ class SatSolver
     void CollectCoreFromSeen();
     void SortCore(const std::vector<Lit> &assumptions);
     void MinimizeCore();
-    bool AllVarsShared(const std::vector<Lit> &lits) const;
-    void MaybeExportLearnt(const std::vector<Lit> &learnt);
-    void MaybeExportCore();
     void NewDecisionLevel() { trail_lim_.push_back(trail_.size()); }
     uint32_t DecisionLevel() const
     {
@@ -332,7 +228,7 @@ class SatSolver
     ClauseRef AllocClause(const std::vector<Lit> &lits, bool learnt);
     void AttachClause(ClauseRef cref);
     void BumpVar(uint32_t var);
-    void DecayVarActivity() { var_inc_ /= params_.var_decay; }
+    void DecayVarActivity();
     void RescaleActivities();
 
     // Activity order-heap (max-heap on activity, var index tie-break):
@@ -352,7 +248,7 @@ class SatSolver
     float ClauseActivity(ClauseRef cref) const;
     void SetClauseActivity(ClauseRef cref, float activity);
     void BumpClause(ClauseRef cref);
-    void DecayClauseActivity() { cla_inc_ /= params_.clause_decay; }
+    void DecayClauseActivity();
     void ReduceDB();
     void GarbageCollect();
 
@@ -368,8 +264,6 @@ class SatSolver
     {
         return Lit::FromCode(arena_[cref + 1 + i]);
     }
-
-    SatParams params_;
 
     std::vector<uint32_t> arena_;
     std::vector<ClauseRef> clauses_;
@@ -398,8 +292,6 @@ class SatSolver
      *  level (levels beyond its size are search decisions). The next
      *  Search keeps the longest prefix matching its own assumptions. */
     std::vector<Lit> assumption_trail_;
-    std::vector<uint8_t> var_shared_;
-    std::function<void(const std::vector<Lit> &)> export_hook_;
 
     // Conflict analysis scratch.
     std::vector<uint8_t> seen_;

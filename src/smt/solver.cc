@@ -22,215 +22,16 @@ CheckResultName(CheckStatus s)
     ACHILLES_UNREACHABLE("bad CheckStatus");
 }
 
-const char *
-QueryClassName(QueryClass c)
-{
-    switch (c) {
-      case QueryClass::kTrivial: return "trivial";
-      case QueryClass::kShallow: return "shallow";
-      case QueryClass::kDeep: return "deep";
-      case QueryClass::kStraggler: return "straggler";
-    }
-    ACHILLES_UNREACHABLE("bad QueryClass");
-}
-
-namespace {
-
-// Pre-joined stat keys so the per-query dispatch never allocates.
-const char *const kClassQueriesKey[kNumQueryClasses] = {
-    "solver.class_queries/trivial", "solver.class_queries/shallow",
-    "solver.class_queries/deep", "solver.class_queries/straggler"};
-const char *const kClassDecidedKey[kNumQueryClasses] = {
-    "solver.class_decided/trivial", "solver.class_decided/shallow",
-    "solver.class_decided/deep", "solver.class_decided/straggler"};
-const char *const kClassUnknownKey[kNumQueryClasses] = {
-    "solver.class_unknown/trivial", "solver.class_unknown/shallow",
-    "solver.class_unknown/deep", "solver.class_unknown/straggler"};
-
-}  // namespace
-
-uint32_t
-Solver::RootDepth(ExprRef root, DepthMemo *memo)
-{
-    if (memo != nullptr) {
-        auto it = memo->find(root);
-        if (it != memo->end())
-            return it->second;
-    }
-    // Bounded iterative DFS for the term depth: structure-only (no
-    // pointer values, no context state), saturating, and capped at
-    // kDepthVisitCap visited nodes so a huge shared DAG costs O(1).
-    // The scratch stack is thread_local so the walk is allocation-free
-    // in steady state (observably still pure: the buffer is cleared on
-    // entry and carries no data between calls).
-    uint32_t depth = 0;
-    uint32_t visits = 0;
-    thread_local std::vector<std::pair<ExprRef, uint32_t>> stack;
-    stack.clear();
-    stack.emplace_back(root, 1);
-    while (!stack.empty() && visits < QueryFeatures::kDepthVisitCap &&
-           depth < QueryFeatures::kDepthSaturation) {
-        const auto [e, d] = stack.back();
-        stack.pop_back();
-        ++visits;
-        if (d > depth)
-            depth = d;
-        if (d < QueryFeatures::kDepthSaturation)
-            for (ExprRef kid : e->kids())
-                stack.emplace_back(kid, d + 1);
-    }
-    // Ran into the visit cap with nodes outstanding: the term is big;
-    // treat it as saturated-depth rather than pretending it is shallow.
-    if (!stack.empty() && visits >= QueryFeatures::kDepthVisitCap)
-        depth = QueryFeatures::kDepthSaturation;
-    if (memo != nullptr)
-        memo->emplace(root, depth);
-    return depth;
-}
-
-QueryFeatures
-Solver::ExtractFeatures(const std::vector<ExprRef> &live,
-                        bool prune_near_miss, double unknown_rate,
-                        double conflict_rate, DepthMemo *depth_memo)
-{
-    QueryFeatures f;
-    f.live_count = static_cast<uint32_t>(live.size());
-    f.prune_near_miss = prune_near_miss;
-    f.unknown_rate = unknown_rate;
-    f.conflict_rate = conflict_rate;
-    // A very wide live set is heavyweight regardless of per-term
-    // shape: saturate immediately, as the pre-memoization DFS did
-    // through its global visit cap.
-    if (f.live_count >= QueryFeatures::kDepthVisitCap) {
-        f.depth = QueryFeatures::kDepthSaturation;
-        return f;
-    }
-    // Max depth over the live roots; each root's walk is independent
-    // (and therefore memoizable -- depth is a property of the term,
-    // not of the set it appears in).
-    for (ExprRef root : live) {
-        const uint32_t d = RootDepth(root, depth_memo);
-        if (d > f.depth)
-            f.depth = d;
-        if (f.depth >= QueryFeatures::kDepthSaturation)
-            break;
-    }
-    return f;
-}
-
-void
-Solver::FlushClassCounters() const
-{
-    // Writeback of the plain per-class tallies into the string-keyed
-    // registry; runs on stats() reads, never on the query path.
-    for (int c = 0; c < kNumQueryClasses; ++c) {
-        if (class_queries_ct_[c] != 0) {
-            stats_.Bump(kClassQueriesKey[c], class_queries_ct_[c]);
-            class_queries_ct_[c] = 0;
-        }
-        if (class_decided_ct_[c] != 0) {
-            stats_.Bump(kClassDecidedKey[c], class_decided_ct_[c]);
-            class_decided_ct_[c] = 0;
-        }
-        if (class_unknown_ct_[c] != 0) {
-            stats_.Bump(kClassUnknownKey[c], class_unknown_ct_[c]);
-            class_unknown_ct_[c] = 0;
-        }
-    }
-}
-
-QueryClass
-Solver::Classify(const QueryFeatures &f)
-{
-    // A stream burning budget reroutes everything to the racing class;
-    // otherwise bucket on term shape, with a PruneIndex near-miss
-    // promoting the query one class harder (it resembles a stored
-    // refutation the index could not quite discharge).
-    if (f.unknown_rate > 0.25)
-        return QueryClass::kStraggler;
-    QueryClass c;
-    if (f.live_count <= 2 && f.depth <= 4)
-        c = QueryClass::kTrivial;
-    else if (f.depth <= 8)
-        c = QueryClass::kShallow;
-    else
-        c = QueryClass::kDeep;
-    if (f.prune_near_miss && c != QueryClass::kDeep) {
-        c = static_cast<QueryClass>(static_cast<uint8_t>(c) + 1);
-    }
-    return c;
-}
-
-QueryStrategy
-Solver::StrategyFor(QueryClass c, const SatParams &base)
-{
-    QueryStrategy s;
-    s.sat = base;
-    s.race_sat = base;
-    switch (c) {
-      case QueryClass::kTrivial:
-        // Interval alone usually decides these; a minimal core is not
-        // worth deletion probes on queries this small.
-        s.minimize_core = false;
-        break;
-      case QueryClass::kShallow:
-        // Interval-first stays, minimization off: shallow refutations
-        // already produce near-minimal analyze-final cores.
-        s.minimize_core = false;
-        break;
-      case QueryClass::kDeep:
-        // Deep terms: the interval pre-check stays (bounds walks
-        // refute a third of the deep corpus streams for free, and a
-        // hit also skips bit-blasting the term); Luby restarts are
-        // the robust schedule once searches run long, and a minimal
-        // core pays for itself in downstream predicate drops.
-        s.minimize_core = true;
-        s.sat.restart_schedule = RestartSchedule::kLuby;
-        break;
-      case QueryClass::kStraggler:
-        // Keep the default arm first (so unbudgeted behavior matches
-        // the non-portfolio path), then race a diversified arm: Luby
-        // restarts + negative-first phase explores a very different
-        // search order, the classic portfolio complement.
-        s.race = true;
-        s.race_sat.restart_schedule = RestartSchedule::kLuby;
-        s.race_sat.phase_policy = PhasePolicy::kNegative;
-        s.race_sat.var_decay = 0.90;
-        break;
-    }
-    return s;
-}
-
 /**
  * The persistent solving stack behind model-less queries: one SAT
  * instance accumulating the CNF of every expression node ever asserted,
- * one activation literal per assertion, learned clauses retained across
- * queries (ReduceDB-capped inside SatSolver), plus the guard registries
- * the cross-solver lemma exchange anchors on (fingerprint -> guarded
- * expression for imports, activation variable -> expression for
- * exports).
+ * one activation literal per assertion, and learned clauses retained
+ * across queries (ReduceDB-capped inside SatSolver).
  */
 struct Solver::IncrementalBackend
 {
-    struct FpHash
-    {
-        size_t
-        operator()(const LemmaFingerprint &fp) const
-        {
-            return static_cast<size_t>(
-                fp.first ^ (fp.second * 0x9e3779b97f4a7c15ull));
-        }
-    };
-
     SatSolver sat;
     BitBlaster blaster;
-    /** Every expression that ever got an activation literal here. */
-    std::unordered_set<ExprRef> guarded;
-    /** Import anchor: fingerprint -> guarded expression (first wins on
-     *  the astronomically unlikely 128-bit collision). */
-    std::unordered_map<LemmaFingerprint, ExprRef, FpHash> guarded_by_fp;
-    /** Export anchor: activation variable -> guarded expression. */
-    std::unordered_map<uint32_t, ExprRef> expr_by_guard_var;
 
     IncrementalBackend() : blaster(&sat) {}
 };
@@ -248,14 +49,6 @@ Solver::Solver(ExprContext *ctx, SolverConfig config)
         obs_conflicts_ = config_.obs.DistributionFor("solver.conflicts");
         obs_core_size_ = config_.obs.DistributionFor("solver.core_size");
         obs_batch_rounds_ = config_.obs.DistributionFor("solver.batch_rounds");
-        if (config_.portfolio) {
-            for (int c = 0; c < kNumQueryClasses; ++c) {
-                obs_class_queries_[c] =
-                    config_.obs.CounterFor(kClassQueriesKey[c]);
-                obs_class_decided_[c] =
-                    config_.obs.CounterFor(kClassDecidedKey[c]);
-            }
-        }
     }
 }
 
@@ -358,19 +151,6 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
 {
     stats_.Bump("solver.queries");
 
-    // The PruneIndex near-miss hint describes this query however it is
-    // answered; consume it up front so it cannot leak to a later one.
-    const bool near_miss = prune_near_miss_;
-    prune_near_miss_ = false;
-    // Portfolio dispatch state, filled in after canonicalization (the
-    // classifier wants the canonical live set); declared here so the
-    // `finish` lambda below can settle the per-class win/loss counters
-    // and the rolling stream rates on every return path.
-    QueryStrategy strategy_storage;
-    const QueryStrategy *strategy = nullptr;
-    int qclass = 0;
-    int64_t class_conflicts_before = 0;
-
     // Observability: one span per query on this solver's lane, finalized
     // with verdict/conflicts/core/budget by `finish` below on every
     // return path. All of it is behind null-check branches -- with
@@ -383,20 +163,6 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
     const int64_t obs_budget_before =
         obs_on ? stats_.Get("solver.stream_conflicts_spent") : 0;
     const auto finish = [&](CheckResult result) -> CheckResult {
-        if (strategy != nullptr) {
-            // Dispatched query: settle the class's win/loss counters
-            // and the rolling rates the next classification reads.
-            ++stream_queries_;
-            stream_conflict_sum_ +=
-                sat_conflicts_total_ - class_conflicts_before;
-            if (result.status == CheckStatus::kUnknown) {
-                ++stream_unknowns_;
-                ++class_unknown_ct_[qclass];
-            } else {
-                ++class_decided_ct_[qclass];
-                obs_class_decided_[qclass].Bump();
-            }
-        }
         obs_queries_.Bump();
         if (result.status == CheckStatus::kUnknown)
             obs_unknowns_.Bump();
@@ -492,41 +258,12 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
         }
     }
 
-    // Portfolio dispatch: classify the canonical live set and pick the
-    // class strategy. Model-less queries only -- model-producing solves
-    // keep the default fresh path so witness bytes stay a pure function
-    // of the canonical query, portfolio on or off.
-    if (config_.portfolio && model == nullptr) {
-        const QueryFeatures features = ExtractFeatures(
-            live, near_miss,
-            stream_queries_ > 0
-                ? static_cast<double>(stream_unknowns_) / stream_queries_
-                : 0.0,
-            stream_queries_ > 0
-                ? static_cast<double>(stream_conflict_sum_) / stream_queries_
-                : 0.0,
-            &depth_memo_);
-        qclass = static_cast<int>(Classify(features));
-        strategy_storage =
-            StrategyFor(static_cast<QueryClass>(qclass), config_.sat_params);
-        strategy = &strategy_storage;
-        class_conflicts_before = sat_conflicts_total_;
-        ++class_queries_ct_[qclass];
-        obs_class_queries_[qclass].Bump();
-    }
-
     // Interval pre-check. On the core-producing path it runs in
     // attribution mode: the checker names the assertions that narrowed
     // the refuting interval (seed atoms map 1:1 to assertions), so
     // interval-refutable queries keep both the fast path and the core
-    // every consumer downstream drops predicates with. (PR 3 used to
-    // skip the pre-check here because the checker could prove but not
-    // explain.) A strategy may opt out via interval_first=false; no
-    // current preset does -- on the corpus streams the bounds walk
-    // refutes even deep queries often enough to beat re-running the
-    // SAT backend, and a hit also skips bit-blasting the term.
-    if (config_.use_interval_check && upgrade_entry == nullptr &&
-        (strategy == nullptr || strategy->interval_first)) {
+    // every consumer downstream drops predicates with.
+    if (config_.use_interval_check && upgrade_entry == nullptr) {
         IntervalChecker checker(ctx_);
         if (core_path) {
             std::vector<uint32_t> interval_core;
@@ -571,9 +308,9 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
     // would make the kUnsat/kUnknown boundary depend on the query
     // stream, not the query.
     if (incremental_path) {
-        status = SolveIncremental(live, &got_core, &live_core, strategy);
+        status = SolveIncremental(live, &got_core, &live_core);
     } else {
-        status = SolveFresh(live, &out_model, strategy);
+        status = SolveFresh(live, &out_model);
     }
 
     if (config_.retain_models && status == CheckStatus::kSat) {
@@ -648,60 +385,21 @@ Solver::SettleStreamBudget(int64_t budget, int64_t spent, bool decided)
 }
 
 CheckStatus
-Solver::SolveFresh(const std::vector<ExprRef> &live, Model *out_model,
-                   const QueryStrategy *strategy)
+Solver::SolveFresh(const std::vector<ExprRef> &live, Model *out_model)
 {
     stats_.Bump("solver.sat_calls");
     SatSolver sat;
-    sat.SetParams(strategy != nullptr ? strategy->sat : config_.sat_params);
     BitBlaster blaster(&sat);
     for (ExprRef e : live)
         blaster.AssertTrue(e);
     const int64_t budget = NextConflictBudget();
-    SatStatus status = sat.Solve({}, budget);
-    const bool arm_a_decided = status != SatStatus::kUnknown;
-    int64_t spent = sat.last_solve_conflicts();
-
-    // Sequential-deterministic strategy racing: when the class arm
-    // exhausted its budget, re-run the query once on a fresh instance
-    // under the diversified arm with the same budget. Fixed arm order
-    // and "first decided verdict wins" keep the outcome a pure function
-    // of the query and the budget -- no wall-clock in sight -- and a
-    // race can only upgrade a kUnknown to the verdict the query truly
-    // has, so kUnknown conservatism is untouched.
-    SatSolver sat_b;
-    std::unique_ptr<BitBlaster> blaster_b;
-    BitBlaster *winner_blaster = &blaster;
-    if (strategy != nullptr && strategy->race && budget >= 0 &&
-        status == SatStatus::kUnknown) {
-        stats_.Bump("solver.race_attempts");
-        sat_b.SetParams(strategy->race_sat);
-        blaster_b = std::make_unique<BitBlaster>(&sat_b);
-        for (ExprRef e : live)
-            blaster_b->AssertTrue(e);
-        const SatStatus status_b = sat_b.Solve({}, budget);
-        spent += sat_b.last_solve_conflicts();
-        if (status_b != SatStatus::kUnknown) {
-            stats_.Bump("solver.race_wins");
-            status = status_b;
-            winner_blaster = blaster_b.get();
-        }
-    }
+    const SatStatus status = sat.Solve({}, budget);
     if (config_.stream_budget.enabled()) {
-        // Raced queries settle as undecided whatever the race returned
-        // (the first arm exhausted the allowance, exactly like an
-        // unraced kUnknown), so the stream's budget trajectory -- and
-        // with it every later query's allowance -- is bitwise identical
-        // portfolio on or off.
-        SettleStreamBudget(budget, spent, arm_a_decided);
+        SettleStreamBudget(budget, sat.last_solve_conflicts(),
+                           status != SatStatus::kUnknown);
     }
-    const int64_t fresh_conflicts = sat.stats().Get("sat.conflicts") +
-                                    sat_b.stats().Get("sat.conflicts");
-    stats_.Bump("solver.sat_conflicts", fresh_conflicts);
-    sat_conflicts_total_ += fresh_conflicts;
-    stats_.Bump("solver.sat_decisions",
-                sat.stats().Get("sat.decisions") +
-                    sat_b.stats().Get("sat.decisions"));
+    stats_.Bump("solver.sat_conflicts", sat.stats().Get("sat.conflicts"));
+    stats_.Bump("solver.sat_decisions", sat.stats().Get("sat.decisions"));
 
     switch (status) {
       case SatStatus::kUnsat:
@@ -713,7 +411,7 @@ Solver::SolveFresh(const std::vector<ExprRef> &live, Model *out_model,
         for (ExprRef e : live)
             ctx_->CollectVars(e, &vars);
         for (uint32_t id : vars)
-            out_model->Set(id, winner_blaster->VarValueFromModel(id));
+            out_model->Set(id, blaster.VarValueFromModel(id));
         if (config_.validate_models) {
             for (ExprRef e : live) {
                 ACHILLES_CHECK(EvaluateBool(e, *out_model),
@@ -728,60 +426,6 @@ Solver::SolveFresh(const std::vector<ExprRef> &live, Model *out_model,
 }
 
 void
-Solver::InstallExportHook()
-{
-    // Translate an all-guard clause back to the expressions it
-    // implicates and hand the sorted fingerprints to the sink. The SAT
-    // layer only exports clauses over variables marked shared, which
-    // this facade marks for exactly the guards registered in
-    // expr_by_guard_var, so the lookups cannot miss; the polarity
-    // filter is the real semantic gate (only negated guards spell
-    // "these assertions are jointly unsat").
-    inc_->sat.SetLearntExportHook([this](const std::vector<Lit> &lits) {
-        std::vector<LemmaFingerprint> fps;
-        fps.reserve(lits.size());
-        for (Lit l : lits) {
-            if (!l.negated())
-                return;
-            auto it = inc_->expr_by_guard_var.find(l.var());
-            if (it == inc_->expr_by_guard_var.end())
-                return;
-            fps.emplace_back(it->second->struct_hash(),
-                             it->second->struct_hash2());
-        }
-        std::sort(fps.begin(), fps.end());
-        fps.erase(std::unique(fps.begin(), fps.end()), fps.end());
-        stats_.Bump("solver.lemmas_published");
-        config_.clause_sink->PublishLemma(fps);
-    });
-}
-
-void
-Solver::InstallFetchedLemmas()
-{
-    for (FetchedLemma &lemma : fetched_lemmas_) {
-        if (lemma.installed)
-            continue;
-        std::vector<Lit> clause;
-        clause.reserve(lemma.fps.size());
-        bool anchored = true;
-        for (const LemmaFingerprint &fp : lemma.fps) {
-            auto it = inc_->guarded_by_fp.find(fp);
-            if (it == inc_->guarded_by_fp.end()) {
-                anchored = false;
-                break;
-            }
-            clause.push_back(~inc_->blaster.ActivationLit(it->second));
-        }
-        if (!anchored)
-            continue;  // implicated assertions not asserted here (yet)
-        lemma.installed = true;
-        stats_.Bump("solver.lemmas_installed");
-        inc_->sat.ImportClause(std::move(clause));
-    }
-}
-
-void
 Solver::EnsureIncrementalBackend()
 {
     if (inc_ && inc_->sat.NumVars() > config_.incremental_max_vars) {
@@ -793,63 +437,18 @@ Solver::EnsureIncrementalBackend()
         inc_conflicts_seen_ = 0;
         inc_decisions_seen_ = 0;
         inc_trail_reuses_seen_ = 0;
-        // The imported clauses died with the instance; replay the
-        // archive into the rebuilt one as its assertions reappear.
-        for (FetchedLemma &lemma : fetched_lemmas_)
-            lemma.installed = false;
     }
-    if (!inc_) {
+    if (!inc_)
         inc_ = std::make_unique<IncrementalBackend>();
-        if (config_.clause_sink != nullptr)
-            InstallExportHook();
-    }
-}
-
-bool
-Solver::GuardAssertions(const std::vector<ExprRef> &live,
-                        std::vector<Lit> *assumptions)
-{
-    const bool exchange = config_.clause_sink != nullptr ||
-                          config_.clause_source != nullptr;
-    bool new_guards = false;
-    assumptions->reserve(assumptions->size() + live.size());
-    for (ExprRef e : live) {
-        const Lit guard = inc_->blaster.ActivationLit(e);
-        if (exchange && inc_->guarded.insert(e).second) {
-            new_guards = true;
-            inc_->expr_by_guard_var.emplace(guard.var(), e);
-            inc_->guarded_by_fp.emplace(
-                LemmaFingerprint{e->struct_hash(), e->struct_hash2()}, e);
-            // Only assertions over the id-aligned shared prefix may
-            // leave this solver: sibling contexts agree on what those
-            // fingerprints mean (the query-cache rule).
-            if (e->max_var_bound() <= config_.clause_share_var_limit)
-                inc_->sat.SetVarShared(guard.var(), true);
-        }
-        assumptions->push_back(guard);
-    }
-    return new_guards;
 }
 
 void
-Solver::SyncLemmaExchange(bool new_guards)
+Solver::GuardAssertions(const std::vector<ExprRef> &live,
+                        std::vector<Lit> *assumptions)
 {
-    if (config_.clause_source == nullptr)
-        return;
-    const size_t before = fetched_lemmas_.size();
-    std::vector<std::vector<LemmaFingerprint>> fresh;
-    config_.clause_source->FetchLemmas(&fresh);
-    for (std::vector<LemmaFingerprint> &fps : fresh)
-        fetched_lemmas_.push_back(FetchedLemma{std::move(fps), false});
-    if (fetched_lemmas_.size() > before) {
-        stats_.Bump("solver.lemmas_fetched",
-                    static_cast<int64_t>(fetched_lemmas_.size() - before));
-    }
-    // Resolution can only change when a new lemma or a new guard
-    // arrived; skipping the scan otherwise keeps the per-query cost
-    // at two branch tests.
-    if (new_guards || fetched_lemmas_.size() > before)
-        InstallFetchedLemmas();
+    assumptions->reserve(assumptions->size() + live.size());
+    for (ExprRef e : live)
+        assumptions->push_back(inc_->blaster.ActivationLit(e));
 }
 
 void
@@ -859,7 +458,6 @@ Solver::DrainIncrementalStats()
     const int64_t decisions = inc_->sat.stats().Get("sat.decisions");
     const int64_t reuses = inc_->sat.stats().Get("sat.trail_reuses");
     stats_.Bump("solver.sat_conflicts", conflicts - inc_conflicts_seen_);
-    sat_conflicts_total_ += conflicts - inc_conflicts_seen_;
     stats_.Bump("solver.sat_decisions", decisions - inc_decisions_seen_);
     stats_.Bump("solver.trail_reuses", reuses - inc_trail_reuses_seen_);
     inc_conflicts_seen_ = conflicts;
@@ -869,23 +467,18 @@ Solver::DrainIncrementalStats()
 
 CheckStatus
 Solver::SolveIncremental(const std::vector<ExprRef> &live, bool *has_core,
-                         std::vector<uint32_t> *core,
-                         const QueryStrategy *strategy)
+                         std::vector<uint32_t> *core)
 {
     *has_core = false;
     core->clear();
     EnsureIncrementalBackend();
     stats_.Bump("solver.incremental_sat_calls");
-    inc_->sat.SetParams(strategy != nullptr ? strategy->sat
-                                            : config_.sat_params);
-    inc_->sat.SetMinimizeCore(
-        config_.enable_cores && config_.minimize_cores &&
-        (strategy == nullptr || strategy->minimize_core));
+    inc_->sat.SetMinimizeCore(config_.enable_cores &&
+                              config_.minimize_cores);
     inc_->sat.SetTrailReuse(config_.enable_trail_reuse);
 
     std::vector<Lit> assumptions;
-    const bool new_guards = GuardAssertions(live, &assumptions);
-    SyncLemmaExchange(new_guards);
+    GuardAssertions(live, &assumptions);
     const SatStatus status =
         inc_->sat.Solve(assumptions, config_.max_conflicts);
     DrainIncrementalStats();
@@ -992,7 +585,6 @@ Solver::CheckSatBatch(const std::vector<ExprRef> &base,
         stats_.Bump("solver.incremental_sat_calls");
         // A sweep reports no cores, so minimization probes would be
         // wasted work; the next point query re-arms the flag.
-        inc_->sat.SetParams(config_.sat_params);
         inc_->sat.SetMinimizeCore(false);
         inc_->sat.SetTrailReuse(config_.enable_trail_reuse);
 
@@ -1007,7 +599,7 @@ Solver::CheckSatBatch(const std::vector<ExprRef> &base,
                                               &caller_index, &false_index);
             ACHILLES_CHECK(base_ok);
         }
-        bool new_guards = GuardAssertions(base_live, &assumptions);
+        GuardAssertions(base_live, &assumptions);
         std::vector<std::vector<Lit>> member_lits(residue.size());
         std::vector<ExprRef> scratch;
         for (size_t k = 0; k < residue.size(); ++k) {
@@ -1016,9 +608,8 @@ Solver::CheckSatBatch(const std::vector<ExprRef> &base,
                 if (!e->IsTrue())  // IsFalse was answered above
                     scratch.push_back(e);
             }
-            new_guards |= GuardAssertions(scratch, &member_lits[k]);
+            GuardAssertions(scratch, &member_lits[k]);
         }
-        SyncLemmaExchange(new_guards);
         const int64_t rounds_before =
             inc_->sat.stats().Get("sat.batch_rounds");
         const std::vector<SatStatus> sat_verdicts =

@@ -99,45 +99,6 @@ CheckResultName(const CheckResult &r)
 }
 
 /**
- * Context-independent identity of an assertion for the cross-solver
- * lemma exchange: the expression's (struct_hash, struct_hash2) pair,
- * the same 128-bit structural fingerprint the shared query cache keys
- * on. Id-aligned worker contexts produce identical fingerprints for
- * identical assertions, which is what makes a lemma portable.
- */
-using LemmaFingerprint = std::pair<uint64_t, uint64_t>;
-
-/**
- * Receives short refutation lemmas exported by a solver's incremental
- * backend. A lemma is the sorted fingerprint set of guarded assertions
- * whose conjunction the backend proved unsatisfiable (from an all-guard
- * learnt clause or a short final unsat core); it is an implied fact
- * about the expressions themselves, so any solver over id-aligned
- * variables may import it. Implementations must be thread-safe: the
- * export fires from inside SAT search on whatever thread runs the
- * solver.
- */
-class ClauseSink
-{
-  public:
-    virtual ~ClauseSink() = default;
-    virtual void PublishLemma(const std::vector<LemmaFingerprint> &lemma) = 0;
-};
-
-/**
- * Supplies lemmas published by sibling solvers. Each source instance
- * serves exactly one consumer and keeps its own cursor: FetchLemmas
- * appends only lemmas it has not handed out before.
- */
-class ClauseSource
-{
-  public:
-    virtual ~ClauseSource() = default;
-    virtual void
-    FetchLemmas(std::vector<std::vector<LemmaFingerprint>> *out) = 0;
-};
-
-/**
  * Stream-level conflict budgeting: a decaying per-query budget with
  * carry-forward of unspent conflicts, replacing the flat per-query
  * `max_conflicts` for bounded query streams (refinement's per-witness
@@ -164,65 +125,6 @@ struct StreamBudget
     int64_t carry_cap = -1;
 
     bool enabled() const { return base >= 0; }
-};
-
-/**
- * Query classes of the portfolio dispatcher, ordered roughly by
- * expected hardness. Classification is a pure function of cheap,
- * structure-only features (QueryFeatures), so any two solvers seeing
- * the same query in the same stream state agree on the class.
- */
-enum class QueryClass : uint8_t
-{
-    kTrivial,    // tiny live set, shallow terms: interval usually ends it
-    kShallow,    // modest depth: interval-first, skip core minimization
-    kDeep,       // deep arithmetic terms: SAT-first, Luby restarts
-    kStraggler,  // stream is burning budget: race two configurations
-};
-constexpr int kNumQueryClasses = 4;
-const char *QueryClassName(QueryClass c);
-
-/** Cheap per-query features the classifier buckets on. */
-struct QueryFeatures
-{
-    /** Max expression depth over the live assertions, saturated at
-     *  kDepthSaturation (each root's DFS visits at most kDepthVisitCap
-     *  nodes, so one walk is O(1) on huge DAGs -- and the dispatch
-     *  path memoizes per-root results, so repeated roots are a hash
-     *  lookup). */
-    uint32_t depth = 0;
-    /** Number of live (non-trivial, deduplicated) assertions. */
-    uint32_t live_count = 0;
-    /** The previous PruneIndex probe was a near-miss (prefix matched,
-     *  no subsuming core): the query resembles known-hard territory. */
-    bool prune_near_miss = false;
-    /** Rolling kUnknown fraction of this solver's solved stream. */
-    double unknown_rate = 0.0;
-    /** Rolling mean SAT conflicts per solved query on this stream. */
-    double conflict_rate = 0.0;
-
-    /** One past the deepest threshold Classify() distinguishes (4 and
-     *  8): any depth >= 9 buckets identically, so the DFS stops
-     *  descending there instead of measuring depth it cannot use. */
-    static constexpr uint32_t kDepthSaturation = 9;
-    static constexpr uint32_t kDepthVisitCap = 256;
-};
-
-/** Per-class strategy the dispatcher applies to one query. */
-struct QueryStrategy
-{
-    /** Run the interval UNSAT pre-check before the SAT backend. */
-    bool interval_first = true;
-    /** Deletion-minimize unsat cores (incremental path only). */
-    bool minimize_core = true;
-    /** On a budget-exhausted fresh-path kUnknown, re-run the query
-     *  once under `race_sat` (sequential-deterministic racing: fixed
-     *  arm order, first decided verdict wins). */
-    bool race = false;
-    /** CDCL parameter preset for the first (or only) arm. */
-    SatParams sat;
-    /** Preset for the racing arm. */
-    SatParams race_sat;
 };
 
 /** Tunables for the solver facade. */
@@ -313,42 +215,6 @@ struct SolverConfig
      */
     bool enable_trail_reuse = true;
     /**
-     * Cross-solver learned-clause exchange. When a sink is set, the
-     * incremental backend exports short refutation lemmas (all-guard
-     * learnt clauses and ≤2-literal unsat cores over assertions whose
-     * variables all lie in the designated shared prefix, i.e.
-     * max_var_bound <= clause_share_var_limit) as structural
-     * fingerprints. When a source is set, lemmas published by siblings
-     * are imported as permanent clauses over this solver's own
-     * activation literals once the implicated assertions are guarded
-     * here. Imported lemmas are implied, so verdicts never flip; they
-     * only steer CDCL to the refutation faster. Witness bytes stay
-     * deterministic because models are always produced by the
-     * exchange-free fresh-instance path. Both pointers must outlive the
-     * solver; the exec layer wires them to the lock-striped
-     * exec::ClauseExchange pool.
-     */
-    ClauseSink *clause_sink = nullptr;
-    ClauseSource *clause_source = nullptr;
-    uint32_t clause_share_var_limit = 0;
-    /**
-     * Master switch for wiring the parallel engine's clause exchange
-     * (exec/worker.cc creates the shared pool and per-worker channels
-     * only when set). The sink/source pointers above are the mechanism;
-     * this is the ablation toggle benches and tests flip.
-     */
-    bool share_learned_clauses = true;
-    /**
-     * Cap on the shared lemma pool's live entries (<= 0 = unbounded).
-     * The pool is append-only within the cap; beyond it the oldest
-     * lemma is evicted (and may re-earn its slot by being re-derived),
-     * bounding the exchange's memory for long-running service
-     * deployments. Evicting a lemma only costs siblings a potential
-     * acceleration -- lemmas are implied facts, so verdicts and witness
-     * bytes are unaffected by any cap.
-     */
-    int64_t lemma_pool_cap = 16384;
-    /**
      * Observability sinks (src/obs/obs.h): when the registry is set the
      * solver bumps live per-lane counters/distributions next to its
      * merge-at-join stats bag; when the tracer is set every
@@ -359,32 +225,6 @@ struct SolverConfig
      * bitwise identical obs on/off; see tests/test_obs.cc).
      */
     obs::ObsHandle obs;
-    /**
-     * Base CDCL parameter set (see SatParams). Applied to every SAT
-     * instance the facade builds -- fresh and incremental alike -- so a
-     * uniform override stays deterministic across runs and worker
-     * counts. The defaults reproduce the historical solver bit-exactly.
-     */
-    SatParams sat_params;
-    /**
-     * Portfolio dispatch: classify each model-less query by cheap
-     * features (QueryFeatures) and run the class's tuned strategy
-     * (interval-first vs SAT-first order, core minimization on/off,
-     * SatParams preset, and -- on budgeted fresh-path stragglers --
-     * sequential-deterministic racing of a second configuration).
-     *
-     * Witness identity is preserved by construction: model-producing
-     * queries always bypass the dispatcher and solve on the default
-     * fresh path, unbudgeted verdicts are strategy-independent (every
-     * preset is a complete search), and raced budgeted queries settle
-     * their stream budget as undecided regardless of the race outcome,
-     * so the budget trajectory -- and with it every downstream
-     * kUnsat/kUnknown boundary -- is bitwise identical portfolio on or
-     * off; a race can only upgrade a kUnknown to the verdict the query
-     * truly has. kUnknown conservatism stays gated by unbudgeted() as
-     * before.
-     */
-    bool portfolio = false;
 
     /** True when queries run with no conflict budget of either kind --
      *  the precondition for the incremental backend and for every
@@ -422,8 +262,8 @@ class Lit;
  *
  * Holds state across queries: the memo cache, the incremental backend
  * (a persistent SAT instance reused for all model-less queries; see
- * SolverConfig::enable_incremental), the lemma archive fetched from a
- * ClauseSource, and the stream-budget running balance. The Achilles
+ * SolverConfig::enable_incremental) and the stream-budget running
+ * balance. The Achilles
  * search generates thousands of small queries sharing path-constraint
  * prefixes, so reusing CNF, learned clauses and established assumption
  * trails across the stream is the dominant speed lever.
@@ -503,56 +343,7 @@ class Solver
 
     ExprContext *ctx() { return ctx_; }
     const SolverConfig &config() const { return config_; }
-    const StatsRegistry &stats() const
-    {
-        FlushClassCounters();
-        return stats_;
-    }
-    StatsRegistry *mutable_stats()
-    {
-        FlushClassCounters();
-        return &stats_;
-    }
-
-    /**
-     * Hint from a knowledge-base consumer (the explorer's PruneIndex
-     * probe loop): the upcoming query resembled a stored refutation but
-     * was not subsumed by it. The portfolio classifier treats the next
-     * query as one class harder. Purely advisory -- it can only steer
-     * search order, never verdicts.
-     */
-    void NotePruneNearMiss() { prune_near_miss_ = true; }
-
-    // -- Portfolio classification (static: unit-testable, and provably
-    //    context-independent -- the features depend only on the live
-    //    assertion structure and the caller-supplied stream rates). ----
-
-    /**
-     * Per-root depth memo: a term's depth is a pure structural
-     * property of the expression DAG, so caching it per node is sound
-     * for the node's lifetime (nodes are owned by the ExprContext and
-     * outlive the solver). Entries are only ever looked up by key --
-     * never ordered or iterated -- so pointer keys cannot leak
-     * address order into behavior.
-     */
-    using DepthMemo = std::unordered_map<ExprRef, uint32_t>;
-
-    /**
-     * Extract the classifier features for a canonical live set. With
-     * `depth_memo` the per-root depth walks are cached across calls
-     * (the dispatch hot path passes the solver's memo: live sets
-     * share prefix terms across thousands of stream queries);
-     * without, every root is walked fresh -- same values either way.
-     */
-    static QueryFeatures ExtractFeatures(const std::vector<ExprRef> &live,
-                                         bool prune_near_miss,
-                                         double unknown_rate,
-                                         double conflict_rate,
-                                         DepthMemo *depth_memo = nullptr);
-    /** Bucket features into a class. */
-    static QueryClass Classify(const QueryFeatures &features);
-    /** The tuned strategy for a class, derived from `base` params. */
-    static QueryStrategy StrategyFor(QueryClass c, const SatParams &base);
+    const StatsRegistry &stats() const { return stats_; }
 
   protected:
     /**
@@ -595,33 +386,23 @@ class Solver
                       std::vector<uint32_t> *caller_index,
                       uint32_t *false_index) const;
 
-    /** `strategy` is non-null only for portfolio-dispatched (model-less)
-     *  queries; model-producing solves always run the default preset so
-     *  witness bytes stay a pure function of the canonical query. */
+    /** Solve `live` on a fresh SAT instance; fills `out_model` on kSat. */
     CheckStatus SolveFresh(const std::vector<ExprRef> &live,
-                           Model *out_model,
-                           const QueryStrategy *strategy = nullptr);
+                           Model *out_model);
     /** Returns the status plus, on kUnsat with cores enabled, the core
      *  as indices into `live`. */
     CheckStatus SolveIncremental(const std::vector<ExprRef> &live,
                                  bool *has_core,
-                                 std::vector<uint32_t> *core,
-                                 const QueryStrategy *strategy = nullptr);
+                                 std::vector<uint32_t> *core);
 
     /** Reset-or-build the persistent incremental instance: drops it
      *  past incremental_max_vars (flushing the standing model first --
-     *  the SAT assignment dies with the instance) and (re)creates it
-     *  with the lemma-export hook wired. */
+     *  the SAT assignment dies with the instance) and (re)creates it. */
     void EnsureIncrementalBackend();
-    /** Guard every assertion of `live` in the incremental backend,
-     *  appending one activation literal each to `assumptions` and
-     *  maintaining the lemma-exchange anchors. Returns true when any
-     *  assertion was guarded for the first time. */
-    bool GuardAssertions(const std::vector<ExprRef> &live,
+    /** Append the activation literal of every assertion of `live` in
+     *  the incremental backend to `assumptions`. */
+    void GuardAssertions(const std::vector<ExprRef> &live,
                          std::vector<Lit> *assumptions);
-    /** Pull newly published lemmas from the clause source and install
-     *  every anchorable one (skipped entirely without a source). */
-    void SyncLemmaExchange(bool new_guards);
     /** Fold the persistent instance's cumulative SAT counters into this
      *  solver's stats as deltas since the last fold. */
     void DrainIncrementalStats();
@@ -636,12 +417,6 @@ class Solver
     /** Advance the stream-budget state after a budgeted solve. */
     void SettleStreamBudget(int64_t budget, int64_t spent, bool decided);
 
-    /** Wire the export hook of a freshly built incremental backend. */
-    void InstallExportHook();
-    /** Install every fetched-but-uninstalled lemma whose assertions are
-     *  all guarded in the current backend. */
-    void InstallFetchedLemmas();
-
     ExprContext *ctx_;
     SolverConfig config_;
     // Keyed by the canonical assertion vector itself (hashed by the old
@@ -653,16 +428,6 @@ class Solver
     int64_t inc_conflicts_seen_ = 0;
     int64_t inc_decisions_seen_ = 0;
     int64_t inc_trail_reuses_seen_ = 0;
-    /** Lemmas fetched from the clause source. Kept for the lifetime of
-     *  the solver: an incremental-backend reset drops the clauses, so
-     *  uninstalled flags are cleared and the archive replays into the
-     *  rebuilt instance as its assertions reappear. */
-    struct FetchedLemma
-    {
-        std::vector<LemmaFingerprint> fps;
-        bool installed = false;
-    };
-    std::vector<FetchedLemma> fetched_lemmas_;
     /** Rolling concrete assignment from past kSat answers (see
      *  SolverConfig::retain_models and StandingModel()). */
     Model standing_model_;
@@ -676,38 +441,7 @@ class Solver
     /** Stream-budget running state (see StreamBudget). */
     double stream_base_ = -1.0;
     int64_t stream_carry_ = 0;
-    /** One-shot classifier hint from NotePruneNearMiss(), consumed by
-     *  the next query (hit or miss -- it described that query). */
-    bool prune_near_miss_ = false;
-    /** Rolling stream state behind the classifier's rate features:
-     *  solved (non-memoized) queries, their kUnknown answers, and the
-     *  SAT conflicts they burned. Only maintained under portfolio. */
-    int64_t stream_queries_ = 0;
-    int64_t stream_unknowns_ = 0;
-    int64_t stream_conflict_sum_ = 0;
-    /** Bounded saturating depth of one root term; memoized in `memo`
-     *  when non-null (see DepthMemo). */
-    static uint32_t RootDepth(ExprRef root, DepthMemo *memo);
-    /** The dispatch path's depth cache: live sets repeat their prefix
-     *  terms across the whole query stream, so classification decays
-     *  to one hash lookup per root instead of a DAG walk per query. */
-    DepthMemo depth_memo_;
-    /** Plain shadow of the "solver.sat_conflicts" stat, bumped at the
-     *  same two sites, so the per-query dispatch accounting never pays
-     *  a string-keyed map lookup on the hot path. */
-    int64_t sat_conflicts_total_ = 0;
-    /** Per-class dispatch tallies accumulate in these plain arrays --
-     *  the string keys ("solver.class_queries/..." etc.) are past the
-     *  small-string optimization, so bumping the registry per query
-     *  would pay a heap allocation on the hot path. The tallies flush
-     *  into stats_ whenever the registry is read (stats() /
-     *  mutable_stats()), which is why stats_ and the arrays are
-     *  mutable: the flush is an observably-pure cache writeback. */
-    void FlushClassCounters() const;
-    mutable int64_t class_queries_ct_[kNumQueryClasses] = {};
-    mutable int64_t class_decided_ct_[kNumQueryClasses] = {};
-    mutable int64_t class_unknown_ct_[kNumQueryClasses] = {};
-    mutable StatsRegistry stats_;
+    StatsRegistry stats_;
     /** Live obs instruments on this solver's lane shard (inert handles
      *  when config_.obs carries no registry). */
     obs::MetricsRegistry::Counter obs_queries_;
@@ -718,10 +452,6 @@ class Solver
     obs::MetricsRegistry::Distribution obs_conflicts_;
     obs::MetricsRegistry::Distribution obs_core_size_;
     obs::MetricsRegistry::Distribution obs_batch_rounds_;
-    /** Per-class portfolio counters (queries seen / decided), live on
-     *  the lane shard like the rest; inert when obs is off. */
-    obs::MetricsRegistry::Counter obs_class_queries_[kNumQueryClasses];
-    obs::MetricsRegistry::Counter obs_class_decided_[kNumQueryClasses];
 };
 
 }  // namespace smt

@@ -1,9 +1,10 @@
 // Achilles reproduction -- tests.
 //
 // Warm-start knowledge persistence (src/persist): snapshot save/load
-// identity on all three knowledge stores, the verification-on-load
-// discipline (truncation, CRC bit flips, version and protocol-
-// fingerprint mismatches each degrade to a clean cold start), key
+// identity on both knowledge stores, the verification-on-load
+// discipline (truncation, CRC bit flips, unknown section tags, version
+// and protocol-fingerprint mismatches each degrade to a clean cold
+// start), key
 // recomputation on import, and the end-to-end contract -- warm runs
 // produce bitwise-identical witness sets to cold runs at 1/2/4/8
 // workers while issuing no more queries.
@@ -18,7 +19,6 @@
 
 #include "core/achilles.h"
 #include "core/path_predicate.h"
-#include "exec/clause_exchange.h"
 #include "exec/prune_index.h"
 #include "exec/query_cache.h"
 #include "persist/fingerprint.h"
@@ -59,7 +59,11 @@ WriteFile(const std::string &path, const std::vector<uint8_t> &bytes)
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (f == nullptr)
         return false;
-    const size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f);
+    // fwrite's buffer must be non-null even for zero bytes, and an
+    // empty vector's data() may be null.
+    const size_t n = bytes.empty()
+                         ? 0
+                         : std::fwrite(bytes.data(), 1, bytes.size(), f);
     return std::fclose(f) == 0 && n == bytes.size();
 }
 
@@ -75,8 +79,6 @@ SampleSnapshot()
     snap.cores.push_back({{{1, 1}}, {{2, 2}}, 0});  // duplicate
     snap.overlay.push_back({{{3, 3}}, {{4, 4}}, 777});
     snap.query_cores.push_back({{{1, 1}, {2, 2}}, {{1, 1}}});
-    snap.lemmas.push_back({{8, 8}, {9, 9}});
-    snap.lemmas.push_back({{7, 7}});
     exec::QueryCache::ExportedEntry q;
     q.fingerprints = {{11, 11}, {12, 12}};
     q.status = smt::CheckStatus::kSat;
@@ -110,7 +112,6 @@ TEST(PersistTest, SaveLoadRoundTripIsIdentity)
     EXPECT_EQ(loaded.overlay.size(), 1u);
     EXPECT_EQ(loaded.overlay[0].payload, 777u);
     EXPECT_EQ(loaded.query_cores.size(), 1u);
-    EXPECT_EQ(loaded.lemmas.size(), 2u);
     EXPECT_EQ(loaded.queries.size(), 2u);
 
     // Deterministic bytes: re-saving the loaded snapshot reproduces the
@@ -199,6 +200,36 @@ TEST(PersistTest, VersionAndFingerprintMismatchesFallBackToCold)
     std::remove(path.c_str());
 }
 
+TEST(PersistTest, RetiredLemmaSectionIsRejected)
+{
+    // Tag 4 held version 1's lemma pool. A current-version file that
+    // carries it -- well framed, correct CRC -- is still refused whole.
+    std::vector<uint8_t> bytes = {'A', 'C', 'H', 'S', 'N', 'A', 'P', '\0'};
+    const auto put = [&bytes](uint64_t v, int width) {
+        for (int i = 0; i < width; ++i)
+            bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    };
+    const std::vector<uint8_t> payload(8, 0);  // an empty lemma vector
+    put(persist::kSnapshotFormatVersion, 4);
+    put(0xfeedface, 8);
+    put(1, 4);  // section count
+    put(4, 4);  // tag
+    put(payload.size(), 8);
+    put(persist::Crc32(payload.data(), payload.size()), 4);
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+
+    const std::string path = TempPath("lemma_section.snap");
+    ASSERT_TRUE(WriteFile(path, bytes));
+    KnowledgeSnapshot out;
+    std::string error;
+    EXPECT_FALSE(persist::LoadSnapshot(path, 0xfeedface, &out, &error));
+    EXPECT_NE(error.find("unknown or duplicate section tag 4"),
+              std::string::npos)
+        << error;
+    EXPECT_TRUE(out.Empty());
+    std::remove(path.c_str());
+}
+
 // ------------------------------------------------------- store import
 
 TEST(PersistTest, PruneIndexExportImportPreservesSubsumption)
@@ -210,13 +241,13 @@ TEST(PersistTest, PruneIndexExportImportPreservesSubsumption)
     source.RecordQueryCore(PruneFpVec{{5, 5}, {6, 6}}, PruneFpVec{{5, 5}});
 
     KnowledgeSnapshot snap;
-    persist::CaptureKnowledge(&source, nullptr, nullptr, &snap);
+    persist::CaptureKnowledge(&source, nullptr, &snap);
     EXPECT_EQ(snap.cores.size(), 1u);
     EXPECT_EQ(snap.overlay.size(), 1u);
     EXPECT_EQ(snap.query_cores.size(), 1u);
 
     exec::PruneIndex restored;
-    persist::RestoreKnowledge(snap, &restored, nullptr, nullptr);
+    persist::RestoreKnowledge(snap, &restored, nullptr);
     EXPECT_EQ(restored.imported(), 3);
     EXPECT_TRUE(restored.SubsumesCore(1, PruneFpVec{{1, 1}, {2, 2}},
                                       PruneFpVec{{9, 9}}));
@@ -263,28 +294,6 @@ TEST(PersistTest, QueryCacheImportRecomputesKeysAndServesHits)
     bad[1].fingerprints = {{2, 2}, {1, 1}};  // unsorted
     bad[1].status = smt::CheckStatus::kSat;
     EXPECT_EQ(restored.Import(bad), 0u);
-}
-
-TEST(PersistTest, ClauseExchangeImportIsFetchableByEveryWorker)
-{
-    exec::ClauseExchange source(4, 64);
-    source.Publish(0, exec::Lemma{{1, 1}, {2, 2}});
-    source.Publish(1, exec::Lemma{{3, 3}});
-
-    std::vector<exec::Lemma> lemmas;
-    source.Export(&lemmas);
-    ASSERT_EQ(lemmas.size(), 2u);
-
-    exec::ClauseExchange restored(4, 64);
-    EXPECT_EQ(restored.Import(lemmas), 2u);
-    // Imported lemmas carry no real publisher, so every worker --
-    // including ids 0 and 1 that originally published them -- fetches
-    // both.
-    for (size_t consumer : {0u, 1u, 2u}) {
-        exec::ClauseExchange::Cursor cursor;
-        std::vector<exec::Lemma> fetched;
-        EXPECT_EQ(restored.Fetch(consumer, &cursor, &fetched), 2u);
-    }
 }
 
 TEST(PersistTest, KeyFromFingerprintsMatchesComputeKey)

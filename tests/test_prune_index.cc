@@ -2,8 +2,8 @@
 //
 // The unified pruning knowledge base (exec/prune_index.h) and its
 // consumers: two-part core subsumption, the differentFrom overlay,
-// delegated query-core storage, ReduceDB-style eviction, lemma-pool
-// eviction, the budgeted-exploration preset, and the end-to-end
+// delegated query-core storage, ReduceDB-style eviction, the
+// budgeted-exploration preset, and the end-to-end
 // contracts -- cross-worker subsumption fires, witness sets stay
 // bitwise identical at 1/2/4/8 workers with the index on or off, and
 // capped stores never flip a verdict.
@@ -18,7 +18,6 @@
 
 #include "proto/synth/synth_family.h"
 #include "core/achilles.h"
-#include "exec/clause_exchange.h"
 #include "exec/expr_transfer.h"
 #include "exec/prune_index.h"
 #include "proto/fsp/fsp_protocol.h"
@@ -248,38 +247,6 @@ TEST(PruneIndexTest, QueryCoreStoreVerifiesFullFingerprints)
     index.RecordQueryCore(query, PruneFpVec{{1, 1}});
     ASSERT_TRUE(index.LookupQueryCore(query, &out));
     EXPECT_EQ(out, core);
-}
-
-// ----------------------------------------------- lemma pool eviction
-
-TEST(ClauseExchangeEvictionTest, CapBoundsPoolAndCursorsSkipEvicted)
-{
-    exec::ClauseExchange pool(/*shards=*/1, /*lemma_cap=*/4);
-    exec::ClauseExchange::Cursor cursor;
-    std::vector<exec::Lemma> fetched;
-
-    for (uint64_t i = 0; i < 10; ++i)
-        pool.Publish(/*publisher=*/0, exec::Lemma{{i, i}});
-    EXPECT_EQ(pool.size(), 4u);
-    EXPECT_EQ(pool.evicted(), 6);
-
-    // A consumer that never fetched sees only the live window.
-    pool.Fetch(/*consumer=*/1, &cursor, &fetched);
-    EXPECT_EQ(fetched.size(), 4u);
-    EXPECT_EQ(fetched.front(), (exec::Lemma{{6, 6}}));
-
-    // Eviction forgets the lemma in the dedup set, so a re-discovery
-    // re-publishes it (the activity signal).
-    pool.Publish(0, exec::Lemma{{0, 0}});
-    fetched.clear();
-    pool.Fetch(1, &cursor, &fetched);
-    ASSERT_EQ(fetched.size(), 1u);
-    EXPECT_EQ(fetched.front(), (exec::Lemma{{0, 0}}));
-
-    // A still-pooled lemma stays deduplicated.
-    const int64_t published = pool.published();
-    pool.Publish(0, exec::Lemma{{0, 0}});
-    EXPECT_EQ(pool.published(), published);
 }
 
 // ------------------------------------------------------- end to end

@@ -3,11 +3,9 @@
 // The shared solver-services layer: assumption-prefix trail reuse
 // (SAT-level prefix keeping and facade-level stream equivalence),
 // stream-level conflict budgets (kUnknown conservatism, carry-forward
-// of unspent conflicts, explorer no-drop contract), the cross-worker
-// learned-clause exchange (pool semantics, lemma transfer between
-// solvers, verdict stability, witness determinism at 1/2/4/8 workers
-// with the exchange on and off), and interval-checker core attribution
-// (sound bound-pair cores restoring the interval fast path on the
+// of unspent conflicts, explorer no-drop contract), witness determinism
+// at 1/2/4/8 workers, and interval-checker core attribution (sound
+// bound-pair cores restoring the interval fast path on the
 // core-producing path).
 
 #include <gtest/gtest.h>
@@ -18,7 +16,6 @@
 #include <vector>
 
 #include "core/achilles.h"
-#include "exec/clause_exchange.h"
 #include "proto/fsp/fsp_protocol.h"
 #include "smt/interval.h"
 #include "smt/sat.h"
@@ -217,132 +214,6 @@ TEST(StreamBudgetTest, CarryForwardDecidesLateHardQuery)
     EXPECT_EQ(warm.CheckSat(hard), CheckResult::kUnsat);
 }
 
-// --------------------------------------------- clause exchange
-
-TEST(ClauseExchangeTest, PoolDedupCursorAndPublisherFilter)
-{
-    exec::ClauseExchange pool(4);
-    const exec::Lemma one{{1, 2}};
-    const exec::Lemma two{{3, 4}, {5, 6}};
-
-    pool.Publish(0, one);
-    pool.Publish(0, one);  // duplicate: dropped
-    EXPECT_EQ(pool.published(), 1);
-    EXPECT_EQ(pool.duplicates(), 1);
-    EXPECT_EQ(pool.size(), 1u);
-
-    // The publisher's own fetch skips its lemmas but advances the
-    // cursor past them.
-    exec::ClauseExchange::Cursor own_cursor, other_cursor;
-    std::vector<exec::Lemma> out;
-    EXPECT_EQ(pool.Fetch(0, &own_cursor, &out), 0u);
-    EXPECT_TRUE(out.empty());
-    EXPECT_EQ(pool.Fetch(1, &other_cursor, &out), 1u);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0], one);
-
-    // A second fetch returns only what arrived since.
-    pool.Publish(1, two);
-    out.clear();
-    EXPECT_EQ(pool.Fetch(1, &other_cursor, &out), 0u);  // own lemma
-    EXPECT_EQ(pool.Fetch(0, &own_cursor, &out), 1u);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0], two);
-}
-
-TEST(ClauseExchangeTest, LemmaTransfersBetweenSolvers)
-{
-    // Solver A refutes a ∧ b (a conflict the interval checker cannot
-    // see), exporting the two-guard lemma; solver B imports it and
-    // still answers kUnsat -- the lemma is implied, so it can only
-    // accelerate, never flip.
-    ExprContext ctx;
-    ExprRef x = ctx.FreshVar("x", 8);
-    ExprRef y = ctx.FreshVar("y", 8);
-    ExprRef a = ctx.MakeEq(ctx.MakeXor(x, y), ctx.MakeConst(8, 1));
-    ExprRef b = ctx.MakeEq(x, y);
-
-    exec::ClauseExchange pool;
-    exec::ClauseChannel channel_a(&pool, 0);
-    exec::ClauseChannel channel_b(&pool, 1);
-    SolverConfig base;
-    base.enable_cache = false;
-    base.clause_share_var_limit = ctx.NumVars();
-    SolverConfig config_a = base;
-    config_a.clause_sink = &channel_a;
-    config_a.clause_source = &channel_a;
-    SolverConfig config_b = base;
-    config_b.clause_sink = &channel_b;
-    config_b.clause_source = &channel_b;
-    Solver solver_a(&ctx, config_a);
-    Solver solver_b(&ctx, config_b);
-
-    EXPECT_EQ(solver_a.CheckSat({a, b}), CheckResult::kUnsat);
-    EXPECT_GE(solver_a.stats().Get("solver.lemmas_published"), 1);
-    EXPECT_GE(pool.published(), 1);
-
-    EXPECT_EQ(solver_b.CheckSat({a, b}), CheckResult::kUnsat);
-    EXPECT_GE(solver_b.stats().Get("solver.lemmas_fetched"), 1);
-    EXPECT_GE(solver_b.stats().Get("solver.lemmas_installed"), 1);
-}
-
-TEST(ClauseExchangeTest, ExchangeNeverFlipsVerdicts)
-{
-    // Property: two solvers trading lemmas through a shared pool answer
-    // every query of a random stream exactly like an exchange-free
-    // fresh-instance reference.
-    ExprContext ctx;
-    std::vector<ExprRef> vars;
-    for (int i = 0; i < 4; ++i)
-        vars.push_back(ctx.FreshVar("v", 4));
-
-    exec::ClauseExchange pool;
-    exec::ClauseChannel channel_a(&pool, 0);
-    exec::ClauseChannel channel_b(&pool, 1);
-    SolverConfig base;
-    base.enable_cache = false;
-    base.clause_share_var_limit = ctx.NumVars();
-    SolverConfig config_a = base;
-    config_a.clause_sink = &channel_a;
-    config_a.clause_source = &channel_a;
-    SolverConfig config_b = base;
-    config_b.clause_sink = &channel_b;
-    config_b.clause_source = &channel_b;
-    Solver solver_a(&ctx, config_a);
-    Solver solver_b(&ctx, config_b);
-
-    SolverConfig fresh_config;
-    fresh_config.enable_incremental = false;
-    fresh_config.enable_cache = false;
-    Solver reference(&ctx, fresh_config);
-
-    Rng rng(0xbadc0de);
-    auto random_atom = [&]() -> ExprRef {
-        ExprRef a = vars[rng.Below(vars.size())];
-        ExprRef b = rng.Chance(0.5)
-                        ? vars[rng.Below(vars.size())]
-                        : ctx.MakeConst(4, rng.Below(16));
-        if (rng.Chance(0.3))
-            a = ctx.MakeAdd(a, b);
-        switch (rng.Below(4)) {
-          case 0: return ctx.MakeEq(a, b);
-          case 1: return ctx.MakeNe(a, b);
-          case 2: return ctx.MakeUlt(a, b);
-          default: return ctx.MakeUle(a, b);
-        }
-    };
-
-    for (int iter = 0; iter < 300; ++iter) {
-        std::vector<ExprRef> query;
-        const size_t n = 1 + rng.Below(4);
-        for (size_t i = 0; i < n; ++i)
-            query.push_back(random_atom());
-        Solver &solver = iter % 2 == 0 ? solver_a : solver_b;
-        ASSERT_EQ(solver.CheckSat(query), reference.CheckSat(query))
-            << "iter=" << iter;
-    }
-}
-
 // ------------------------------------- interval core attribution
 
 TEST(IntervalCoreTest, EmptyVariableAttributesBoundPair)
@@ -417,7 +288,6 @@ struct PipelineRun
     std::vector<WitnessSummary> witnesses;
     int64_t core_drops = 0;
     int64_t trojan_subsumed = 0;
-    int64_t lemmas_published = 0;
     size_t accepting_paths = 0;
 };
 
@@ -444,8 +314,6 @@ RunFspPipeline(size_t workers, const SolverConfig &solver_config)
     run.core_drops = result.server.stats.Get("explorer.core_drops");
     run.trojan_subsumed =
         result.server.stats.Get("explorer.trojan_core_subsumed");
-    run.lemmas_published =
-        result.server.stats.Get("exec.lemmas_published");
     run.accepting_paths = result.server.accepting_paths.size();
     core::CanonicalHasher hasher(&ctx);
     for (const core::TrojanWitness &t : result.server.trojans) {
@@ -475,30 +343,20 @@ TEST(StreamBudgetTest, ExplorerNeverDropsOnStreamBudget)
     EXPECT_GE(run.accepting_paths, real.accepting_paths);
 }
 
-TEST(ClauseExchangeTest, WitnessesIdenticalAcrossWorkersAndExchange)
+TEST(WorkerSweepTest, WitnessesIdenticalAcrossWorkerCounts)
 {
     // The hard determinism constraint: Trojan witness sets (labels,
     // definitions, concrete bytes) are bitwise identical at every
-    // worker count whether the clause exchange is on or off. Shared
-    // lemmas are implied, so they may steer CDCL but never flip a
-    // verdict, and witness bytes always come from the exchange-free
-    // fresh-instance path.
-    SolverConfig on_config;   // exchange on (the default)
-    SolverConfig off_config;
-    off_config.share_learned_clauses = false;
-
-    const PipelineRun baseline = RunFspPipeline(1, on_config);
+    // worker count. Witness bytes always come from the deterministic
+    // fresh-instance path, whatever the workers' incremental backends
+    // learned along the way.
+    const SolverConfig config;
+    const PipelineRun baseline = RunFspPipeline(1, config);
     ASSERT_FALSE(baseline.witnesses.empty());
-    for (size_t workers : {1, 2, 4, 8}) {
-        const PipelineRun on = RunFspPipeline(workers, on_config);
-        const PipelineRun off = RunFspPipeline(workers, off_config);
-        EXPECT_EQ(on.witnesses, baseline.witnesses)
-            << "exchange-on diverged at " << workers << " workers";
-        EXPECT_EQ(off.witnesses, baseline.witnesses)
-            << "exchange-off diverged at " << workers << " workers";
-        if (workers == 1) {
-            EXPECT_EQ(on.lemmas_published, 0);  // no siblings, no pool
-        }
+    for (size_t workers : {2, 4, 8}) {
+        EXPECT_EQ(RunFspPipeline(workers, config).witnesses,
+                  baseline.witnesses)
+            << "diverged at " << workers << " workers";
     }
 }
 

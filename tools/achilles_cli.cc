@@ -19,13 +19,15 @@
 //   --list-protocols print every registered protocol name and exit
 //   --workers        server-exploration worker threads (default 1)
 //   --clients        client programs to include (default all)
+//                    (both take a decimal integer >= 1)
 //   --metrics-out    write the end-of-run RunReport as one JSON object
 //   --trace-out      write the Chrome trace-event JSON (open the file in
 //                    chrome://tracing or https://ui.perfetto.dev)
 //   --progress       print a live progress heartbeat every second (or
-//                    every `secs` with --progress=secs)
-//   --knowledge-load warm-start: restore the pruning knowledge base,
-//                    lemma archive and query cache from a snapshot
+//                    every `secs` with --progress=secs, a decimal number
+//                    >= 0; 0 turns the heartbeat off)
+//   --knowledge-load warm-start: restore the pruning knowledge base and
+//                    query cache from a snapshot
 //                    written by a previous run of the same protocol (a
 //                    stale or corrupted snapshot degrades to a cold
 //                    start, never a wrong answer)
@@ -35,9 +37,14 @@
 //                    the protocol's structural fingerprint so edited
 //                    protocols never collide with their own history
 //
+// A malformed number prints the usage and exits with status 2.
+//
 // Log verbosity follows the ACHILLES_LOG environment variable
 // (debug|info|warn|error|off).
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -73,6 +80,51 @@ Usage(const char *argv0)
         argv0);
 }
 
+/** Parse all of `text` as a decimal integer >= 1 (no overflow). */
+bool
+ParseCount(const char *text, size_t *out)
+{
+    // strtoull accepts (and negates) a leading sign and skips leading
+    // blanks, so insist on a digit up front.
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (errno == ERANGE || *end != '\0' || value < 1)
+        return false;
+    *out = static_cast<size_t>(value);
+    return true;
+}
+
+/** Parse all of `text` as a finite decimal number >= 0. */
+bool
+ParseSeconds(const char *text, double *out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) &&
+        text[0] != '.') {
+        return false;
+    }
+    errno = 0;
+    char *end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (errno == ERANGE || *end != '\0' || !std::isfinite(value))
+        return false;
+    *out = value;
+    return true;
+}
+
+/** Report a malformed numeric argument; returns the exit status. */
+int
+BadNumber(const char *argv0, const char *flag, const char *want,
+          const char *text)
+{
+    std::fprintf(stderr, "%s: %s needs %s, got '%s'\n", argv0, flag, want,
+                 text);
+    Usage(argv0);
+    return 2;
+}
+
 }  // namespace
 
 int
@@ -100,9 +152,11 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--list-protocols") == 0) {
             list_protocols = true;
         } else if (std::strcmp(arg, "--workers") == 0 && has_value) {
-            workers = static_cast<size_t>(std::atoi(argv[++i]));
+            if (!ParseCount(argv[++i], &workers))
+                return BadNumber(argv[0], arg, "an integer >= 1", argv[i]);
         } else if (std::strcmp(arg, "--clients") == 0 && has_value) {
-            num_clients = static_cast<size_t>(std::atoi(argv[++i]));
+            if (!ParseCount(argv[++i], &num_clients))
+                return BadNumber(argv[0], arg, "an integer >= 1", argv[i]);
         } else if (std::strcmp(arg, "--metrics-out") == 0 && has_value) {
             metrics_path = argv[++i];
         } else if (std::strcmp(arg, "--trace-out") == 0 && has_value) {
@@ -118,7 +172,10 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--progress") == 0) {
             progress_secs = 1.0;
         } else if (std::strncmp(arg, "--progress=", 11) == 0) {
-            progress_secs = std::atof(arg + 11);
+            if (!ParseSeconds(arg + 11, &progress_secs)) {
+                return BadNumber(argv[0], "--progress=",
+                                 "a number of seconds >= 0", arg + 11);
+            }
         } else if (std::strcmp(arg, "--help") == 0 ||
                    std::strcmp(arg, "-h") == 0) {
             Usage(argv[0]);
@@ -130,8 +187,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (workers < 1)
-        workers = 1;
 
     proto::ProtocolRegistry &registry = proto::ProtocolRegistry::Global();
 
