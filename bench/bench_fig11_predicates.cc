@@ -14,9 +14,6 @@
 //   --prune-index  the shared pruning knowledge base (cross-state
 //                  Trojan-core subsumption + differentFrom overlay)
 //                  on/off
-//   --batch        concrete pre-filtering against the solver's standing
-//                  model + the batched all-sat sweep over the match
-//                  stream, both toggles on/off together
 
 #include <algorithm>
 #include <cstdio>
@@ -259,189 +256,6 @@ RunPruneIndexComparison(size_t num_clients)
     return ok;
 }
 
-/**
- * One pipeline run for the --batch ablation: the concrete pre-filter
- * and the batched all-sat sweep toggled together at the explorer.
- * Cores are off in BOTH arms: the serial arm then issues exactly one
- * match query per undecided live guard, which the batch arm's round
- * count is provably <= (every SAT round decides at least one pending
- * group, and the terminal round decides the rest). With cores on the
- * serial arm skips queries the sweep still passes over, and the <=
- * gate would compare unlike quantities.
- */
-struct BatchPoint
-{
-    int64_t solver_queries = 0;   ///< match + Trojan queries issued
-    int64_t match_queries = 0;    ///< solver passes on the match stream
-    int64_t prefilter_hits = 0;   ///< guards answered from the model
-    int64_t batch_rounds = 0;     ///< all-sat rounds across all sweeps
-    std::vector<WitnessSummary> witnesses;
-};
-
-BatchPoint
-RunBatchPoint(const std::vector<const symexec::Program *> &clients,
-              const symexec::Program *server,
-              const core::MessageLayout &layout, size_t workers,
-              bool batch)
-{
-    smt::ExprContext ctx;
-    smt::SolverConfig solver_config;
-    solver_config.enable_cores = false;
-    smt::Solver solver(&ctx, solver_config);
-
-    core::AchillesConfig config;
-    config.layout = layout;
-    config.clients = clients;
-    config.server = server;
-    config.server_config.engine.num_workers = workers;
-    config.server_config.use_unsat_cores = false;
-    config.server_config.use_concrete_prefilter = batch;
-    config.server_config.use_batch_sweep = batch;
-    const core::AchillesResult result =
-        core::RunAchilles(&ctx, &solver, config);
-
-    BatchPoint point;
-    point.match_queries =
-        result.server.stats.Get("explorer.match_queries");
-    point.solver_queries =
-        point.match_queries +
-        result.server.stats.Get("explorer.trojan_queries");
-    point.prefilter_hits =
-        result.server.stats.Get("explorer.prefilter_hits") +
-        result.server.stats.Get("explorer.prefilter_trojan_hits");
-    point.batch_rounds =
-        result.server.stats.Get("explorer.batch_rounds");
-    core::CanonicalHasher hasher(&ctx);
-    for (const core::TrojanWitness &t : result.server.trojans) {
-        point.witnesses.emplace_back(t.accept_label, t.concrete,
-                                     hasher.HashExprs(t.definition));
-    }
-    std::sort(point.witnesses.begin(), point.witnesses.end());
-    return point;
-}
-
-/**
- * The --batch comparison: at every worker count the pre-filter plus
- * batched sweep must issue no more solver queries than the serial
- * per-guard stream -- strictly fewer at workers=1 on both protocols --
- * with bitwise-identical witness sets in every cell (the pre-filter
- * only short-circuits kSat answers a fresh solver would also give, and
- * the unbudgeted sweep's per-guard verdicts are exact).
- */
-bool
-RunBatchComparison(size_t num_clients)
-{
-    bench::Header("Batched Trojan checking -- solver queries with the "
-                  "concrete pre-filter + all-sat sweep vs the serial "
-                  "per-guard stream");
-    const std::vector<size_t> worker_counts{1, 2, 4, 8};
-    bool witnesses_identical = true;
-    bool never_more = true;    // <= everywhere
-    bool serial_fewer = true;  // strict < at workers=1, both sections
-
-    const std::vector<symexec::Program> fsp_clients =
-        fsp::MakeAllClients();
-    std::vector<const symexec::Program *> fsp_client_ptrs;
-    for (size_t i = 0; i < fsp_clients.size() && i < num_clients; ++i)
-        fsp_client_ptrs.push_back(&fsp_clients[i]);
-    const symexec::Program fsp_server = fsp::MakeServer();
-    const core::MessageLayout fsp_layout = fsp::MakeLayout();
-
-    const symexec::Program guarded_client = synth::MakeGuardedClient(2);
-    const std::vector<const symexec::Program *> guarded_clients{
-        &guarded_client};
-    const symexec::Program guarded_server =
-        synth::MakeGuardedServer(2, 8);
-    const core::MessageLayout guarded_layout = synth::MakeGuardedLayout();
-
-    struct Section
-    {
-        const char *title;
-        const char *tag;
-        const std::vector<const symexec::Program *> *clients;
-        const symexec::Program *server;
-        const core::MessageLayout *layout;
-    };
-    const Section sections[] = {
-        {"FSP (standing models answer repeat-satisfiable guards; the "
-         "sweep compresses the residue)",
-         "fsp", &fsp_client_ptrs, &fsp_server, &fsp_layout},
-        {"guarded protocol (deep guard nests: one search tree decides "
-         "whole sibling groups per round)",
-         "guarded", &guarded_clients, &guarded_server, &guarded_layout},
-    };
-
-    for (const Section &section : sections) {
-        bench::Section(section.title);
-        std::printf("  %8s %12s %12s %11s %9s %8s\n", "workers",
-                    "q(serial)", "q(batch)", "reduction", "prefilt",
-                    "rounds");
-        std::vector<WitnessSummary> reference;
-        bool have_reference = false;
-        for (size_t w : worker_counts) {
-            const BatchPoint off = RunBatchPoint(
-                *section.clients, section.server, *section.layout, w,
-                /*batch=*/false);
-            const BatchPoint on = RunBatchPoint(
-                *section.clients, section.server, *section.layout, w,
-                /*batch=*/true);
-            const double reduction =
-                off.solver_queries > 0
-                    ? 100.0 *
-                          static_cast<double>(off.solver_queries -
-                                              on.solver_queries) /
-                          static_cast<double>(off.solver_queries)
-                    : 0.0;
-            const double prefilter_hit_rate =
-                on.prefilter_hits + on.match_queries > 0
-                    ? 100.0 * static_cast<double>(on.prefilter_hits) /
-                          static_cast<double>(on.prefilter_hits +
-                                              on.match_queries)
-                    : 0.0;
-            std::printf("  %8zu %12lld %12lld %10.1f%% %9lld %8lld\n", w,
-                        static_cast<long long>(off.solver_queries),
-                        static_cast<long long>(on.solver_queries),
-                        reduction,
-                        static_cast<long long>(on.prefilter_hits),
-                        static_cast<long long>(on.batch_rounds));
-            witnesses_identical &= on.witnesses == off.witnesses;
-            // Worker-count invariance, both arms: one canonical witness
-            // set per protocol across the whole grid.
-            if (!have_reference) {
-                reference = off.witnesses;
-                have_reference = true;
-            }
-            witnesses_identical &= off.witnesses == reference;
-            never_more &= on.solver_queries <= off.solver_queries;
-            if (w == 1)
-                serial_fewer &= on.solver_queries < off.solver_queries;
-
-            const std::string suffix = std::string("/") + section.tag +
-                                       "/workers=" + std::to_string(w);
-            bench::JsonRecorder::Instance().Record(
-                "fig11.batch_query_reduction_pct" + suffix, reduction);
-            bench::JsonRecorder::Instance().Record(
-                "fig11.prefilter_hit_rate" + suffix, prefilter_hit_rate);
-            bench::JsonRecorder::Instance().Record(
-                "fig11.batch_rounds" + suffix,
-                static_cast<double>(on.batch_rounds));
-        }
-    }
-    bench::Metric("fig11.batch_witness_sets_identical",
-                  witnesses_identical ? 1 : 0);
-    bench::Note("the pre-filter answers a guard only when the standing "
-                "model concretely satisfies path and guard (a proof of "
-                "kSat); the sweep's rounds replace per-guard queries, "
-                "and each SAT round decides every pending guard the "
-                "round's model happens to satisfy");
-
-    const bool ok = witnesses_identical && never_more && serial_fewer;
-    std::printf("\nBATCH: %s\n",
-                ok ? "PASS (fewer queries, identical witness sets)"
-                   : "MISMATCH");
-    return ok;
-}
-
 // ---------------------------------------------------------------------
 // Compound-dispatch protocol: the workload where cores strictly beat
 // the static differentFrom matrix even when the matrix is on. Pairs of
@@ -643,7 +457,6 @@ main(int argc, char **argv)
     bench::ParseBenchArgs(argc, argv);
     bool compare = false;
     bool compare_prune = false;
-    bool compare_batch = false;
     bool use_cores = true;
     size_t num_clients = 8;
     for (int i = 1; i < argc; ++i) {
@@ -653,8 +466,6 @@ main(int argc, char **argv)
             use_cores = false;
         else if (std::strcmp(argv[i], "--prune-index") == 0)
             compare_prune = true;
-        else if (std::strcmp(argv[i], "--batch") == 0)
-            compare_batch = true;
         else if (std::strcmp(argv[i], "--json") == 0)
             compare = true;
         else if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc)
@@ -772,11 +583,6 @@ main(int argc, char **argv)
     bool prune_ok = true;
     if (compare_prune)
         prune_ok = RunPruneIndexComparison(num_clients);
-    // The --batch ablation: concrete pre-filter + batched all-sat
-    // sweep on/off, gated on witness identity and a query reduction.
-    bool batch_ok = true;
-    if (compare_batch)
-        batch_ok = RunBatchComparison(num_clients);
     bench::JsonRecorder::Instance().Flush();
-    return ok && cores_ok && prune_ok && batch_ok ? 0 : 1;
+    return ok && cores_ok && prune_ok ? 0 : 1;
 }

@@ -63,8 +63,6 @@ WATCHED_PATTERNS = [
     "fig11.core_query_reduction_pct/*",
     "fig11.prune_index_query_reduction_pct/*",
     "fig11.overlay_hit_rate/*",
-    "fig11.batch_query_reduction_pct/*",
-    "fig11.prefilter_hit_rate/*",
     "corpus.trojan_yield",
     "corpus.trojan_yield/*",
     "warmstart.speedup",

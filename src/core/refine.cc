@@ -42,9 +42,9 @@ ConfirmWitnesses(smt::ExprContext *ctx, smt::Solver *solver,
     // server explorer's Trojan pruning uses), so reuse crosses paths
     // as well as witnesses: a core implicating only constraints shared
     // between two client paths transfers between them. Cores are only
-    // consumed on unbudgeted solvers: under a flat or stream-level
-    // conflict budget the solver can answer kUnknown and never
-    // produces cores in the first place.
+    // consumed on unbudgeted solvers: under a conflict budget the
+    // solver can answer kUnknown and never produces cores in the first
+    // place.
     const bool cores_usable = solver->config().enable_cores &&
                               solver->config().unbudgeted();
     exec::PruneIndexConfig prune_config;
@@ -64,10 +64,9 @@ ConfirmWitnesses(smt::ExprContext *ctx, smt::Solver *solver,
             // Path constraints as the base, pinned-byte equalities as
             // the extras: every witness re-asserts the same base, which
             // the incremental backend turns into assumption flips over
-            // already-blasted CNF with the common trail prefix kept,
-            // and stream-budgeted solvers spread their conflict budget
-            // over the whole per-path stream. `query` is the base ∥
-            // extras concatenation CheckSatAssuming indexes cores into.
+            // already-blasted CNF with the common trail prefix kept.
+            // `query` is the base ∥ extras concatenation
+            // CheckSatAssuming indexes cores into.
             std::vector<smt::ExprRef> query = pred.constraints;
             std::vector<smt::ExprRef> pins;
             pins.reserve(analyzed.size());

@@ -333,66 +333,5 @@ CachedSolver::CheckShared(const std::vector<smt::ExprRef> &base,
     return result;
 }
 
-smt::BatchOutcome
-CachedSolver::CheckSatBatch(
-    const std::vector<smt::ExprRef> &base,
-    const std::vector<const std::vector<smt::ExprRef> *> &groups)
-{
-    if (cache_ == nullptr)
-        return Solver::CheckSatBatch(base, groups);
-
-    // Probe the shared cache per group; only the residue is swept. A
-    // group's key covers base ∥ group, exactly what CheckSatAssuming
-    // would have computed, so point queries and sweeps share entries.
-    struct Keyed
-    {
-        QueryCacheKey key;
-        QueryFingerprints fingerprints;
-        bool cacheable = false;
-    };
-    std::vector<Keyed> keyed(groups.size());
-    smt::BatchOutcome out;
-    out.verdicts.resize(groups.size());
-    std::vector<size_t> residue;
-    std::vector<const std::vector<smt::ExprRef> *> residue_groups;
-    residue.reserve(groups.size());
-    residue_groups.reserve(groups.size());
-    for (size_t i = 0; i < groups.size(); ++i) {
-        Keyed &k = keyed[i];
-        k.cacheable = QueryCache::ComputeKey(base, shared_var_limit_,
-                                             &k.key, &k.fingerprints,
-                                             groups[i]);
-        smt::CheckStatus status;
-        if (k.cacheable &&
-            cache_->Lookup(k.key, k.fingerprints, /*want_model=*/false,
-                           &status, nullptr)) {
-            // Status-only service, per the batch contract (no models,
-            // no cores).
-            out.verdicts[i] = status;
-            continue;
-        }
-        residue.push_back(i);
-        residue_groups.push_back(groups[i]);
-    }
-    if (residue.empty())
-        return out;
-
-    smt::BatchOutcome swept = Solver::CheckSatBatch(base, residue_groups);
-    out.rounds = swept.rounds;
-    for (size_t r = 0; r < residue.size(); ++r) {
-        const size_t i = residue[r];
-        out.verdicts[i] = swept.verdicts[r];
-        const Keyed &k = keyed[i];
-        if (k.cacheable &&
-            out.verdicts[i].status != smt::CheckStatus::kUnknown) {
-            // Model-less, core-less publication; a later model-
-            // requesting point query upgrades the entry in place.
-            cache_->Insert(k.key, k.fingerprints, out.verdicts[i].status,
-                          /*has_model=*/false, smt::Model());
-        }
-    }
-    return out;
-}
-
 }  // namespace exec
 }  // namespace achilles

@@ -234,19 +234,6 @@ class CachedSolver : public smt::Solver
         const std::vector<smt::ExprRef> &extras,
         smt::Model *model = nullptr) override;
 
-    /**
-     * Batched sweep with the shared cache in front: groups another
-     * worker already decided are answered from the cache (status-only
-     * -- batch verdicts carry neither models nor cores), the residue is
-     * swept by the base Solver in one pass, and every decided residue
-     * verdict is published for the siblings. Uncacheable groups (worker-
-     * local variables) simply ride through to the sweep.
-     */
-    smt::BatchOutcome CheckSatBatch(
-        const std::vector<smt::ExprRef> &base,
-        const std::vector<const std::vector<smt::ExprRef> *> &groups)
-        override;
-
   private:
     smt::CheckResult CheckShared(const std::vector<smt::ExprRef> &base,
                                  const std::vector<smt::ExprRef> *extras,

@@ -621,11 +621,9 @@ SatSolver::Solve(const std::vector<Lit> &assumptions, int64_t max_conflicts)
 {
     if (!ok_) {
         core_.clear();
-        last_solve_conflicts_ = 0;
         return SatStatus::kUnsat;
     }
     stats_.Bump("sat.solve_calls");
-    const int64_t conflicts_before = stats_.Get("sat.conflicts");
     const SatStatus status = Search(assumptions, max_conflicts);
     // Cores of at most two literals skip the deletion loop: a
     // conflicting pair is already minimal unless one member is
@@ -637,140 +635,7 @@ SatSolver::Solve(const std::vector<Lit> &assumptions, int64_t max_conflicts)
         max_conflicts < 0) {
         MinimizeCore();
     }
-    last_solve_conflicts_ = stats_.Get("sat.conflicts") - conflicts_before;
     return status;
-}
-
-std::vector<SatStatus>
-SatSolver::SolveBatch(const std::vector<Lit> &assumptions,
-                      const std::vector<std::vector<Lit>> &groups,
-                      int64_t max_conflicts)
-{
-    std::vector<SatStatus> verdicts(groups.size(), SatStatus::kUnknown);
-    if (!ok_) {
-        std::fill(verdicts.begin(), verdicts.end(), SatStatus::kUnsat);
-        core_.clear();
-        last_solve_conflicts_ = 0;
-        return verdicts;
-    }
-    stats_.Bump("sat.batch_solves");
-
-    // One representative literal per group. A singleton group is its
-    // own representative. A multi-literal (or empty) group gets a fresh
-    // definition variable g with g <-> AND(members): the (~g, m) half
-    // makes a model with g true certify every member, and the reverse
-    // clause (g, ~m_1, ..., ~m_t) makes a refutation over the
-    // representatives exclude exactly the groups it mentions (without
-    // it, an UNSAT round could hide a satisfiable group behind g set
-    // false). An empty group degenerates to the unit {g}: satisfiable
-    // exactly when the assumptions are, which is the right verdict for
-    // an empty conjunction.
-    std::vector<Lit> reps(groups.size());
-    for (size_t i = 0; i < groups.size() && ok_; ++i) {
-        const std::vector<Lit> &members = groups[i];
-        if (members.size() == 1) {
-            reps[i] = members[0];
-            continue;
-        }
-        const Lit g(NewVar(), false);
-        std::vector<Lit> reverse;
-        reverse.reserve(members.size() + 1);
-        reverse.push_back(g);
-        for (Lit m : members) {
-            AddBinary(~g, m);
-            reverse.push_back(~m);
-        }
-        AddClause(std::move(reverse));
-        reps[i] = g;
-    }
-    if (!ok_) {
-        // The definition clauses are satisfiability-preserving, so the
-        // root-level conflict means the base store itself is UNSAT --
-        // and with it every group.
-        std::fill(verdicts.begin(), verdicts.end(), SatStatus::kUnsat);
-        core_.clear();
-        last_solve_conflicts_ = 0;
-        return verdicts;
-    }
-
-    size_t pending = groups.size();
-    int64_t total_conflicts = 0;
-    int64_t budget_left = max_conflicts;
-    std::vector<Lit> round_assumptions(assumptions);
-    round_assumptions.emplace_back();  // selector slot, set per round
-
-    while (pending > 0 && ok_) {
-        if (max_conflicts >= 0 && budget_left <= 0)
-            break;
-        stats_.Bump("sat.batch_rounds");
-        // Fresh throwaway selector steering the search toward some
-        // still-pending representative; retired with a unit after the
-        // round so later calls never see the steering clause active.
-        const Lit s(NewVar(), false);
-        std::vector<Lit> steer;
-        steer.reserve(pending + 1);
-        steer.push_back(~s);
-        for (size_t i = 0; i < groups.size(); ++i) {
-            if (verdicts[i] == SatStatus::kUnknown)
-                steer.push_back(reps[i]);
-        }
-        if (!AddClause(std::move(steer)))
-            break;  // base store UNSAT; the !ok_ sweep below finishes
-        round_assumptions.back() = s;
-        const SatStatus status = Solve(round_assumptions, budget_left);
-        total_conflicts += last_solve_conflicts_;
-        if (max_conflicts >= 0) {
-            budget_left =
-                std::max<int64_t>(0, max_conflicts - total_conflicts);
-        }
-        if (status == SatStatus::kUnknown) {
-            AddUnit(~s);
-            break;  // budget spent; the rest stay kUnknown
-        }
-        if (status == SatStatus::kUnsat) {
-            // The steering clause is satisfiable through any pending
-            // representative, so the refutation rules out all of them.
-            for (size_t i = 0; i < groups.size(); ++i) {
-                if (verdicts[i] == SatStatus::kUnknown)
-                    verdicts[i] = SatStatus::kUnsat;
-            }
-            pending = 0;
-            AddUnit(~s);
-            break;
-        }
-        // kSat: mark every pending group the model satisfies. The
-        // steering clause guarantees at least one; phase saving tends
-        // to keep earlier groups' members true, so one round usually
-        // answers many.
-        size_t marked = 0;
-        for (size_t i = 0; i < groups.size(); ++i) {
-            if (verdicts[i] != SatStatus::kUnknown)
-                continue;
-            bool all_true = true;
-            for (Lit m : groups[i]) {
-                if (Value(m.var()) == m.negated()) {
-                    all_true = false;
-                    break;
-                }
-            }
-            if (all_true) {
-                verdicts[i] = SatStatus::kSat;
-                ++marked;
-                --pending;
-            }
-        }
-        ACHILLES_CHECK(marked > 0);
-        AddUnit(~s);
-    }
-    if (!ok_) {
-        // A round (or selector retirement) surfaced a root conflict in
-        // the satisfiability-preserving store: base UNSAT, all groups
-        // with it.
-        std::fill(verdicts.begin(), verdicts.end(), SatStatus::kUnsat);
-    }
-    core_.clear();  // no single core describes a per-group sweep
-    last_solve_conflicts_ = total_conflicts;
-    return verdicts;
 }
 
 SatStatus

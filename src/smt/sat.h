@@ -85,38 +85,6 @@ class SatSolver
                     int64_t max_conflicts = -1);
 
     /**
-     * Batched all-sat sweep: one verdict per guard group, where
-     * verdict[i] answers "are `assumptions` plus every literal of
-     * `groups[i]` jointly satisfiable?" -- exactly what a separate
-     * Solve(assumptions + groups[i]) call would answer -- but all
-     * verdicts are enumerated from one incremental search tree instead
-     * of |groups| independent calls.
-     *
-     * Mechanics: every multi-literal group gets a fresh definition
-     * variable g with g <-> AND(members) encoded in both directions, so
-     * a model with g true certifies the whole group and a refutation
-     * excluding every group representative excludes every group
-     * exactly; singleton groups are represented by their own literal.
-     * Each round solves under the caller's assumptions plus a throwaway
-     * selector forcing some pending representative true; a SAT round
-     * marks every pending group the model happens to satisfy (phase
-     * saving keeps earlier groups true, so rounds typically answer many
-     * groups), an UNSAT round proves every remaining group kUnsat, and
-     * budget exhaustion (`max_conflicts` spent across rounds) leaves
-     * the rest kUnknown -- never a wrong verdict. Selectors are retired
-     * with a unit after each round; all added clauses are
-     * satisfiability-preserving (any model extends by setting the fresh
-     * variables accordingly), so later Solve calls are unaffected.
-     *
-     * No unsat core is reported (a per-group refutation has no single
-     * core); unsat_core() is empty after this call.
-     */
-    std::vector<SatStatus> SolveBatch(
-        const std::vector<Lit> &assumptions,
-        const std::vector<std::vector<Lit>> &groups,
-        int64_t max_conflicts = -1);
-
-    /**
      * The assumption subset responsible for the last kUnsat answer (the
      * unsat core over assumptions): an analyze-final pass over the
      * implication graph from the final conflict, ordered like the
@@ -147,11 +115,6 @@ class SatSolver
      * re-establishment would recompute).
      */
     void SetTrailReuse(bool on) { trail_reuse_ = on; }
-
-    /** Conflicts spent by the most recent Solve call, including any
-     *  core-minimization probes (per-Solve accounting; stream-level
-     *  conflict budgets settle their carry-forward against this). */
-    int64_t last_solve_conflicts() const { return last_solve_conflicts_; }
 
     /** Model value of a variable (valid after kSat). */
     bool
@@ -286,7 +249,6 @@ class SatSolver
     bool ok_ = true;
     bool minimize_core_ = false;
     bool trail_reuse_ = true;
-    int64_t last_solve_conflicts_ = 0;
     std::vector<Lit> core_;
     /** The assumption literal established at each standing decision
      *  level (levels beyond its size are search decisions). The next

@@ -37,18 +37,14 @@ struct Solver::IncrementalBackend
 };
 
 Solver::Solver(ExprContext *ctx, SolverConfig config)
-    : ctx_(ctx), config_(config),
-      stream_base_(static_cast<double>(config.stream_budget.base))
+    : ctx_(ctx), config_(config)
 {
     if (config_.obs.metrics_on()) {
         obs_queries_ = config_.obs.CounterFor("solver.queries");
         obs_unknowns_ = config_.obs.CounterFor("solver.unknowns");
         obs_memo_hits_ = config_.obs.CounterFor("solver.memo_hits");
-        obs_batch_sweeps_ = config_.obs.CounterFor("solver.batch_sweeps");
-        obs_batch_guards_ = config_.obs.CounterFor("solver.batch_guards");
         obs_conflicts_ = config_.obs.DistributionFor("solver.conflicts");
         obs_core_size_ = config_.obs.DistributionFor("solver.core_size");
-        obs_batch_rounds_ = config_.obs.DistributionFor("solver.batch_rounds");
     }
 }
 
@@ -152,16 +148,14 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
     stats_.Bump("solver.queries");
 
     // Observability: one span per query on this solver's lane, finalized
-    // with verdict/conflicts/core/budget by `finish` below on every
-    // return path. All of it is behind null-check branches -- with
+    // with verdict/conflicts/core by `finish` below on every return
+    // path. All of it is behind null-check branches -- with
     // config_.obs unset the query runs exactly as before.
     obs::ScopedSpan span(config_.obs.tracer, config_.obs.lane,
                          "solver.query", "solver");
     const bool obs_on = config_.obs.enabled();
     const int64_t obs_conflicts_before =
         obs_on ? stats_.Get("solver.sat_conflicts") : 0;
-    const int64_t obs_budget_before =
-        obs_on ? stats_.Get("solver.stream_conflicts_spent") : 0;
     const auto finish = [&](CheckResult result) -> CheckResult {
         obs_queries_.Bump();
         if (result.status == CheckStatus::kUnknown)
@@ -180,11 +174,6 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
                     static_cast<int64_t>(result.core.size()));
                 span.AddArg("core", static_cast<int64_t>(result.core.size()));
             }
-            const int64_t budget_spent =
-                stats_.Get("solver.stream_conflicts_spent") -
-                obs_budget_before;
-            if (budget_spent > 0)
-                span.AddArg("budget_spent", budget_spent);
             span.SetStrArg("verdict", CheckResultName(result));
         }
         return result;
@@ -193,9 +182,8 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
     // Cores only accompany answers the model-less, unbudgeted
     // incremental path could have produced -- including the trivial
     // ones, so has_core remains a reliable proxy for "decided on the
-    // core-producing path" (budgeted -- flat or stream -- and
-    // model-producing queries are always core-less, per the
-    // CheckResult contract).
+    // core-producing path" (budgeted and model-producing queries are
+    // always core-less, per the CheckResult contract).
     const bool incremental_path = model == nullptr &&
                                   config_.enable_incremental &&
                                   config_.unbudgeted();
@@ -352,38 +340,6 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
     return finish(result);
 }
 
-int64_t
-Solver::NextConflictBudget() const
-{
-    const StreamBudget &sb = config_.stream_budget;
-    if (!sb.enabled())
-        return config_.max_conflicts;
-    const int64_t base =
-        std::max(sb.floor, static_cast<int64_t>(stream_base_));
-    return base + stream_carry_;
-}
-
-void
-Solver::SettleStreamBudget(int64_t budget, int64_t spent, bool decided)
-{
-    const StreamBudget &sb = config_.stream_budget;
-    stats_.Bump("solver.stream_budgeted_solves");
-    stats_.Bump("solver.stream_conflicts_spent", spent);
-    // Decided queries roll a fraction of their unspent conflicts into
-    // the next query's allowance; exhausted (kUnknown) queries forfeit
-    // theirs, so a pathological query cannot inflate the stream.
-    int64_t carried = 0;
-    if (decided && spent < budget) {
-        carried = static_cast<int64_t>(
-            static_cast<double>(budget - spent) * sb.carry);
-    }
-    if (sb.carry_cap >= 0)
-        carried = std::min(carried, sb.carry_cap);
-    stream_carry_ = carried;
-    stream_base_ = std::max(static_cast<double>(sb.floor),
-                            stream_base_ * sb.decay);
-}
-
 CheckStatus
 Solver::SolveFresh(const std::vector<ExprRef> &live, Model *out_model)
 {
@@ -392,12 +348,7 @@ Solver::SolveFresh(const std::vector<ExprRef> &live, Model *out_model)
     BitBlaster blaster(&sat);
     for (ExprRef e : live)
         blaster.AssertTrue(e);
-    const int64_t budget = NextConflictBudget();
-    const SatStatus status = sat.Solve({}, budget);
-    if (config_.stream_budget.enabled()) {
-        SettleStreamBudget(budget, sat.last_solve_conflicts(),
-                           status != SatStatus::kUnknown);
-    }
+    const SatStatus status = sat.Solve({}, config_.max_conflicts);
     stats_.Bump("solver.sat_conflicts", sat.stats().Get("sat.conflicts"));
     stats_.Bump("solver.sat_decisions", sat.stats().Get("sat.decisions"));
 
@@ -412,12 +363,12 @@ Solver::SolveFresh(const std::vector<ExprRef> &live, Model *out_model)
             ctx_->CollectVars(e, &vars);
         for (uint32_t id : vars)
             out_model->Set(id, blaster.VarValueFromModel(id));
-        if (config_.validate_models) {
-            for (ExprRef e : live) {
-                ACHILLES_CHECK(EvaluateBool(e, *out_model),
-                               "model validation failed for: ",
-                               ctx_->ToString(e));
-            }
+        // Re-evaluate every assertion under the model: cheap, and a
+        // model that fails is an encoder bug, so it panics.
+        for (ExprRef e : live) {
+            ACHILLES_CHECK(EvaluateBool(e, *out_model),
+                           "model validation failed for: ",
+                           ctx_->ToString(e));
         }
         return CheckStatus::kSat;
       }
@@ -473,8 +424,7 @@ Solver::SolveIncremental(const std::vector<ExprRef> &live, bool *has_core,
     core->clear();
     EnsureIncrementalBackend();
     stats_.Bump("solver.incremental_sat_calls");
-    inc_->sat.SetMinimizeCore(config_.enable_cores &&
-                              config_.minimize_cores);
+    inc_->sat.SetMinimizeCore(config_.enable_cores);
     inc_->sat.SetTrailReuse(config_.enable_trail_reuse);
 
     std::vector<Lit> assumptions;
@@ -516,150 +466,9 @@ Solver::CheckSatBatch(const std::vector<ExprRef> &base,
                       const std::vector<const std::vector<ExprRef> *> &groups)
 {
     BatchOutcome out;
-    out.verdicts.resize(groups.size());
-    if (groups.empty())
-        return out;
-    stats_.Bump("solver.batch_sweeps");
-    stats_.Bump("solver.batch_guards", static_cast<int64_t>(groups.size()));
-    obs_batch_sweeps_.Bump();
-    obs_batch_guards_.Bump(static_cast<int64_t>(groups.size()));
-    obs::ScopedSpan span(config_.obs.tracer, config_.obs.lane,
-                         "solver.batch", "solver");
-
-    if (!(config_.enable_incremental && config_.unbudgeted())) {
-        // Budgeted or incremental-off configurations fall back to the
-        // per-group loop (virtual, so a decorator's shared cache is
-        // still consulted). kUnknown keeps its conservative meaning per
-        // group, and these configurations never produce cores, so the
-        // batch core-less contract holds for free.
-        stats_.Bump("solver.batch_fallbacks");
-        for (size_t i = 0; i < groups.size(); ++i)
-            out.verdicts[i] = CheckSatAssuming(base, *groups[i]);
-        out.rounds = static_cast<int64_t>(groups.size());
-        obs_batch_rounds_.Record(out.rounds);
-        return out;
-    }
-
-    // Answer what the memo cache and trivial canonicalization already
-    // know; only the residue is swept.
-    struct Residue
-    {
-        size_t index;
-        std::vector<ExprRef> live;  // canonical base ∥ group assertion set
-    };
-    std::vector<Residue> residue;
-    residue.reserve(groups.size());
-    int64_t cache_hits = 0;
-    for (size_t i = 0; i < groups.size(); ++i) {
-        std::vector<ExprRef> live;
-        std::vector<uint32_t> caller_index;
-        uint32_t false_index = 0;
-        if (!Canonicalize(base, groups[i], &live, &caller_index,
-                          &false_index)) {
-            stats_.Bump("solver.trivial_unsat");
-            out.verdicts[i] = CheckStatus::kUnsat;
-            continue;
-        }
-        if (live.empty()) {
-            stats_.Bump("solver.trivial_sat");
-            out.verdicts[i] = CheckStatus::kSat;
-            continue;
-        }
-        if (config_.enable_cache) {
-            auto it = cache_.find(live);
-            if (it != cache_.end()) {
-                // Status-only read: batch verdicts carry neither models
-                // nor cores, so any entry can serve.
-                stats_.Bump("solver.cache_hits");
-                obs_memo_hits_.Bump();
-                ++cache_hits;
-                out.verdicts[i] = it->second.status;
-                continue;
-            }
-        }
-        residue.push_back(Residue{i, std::move(live)});
-    }
-
-    if (!residue.empty()) {
-        EnsureIncrementalBackend();
-        stats_.Bump("solver.incremental_sat_calls");
-        // A sweep reports no cores, so minimization probes would be
-        // wasted work; the next point query re-arms the flag.
-        inc_->sat.SetMinimizeCore(false);
-        inc_->sat.SetTrailReuse(config_.enable_trail_reuse);
-
-        std::vector<ExprRef> base_live;
-        std::vector<Lit> assumptions;
-        {
-            std::vector<uint32_t> caller_index;
-            uint32_t false_index = 0;
-            // A trivially-false base would have answered every group
-            // kUnsat in the loop above; here the base canonicalizes.
-            const bool base_ok = Canonicalize(base, nullptr, &base_live,
-                                              &caller_index, &false_index);
-            ACHILLES_CHECK(base_ok);
-        }
-        GuardAssertions(base_live, &assumptions);
-        std::vector<std::vector<Lit>> member_lits(residue.size());
-        std::vector<ExprRef> scratch;
-        for (size_t k = 0; k < residue.size(); ++k) {
-            scratch.clear();
-            for (ExprRef e : *groups[residue[k].index]) {
-                if (!e->IsTrue())  // IsFalse was answered above
-                    scratch.push_back(e);
-            }
-            GuardAssertions(scratch, &member_lits[k]);
-        }
-        const int64_t rounds_before =
-            inc_->sat.stats().Get("sat.batch_rounds");
-        const std::vector<SatStatus> sat_verdicts =
-            inc_->sat.SolveBatch(assumptions, member_lits);
-        out.rounds =
-            inc_->sat.stats().Get("sat.batch_rounds") - rounds_before;
-        DrainIncrementalStats();
-
-        bool any_sat = false;
-        for (size_t k = 0; k < residue.size(); ++k) {
-            CheckStatus status = CheckStatus::kUnknown;
-            switch (sat_verdicts[k]) {
-              case SatStatus::kSat: status = CheckStatus::kSat; break;
-              case SatStatus::kUnsat: status = CheckStatus::kUnsat; break;
-              case SatStatus::kUnknown: break;
-            }
-            out.verdicts[residue[k].index] = status;
-            if (status == CheckStatus::kSat)
-                any_sat = true;
-            if (config_.enable_cache && status != CheckStatus::kUnknown) {
-                // kSat entries are model-less (upgraded in place by a
-                // later fresh-instance solve on first model demand);
-                // kUnsat entries are core-less per the batch contract.
-                cache_.emplace(residue[k].live,
-                               CacheEntry{status,
-                                          status != CheckStatus::kSat,
-                                          Model(), /*has_core=*/false,
-                                          {}});
-            }
-        }
-        if (config_.retain_models && any_sat) {
-            // The sweep's last SAT round left a full assignment
-            // standing in the persistent instance; defer extraction to
-            // the next StandingModel() read, like any incremental kSat.
-            standing_live_ = base_live;
-            for (size_t k = 0; k < residue.size(); ++k) {
-                if (out.verdicts[residue[k].index] == CheckStatus::kSat) {
-                    for (ExprRef e : *groups[residue[k].index])
-                        standing_live_.push_back(e);
-                }
-            }
-        }
-    }
-    obs_batch_rounds_.Record(out.rounds);
-    if (config_.obs.enabled()) {
-        span.AddArg("groups", static_cast<int64_t>(groups.size()));
-        span.AddArg("cache_hits", cache_hits);
-        span.AddArg("swept", static_cast<int64_t>(residue.size()));
-        span.AddArg("rounds", out.rounds);
-    }
+    out.verdicts.reserve(groups.size());
+    for (const std::vector<ExprRef> *group : groups)
+        out.verdicts.push_back(CheckSatAssuming(base, *group));
     return out;
 }
 

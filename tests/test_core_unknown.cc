@@ -163,7 +163,7 @@ TEST_F(UnknownConservatismTest, RealBudgetExhaustionIsConservative)
     // only reports what it proved), so a budget-starved run may prune
     // and drop less, never more: it must explore a superset of the real
     // run's accepting paths, and whatever witnesses it does emit are
-    // model-validated (validate_models panics otherwise).
+    // model-validated (the solver panics on a model that fails).
     BuildInputs();
 
     DifferentFromMatrix matrix(&ctx, &solver, &layout);

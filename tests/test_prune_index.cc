@@ -2,11 +2,10 @@
 //
 // The unified pruning knowledge base (exec/prune_index.h) and its
 // consumers: two-part core subsumption, the differentFrom overlay,
-// delegated query-core storage, ReduceDB-style eviction, the
-// budgeted-exploration preset, and the end-to-end
-// contracts -- cross-worker subsumption fires, witness sets stay
-// bitwise identical at 1/2/4/8 workers with the index on or off, and
-// capped stores never flip a verdict.
+// delegated query-core storage, ReduceDB-style eviction, and the
+// end-to-end contracts -- cross-worker subsumption fires, witness sets
+// stay bitwise identical at 1/2/4/8 workers with the index on or off,
+// and capped stores never flip a verdict.
 
 #include <gtest/gtest.h>
 
@@ -262,7 +261,6 @@ struct PipelineRun
     int64_t overlay_drops = 0;
     int64_t cross_hits = 0;
     int64_t states_pruned = 0;
-    size_t accepting_paths = 0;
 };
 
 PipelineRun
@@ -292,7 +290,6 @@ RunPipeline(const std::vector<const symexec::Program *> &clients,
     run.overlay_drops = result.server.stats.Get("explorer.overlay_drops");
     run.cross_hits = result.server.stats.Get("prune.cross_worker_hits");
     run.states_pruned = result.server.stats.Get("explorer.states_pruned");
-    run.accepting_paths = result.server.accepting_paths.size();
     core::CanonicalHasher hasher(&ctx);
     for (const core::TrojanWitness &t : result.server.trojans) {
         run.witnesses.emplace_back(t.accept_label, t.concrete,
@@ -397,77 +394,6 @@ TEST(PruneIndexPipelineTest, TinyCapsNeverFlipVerdicts)
         EXPECT_EQ(small.witnesses, big.witnesses);
         EXPECT_EQ(small.states_pruned, big.states_pruned);
     }
-}
-
-TEST(PruneIndexPipelineTest, BudgetedPresetDropsNoWitnesses)
-{
-    // The budgeted exploration preset stream-budgets only the
-    // Trojan-pruning stream: kUnknown keeps states alive (conservative
-    // pruning) and witness-producing queries stay unbudgeted, so the
-    // witness set matches the default config's exactly. With the
-    // budget draconian (base 0, floor 0) every pruning query answers
-    // kUnknown: nothing is pruned, nothing is recorded or subsumed,
-    // and still no witness changes.
-    const std::vector<symexec::Program> fsp_clients =
-        fsp::MakeAllClients();
-    std::vector<const symexec::Program *> clients;
-    for (size_t i = 0; i < 2; ++i)
-        clients.push_back(&fsp_clients[i]);
-    const symexec::Program server = fsp::MakeServer();
-    const core::MessageLayout layout = fsp::MakeLayout();
-
-    core::ServerExplorerConfig plain;
-    const core::ServerExplorerConfig preset =
-        core::BudgetedExplorationPreset(plain);
-    EXPECT_TRUE(preset.trojan_stream_budget.enabled());
-
-    const PipelineRun baseline =
-        RunPipeline(clients, &server, layout, plain, 1);
-    ASSERT_FALSE(baseline.witnesses.empty());
-
-    const PipelineRun budgeted =
-        RunPipeline(clients, &server, layout, preset, 1);
-    EXPECT_EQ(budgeted.witnesses, baseline.witnesses);
-
-    core::ServerExplorerConfig starved = plain;
-    starved.trojan_stream_budget.base = 0;
-    starved.trojan_stream_budget.floor = 0;
-    starved.trojan_stream_budget.carry = 0.0;
-    const PipelineRun blind =
-        RunPipeline(clients, &server, layout, starved, 1);
-    EXPECT_EQ(blind.witnesses, baseline.witnesses);
-    EXPECT_EQ(blind.trojan_subsumed, 0);
-    EXPECT_GE(blind.accepting_paths, baseline.accepting_paths);
-}
-
-TEST(PruneIndexPipelineTest, BudgetedPresetPrunesConservativelyOnGuarded)
-{
-    // On the guarded protocol the unbudgeted run prunes every region's
-    // dead chain. Under a starved budget a query may still answer
-    // kUnsat when propagation alone refutes it (a budget limits
-    // search, it never forbids deciding) -- but pruning can only
-    // shrink, no core is ever recorded or consumed, and the witness
-    // set is identical.
-    const symexec::Program client = synth::MakeGuardedClient(2);
-    const std::vector<const symexec::Program *> clients{&client};
-    const symexec::Program server = synth::MakeGuardedServer(2, 4);
-    const core::MessageLayout layout = synth::MakeGuardedLayout();
-
-    core::ServerExplorerConfig plain;
-    core::ServerExplorerConfig starved;
-    starved.trojan_stream_budget.base = 0;
-    starved.trojan_stream_budget.floor = 0;
-    starved.trojan_stream_budget.carry = 0.0;
-
-    const PipelineRun real =
-        RunPipeline(clients, &server, layout, plain, 1);
-    const PipelineRun blind =
-        RunPipeline(clients, &server, layout, starved, 1);
-    EXPECT_GT(real.states_pruned, 0);
-    EXPECT_LE(blind.states_pruned, real.states_pruned);
-    EXPECT_EQ(blind.trojan_subsumed, 0);  // no reuse on the budgeted stream
-    EXPECT_EQ(blind.witnesses, real.witnesses);
-    EXPECT_GE(blind.accepting_paths, real.accepting_paths);
 }
 
 }  // namespace

@@ -3,12 +3,16 @@
 // The incremental assumption-based solver backend: equivalence with the
 // fresh-instance path on handcrafted and random query streams, the
 // CheckSatAssuming surface, solution reuse and learnt-clause retention
-// across queries, cache model-upgrade semantics, and the stale-model
+// across queries, cache model-upgrade semantics, the stale-model
 // regression (every non-kSat return path must clear the caller's
-// Model).
+// Model), the standing model behind the explorer's concrete pre-filter
+// (a pre-filter hit must be a proof of kSat), and a long stateful
+// differential stream through the fully optimized facade against an
+// unoptimized reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "smt/eval.h"
@@ -248,6 +252,213 @@ TEST_F(IncrementalSolverTest, BackendResetsWhenOversized)
                   CheckResult::kSat);
     }
     EXPECT_GE(small.stats().Get("solver.incremental_resets"), 1);
+}
+
+// ----------------------------------------------------- standing models
+
+TEST(StandingModelTest, ModelSatisfiesEveryAssertedConstraint)
+{
+    ExprContext ctx;
+    Solver solver(&ctx);
+    ExprRef x = ctx.FreshVar("x", 8);
+    ExprRef y = ctx.FreshVar("y", 8);
+
+    const std::vector<ExprRef> first{
+        ctx.MakeUlt(x, ctx.MakeConst(8, 10)),
+        ctx.MakeEq(y, ctx.MakeConst(8, 3))};
+    ASSERT_EQ(solver.CheckSat(first), CheckResult::kSat);
+    const Model *standing = solver.StandingModel();
+    ASSERT_NE(standing, nullptr);
+    for (ExprRef e : first)
+        EXPECT_TRUE(EvaluateBool(e, *standing));
+
+    // The standing model rolls forward with later satisfiable queries.
+    const std::vector<ExprRef> second{
+        ctx.MakeUgt(x, ctx.MakeConst(8, 200))};
+    ASSERT_EQ(solver.CheckSat(second), CheckResult::kSat);
+    standing = solver.StandingModel();
+    ASSERT_NE(standing, nullptr);
+    EXPECT_TRUE(EvaluateBool(second[0], *standing));
+
+    // An unsatisfiable query leaves the last standing model in place.
+    const std::vector<ExprRef> contradiction{
+        ctx.MakeUlt(x, ctx.MakeConst(8, 1)),
+        ctx.MakeUgt(x, ctx.MakeConst(8, 1))};
+    ASSERT_EQ(solver.CheckSat(contradiction), CheckResult::kUnsat);
+    EXPECT_NE(solver.StandingModel(), nullptr);
+}
+
+TEST(StandingModelTest, DisabledRetentionReturnsNull)
+{
+    ExprContext ctx;
+    SolverConfig config;
+    config.retain_models = false;
+    Solver solver(&ctx, config);
+    ExprRef x = ctx.FreshVar("x", 8);
+    ASSERT_EQ(solver.CheckSat({ctx.MakeEq(x, ctx.MakeConst(8, 1))}),
+              CheckResult::kSat);
+    EXPECT_EQ(solver.StandingModel(), nullptr);
+}
+
+TEST(StandingModelTest, ConcretelyTrueAssignmentIsAProofOfSat)
+{
+    // The pre-filter's soundness argument, randomized: whenever a total
+    // concrete assignment evaluates every assertion to true, a fresh
+    // solver must answer kSat -- the assignment IS a witness, whatever
+    // query produced it. (The converse seeds the trial pool: models
+    // returned by the solver must evaluate to true.)
+    ExprContext ctx;
+    ExprRef a = ctx.FreshVar("a", 8);
+    ExprRef b = ctx.FreshVar("b", 8);
+    const std::vector<ExprRef> pool{
+        ctx.MakeUlt(a, ctx.MakeConst(8, 200)),
+        ctx.MakeUgt(a, ctx.MakeConst(8, 3)),
+        ctx.MakeEq(ctx.MakeAnd(a, ctx.MakeConst(8, 1)),
+                   ctx.MakeConst(8, 1)),
+        ctx.MakeUle(b, a),
+        ctx.MakeNe(b, ctx.MakeConst(8, 0)),
+        ctx.MakeUlt(ctx.MakeAdd(a, b), ctx.MakeConst(8, 250))};
+
+    Rng rng(0xba7c4);
+    size_t concrete_hits = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<ExprRef> assertions;
+        for (ExprRef e : pool)
+            if (rng.Below(2) == 0)
+                assertions.push_back(e);
+        Model model;
+        model.Set(a->VarId(), rng.Below(256));
+        model.Set(b->VarId(), rng.Below(256));
+        bool all_true = true;
+        for (ExprRef e : assertions)
+            all_true &= EvaluateBool(e, model);
+        if (!all_true)
+            continue;
+        ++concrete_hits;
+        Solver fresh(&ctx);
+        EXPECT_EQ(fresh.CheckSat(assertions), CheckResult::kSat);
+    }
+    EXPECT_GT(concrete_hits, 0u) << "trial pool never exercised the "
+                                    "pre-filter direction";
+
+    Solver solver(&ctx);
+    Model model;
+    ASSERT_EQ(solver.CheckSat(pool, &model), CheckResult::kSat);
+    for (ExprRef e : pool)
+        EXPECT_TRUE(EvaluateBool(e, model));
+}
+
+// ------------------------------------------ stateful differential stream
+
+TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
+{
+    // One default solver -- incremental backend, memo cache, cores,
+    // trail reuse and the interval pre-check, all carrying state from
+    // query to query -- answers a long seeded stream whose base grows,
+    // shrinks and stays shared between consecutive queries, the shape
+    // of the explorer's pathS streams. Every verdict must match a fresh
+    // solver with every optimization off, and every returned core must
+    // itself be unsatisfiable there.
+    ExprContext ctx;
+    std::vector<ExprRef> vars;
+    for (int i = 0; i < 4; ++i)
+        vars.push_back(ctx.FreshVar("s", 8));
+    Rng rng(0x57a7e);
+    auto operand = [&]() -> ExprRef {
+        return rng.Chance(0.5) ? vars[rng.Below(vars.size())]
+                               : ctx.MakeConst(8, rng.Below(256));
+    };
+    std::vector<ExprRef> pool;
+    while (pool.size() < 32) {
+        ExprRef a = vars[rng.Below(vars.size())];
+        switch (rng.Below(4)) {
+          case 0: a = ctx.MakeAdd(a, operand()); break;
+          case 1: a = ctx.MakeXor(a, operand()); break;
+          default: break;
+        }
+        const ExprRef b = operand();
+        ExprRef atom;
+        switch (rng.Below(5)) {
+          case 0: atom = ctx.MakeEq(a, b); break;
+          case 1: atom = ctx.MakeNe(a, b); break;
+          case 2: atom = ctx.MakeUle(a, b); break;
+          default: atom = ctx.MakeUlt(a, b); break;
+        }
+        if (!atom->IsConst())
+            pool.push_back(atom);
+    }
+    auto draw = [&]() { return pool[rng.Below(pool.size())]; };
+
+    SolverConfig reference_config;
+    reference_config.enable_incremental = false;
+    reference_config.enable_cache = false;
+    reference_config.use_interval_check = false;
+    auto reference_check = [&](const std::vector<ExprRef> &assertions) {
+        Solver reference(&ctx, reference_config);
+        return reference.CheckSat(assertions);
+    };
+
+    Solver solver(&ctx);
+    std::vector<ExprRef> base;
+    std::vector<ExprRef> extras;
+    int sat = 0, unsat = 0, cores = 0;
+    for (int q = 0; q < 2400; ++q) {
+        // Every tenth query or so repeats the previous one verbatim (a
+        // memo-cache hit); otherwise the base grows, shrinks at a random
+        // position or stays shared, and fresh extras are drawn.
+        if (q == 0 || !rng.Chance(0.1)) {
+            const uint64_t move = rng.Below(3);
+            if (base.size() < 2 || (move == 0 && base.size() < 7)) {
+                base.push_back(draw());
+            } else if (move == 1) {
+                base.erase(base.begin() +
+                           static_cast<ptrdiff_t>(rng.Below(base.size())));
+            }
+            extras.assign(1 + rng.Below(2), nullptr);
+            for (ExprRef &e : extras)
+                e = draw();
+        }
+        std::vector<ExprRef> query = base;
+        query.insert(query.end(), extras.begin(), extras.end());
+
+        // A sprinkling of model requests takes the fresh-instance path
+        // and upgrades cached model-less entries in between.
+        Model model;
+        const bool want_model = q % 16 == 0;
+        const CheckResult got = solver.CheckSatAssuming(
+            base, extras, want_model ? &model : nullptr);
+        const CheckResult want = reference_check(query);
+        ASSERT_NE(want, CheckResult::kUnknown);
+        ASSERT_EQ(got, want) << "query " << q;
+        if (got == CheckResult::kSat) {
+            ++sat;
+            if (want_model) {
+                for (ExprRef e : query)
+                    ASSERT_TRUE(EvaluateBool(e, model)) << "query " << q;
+            }
+            continue;
+        }
+        ++unsat;
+        if (!got.has_core)
+            continue;
+        ++cores;
+        ASSERT_TRUE(std::is_sorted(got.core.begin(), got.core.end()));
+        std::vector<ExprRef> core;
+        for (uint32_t k : got.core) {
+            ASSERT_LT(k, query.size()) << "query " << q;
+            core.push_back(query[k]);
+        }
+        ASSERT_EQ(reference_check(core), CheckResult::kUnsat)
+            << "core of query " << q << " is satisfiable";
+    }
+    // The stream is mixed, and every optimized layer took part.
+    EXPECT_GT(sat, 400);
+    EXPECT_GT(unsat, 400);
+    EXPECT_GT(cores, 200);
+    EXPECT_GE(solver.stats().Get("solver.incremental_sat_calls"), 500);
+    EXPECT_GE(solver.stats().Get("solver.cache_hits"), 100);
+    EXPECT_GE(solver.stats().Get("solver.trail_reuses"), 1);
+    EXPECT_GE(solver.stats().Get("solver.interval_unsat"), 1);
 }
 
 // ----------------------------------------------------------------- SAT

@@ -378,8 +378,8 @@ TEST_P(SolverPropertyTest, RandomQueriesMatchBruteForce)
         ASSERT_NE(got, CheckResult::kUnknown);
         EXPECT_EQ(got == CheckResult::kSat, expected)
             << "iter=" << iter << " width=" << width;
-        // Model validation is performed inside the solver
-        // (validate_models); reaching here on SAT means it passed.
+        // The solver validates every model it returns; reaching here
+        // on SAT means the check passed.
     }
 }
 

@@ -2,11 +2,9 @@
 //
 // The shared solver-services layer: assumption-prefix trail reuse
 // (SAT-level prefix keeping and facade-level stream equivalence),
-// stream-level conflict budgets (kUnknown conservatism, carry-forward
-// of unspent conflicts, explorer no-drop contract), witness determinism
-// at 1/2/4/8 workers, and interval-checker core attribution (sound
-// bound-pair cores restoring the interval fast path on the
-// core-producing path).
+// witness determinism at 1/2/4/8 workers with the concrete pre-filter
+// off and on, and interval-checker core attribution (sound bound-pair
+// cores restoring the interval fast path on the core-producing path).
 
 #include <gtest/gtest.h>
 
@@ -149,71 +147,6 @@ TEST(SolverTrailReuseTest, SharedPrefixStreamEquivalence)
     EXPECT_EQ(off.stats().Get("solver.trail_reuses"), 0);
 }
 
-// ---------------------------------------------- stream budgets
-
-/** Pairwise-distinct small values: UNSAT but needs search (the
- *  interval checker cannot refute two-variable disequalities). */
-std::vector<ExprRef>
-HardUnsatQuery(ExprContext *ctx)
-{
-    std::vector<ExprRef> vars, query;
-    for (int i = 0; i < 5; ++i) {
-        vars.push_back(ctx->FreshVar("p", 8));
-        query.push_back(
-            ctx->MakeUlt(vars.back(), ctx->MakeConst(8, 4)));
-    }
-    for (size_t i = 0; i < vars.size(); ++i)
-        for (size_t j = i + 1; j < vars.size(); ++j)
-            query.push_back(ctx->MakeNe(vars[i], vars[j]));
-    return query;
-}
-
-TEST(StreamBudgetTest, ExhaustionIsUnknownUncachedAndCoreless)
-{
-    ExprContext ctx;
-    SolverConfig config;
-    config.stream_budget.base = 0;
-    config.stream_budget.floor = 0;
-    config.stream_budget.carry = 0.0;
-    Solver limited(&ctx, config);
-
-    const std::vector<ExprRef> hard = HardUnsatQuery(&ctx);
-    const CheckResult r = limited.CheckSat(hard);
-    EXPECT_EQ(r, CheckResult::kUnknown);
-    EXPECT_FALSE(r.has_core);
-    // Stream-budgeted queries bypass the incremental backend exactly
-    // like flat-budgeted ones (the kUnsat/kUnknown boundary must not
-    // depend on learned history), and kUnknown is never cached.
-    EXPECT_EQ(limited.stats().Get("solver.incremental_sat_calls"), 0);
-    EXPECT_EQ(limited.CheckSat(hard), CheckResult::kUnknown);
-    EXPECT_EQ(limited.stats().Get("solver.cache_hits"), 0);
-    EXPECT_GE(limited.stats().Get("solver.stream_budgeted_solves"), 2);
-}
-
-TEST(StreamBudgetTest, CarryForwardDecidesLateHardQuery)
-{
-    // The same hard query that a flat budget of 2 cannot decide becomes
-    // decidable late in a stream: every easy decided query rolls its
-    // unspent conflicts forward, so the stream's savings accumulate.
-    ExprContext ctx;
-    const std::vector<ExprRef> hard = HardUnsatQuery(&ctx);
-    ExprRef x = ctx.FreshVar("x", 8);
-
-    SolverConfig config;
-    config.stream_budget.base = 2;
-    config.stream_budget.carry = 1.0;
-    Solver cold(&ctx, config);
-    EXPECT_EQ(cold.CheckSat(hard), CheckResult::kUnknown);
-
-    Solver warm(&ctx, config);
-    for (uint64_t i = 0; i < 200; ++i) {
-        ASSERT_EQ(warm.CheckSat(
-                      {ctx.MakeEq(x, ctx.MakeConst(8, i % 256))}),
-                  CheckResult::kSat);
-    }
-    EXPECT_EQ(warm.CheckSat(hard), CheckResult::kUnsat);
-}
-
 // ------------------------------------- interval core attribution
 
 TEST(IntervalCoreTest, EmptyVariableAttributesBoundPair)
@@ -283,19 +216,11 @@ TEST(IntervalCoreTest, FacadeFastPathRestoredWithCore)
 using WitnessSummary =
     std::tuple<std::string, std::vector<uint8_t>, uint64_t>;
 
-struct PipelineRun
-{
-    std::vector<WitnessSummary> witnesses;
-    int64_t core_drops = 0;
-    int64_t trojan_subsumed = 0;
-    size_t accepting_paths = 0;
-};
-
-PipelineRun
-RunFspPipeline(size_t workers, const SolverConfig &solver_config)
+std::vector<WitnessSummary>
+RunFspPipeline(size_t workers, bool prefilter)
 {
     ExprContext ctx;
-    Solver solver(&ctx, solver_config);
+    Solver solver(&ctx);
 
     const std::vector<symexec::Program> clients = fsp::MakeAllClients();
     const symexec::Program server = fsp::MakeServer();
@@ -306,57 +231,41 @@ RunFspPipeline(size_t workers, const SolverConfig &solver_config)
     config.server = &server;
     config.server_config.engine.num_workers = workers;
     config.server_config.use_different_from = false;
+    config.server_config.use_concrete_prefilter = prefilter;
     config.compute_different_from = false;
     const core::AchillesResult result =
         core::RunAchilles(&ctx, &solver, config);
 
-    PipelineRun run;
-    run.core_drops = result.server.stats.Get("explorer.core_drops");
-    run.trojan_subsumed =
-        result.server.stats.Get("explorer.trojan_core_subsumed");
-    run.accepting_paths = result.server.accepting_paths.size();
+    std::vector<WitnessSummary> witnesses;
     core::CanonicalHasher hasher(&ctx);
     for (const core::TrojanWitness &t : result.server.trojans) {
-        run.witnesses.emplace_back(t.accept_label, t.concrete,
-                                   hasher.HashExprs(t.definition));
+        witnesses.emplace_back(t.accept_label, t.concrete,
+                               hasher.HashExprs(t.definition));
     }
-    std::sort(run.witnesses.begin(), run.witnesses.end());
-    return run;
-}
-
-TEST(StreamBudgetTest, ExplorerNeverDropsOnStreamBudget)
-{
-    // A stream-budgeted solver can answer kUnknown, so the explorer
-    // must never consume cores: zero core-guided drops, zero
-    // Trojan-core subsumptions, and exploration stays a (conservative)
-    // superset of the unbudgeted run's accepting paths.
-    SolverConfig unbudgeted;
-    const PipelineRun real = RunFspPipeline(1, unbudgeted);
-
-    SolverConfig budgeted;
-    budgeted.stream_budget.base = 0;
-    budgeted.stream_budget.floor = 0;
-    budgeted.stream_budget.carry = 0.0;
-    const PipelineRun run = RunFspPipeline(1, budgeted);
-    EXPECT_EQ(run.core_drops, 0);
-    EXPECT_EQ(run.trojan_subsumed, 0);
-    EXPECT_GE(run.accepting_paths, real.accepting_paths);
+    std::sort(witnesses.begin(), witnesses.end());
+    return witnesses;
 }
 
 TEST(WorkerSweepTest, WitnessesIdenticalAcrossWorkerCounts)
 {
     // The hard determinism constraint: Trojan witness sets (labels,
     // definitions, concrete bytes) are bitwise identical at every
-    // worker count. Witness bytes always come from the deterministic
-    // fresh-instance path, whatever the workers' incremental backends
-    // learned along the way.
-    const SolverConfig config;
-    const PipelineRun baseline = RunFspPipeline(1, config);
-    ASSERT_FALSE(baseline.witnesses.empty());
-    for (size_t workers : {2, 4, 8}) {
-        EXPECT_EQ(RunFspPipeline(workers, config).witnesses,
-                  baseline.witnesses)
-            << "diverged at " << workers << " workers";
+    // worker count and with the concrete pre-filter off or on. Witness
+    // bytes always come from the deterministic fresh-instance path,
+    // whatever the workers' incremental backends learned along the way,
+    // and a pre-filter hit only ever stands in for a kSat the solver
+    // would have answered too.
+    const std::vector<WitnessSummary> baseline =
+        RunFspPipeline(1, /*prefilter=*/true);
+    ASSERT_FALSE(baseline.empty());
+    for (const bool prefilter : {false, true}) {
+        for (size_t workers : {1, 2, 4, 8}) {
+            if (prefilter && workers == 1)
+                continue;  // the baseline itself
+            EXPECT_EQ(RunFspPipeline(workers, prefilter), baseline)
+                << "diverged at " << workers
+                << " workers, prefilter=" << prefilter;
+        }
     }
 }
 

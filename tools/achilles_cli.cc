@@ -37,7 +37,9 @@
 //                    the protocol's structural fingerprint so edited
 //                    protocols never collide with their own history
 //
-// A malformed number prints the usage and exits with status 2.
+// A malformed number or a flag missing its value prints the usage and
+// exits with status 2. A witness the protocol's concrete oracle rejects
+// is an error: the run exits with status 1.
 //
 // Log verbosity follows the ACHILLES_LOG environment variable
 // (debug|info|warn|error|off).
@@ -114,6 +116,20 @@ ParseSeconds(const char *text, double *out)
     return true;
 }
 
+/** True for the flags that take the next argument as their value. */
+bool
+TakesValue(const char *arg)
+{
+    for (const char *flag :
+         {"--protocol", "--spec", "--workers", "--clients", "--metrics-out",
+          "--trace-out", "--knowledge-load", "--knowledge-save",
+          "--knowledge-dir"}) {
+        if (std::strcmp(arg, flag) == 0)
+            return true;
+    }
+    return false;
+}
+
 /** Report a malformed numeric argument; returns the exit status. */
 int
 BadNumber(const char *argv0, const char *flag, const char *want,
@@ -144,30 +160,32 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        const bool has_value = i + 1 < argc;
-        if (std::strcmp(arg, "--protocol") == 0 && has_value) {
+        if (TakesValue(arg) && i + 1 == argc) {
+            std::fprintf(stderr, "%s: %s needs a value\n", argv[0], arg);
+            Usage(argv[0]);
+            return 2;
+        }
+        if (std::strcmp(arg, "--protocol") == 0) {
             protocol = argv[++i];
-        } else if (std::strcmp(arg, "--spec") == 0 && has_value) {
+        } else if (std::strcmp(arg, "--spec") == 0) {
             spec_path = argv[++i];
         } else if (std::strcmp(arg, "--list-protocols") == 0) {
             list_protocols = true;
-        } else if (std::strcmp(arg, "--workers") == 0 && has_value) {
+        } else if (std::strcmp(arg, "--workers") == 0) {
             if (!ParseCount(argv[++i], &workers))
                 return BadNumber(argv[0], arg, "an integer >= 1", argv[i]);
-        } else if (std::strcmp(arg, "--clients") == 0 && has_value) {
+        } else if (std::strcmp(arg, "--clients") == 0) {
             if (!ParseCount(argv[++i], &num_clients))
                 return BadNumber(argv[0], arg, "an integer >= 1", argv[i]);
-        } else if (std::strcmp(arg, "--metrics-out") == 0 && has_value) {
+        } else if (std::strcmp(arg, "--metrics-out") == 0) {
             metrics_path = argv[++i];
-        } else if (std::strcmp(arg, "--trace-out") == 0 && has_value) {
+        } else if (std::strcmp(arg, "--trace-out") == 0) {
             trace_path = argv[++i];
-        } else if (std::strcmp(arg, "--knowledge-load") == 0 &&
-                   has_value) {
+        } else if (std::strcmp(arg, "--knowledge-load") == 0) {
             knowledge_load = argv[++i];
-        } else if (std::strcmp(arg, "--knowledge-save") == 0 &&
-                   has_value) {
+        } else if (std::strcmp(arg, "--knowledge-save") == 0) {
             knowledge_save = argv[++i];
-        } else if (std::strcmp(arg, "--knowledge-dir") == 0 && has_value) {
+        } else if (std::strcmp(arg, "--knowledge-dir") == 0) {
             knowledge_dir = argv[++i];
         } else if (std::strcmp(arg, "--progress") == 0) {
             progress_secs = 1.0;
@@ -321,7 +339,9 @@ main(int argc, char **argv)
         std::printf("\n");
     }
     // Cross-check against the protocol's concrete counterpart where one
-    // exists (fsp/pbft): every witness must be a real Trojan.
+    // exists (fsp/pbft): every witness must be a real Trojan, and one
+    // that is not fails the run.
+    int status = 0;
     if (const auto oracle = factory->MakeConcreteOracle()) {
         size_t confirmed = 0;
         for (const core::TrojanWitness &t : result.server.trojans)
@@ -329,9 +349,15 @@ main(int argc, char **argv)
                 ++confirmed;
         std::printf("concrete oracle confirms %zu/%zu witnesses\n",
                     confirmed, result.server.trojans.size());
+        if (confirmed < result.server.trojans.size()) {
+            obs::LogError("concrete oracle rejects " +
+                          std::to_string(result.server.trojans.size() -
+                                         confirmed) +
+                          " witness(es)");
+            status = 1;
+        }
     }
 
-    int status = 0;
     if (!knowledge_save.empty()) {
         std::string error;
         if (persist::SaveSnapshot(warm_out, knowledge_save, &error)) {
