@@ -9,6 +9,12 @@
 namespace achilles {
 namespace baselines {
 
+void
+ClassicSeStats::AddTo(obs::CounterView *view) const
+{
+    view->Add("classic.messages", messages);
+}
+
 ClassicSeResult
 RunClassicSe(smt::ExprContext *ctx, smt::Solver *solver,
              const symexec::Program *server,
@@ -16,6 +22,7 @@ RunClassicSe(smt::ExprContext *ctx, smt::Solver *solver,
              const ClassicSeConfig &config)
 {
     ClassicSeResult result;
+    ClassicSeStats stats;
     Timer timer;
 
     // Fresh symbolic message.
@@ -52,7 +59,7 @@ RunClassicSe(smt::ExprContext *ctx, smt::Solver *solver,
                 concrete.push_back(
                     static_cast<uint8_t>(smt::Evaluate(byte, model)));
             result.messages.push_back(std::move(concrete));
-            result.stats.Bump("classic.messages");
+            ++stats.messages;
 
             // Block this assignment of the analyzed bytes to force a
             // distinct next message.
@@ -65,6 +72,7 @@ RunClassicSe(smt::ExprContext *ctx, smt::Solver *solver,
             query.push_back(ctx->MakeOrList(differs));
         }
     }
+    stats.AddTo(&result.stats);
     result.seconds = timer.Seconds();
     return result;
 }

@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "core/message.h"
+#include "obs/metrics.h"
 #include "smt/solver.h"
-#include "support/stats.h"
 #include "symexec/engine.h"
 
 namespace achilles {
@@ -31,6 +31,15 @@ struct ClassicSeConfig
     size_t enumerate_per_path = 1;
 };
 
+/** Baseline counters (the enumeration runs on the calling thread). */
+struct ClassicSeStats
+{
+    int64_t messages = 0;
+
+    /** The one place these counters are named ("classic.*"). */
+    void AddTo(obs::CounterView *view) const;
+};
+
 /** Result of the baseline run. */
 struct ClassicSeResult
 {
@@ -42,7 +51,9 @@ struct ClassicSeResult
     double exploration_seconds = 0.0;
     /** Exploration + per-path message enumeration. */
     double seconds = 0.0;
-    StatsRegistry stats;
+    /** The baseline's counters plus the exploration's engine (and,
+     *  with workers, worker solver) counters. */
+    obs::CounterView stats;
 };
 
 /**

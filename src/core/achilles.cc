@@ -8,6 +8,26 @@
 namespace achilles {
 namespace core {
 
+namespace {
+
+/** The pipeline's own entries: the worker count each explored phase ran
+ *  with, filed next to that phase's counters. */
+struct PipelineStats
+{
+    int64_t client_workers = 0;
+    int64_t server_workers = 0;
+
+    /** The one place these entries are named ("achilles.*"). */
+    void
+    AddTo(obs::CounterView *preprocessing, obs::CounterView *server) const
+    {
+        preprocessing->Add("achilles.client_workers", client_workers);
+        server->Add("achilles.server_workers", server_workers);
+    }
+};
+
+}  // namespace
+
 AchillesResult
 RunAchilles(smt::ExprContext *ctx, smt::Solver *solver,
             const AchillesConfig &config)
@@ -41,9 +61,6 @@ RunAchilles(smt::ExprContext *ctx, smt::Solver *solver,
                                  result.client_predicate.paths.size()));
     }
     result.timings.client_extraction = timer.Seconds();
-    result.preprocessing_stats.Set(
-        "achilles.client_workers",
-        static_cast<int64_t>(client_config.engine.num_workers));
 
     // Preprocessing: negations + differentFrom. The negate operator
     // needs the server's symbolic message up front, so the explorer is
@@ -97,18 +114,20 @@ RunAchilles(smt::ExprContext *ctx, smt::Solver *solver,
                     static_cast<int64_t>(result.server.trojans.size()));
     }
     result.timings.server_analysis = timer.Seconds();
-    result.server.stats.Set(
-        "achilles.server_workers",
-        static_cast<int64_t>(server_config.engine.num_workers));
+    PipelineStats pipeline;
+    pipeline.client_workers =
+        static_cast<int64_t>(client_config.engine.num_workers);
+    pipeline.server_workers =
+        static_cast<int64_t>(server_config.engine.num_workers);
+    pipeline.AddTo(&result.preprocessing_stats, &result.server.stats);
 
-    // Fold the run's observability into the result: the merge-at-join
-    // bags first, the live registry's aggregate last -- a few names
-    // (e.g. solver.queries) exist in both, and the registry's value is
-    // the run-wide total where the home solver's bag only saw the
-    // serial phases.
-    result.report.Add(result.preprocessing_stats);
-    result.report.Add(result.server.stats);
-    result.report.Add(solver->stats());
+    // Fold the run's observability into the result. The counter views
+    // sum: no event is counted in two of them (the worker solvers count
+    // into the server stats, the home solver only on itself).
+    obs::CounterView counters = result.preprocessing_stats;
+    counters.Merge(result.server.stats);
+    counters.Merge(solver->stats());
+    result.report.Add(counters);
     if (config.obs.metrics_on())
         result.report.Add(*config.obs.registry);
     if (config.obs.tracing_on())

@@ -80,9 +80,12 @@ struct AchillesResult
     ServerAnalysis server;
     PhaseTimings timings;
     NegateStats negate_stats;
-    StatsRegistry preprocessing_stats;
-    /** End-of-run observability summary (empty when AchillesConfig::obs
-     *  is unset): registry aggregate, merge-at-join bags, trace volume. */
+    /** The differentFrom precomputation's counters, plus the
+     *  client-extraction worker count. */
+    obs::CounterView preprocessing_stats;
+    /** End-of-run observability summary: the preprocessing, server and
+     *  home-solver counters summed, then (when AchillesConfig::obs
+     *  carries them) the registry aggregate and trace volume. */
     obs::RunReport report;
 };
 

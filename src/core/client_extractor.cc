@@ -9,6 +9,14 @@
 namespace achilles {
 namespace core {
 
+void
+ClientExtractorStats::AddTo(obs::CounterView *view) const
+{
+    view->Add("client.predicates", predicates);
+    view->Add("client.duplicate_predicates", duplicate_predicates);
+    view->Add("client.short_messages_skipped", short_messages_skipped);
+}
+
 ClientPredicate
 ExtractClientPredicate(smt::ExprContext *ctx, smt::Solver *solver,
                        const std::vector<const symexec::Program *> &clients,
@@ -16,6 +24,7 @@ ExtractClientPredicate(smt::ExprContext *ctx, smt::Solver *solver,
                        const ClientExtractorConfig &config)
 {
     ClientPredicate out;
+    ClientExtractorStats stats;
     CanonicalHasher hasher(ctx);
     std::unordered_set<uint64_t> seen;
     uint64_t next_id = 0;
@@ -34,7 +43,7 @@ ExtractClientPredicate(smt::ExprContext *ctx, smt::Solver *solver,
                 continue;
             for (const symexec::SentMessage &msg : path.sent) {
                 if (msg.bytes.size() < layout.length()) {
-                    out.stats.Bump("client.short_messages_skipped");
+                    ++stats.short_messages_skipped;
                     continue;
                 }
                 ClientPathPredicate pred;
@@ -49,7 +58,7 @@ ExtractClientPredicate(smt::ExprContext *ctx, smt::Solver *solver,
                                pred.constraints.end());
                     const uint64_t h = hasher.HashExprs(key);
                     if (!seen.insert(h).second) {
-                        out.stats.Bump("client.duplicate_predicates");
+                        ++stats.duplicate_predicates;
                         continue;
                     }
                 }
@@ -58,8 +67,8 @@ ExtractClientPredicate(smt::ExprContext *ctx, smt::Solver *solver,
             }
         }
     }
-    out.stats.Set("client.predicates",
-                  static_cast<int64_t>(out.paths.size()));
+    stats.predicates = static_cast<int64_t>(out.paths.size());
+    stats.AddTo(&out.stats);
     return out;
 }
 

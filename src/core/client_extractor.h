@@ -13,8 +13,8 @@
 
 #include "core/message.h"
 #include "core/path_predicate.h"
+#include "obs/metrics.h"
 #include "smt/solver.h"
-#include "support/stats.h"
 #include "symexec/engine.h"
 
 namespace achilles {
@@ -28,11 +28,24 @@ struct ClientExtractorConfig
     bool deduplicate = true;
 };
 
+/** Extraction counters (the extraction runs on the calling thread). */
+struct ClientExtractorStats
+{
+    int64_t predicates = 0;
+    int64_t duplicate_predicates = 0;
+    int64_t short_messages_skipped = 0;
+
+    /** The one place these counters are named ("client.*"). */
+    void AddTo(obs::CounterView *view) const;
+};
+
 /** Result of the extraction phase. */
 struct ClientPredicate
 {
     std::vector<ClientPathPredicate> paths;
-    StatsRegistry stats;
+    /** The extraction's counters plus every exploration's engine (and,
+     *  with workers, worker solver) counters. */
+    obs::CounterView stats;
 };
 
 /**

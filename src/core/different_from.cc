@@ -57,6 +57,15 @@ DefineField(smt::ExprContext *ctx, const MessageLayout *layout,
 }  // namespace
 
 void
+DifferentFromStats::AddTo(obs::CounterView *view) const
+{
+    view->Add("difffrom.independent_fields", independent_fields);
+    view->Add("difffrom.dependent_fields", dependent_fields);
+    view->Add("difffrom.value_classes", value_classes);
+    view->Add("difffrom.solver_queries", solver_queries);
+}
+
+void
 DifferentFromMatrix::Compute(const std::vector<ClientPathPredicate> &preds,
                              NegateOperator *negate_op)
 {
@@ -89,10 +98,10 @@ DifferentFromMatrix::Compute(const std::vector<ClientPathPredicate> &preds,
             }
         }
         if (!independent) {
-            stats_.Bump("difffrom.dependent_fields");
+            ++stats_.dependent_fields;
             continue;
         }
-        stats_.Bump("difffrom.independent_fields");
+        ++stats_.independent_fields;
 
         FieldRelation rel;
         rel.class_of.resize(n);
@@ -114,7 +123,7 @@ DifferentFromMatrix::Compute(const std::vector<ClientPathPredicate> &preds,
             rel.members[it->second].push_back(static_cast<uint32_t>(p));
         }
         const size_t c = rel.members.size();
-        stats_.Bump("difffrom.value_classes", static_cast<int64_t>(c));
+        stats_.value_classes += static_cast<int64_t>(c);
 
         // Pairwise class queries: does class A contain a field value
         // outside class B's value set?
@@ -137,7 +146,7 @@ DifferentFromMatrix::Compute(const std::vector<ClientPathPredicate> &preds,
                 std::vector<smt::ExprRef> query = defs[pa][f].constraints;
                 query.push_back(ctx_->MakeEq(probe, defs[pa][f].expr));
                 query.push_back(neg_b);
-                stats_.Bump("difffrom.solver_queries");
+                ++stats_.solver_queries;
                 if (solver_->CheckSat(query) == smt::CheckResult::kSat)
                     rel.different[a][b] = 1;
             }

@@ -40,11 +40,23 @@
 #include "core/negate.h"
 #include "core/path_predicate.h"
 #include "exec/prune_index.h"
+#include "obs/metrics.h"
 #include "smt/solver.h"
-#include "support/stats.h"
 
 namespace achilles {
 namespace core {
+
+/** Precomputation counters (single-threaded, like Compute). */
+struct DifferentFromStats
+{
+    int64_t independent_fields = 0;
+    int64_t dependent_fields = 0;
+    int64_t value_classes = 0;
+    int64_t solver_queries = 0;
+
+    /** The one place these counters are named ("difffrom.*"). */
+    void AddTo(obs::CounterView *view) const;
+};
 
 /** Precomputed differentFrom relation over client path predicates. */
 class DifferentFromMatrix
@@ -105,7 +117,8 @@ class DifferentFromMatrix
                          const exec::PruneFpVec &match_set,
                          std::string *field) const;
 
-    const StatsRegistry &stats() const { return stats_; }
+    /** The precomputation's counters as a name -> value view. */
+    obs::CounterView stats() const { return obs::ViewOf(stats_); }
 
   private:
     struct FieldRelation
@@ -124,7 +137,7 @@ class DifferentFromMatrix
     std::unordered_map<std::string, FieldRelation> per_field_;
     /** FieldToken -> field name, for the independent fields computed. */
     std::unordered_map<uint64_t, std::string> field_by_token_;
-    StatsRegistry stats_;
+    DifferentFromStats stats_;
 };
 
 }  // namespace core

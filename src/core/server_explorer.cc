@@ -119,7 +119,7 @@ class ServerExplorer::WorkerListener : public symexec::Listener
     }
 
     exec::WorkerContext *wc() { return wc_; }
-    StatsRegistry &stats() { return stats_; }
+    const ExplorerStats &stats() const { return stats_; }
     std::vector<LiveSetSample> &samples() { return samples_; }
     std::vector<TrojanWitness> &trojans() { return trojans_; }
 
@@ -131,7 +131,7 @@ class ServerExplorer::WorkerListener : public symexec::Listener
     std::vector<smt::ExprRef> message_;
     std::vector<exec::PruneFpVec> match_fps_;
     exec::PruneIndex *prune_ = nullptr;
-    StatsRegistry stats_;
+    ExplorerStats stats_;
     std::vector<LiveSetSample> samples_;
     std::vector<TrojanWitness> trojans_;
 };
@@ -228,6 +228,29 @@ ServerExplorer::ServerExplorer(
     }
 }
 
+void
+ExplorerStats::AddTo(obs::CounterView *view) const
+{
+    view->Add("explorer.match_queries", match_queries);
+    view->Add("explorer.trojan_queries", trojan_queries);
+    view->Add("explorer.predicate_drops", predicate_drops);
+    view->Add("explorer.difffrom_drops", difffrom_drops);
+    view->Add("explorer.core_drops", core_drops);
+    view->Add("explorer.core_subset_marks", core_subset_marks);
+    view->Add("explorer.core_field_marks", core_field_marks);
+    view->Add("explorer.overlay_drops", overlay_drops);
+    view->Add("explorer.overlay_field_marks", overlay_field_marks);
+    view->Add("explorer.prefilter_hits", prefilter_hits);
+    view->Add("explorer.prefilter_trojan_hits", prefilter_trojan_hits);
+    view->Add("explorer.trojan_core_subsumed", trojan_core_subsumed);
+    view->Add("explorer.blocked_by_unusable_negation",
+              blocked_by_unusable_negation);
+    view->Add("explorer.states_pruned", states_pruned);
+    view->Add("explorer.accepting_without_trojans",
+              accepting_without_trojans);
+    view->Add("explorer.trojans", trojans);
+}
+
 ServerExplorer::Plane
 ServerExplorer::HomePlane()
 {
@@ -238,7 +261,7 @@ ServerExplorer::HomePlane()
     p.negations = &negation_exprs_;
     p.message = &message_;
     p.match_fps = &home_match_fps_;
-    p.stats = &analysis_.stats;
+    p.stats = &home_stats_;
     p.samples = &analysis_.live_samples;
     p.trojans = &analysis_.trojans;
     p.prune = home_prune_.get();
@@ -285,7 +308,7 @@ ServerExplorer::PredicateMatches(Plane &plane, const symexec::State &state,
     // iterating i over the live set re-asserts the same base, which the
     // incremental solver backend turns into assumption flips over
     // already-blasted CNF.
-    plane.stats->Bump("explorer.match_queries");
+    ++plane.stats->match_queries;
     return plane.solver->CheckSatAssuming(state.constraints(),
                                           (*plane.match)[i]);
 }
@@ -342,7 +365,7 @@ ServerExplorer::CoreGuidedDrops(Plane &plane, const symexec::State &state,
             continue;
         if (smt::ContainsAllExprs((*plane.match)[j], match_part)) {
             (*decided)[j] = 3;
-            plane.stats->Bump("explorer.core_subset_marks");
+            ++plane.stats->core_subset_marks;
         }
     }
 
@@ -373,7 +396,7 @@ ServerExplorer::CoreGuidedDrops(Plane &plane, const symexec::State &state,
                 if ((*decided)[j] == 0 && j != i &&
                     !different_from_->Different(j, i, field)) {
                     (*decided)[j] = 3;
-                    plane.stats->Bump("explorer.core_field_marks");
+                    ++plane.stats->core_field_marks;
                 }
             }
             // Densify the differentFrom overlay: the single-field core
@@ -454,7 +477,7 @@ ServerExplorer::TrojanQuery(
         if ((*plane.negations)[i] == nullptr) {
             // An un-negatable live predicate blocks the whole query: we
             // cannot certify any message as outside its value set.
-            plane.stats->Bump("explorer.blocked_by_unusable_negation");
+            ++plane.stats->blocked_by_unusable_negation;
             return smt::CheckResult::kUnsat;
         }
         negations.push_back((*plane.negations)[i]);
@@ -472,7 +495,7 @@ ServerExplorer::TrojanQuery(
         if (standing != nullptr &&
             AllTrueUnder(path_constraints, *standing) &&
             AllTrueUnder(negations, *standing)) {
-            plane.stats->Bump("explorer.prefilter_trojan_hits");
+            ++plane.stats->prefilter_trojan_hits;
             return smt::CheckResult(smt::CheckStatus::kSat);
         }
     }
@@ -482,10 +505,10 @@ ServerExplorer::TrojanQuery(
     // cores (no-drop-on-kUnknown).
     const bool cores = model == nullptr && CoresUsable(plane);
     if (cores && TrojanSubsumedByCore(plane, path_fps, negations)) {
-        plane.stats->Bump("explorer.trojan_core_subsumed");
+        ++plane.stats->trojan_core_subsumed;
         return smt::CheckResult(smt::CheckStatus::kUnsat);
     }
-    plane.stats->Bump("explorer.trojan_queries");
+    ++plane.stats->trojan_queries;
     smt::CheckResult result = plane.solver->CheckSatAssuming(
         path_constraints, negations, model);
     if (cores && result == smt::CheckResult::kUnsat && result.has_core)
@@ -551,7 +574,6 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
         const bool path_holds =
             standing != nullptr &&
             AllTrueUnder(state.constraints(), *standing);
-        int64_t prefilter_hits = 0;
         std::vector<uint32_t> survivors;
         survivors.reserve(data->live.size());
         // Per-predicate verdicts: 1 = drop via the differentFrom value
@@ -559,11 +581,11 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
         std::vector<uint8_t> decided(preds_->size(), 0);
         for (uint32_t i : data->live) {
             if (decided[i] == 1) {
-                plane.stats->Bump("explorer.difffrom_drops");
+                ++plane.stats->difffrom_drops;
                 continue;
             }
             if (decided[i] == 3) {
-                plane.stats->Bump("explorer.core_drops");
+                ++plane.stats->core_drops;
                 continue;
             }
             if (decided[i] == 2) {
@@ -582,15 +604,14 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
                     plane.prune, plane.worker_id, path_fps,
                     (*plane.match_fps)[i], &overlay_field)) {
                 decided[i] = 3;
-                plane.stats->Bump("explorer.overlay_drops");
+                ++plane.stats->overlay_drops;
                 if (different_from_->IsIndependentField(overlay_field)) {
                     for (uint32_t j : data->live) {
                         if (decided[j] == 0 && j != i &&
                             !different_from_->Different(j, i,
                                                         overlay_field)) {
                             decided[j] = 3;
-                            plane.stats->Bump(
-                                "explorer.overlay_field_marks");
+                            ++plane.stats->overlay_field_marks;
                         }
                     }
                 }
@@ -603,7 +624,7 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
             // value-class marks and cores fire on exactly the same
             // queries as with the filter off.
             if (path_holds && AllTrueUnder((*plane.match)[i], *standing)) {
-                ++prefilter_hits;
+                ++plane.stats->prefilter_hits;
                 survivors.push_back(i);
                 decided[i] = 2;
                 continue;
@@ -615,7 +636,7 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
                 continue;
             }
             decided[i] = 1;
-            plane.stats->Bump("explorer.predicate_drops");
+            ++plane.stats->predicate_drops;
             if (single_independent_field) {
                 // Everything in i's value class (and any j that has no
                 // extra values for this field) dies with i.
@@ -632,13 +653,6 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
             if (cores_usable && r.has_core)
                 CoreGuidedDrops(plane, state, r, i, data->live, &decided);
         }
-        if (prefilter_hits > 0) {
-            plane.stats->Bump("explorer.prefilter_hits", prefilter_hits);
-            if (plane.obs.metrics_on()) {
-                plane.obs.CounterFor("explorer.prefilter_hits")
-                    .Bump(prefilter_hits);
-            }
-        }
         data->live = std::move(survivors);
     }
 
@@ -650,7 +664,7 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
             TrojanQuery(plane, state.constraints(), data->live, nullptr,
                         path_fps_ok ? &path_fps : nullptr);
         if (r == smt::CheckResult::kUnsat) {
-            plane.stats->Bump("explorer.states_pruned");
+            ++plane.stats->states_pruned;
             obs::TraceInstant(plane.obs.tracer, plane.obs.lane,
                               "explorer.state_pruned", "explorer", "state",
                               static_cast<int64_t>(state.id()));
@@ -668,7 +682,7 @@ ServerExplorer::EmitTrojan(Plane &plane, const symexec::State &state,
     const smt::CheckResult r =
         TrojanQuery(plane, state.constraints(), live, &model);
     if (r != smt::CheckResult::kSat) {
-        plane.stats->Bump("explorer.accepting_without_trojans");
+        ++plane.stats->accepting_without_trojans;
         return;
     }
     TrojanWitness witness;
@@ -687,7 +701,7 @@ ServerExplorer::EmitTrojan(Plane &plane, const symexec::State &state,
     witness.discovered_at_seconds = timer_.Seconds();
     witness.path_depth = state.depth();
     plane.trojans->push_back(std::move(witness));
-    plane.stats->Bump("explorer.trojans");
+    ++plane.stats->trojans;
     obs::TraceInstant(plane.obs.tracer, plane.obs.lane,
                       "explorer.trojan_witness", "explorer", "path",
                       static_cast<int64_t>(state.id()));
@@ -761,7 +775,7 @@ ServerExplorer::RunParallel()
     // worker contexts; translate them home so callers can re-solve them
     // against the home message variables, exactly as in a serial run.
     for (WorkerListener *listener : factory.created()) {
-        analysis_.stats.Merge(listener->stats());
+        listener->stats().AddTo(&analysis_.stats);
         analysis_.live_samples.insert(analysis_.live_samples.end(),
                                       listener->samples().begin(),
                                       listener->samples().end());
@@ -881,7 +895,7 @@ ServerExplorer::Run()
             witness.discovered_at_seconds = timer_.Seconds();
             witness.path_depth = path.depth;
             analysis_.trojans.push_back(std::move(witness));
-            analysis_.stats.Bump("explorer.trojans");
+            ++home_stats_.trojans;
         }
     }
 
@@ -889,6 +903,7 @@ ServerExplorer::Run()
         persist::CaptureKnowledge(home_prune_.get(), nullptr,
                                   config_.knowledge_out);
     }
+    home_stats_.AddTo(&analysis_.stats);
     if (home_prune_ != nullptr)
         home_prune_->ExportStats(&analysis_.stats);
     analysis_.seconds = timer_.Seconds();

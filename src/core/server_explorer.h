@@ -29,8 +29,8 @@
 #include "core/negate.h"
 #include "core/path_predicate.h"
 #include "exec/prune_index.h"
+#include "obs/metrics.h"
 #include "smt/solver.h"
-#include "support/stats.h"
 #include "support/timer.h"
 #include "symexec/engine.h"
 
@@ -155,6 +155,31 @@ struct LiveSetSample
     size_t live_predicates = 0;
 };
 
+/** Exploration-logic counters of one plane (the home plane or one
+ *  worker's). Only the thread driving the plane writes them. */
+struct ExplorerStats
+{
+    int64_t match_queries = 0;
+    int64_t trojan_queries = 0;
+    int64_t predicate_drops = 0;
+    int64_t difffrom_drops = 0;
+    int64_t core_drops = 0;
+    int64_t core_subset_marks = 0;
+    int64_t core_field_marks = 0;
+    int64_t overlay_drops = 0;
+    int64_t overlay_field_marks = 0;
+    int64_t prefilter_hits = 0;
+    int64_t prefilter_trojan_hits = 0;
+    int64_t trojan_core_subsumed = 0;
+    int64_t blocked_by_unusable_negation = 0;
+    int64_t states_pruned = 0;
+    int64_t accepting_without_trojans = 0;
+    int64_t trojans = 0;
+
+    /** The one place these counters are named ("explorer.*"). */
+    void AddTo(obs::CounterView *view) const;
+};
+
 /** Result of the server analysis phase. */
 struct ServerAnalysis
 {
@@ -162,7 +187,10 @@ struct ServerAnalysis
     /** All accepting paths (for the classic-SE comparison). */
     std::vector<symexec::PathResult> accepting_paths;
     std::vector<LiveSetSample> live_samples;
-    StatsRegistry stats;
+    /** Every plane's explorer counters, the engines' and (parallel
+     *  runs) the worker solvers' counters, and the knowledge stores'
+     *  exports. The home solver's counters stay on the solver. */
+    obs::CounterView stats;
     double seconds = 0.0;
 };
 
@@ -237,7 +265,7 @@ class ServerExplorer : public symexec::Listener
         /** Per-predicate sorted match fingerprints for overlay probes
          *  (empty vector = not fingerprintable, skip the index). */
         const std::vector<exec::PruneFpVec> *match_fps;
-        StatsRegistry *stats;
+        ExplorerStats *stats;
         std::vector<LiveSetSample> *samples;
         std::vector<TrojanWitness> *trojans;
         /** The shared pruning knowledge base (null = disabled). */
@@ -338,6 +366,8 @@ class ServerExplorer : public symexec::Listener
     std::vector<smt::ExprRef> negation_exprs_;
 
     ServerAnalysis analysis_;
+    /** The home plane's counters, added to analysis_.stats by Run. */
+    ExplorerStats home_stats_;
     /** The pruning knowledge base for serial runs and the a-posteriori
      *  pass (multi-worker runs use the ParallelEngine's instance). */
     std::unique_ptr<exec::PruneIndex> home_prune_;

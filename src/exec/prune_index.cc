@@ -440,31 +440,28 @@ PruneIndex::query_core_entries() const
 }
 
 void
-PruneIndex::ExportStats(StatsRegistry *stats) const
+PruneIndex::ExportStats(obs::CounterView *stats) const
 {
-    stats->Bump("prune.cores_recorded", Load(cores_recorded_));
-    stats->Bump("prune.core_hits", Load(core_hits_));
-    stats->Bump("prune.core_probes", Load(core_probes_));
-    stats->Bump("prune.overlay_probes", Load(overlay_probes_));
-    stats->Bump("prune.overlay_edges", Load(overlay_recorded_));
-    stats->Bump("prune.overlay_hits", Load(overlay_hits_));
-    stats->Bump("prune.query_cores_recorded",
-                Load(query_cores_recorded_));
-    stats->Bump("prune.query_core_hits", Load(query_core_hits_));
-    stats->Bump("prune.cross_worker_hits", Load(cross_hits_));
-    stats->Bump("prune.evictions", Load(evictions_));
-    stats->Bump("prune.hot_exemptions", Load(hot_exemptions_));
-    stats->Bump("prune.imported", Load(imported_));
-    // Bumped, not Set: a run can export more than one index (the
-    // ParallelEngine's shared instance plus the explorer's home one),
-    // and the honest gauge is their sum -- a Set would let whichever
-    // exports last clobber the other's entries.
-    stats->Bump("prune.core_entries",
-                static_cast<int64_t>(core_entries()));
-    stats->Bump("prune.overlay_entries",
-                static_cast<int64_t>(overlay_entries()));
-    stats->Bump("prune.query_core_entries",
-                static_cast<int64_t>(query_core_entries()));
+    stats->Add("prune.cores_recorded", Load(cores_recorded_));
+    stats->Add("prune.core_hits", Load(core_hits_));
+    stats->Add("prune.core_probes", Load(core_probes_));
+    stats->Add("prune.overlay_probes", Load(overlay_probes_));
+    stats->Add("prune.overlay_edges", Load(overlay_recorded_));
+    stats->Add("prune.overlay_hits", Load(overlay_hits_));
+    stats->Add("prune.query_cores_recorded", Load(query_cores_recorded_));
+    stats->Add("prune.query_core_hits", Load(query_core_hits_));
+    stats->Add("prune.cross_worker_hits", Load(cross_hits_));
+    stats->Add("prune.evictions", Load(evictions_));
+    stats->Add("prune.hot_exemptions", Load(hot_exemptions_));
+    stats->Add("prune.imported", Load(imported_));
+    // Summed like every view entry: a run can export more than one
+    // index (the ParallelEngine's shared instance plus the explorer's
+    // home one), and the honest gauge is their sum.
+    stats->Add("prune.core_entries", static_cast<int64_t>(core_entries()));
+    stats->Add("prune.overlay_entries",
+               static_cast<int64_t>(overlay_entries()));
+    stats->Add("prune.query_core_entries",
+               static_cast<int64_t>(query_core_entries()));
 }
 
 }  // namespace exec

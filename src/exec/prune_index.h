@@ -74,8 +74,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "smt/expr.h"
-#include "support/stats.h"
 
 namespace achilles {
 namespace exec {
@@ -242,7 +242,7 @@ class PruneIndex
     int64_t hot_exemptions() const { return Load(hot_exemptions_); }
 
     /** Export counters ("prune.cores_recorded" et al.). */
-    void ExportStats(StatsRegistry *stats) const;
+    void ExportStats(obs::CounterView *stats) const;
 
   private:
     struct FpHash

@@ -175,12 +175,12 @@ QueryCache::size() const
 }
 
 void
-QueryCache::ExportStats(StatsRegistry *stats) const
+QueryCache::ExportStats(obs::CounterView *stats) const
 {
-    stats->Bump("exec.queries_cached", hits());
-    stats->Bump("exec.query_cache_misses", misses());
-    stats->Bump("exec.query_cache_collisions", collisions());
-    stats->Set("exec.query_cache_entries", static_cast<int64_t>(size()));
+    stats->Add("exec.queries_cached", hits());
+    stats->Add("exec.query_cache_misses", misses());
+    stats->Add("exec.query_cache_collisions", collisions());
+    stats->Add("exec.query_cache_entries", static_cast<int64_t>(size()));
 }
 
 void

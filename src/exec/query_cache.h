@@ -33,7 +33,6 @@
 
 #include "exec/prune_index.h"
 #include "smt/solver.h"
-#include "support/stats.h"
 
 namespace achilles {
 namespace exec {
@@ -177,7 +176,7 @@ class QueryCache
     size_t size() const;
 
     /** Export counters ("exec.queries_cached" et al.) into a registry. */
-    void ExportStats(StatsRegistry *stats) const;
+    void ExportStats(obs::CounterView *stats) const;
 
   private:
     struct Entry

@@ -153,10 +153,10 @@ WorkStealingScheduler::Stop()
 }
 
 void
-WorkStealingScheduler::ExportStats(StatsRegistry *stats) const
+WorkStealingScheduler::ExportStats(obs::CounterView *stats) const
 {
-    stats->Bump("exec.states_stolen", states_stolen());
-    stats->Bump("exec.steal_batches", steal_batches());
+    stats->Add("exec.states_stolen", states_stolen());
+    stats->Add("exec.steal_batches", steal_batches());
 }
 
 }  // namespace exec

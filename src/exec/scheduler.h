@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "support/rng.h"
-#include "support/stats.h"
 #include "symexec/engine.h"
 #include "symexec/state.h"
 
@@ -106,7 +105,7 @@ class WorkStealingScheduler
     }
 
     /** Export scheduler counters into a registry. */
-    void ExportStats(StatsRegistry *stats) const;
+    void ExportStats(obs::CounterView *stats) const;
 
   private:
     struct WorkerDeque

@@ -175,7 +175,7 @@ ParallelEngine::Run()
     scheduler_->ExportStats(&stats_);
     cache_->ExportStats(&stats_);
     prune_index_->ExportStats(&stats_);
-    stats_.Set("exec.workers", static_cast<int64_t>(n));
+    stats_.Add("exec.workers", static_cast<int64_t>(n));
 
     // The gauges registered above read components this engine owns;
     // freeze them to their final values so a heartbeat (or RunReport)
@@ -246,7 +246,7 @@ std::vector<symexec::PathResult>
 RunExploration(smt::ExprContext *ctx, smt::Solver *solver,
                const symexec::Program *program, symexec::Mode mode,
                const symexec::EngineConfig &config,
-               std::vector<smt::ExprRef> incoming, StatsRegistry *stats)
+               std::vector<smt::ExprRef> incoming, obs::CounterView *stats)
 {
     if (config.num_workers > 1) {
         ParallelEngine engine(ctx, program, mode, config,

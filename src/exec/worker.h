@@ -44,8 +44,8 @@
 #include "exec/prune_index.h"
 #include "exec/query_cache.h"
 #include "exec/scheduler.h"
+#include "obs/metrics.h"
 #include "smt/solver.h"
-#include "support/stats.h"
 #include "symexec/engine.h"
 
 namespace achilles {
@@ -139,7 +139,9 @@ class ParallelEngine
      */
     std::vector<symexec::PathResult> Run();
 
-    const StatsRegistry &stats() const { return stats_; }
+    /** Every worker engine's and solver's counters plus the shared
+     *  stores' exports, merged after the join. */
+    const obs::CounterView &stats() const { return stats_; }
 
     size_t num_workers() const { return workers_.size(); }
     WorkerContext &worker(size_t i) { return *workers_[i]; }
@@ -166,7 +168,7 @@ class ParallelEngine
     std::vector<std::unique_ptr<WorkerContext>> workers_;
     std::vector<std::unique_ptr<symexec::Listener>> listeners_;
     std::atomic<size_t> finished_paths_{0};
-    StatsRegistry stats_;
+    obs::CounterView stats_;
     KnowledgeHook restore_hook_;
     KnowledgeHook capture_hook_;
     bool ran_ = false;
@@ -182,7 +184,7 @@ std::vector<symexec::PathResult> RunExploration(
     smt::ExprContext *ctx, smt::Solver *solver,
     const symexec::Program *program, symexec::Mode mode,
     const symexec::EngineConfig &config,
-    std::vector<smt::ExprRef> incoming, StatsRegistry *stats);
+    std::vector<smt::ExprRef> incoming, obs::CounterView *stats);
 
 }  // namespace exec
 }  // namespace achilles

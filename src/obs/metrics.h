@@ -1,9 +1,9 @@
 // Achilles reproduction -- observability layer.
 //
 // Run-wide metrics: a sharded, thread-safe registry of named counters
-// and value distributions, in the S2E execution-tracer spirit the old
-// support/stats.h header cited -- but legal to touch from the parallel
-// exec/ subsystem. Three kinds of instrument:
+// and value distributions, in the S2E execution-tracer spirit -- legal
+// to touch from the parallel exec/ subsystem. Three kinds of
+// instrument:
 //
 //   Counter       monotonically bumped integer; one lock-free slot per
 //                 shard (a shard is one worker thread's lane), relaxed
@@ -23,9 +23,12 @@
 // mid-run (reading relaxed atomics, never locking a hot structure) and
 // by RunReport at exit.
 //
-// LocalStats is the thread-safe replacement for the old StatsRegistry
-// map bag (support/stats.h aliases to it): same merge-at-join surface,
-// now safe against stray cross-thread bumps.
+// Component-private counts do not go through the registry. Each
+// component (SAT solver, solver facade, engine, explorer planes, ...)
+// counts on a struct of plain int64_t fields that only its owning
+// thread writes, and names them in one AddTo(CounterView *) function.
+// CounterView below is the read-out built from those lists: what
+// `stats()` accessors return and what join-time merges sum.
 
 #ifndef ACHILLES_OBS_METRICS_H_
 #define ACHILLES_OBS_METRICS_H_
@@ -173,86 +176,55 @@ class MetricsRegistry
 };
 
 /**
- * Thread-safe named counter bag with the old StatsRegistry surface
- * (Bump/Set/Get/All/Merge/Dump). Used for merge-at-join accounting
- * (per-worker engines and solvers keep private bags merged after the
- * threads join) where the map-bag idiom is fine; the sharded
- * MetricsRegistry above is the live, run-wide layer. The mutex makes
- * stray cross-thread bumps safe instead of undefined.
+ * A plain name -> value read-out of typed counters. Built from a stats
+ * struct's AddTo list (ViewOf) after, or on the thread of, the
+ * counting; merges sum entries by name. No mutex: nothing writes a view
+ * on a hot path, and a view is never shared between running threads.
  */
-class LocalStats
+class CounterView
 {
   public:
-    LocalStats() = default;
-    LocalStats(const LocalStats &other) { counters_ = other.Snapshot(); }
-    LocalStats &
-    operator=(const LocalStats &other)
-    {
-        if (this != &other) {
-            auto copy = other.Snapshot();
-            std::lock_guard<std::mutex> lock(mutex_);
-            counters_ = std::move(copy);
-        }
-        return *this;
-    }
-
-    /** Add delta to the named counter (creating it at zero). */
+    /** Add `value` to the named entry (creating it at zero). */
     void
-    Bump(const std::string &name, int64_t delta = 1)
+    Add(const std::string &name, int64_t value)
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        counters_[name] += delta;
+        values_[name] += value;
     }
 
-    /** Set the named counter to an absolute value. */
-    void
-    Set(const std::string &name, int64_t value)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        counters_[name] = value;
-    }
-
-    /** Read a counter; zero if it was never touched. */
+    /** Read an entry; zero if absent. */
     int64_t
     Get(const std::string &name) const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = counters_.find(name);
-        return it == counters_.end() ? 0 : it->second;
+        const auto it = values_.find(name);
+        return it == values_.end() ? 0 : it->second;
     }
 
-    /** All counters, sorted by name (a consistent snapshot). */
-    std::map<std::string, int64_t> All() const { return Snapshot(); }
+    /** All entries, sorted by name (a copy, so reading it off a
+     *  temporary view, as in `solver.stats().All()`, is safe). */
+    std::map<std::string, int64_t> All() const { return values_; }
 
-    /** Merge another bag into this one (summing counters). */
+    /** Sum another view into this one. Safe on itself: every name
+     *  already exists, so the loop inserts nothing while iterating. */
     void
-    Merge(const LocalStats &other)
+    Merge(const CounterView &other)
     {
-        auto snap = other.Snapshot();  // no double-lock, safe on self
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto &[name, value] : snap)
-            counters_[name] += value;
-    }
-
-    /** Pretty-print all counters, one per line. */
-    void
-    Dump(std::ostream &os, const std::string &prefix = "") const
-    {
-        for (const auto &[name, value] : Snapshot())
-            os << prefix << name << " = " << value << "\n";
+        for (const auto &[name, value] : other.values_)
+            values_[name] += value;
     }
 
   private:
-    std::map<std::string, int64_t>
-    Snapshot() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return counters_;
-    }
-
-    mutable std::mutex mutex_;
-    std::map<std::string, int64_t> counters_;
+    std::map<std::string, int64_t> values_;
 };
+
+/** The view of one stats struct: whatever its AddTo lists. */
+template <typename Stats>
+CounterView
+ViewOf(const Stats &stats)
+{
+    CounterView view;
+    stats.AddTo(&view);
+    return view;
+}
 
 }  // namespace obs
 }  // namespace achilles

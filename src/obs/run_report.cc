@@ -30,9 +30,9 @@ RunReport::Get(const std::string &name, bool *found) const
 }
 
 void
-RunReport::Add(const LocalStats &stats)
+RunReport::Add(const CounterView &counters)
 {
-    for (const auto &[name, value] : stats.All())
+    for (const auto &[name, value] : counters.All())
         Set(name, static_cast<double>(value));
 }
 

@@ -41,8 +41,8 @@ class RunReport
     /** Read one entry; 0 if absent (`found` reports presence). */
     double Get(const std::string &name, bool *found = nullptr) const;
 
-    /** Fold a merge-at-join counter bag in (names kept verbatim). */
-    void Add(const LocalStats &stats);
+    /** Fold a counter view in (names kept verbatim). */
+    void Add(const CounterView &counters);
 
     /** Fold the live registry's aggregate in, flattening
      *  distributions to .count/.sum/.min/.max/.mean. */

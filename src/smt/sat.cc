@@ -31,6 +31,24 @@ constexpr int64_t kLearntGrowthPct = 10;
 
 }  // namespace
 
+void
+SatStats::AddTo(obs::CounterView *view) const
+{
+    view->Add("sat.solve_calls", solve_calls);
+    view->Add("sat.decisions", decisions);
+    view->Add("sat.propagations", propagations);
+    view->Add("sat.conflicts", conflicts);
+    view->Add("sat.restarts", restarts);
+    view->Add("sat.budget_exhausted", budget_exhausted);
+    view->Add("sat.learnt_clauses", learnt_clauses);
+    view->Add("sat.reduce_dbs", reduce_dbs);
+    view->Add("sat.learnts_removed", learnts_removed);
+    view->Add("sat.solution_reuses", solution_reuses);
+    view->Add("sat.trail_reuses", trail_reuses);
+    view->Add("sat.trail_levels_reused", trail_levels_reused);
+    view->Add("sat.core_minimize_probes", core_minimize_probes);
+}
+
 SatSolver::SatSolver() = default;
 
 uint32_t
@@ -178,7 +196,7 @@ SatSolver::AllocClause(const std::vector<Lit> &lits, bool learnt)
     if (learnt) {
         arena_.push_back(0);
         SetClauseActivity(cref, 0.0f);
-        stats_.Bump("sat.learnt_clauses");
+        ++stats_.learnt_clauses;
     }
     return cref;
 }
@@ -238,7 +256,7 @@ SatSolver::Propagate()
     ClauseRef conflict = kNoClause;
     while (qhead_ < trail_.size()) {
         const Lit p = trail_[qhead_++];
-        stats_.Bump("sat.propagations");
+        ++stats_.propagations;
         std::vector<Watcher> &ws = watches_[p.code()];
         size_t keep = 0;
         size_t i = 0;
@@ -428,7 +446,7 @@ void
 SatSolver::ReduceDB()
 {
     ACHILLES_CHECK(DecisionLevel() == 0, "ReduceDB off the root level");
-    stats_.Bump("sat.reduce_dbs");
+    ++stats_.reduce_dbs;
 
     // Binary learnts are cheap and valuable; locked clauses (the current
     // reason for a root-level assignment) must survive. Everything else
@@ -452,8 +470,8 @@ SatSolver::ReduceDB()
                   return aa != ab ? aa > ab : a < b;
               });
     const size_t survivors = candidates.size() / 2;
-    stats_.Bump("sat.learnts_removed",
-                static_cast<int64_t>(candidates.size() - survivors));
+    stats_.learnts_removed +=
+        static_cast<int64_t>(candidates.size() - survivors);
     candidates.resize(survivors);
     keep.insert(keep.end(), candidates.begin(), candidates.end());
     learnts_ = std::move(keep);
@@ -604,7 +622,7 @@ SatSolver::MinimizeCore()
             if (j != i)
                 candidate.push_back(work[j]);
         }
-        stats_.Bump("sat.core_minimize_probes");
+        ++stats_.core_minimize_probes;
         if (Search(candidate, /*max_conflicts=*/-1,
                    /*refute_only=*/true) == SatStatus::kUnsat) {
             work = core_;  // the refined core (subset of candidate)
@@ -623,7 +641,7 @@ SatSolver::Solve(const std::vector<Lit> &assumptions, int64_t max_conflicts)
         core_.clear();
         return SatStatus::kUnsat;
     }
-    stats_.Bump("sat.solve_calls");
+    ++stats_.solve_calls;
     const SatStatus status = Search(assumptions, max_conflicts);
     // Cores of at most two literals skip the deletion loop: a
     // conflicting pair is already minimal unless one member is
@@ -666,7 +684,7 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
         if (satisfied) {
             model_ = assigns_;
             core_.clear();
-            stats_.Bump("sat.solution_reuses");
+            ++stats_.solution_reuses;
             return SatStatus::kSat;
         }
     }
@@ -687,8 +705,8 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
         }
     }
     if (keep_level > 0) {
-        stats_.Bump("sat.trail_reuses");
-        stats_.Bump("sat.trail_levels_reused", keep_level);
+        ++stats_.trail_reuses;
+        stats_.trail_levels_reused += keep_level;
     }
     BacktrackTo(keep_level);
     if (learnt_cap_ <= 0) {
@@ -710,7 +728,7 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
         const ClauseRef conflict = Propagate();
         if (conflict != kNoClause) {
             ++conflicts;
-            stats_.Bump("sat.conflicts");
+            ++stats_.conflicts;
             if (DecisionLevel() == 0) {
                 ok_ = false;
                 core_.clear();
@@ -763,14 +781,14 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
                                       assumption_trail_.size())
                                 : 0);
                 core_.clear();
-                stats_.Bump("sat.budget_exhausted");
+                ++stats_.budget_exhausted;
                 return SatStatus::kUnknown;
             }
             if (conflicts - conflicts_at_restart >= restart_budget) {
                 conflicts_at_restart = conflicts;
                 restart_budget =
                     static_cast<int64_t>(restart_budget * kRestartGrowth);
-                stats_.Bump("sat.restarts");
+                ++stats_.restarts;
                 BacktrackTo(0);
                 if (static_cast<int64_t>(learnts_.size()) >= learnt_cap_) {
                     ReduceDB();
@@ -825,7 +843,7 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
             core_.clear();
             return SatStatus::kSat;
         }
-        stats_.Bump("sat.decisions");
+        ++stats_.decisions;
         NewDecisionLevel();
         Enqueue(next, kNoClause);
     }

@@ -11,8 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "support/logging.h"
-#include "support/stats.h"
 
 namespace achilles {
 namespace smt {
@@ -48,6 +48,27 @@ enum class LBool : uint8_t { kFalse = 0, kTrue = 1, kUndef = 2 };
 
 /** Result of a Solve() call. */
 enum class SatStatus { kSat, kUnsat, kUnknown };
+
+/** SAT search counters. Only the owning solver's thread writes them. */
+struct SatStats
+{
+    int64_t solve_calls = 0;
+    int64_t decisions = 0;
+    int64_t propagations = 0;
+    int64_t conflicts = 0;
+    int64_t restarts = 0;
+    int64_t budget_exhausted = 0;
+    int64_t learnt_clauses = 0;
+    int64_t reduce_dbs = 0;
+    int64_t learnts_removed = 0;
+    int64_t solution_reuses = 0;
+    int64_t trail_reuses = 0;
+    int64_t trail_levels_reused = 0;
+    int64_t core_minimize_probes = 0;
+
+    /** The one place these counters are named ("sat.*"). */
+    void AddTo(obs::CounterView *view) const;
+};
 
 /**
  * CDCL SAT solver.
@@ -147,8 +168,10 @@ class SatSolver
     void SetLearntCap(int64_t cap) { learnt_cap_ = cap; }
     size_t NumLearnts() const { return learnts_.size(); }
 
-    /** Solver statistics (conflicts, decisions, propagations...). */
-    const StatsRegistry &stats() const { return stats_; }
+    /** Typed counters (conflicts, decisions, propagations...). */
+    const SatStats &counters() const { return stats_; }
+    /** The counters as a name -> value view. */
+    obs::CounterView stats() const { return obs::ViewOf(stats_); }
 
   private:
     // Clauses are stored in one arena; a clause is referenced by its
@@ -258,7 +281,7 @@ class SatSolver
     // Conflict analysis scratch.
     std::vector<uint8_t> seen_;
 
-    StatsRegistry stats_;
+    SatStats stats_;
 };
 
 }  // namespace smt

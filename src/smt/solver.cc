@@ -36,13 +36,32 @@ struct Solver::IncrementalBackend
     IncrementalBackend() : blaster(&sat) {}
 };
 
+void
+SolverStats::AddTo(obs::CounterView *view) const
+{
+    view->Add("solver.queries", queries);
+    view->Add("solver.trivial_sat", trivial_sat);
+    view->Add("solver.trivial_unsat", trivial_unsat);
+    view->Add("solver.cache_hits", cache_hits);
+    view->Add("solver.cache_model_upgrades", cache_model_upgrades);
+    view->Add("solver.interval_unsat", interval_unsat);
+    view->Add("solver.interval_cores", interval_cores);
+    view->Add("solver.sat_calls", sat_calls);
+    view->Add("solver.incremental_sat_calls", incremental_sat_calls);
+    view->Add("solver.incremental_resets", incremental_resets);
+    view->Add("solver.sat_conflicts", sat_conflicts);
+    view->Add("solver.sat_decisions", sat_decisions);
+    view->Add("solver.trail_reuses", trail_reuses);
+    view->Add("solver.cores_extracted", cores_extracted);
+    view->Add("solver.core_literals", core_literals);
+}
+
 Solver::Solver(ExprContext *ctx, SolverConfig config)
     : ctx_(ctx), config_(config)
 {
     if (config_.obs.metrics_on()) {
         obs_queries_ = config_.obs.CounterFor("solver.queries");
         obs_unknowns_ = config_.obs.CounterFor("solver.unknowns");
-        obs_memo_hits_ = config_.obs.CounterFor("solver.memo_hits");
         obs_conflicts_ = config_.obs.DistributionFor("solver.conflicts");
         obs_core_size_ = config_.obs.DistributionFor("solver.core_size");
     }
@@ -145,7 +164,7 @@ CheckResult
 Solver::CheckSatSets(const std::vector<ExprRef> &base,
                      const std::vector<ExprRef> *extras, Model *model)
 {
-    stats_.Bump("solver.queries");
+    ++stats_.queries;
 
     // Observability: one span per query on this solver's lane, finalized
     // with verdict/conflicts/core by `finish` below on every return
@@ -154,15 +173,14 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
     obs::ScopedSpan span(config_.obs.tracer, config_.obs.lane,
                          "solver.query", "solver");
     const bool obs_on = config_.obs.enabled();
-    const int64_t obs_conflicts_before =
-        obs_on ? stats_.Get("solver.sat_conflicts") : 0;
+    const int64_t conflicts_before = stats_.sat_conflicts;
     const auto finish = [&](CheckResult result) -> CheckResult {
         obs_queries_.Bump();
         if (result.status == CheckStatus::kUnknown)
             obs_unknowns_.Bump();
         if (obs_on) {
             const int64_t conflicts =
-                stats_.Get("solver.sat_conflicts") - obs_conflicts_before;
+                stats_.sat_conflicts - conflicts_before;
             obs_conflicts_.Record(conflicts);
             span.AddArg("conflicts", conflicts);
             span.AddArg("assertions",
@@ -193,7 +211,7 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
     std::vector<uint32_t> caller_index;
     uint32_t false_index = 0;
     if (!Canonicalize(base, extras, &live, &caller_index, &false_index)) {
-        stats_.Bump("solver.trivial_unsat");
+        ++stats_.trivial_unsat;
         if (model)
             *model = Model();
         CheckResult result(CheckStatus::kUnsat);
@@ -204,7 +222,7 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
         return finish(result);
     }
     if (live.empty()) {
-        stats_.Bump("solver.trivial_sat");
+        ++stats_.trivial_sat;
         if (model)
             *model = Model();
         return finish(CheckStatus::kSat);
@@ -227,8 +245,7 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
         if (it != cache_.end()) {
             CacheEntry &entry = it->second;
             if (model == nullptr || entry.has_model) {
-                stats_.Bump("solver.cache_hits");
-                obs_memo_hits_.Bump();
+                ++stats_.cache_hits;
                 if (model)
                     *model = entry.model;
                 CheckResult result(entry.status);
@@ -241,7 +258,7 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
             // kSat cached off the model-less incremental path but the
             // caller wants a witness: fall through to the fresh solve
             // and fill the entry in place.
-            stats_.Bump("solver.cache_model_upgrades");
+            ++stats_.cache_model_upgrades;
             upgrade_entry = &entry;
         }
     }
@@ -256,8 +273,8 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
         if (core_path) {
             std::vector<uint32_t> interval_core;
             if (checker.DefinitelyUnsatWithCore(live, &interval_core)) {
-                stats_.Bump("solver.interval_unsat");
-                stats_.Bump("solver.interval_cores");
+                ++stats_.interval_unsat;
+                ++stats_.interval_cores;
                 if (config_.enable_cache) {
                     cache_.emplace(
                         live, CacheEntry{CheckStatus::kUnsat,
@@ -271,7 +288,7 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
                 return finish(result);
             }
         } else if (checker.DefinitelyUnsat(live)) {
-            stats_.Bump("solver.interval_unsat");
+            ++stats_.interval_unsat;
             if (config_.enable_cache) {
                 cache_.emplace(live,
                                CacheEntry{CheckStatus::kUnsat,
@@ -343,14 +360,14 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
 CheckStatus
 Solver::SolveFresh(const std::vector<ExprRef> &live, Model *out_model)
 {
-    stats_.Bump("solver.sat_calls");
+    ++stats_.sat_calls;
     SatSolver sat;
     BitBlaster blaster(&sat);
     for (ExprRef e : live)
         blaster.AssertTrue(e);
     const SatStatus status = sat.Solve({}, config_.max_conflicts);
-    stats_.Bump("solver.sat_conflicts", sat.stats().Get("sat.conflicts"));
-    stats_.Bump("solver.sat_decisions", sat.stats().Get("sat.decisions"));
+    stats_.sat_conflicts += sat.counters().conflicts;
+    stats_.sat_decisions += sat.counters().decisions;
 
     switch (status) {
       case SatStatus::kUnsat:
@@ -380,14 +397,11 @@ void
 Solver::EnsureIncrementalBackend()
 {
     if (inc_ && inc_->sat.NumVars() > config_.incremental_max_vars) {
-        stats_.Bump("solver.incremental_resets");
+        ++stats_.incremental_resets;
         // A deferred standing assignment lives in the instance about to
         // die; pull it into the rolling model first.
         RefreshStandingModel();
         inc_.reset();
-        inc_conflicts_seen_ = 0;
-        inc_decisions_seen_ = 0;
-        inc_trail_reuses_seen_ = 0;
     }
     if (!inc_)
         inc_ = std::make_unique<IncrementalBackend>();
@@ -402,20 +416,6 @@ Solver::GuardAssertions(const std::vector<ExprRef> &live,
         assumptions->push_back(inc_->blaster.ActivationLit(e));
 }
 
-void
-Solver::DrainIncrementalStats()
-{
-    const int64_t conflicts = inc_->sat.stats().Get("sat.conflicts");
-    const int64_t decisions = inc_->sat.stats().Get("sat.decisions");
-    const int64_t reuses = inc_->sat.stats().Get("sat.trail_reuses");
-    stats_.Bump("solver.sat_conflicts", conflicts - inc_conflicts_seen_);
-    stats_.Bump("solver.sat_decisions", decisions - inc_decisions_seen_);
-    stats_.Bump("solver.trail_reuses", reuses - inc_trail_reuses_seen_);
-    inc_conflicts_seen_ = conflicts;
-    inc_decisions_seen_ = decisions;
-    inc_trail_reuses_seen_ = reuses;
-}
-
 CheckStatus
 Solver::SolveIncremental(const std::vector<ExprRef> &live, bool *has_core,
                          std::vector<uint32_t> *core)
@@ -423,15 +423,19 @@ Solver::SolveIncremental(const std::vector<ExprRef> &live, bool *has_core,
     *has_core = false;
     core->clear();
     EnsureIncrementalBackend();
-    stats_.Bump("solver.incremental_sat_calls");
+    ++stats_.incremental_sat_calls;
     inc_->sat.SetMinimizeCore(config_.enable_cores);
     inc_->sat.SetTrailReuse(config_.enable_trail_reuse);
 
     std::vector<Lit> assumptions;
     GuardAssertions(live, &assumptions);
+    const SatStats before = inc_->sat.counters();
     const SatStatus status =
         inc_->sat.Solve(assumptions, config_.max_conflicts);
-    DrainIncrementalStats();
+    const SatStats &after = inc_->sat.counters();
+    stats_.sat_conflicts += after.conflicts - before.conflicts;
+    stats_.sat_decisions += after.decisions - before.decisions;
+    stats_.trail_reuses += after.trail_reuses - before.trail_reuses;
 
     switch (status) {
       case SatStatus::kUnsat:
@@ -450,9 +454,8 @@ Solver::SolveIncremental(const std::vector<ExprRef> &live, bool *has_core,
                     break;
                 core->push_back(k++);
             }
-            stats_.Bump("solver.cores_extracted");
-            stats_.Bump("solver.core_literals",
-                        static_cast<int64_t>(core->size()));
+            ++stats_.cores_extracted;
+            stats_.core_literals += static_cast<int64_t>(core->size());
         }
         return CheckStatus::kUnsat;
       case SatStatus::kUnknown: return CheckStatus::kUnknown;

@@ -18,7 +18,6 @@
 #include "smt/eval.h"
 #include "smt/expr.h"
 #include "smt/sat.h"
-#include "support/stats.h"
 
 namespace achilles {
 namespace smt {
@@ -98,6 +97,30 @@ CheckResultName(const CheckResult &r)
     return CheckResultName(r.status);
 }
 
+/** Solver-facade counters. Only the owning solver's thread writes
+ *  them; the sat_* fields sum the SAT backend's per-call deltas. */
+struct SolverStats
+{
+    int64_t queries = 0;
+    int64_t trivial_sat = 0;
+    int64_t trivial_unsat = 0;
+    int64_t cache_hits = 0;
+    int64_t cache_model_upgrades = 0;
+    int64_t interval_unsat = 0;
+    int64_t interval_cores = 0;
+    int64_t sat_calls = 0;
+    int64_t incremental_sat_calls = 0;
+    int64_t incremental_resets = 0;
+    int64_t sat_conflicts = 0;
+    int64_t sat_decisions = 0;
+    int64_t trail_reuses = 0;
+    int64_t cores_extracted = 0;
+    int64_t core_literals = 0;
+
+    /** The one place these counters are named ("solver.*"). */
+    void AddTo(obs::CounterView *view) const;
+};
+
 /** Tunables for the solver facade. */
 struct SolverConfig
 {
@@ -171,8 +194,9 @@ struct SolverConfig
     bool enable_trail_reuse = true;
     /**
      * Observability sinks (src/obs/obs.h): when the registry is set the
-     * solver bumps live per-lane counters/distributions next to its
-     * merge-at-join stats bag; when the tracer is set every
+     * solver also bumps the live per-lane query counters and
+     * distributions the heartbeat samples (its typed SolverStats count
+     * either way); when the tracer is set every
      * CheckSat/CheckSatAssuming records one span on the lane's track,
      * annotated with conflicts spent, verdict and core size. Default
      * (both null) leaves a single branch per query -- instrumentation is
@@ -270,7 +294,8 @@ class Solver
 
     ExprContext *ctx() { return ctx_; }
     const SolverConfig &config() const { return config_; }
-    const StatsRegistry &stats() const { return stats_; }
+    /** The solver's counters as a name -> value view. */
+    obs::CounterView stats() const { return obs::ViewOf(stats_); }
 
   protected:
     /**
@@ -330,9 +355,6 @@ class Solver
      *  the incremental backend to `assumptions`. */
     void GuardAssertions(const std::vector<ExprRef> &live,
                          std::vector<Lit> *assumptions);
-    /** Fold the persistent instance's cumulative SAT counters into this
-     *  solver's stats as deltas since the last fold. */
-    void DrainIncrementalStats();
     /** Merge a deferred incremental-path kSat assignment into the
      *  rolling standing model. Must run before the backend that holds
      *  the assignment is dropped; no-op when nothing is pending. */
@@ -346,9 +368,6 @@ class Solver
     std::unordered_map<std::vector<ExprRef>, CacheEntry, AssertionsHash>
         cache_;
     std::unique_ptr<IncrementalBackend> inc_;
-    int64_t inc_conflicts_seen_ = 0;
-    int64_t inc_decisions_seen_ = 0;
-    int64_t inc_trail_reuses_seen_ = 0;
     /** Rolling concrete assignment from past kSat answers (see
      *  SolverConfig::retain_models and StandingModel()). */
     Model standing_model_;
@@ -359,12 +378,11 @@ class Solver
      *  so it is deferred to the first StandingModel() read instead of
      *  taxing every query. */
     std::vector<ExprRef> standing_live_;
-    StatsRegistry stats_;
+    SolverStats stats_;
     /** Live obs instruments on this solver's lane shard (inert handles
      *  when config_.obs carries no registry). */
     obs::MetricsRegistry::Counter obs_queries_;
     obs::MetricsRegistry::Counter obs_unknowns_;
-    obs::MetricsRegistry::Counter obs_memo_hits_;
     obs::MetricsRegistry::Distribution obs_conflicts_;
     obs::MetricsRegistry::Distribution obs_core_size_;
 };

@@ -23,6 +23,26 @@ PathOutcomeName(PathOutcome o)
     ACHILLES_UNREACHABLE("bad PathOutcome");
 }
 
+void
+EngineStats::AddTo(obs::CounterView *view) const
+{
+    view->Add("engine.instructions", instructions);
+    view->Add("engine.states_created", states_created);
+    view->Add("engine.forks", forks);
+    view->Add("engine.paths_finished", paths_finished);
+    view->Add("engine.finished_path_drops", finished_path_drops);
+    view->Add("engine.state_budget_drops", state_budget_drops);
+    view->Add("engine.listener_pruned", listener_pruned);
+    view->Add("engine.sends", sends);
+    view->Add("engine.error_replies", error_replies);
+    view->Add("engine.symbolic_inputs", symbolic_inputs);
+    view->Add("engine.make_symbolic", make_symbolic);
+    view->Add("engine.oob_reads", oob_reads);
+    view->Add("engine.oob_writes", oob_writes);
+    view->Add("engine.symbolic_index_reads", symbolic_index_reads);
+    view->Add("engine.symbolic_index_writes", symbolic_index_writes);
+}
+
 Engine::Engine(smt::ExprContext *ctx, smt::Solver *solver,
                const Program *program, Mode mode, EngineConfig config)
     : ctx_(ctx), solver_(solver), program_(program), mode_(mode),
@@ -31,7 +51,6 @@ Engine::Engine(smt::ExprContext *ctx, smt::Solver *solver,
     if (config_.obs.metrics_on()) {
         obs_steps_ = config_.obs.CounterFor("engine.steps");
         obs_forks_ = config_.obs.CounterFor("engine.states");
-        obs_finished_ = config_.obs.CounterFor("engine.finished");
         // The serial frontier gauge belongs to the home engine; parallel
         // worker engines (lane >= 1) leave the name to the scheduler's
         // queued-state gauge registered by exec::ParallelEngine.
@@ -79,13 +98,13 @@ Engine::ReadArrayCell(State &state [[maybe_unused]], ArrayObject &array,
         // Out-of-bounds concrete read: model as unconstrained memory
         // (the read does not crash our abstract machine; the Trojan
         // analysis cares about acceptance, not the read value).
-        stats_.Bump("engine.oob_reads");
+        ++stats_.oob_reads;
         return ctx_->FreshVar("oob", array.elem_width);
     }
     // Symbolic index: if-then-else chain over the cells, with an
     // unconstrained default for out-of-bounds (KLEE would fork; the ITE
     // encoding avoids state explosion and keeps the path intact).
-    stats_.Bump("engine.symbolic_index_reads");
+    ++stats_.symbolic_index_reads;
     smt::ExprRef result = ctx_->FreshVar("oob", array.elem_width);
     for (size_t i = len; i > 0; --i) {
         smt::ExprRef guard = ctx_->MakeEq(
@@ -181,7 +200,7 @@ Engine::FinalizePath(State &state, PathOutcome outcome)
                            ? finalize_gate_()
                            : results_.size() < config_.max_finished_paths;
     if (!admit) {
-        stats_.Bump("engine.finished_path_drops");
+        ++stats_.finished_path_drops;
         return;
     }
     // Accept notification happens here, after admission, so a listener
@@ -200,8 +219,7 @@ Engine::FinalizePath(State &state, PathOutcome outcome)
     if (listener_)
         listener_->OnPathFinished(result);
     results_.push_back(std::move(result));
-    stats_.Bump("engine.paths_finished");
-    obs_finished_.Bump();
+    ++stats_.paths_finished;
 }
 
 void
@@ -213,7 +231,7 @@ Engine::ExecuteStep(State &state, std::vector<std::unique_ptr<State>> *spawned)
                    fn.name);
     const Instr &ins = fn.instrs[frame.pc];
     ++frame.pc;  // default fallthrough; control flow overwrites below
-    stats_.Bump("engine.instructions");
+    ++stats_.instructions;
 
     switch (ins.op) {
       case IOp::kDeclare: {
@@ -247,9 +265,9 @@ Engine::ExecuteStep(State &state, std::vector<std::unique_ptr<State>> *spawned)
             if (i < array->cells.size())
                 array->cells[i] = value;
             else
-                stats_.Bump("engine.oob_writes");
+                ++stats_.oob_writes;
         } else {
-            stats_.Bump("engine.symbolic_index_writes");
+            ++stats_.symbolic_index_writes;
             for (size_t i = 0; i < array->cells.size(); ++i) {
                 smt::ExprRef guard = ctx_->MakeEq(
                     index, ctx_->MakeConst(index->width(), i));
@@ -270,7 +288,7 @@ Engine::ExecuteStep(State &state, std::vector<std::unique_ptr<State>> *spawned)
         const bool feas_true = Feasible(state, cond);
         const bool feas_false = Feasible(state, not_cond);
         if (feas_true && feas_false) {
-            stats_.Bump("engine.forks");
+            ++stats_.forks;
             auto other = state.Clone(NextChildId(state));
             other->TopFrame().pc = ins.b;
             other->AddConstraint(not_cond);
@@ -280,28 +298,28 @@ Engine::ExecuteStep(State &state, std::vector<std::unique_ptr<State>> *spawned)
             if (keep_other) {
                 spawned->push_back(std::move(other));
             } else {
-                stats_.Bump("engine.listener_pruned");
+                ++stats_.listener_pruned;
                 FinalizePath(*other, PathOutcome::kKilled);
             }
 
             frame.pc = ins.a;
             state.AddConstraint(cond);
             if (listener_ && !listener_->OnBranch(state, cond)) {
-                stats_.Bump("engine.listener_pruned");
+                ++stats_.listener_pruned;
                 FinalizePath(state, PathOutcome::kKilled);
             }
         } else if (feas_true) {
             frame.pc = ins.a;
             state.AddConstraint(cond);
             if (listener_ && !listener_->OnBranch(state, cond)) {
-                stats_.Bump("engine.listener_pruned");
+                ++stats_.listener_pruned;
                 FinalizePath(state, PathOutcome::kKilled);
             }
         } else if (feas_false) {
             frame.pc = ins.b;
             state.AddConstraint(not_cond);
             if (listener_ && !listener_->OnBranch(state, not_cond)) {
-                stats_.Bump("engine.listener_pruned");
+                ++stats_.listener_pruned;
                 FinalizePath(state, PathOutcome::kKilled);
             }
         } else {
@@ -367,7 +385,7 @@ Engine::ExecuteStep(State &state, std::vector<std::unique_ptr<State>> *spawned)
         smt::ExprRef fresh = ctx_->FreshVar(
             ins.label.empty() ? "input" : ins.label, ins.a);
         state.TopFrame().locals[ins.dest] = {ins.a, fresh};
-        stats_.Bump("engine.symbolic_inputs");
+        ++stats_.symbolic_inputs;
         break;
       }
       case IOp::kRecv: {
@@ -406,10 +424,10 @@ Engine::ExecuteStep(State &state, std::vector<std::unique_ptr<State>> *spawned)
         }
         state.AddSent(std::move(msg));
         if (error_reply)
-            stats_.Bump("engine.error_replies");
+            ++stats_.error_replies;
         else
             state.SetReplied();
-        stats_.Bump("engine.sends");
+        ++stats_.sends;
         if (mode_ == Mode::kClient && config_.stop_client_after_send)
             FinalizePath(state, PathOutcome::kClientDone);
         break;
@@ -435,7 +453,7 @@ Engine::ExecuteStep(State &state, std::vector<std::unique_ptr<State>> *spawned)
             }
             state.AddConstraint(cond);
             if (listener_ && !listener_->OnBranch(state, cond)) {
-                stats_.Bump("engine.listener_pruned");
+                ++stats_.listener_pruned;
                 FinalizePath(state, PathOutcome::kKilled);
             }
         }
@@ -454,7 +472,7 @@ Engine::ExecuteStep(State &state, std::vector<std::unique_ptr<State>> *spawned)
         } else {
             state.TopFrame().locals[ins.dest] = {ins.a, fresh};
         }
-        stats_.Bump("engine.make_symbolic");
+        ++stats_.make_symbolic;
         break;
       }
     }
@@ -474,7 +492,7 @@ DeriveChildId(uint64_t parent, uint32_t seq)
 uint64_t
 Engine::NextChildId(State &parent)
 {
-    stats_.Bump("engine.states_created");
+    ++stats_.states_created;
     obs_forks_.Bump();
     if (config_.deterministic_state_ids)
         return DeriveChildId(parent.id(), parent.NextForkSeq());
@@ -484,7 +502,7 @@ Engine::NextChildId(State &parent)
 std::unique_ptr<State>
 Engine::MakeInitialState()
 {
-    stats_.Bump("engine.states_created");
+    ++stats_.states_created;
     const uint64_t id =
         config_.deterministic_state_ids ? 0 : next_state_id_++;
     auto initial = std::make_unique<State>(id, program_);

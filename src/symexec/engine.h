@@ -19,7 +19,6 @@
 #include "obs/obs.h"
 #include "smt/solver.h"
 #include "support/rng.h"
-#include "support/stats.h"
 #include "symexec/program.h"
 #include "symexec/state.h"
 
@@ -76,6 +75,29 @@ struct EngineConfig
      * Default-off: a single inert-handle branch per step.
      */
     obs::ObsHandle obs;
+};
+
+/** Exploration counters. Only the engine's own thread writes them. */
+struct EngineStats
+{
+    int64_t instructions = 0;
+    int64_t states_created = 0;
+    int64_t forks = 0;
+    int64_t paths_finished = 0;
+    int64_t finished_path_drops = 0;
+    int64_t state_budget_drops = 0;
+    int64_t listener_pruned = 0;
+    int64_t sends = 0;
+    int64_t error_replies = 0;
+    int64_t symbolic_inputs = 0;
+    int64_t make_symbolic = 0;
+    int64_t oob_reads = 0;
+    int64_t oob_writes = 0;
+    int64_t symbolic_index_reads = 0;
+    int64_t symbolic_index_writes = 0;
+
+    /** The one place these counters are named ("engine.*"). */
+    void AddTo(obs::CounterView *view) const;
 };
 
 /** Summary of one finished execution path. */
@@ -167,7 +189,7 @@ class Engine
     void
     FinalizeLimit(State &state)
     {
-        stats_.Bump("engine.state_budget_drops");
+        ++stats_.state_budget_drops;
         FinalizePath(state, PathOutcome::kLimit);
     }
 
@@ -189,7 +211,8 @@ class Engine
         finalize_gate_ = std::move(gate);
     }
 
-    const StatsRegistry &stats() const { return stats_; }
+    /** The engine's counters as a name -> value view. */
+    obs::CounterView stats() const { return obs::ViewOf(stats_); }
 
   private:
     smt::ExprRef EvalExpr(State &state, const DExprRef &e);
@@ -215,11 +238,10 @@ class Engine
     uint64_t next_state_id_ = 0;
     std::function<bool()> finalize_gate_;
     Rng rng_;
-    StatsRegistry stats_;
+    EngineStats stats_;
     /** Live obs instruments (inert when config_.obs is unset). */
     obs::MetricsRegistry::Counter obs_steps_;
     obs::MetricsRegistry::Counter obs_forks_;
-    obs::MetricsRegistry::Counter obs_finished_;
     /** Serial-run frontier size, read by the lane-0 gauge from the
      *  heartbeat's sampler thread. */
     std::atomic<int64_t> frontier_{0};

@@ -2,10 +2,11 @@
 //
 // The observability layer (src/obs/): sharded metrics registry
 // aggregation under concurrent bumps, distribution merge math across
-// shards, trace-ring overflow accounting, heartbeat snapshot
-// consistency through a test sink, RunReport folding, and the
-// end-to-end contract -- Trojan witness sets are bitwise identical
-// with instrumentation on or off at 1/2/4/8 workers. Runs under the
+// shards, counter-view merges, trace-ring overflow accounting,
+// heartbeat snapshot consistency through a test sink, RunReport
+// folding, and the end-to-end contract -- Trojan witness sets are
+// bitwise identical with instrumentation on or off at 1/2/4/8 workers,
+// and the report sums every solver's counters. Runs under the
 // TSan CI job (the registry's relaxed-atomic hot paths and the
 // heartbeat's cross-thread sampling are exactly what it audits).
 
@@ -28,7 +29,6 @@
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "proto/fsp/fsp_protocol.h"
-#include "support/stats.h"
 
 namespace achilles {
 namespace {
@@ -160,35 +160,48 @@ TEST(MetricsRegistryTest, KindCollisionYieldsInertHandle)
     EXPECT_EQ(reg.Aggregate().at("name").value, 1);
 }
 
-// ----------------------------------------------------------- local stats
+// ---------------------------------------------------------- counter view
 
-TEST(LocalStatsTest, ConcurrentBumpsAreSafe)
+TEST(CounterViewTest, AddGetMerge)
 {
-    // support/stats.h aliases StatsRegistry to this type; the old
-    // std::map bag raced under exactly this pattern.
-    StatsRegistry stats;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-        threads.emplace_back([&stats] {
-            for (int i = 0; i < 10000; ++i)
-                stats.Bump("k");
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-    EXPECT_EQ(stats.Get("k"), 40000);
+    obs::CounterView a;
+    a.Add("x", 1);
+    a.Add("x", 4);
+    a.Add("y", 10);
+    EXPECT_EQ(a.Get("x"), 5);
+    EXPECT_EQ(a.Get("y"), 10);
+    EXPECT_EQ(a.Get("missing"), 0);
+
+    obs::CounterView b;
+    b.Add("x", 2);
+    b.Add("z", 3);
+    a.Merge(b);
+    EXPECT_EQ(a.Get("x"), 7);
+    EXPECT_EQ(a.Get("z"), 3);
 }
 
-TEST(LocalStatsTest, MergeSumsAndSelfMergeIsSafe)
+TEST(CounterViewTest, MergeSumsAndSelfMergeIsSafe)
 {
-    StatsRegistry a;
-    StatsRegistry b;
-    a.Bump("k", 2);
-    b.Bump("k", 3);
+    obs::CounterView a;
+    obs::CounterView b;
+    a.Add("k", 2);
+    b.Add("k", 3);
     a.Merge(b);
     EXPECT_EQ(a.Get("k"), 5);
     a.Merge(a);
     EXPECT_EQ(a.Get("k"), 10);
+}
+
+TEST(CounterViewTest, ViewOfListsEveryTypedCounter)
+{
+    // A stats struct's view names every field, zeros included, so a
+    // merge never loses a name only one side bumped.
+    smt::SolverStats stats;
+    stats.sat_decisions = 7;
+    const obs::CounterView view = obs::ViewOf(stats);
+    EXPECT_EQ(view.Get("solver.sat_decisions"), 7);
+    EXPECT_EQ(view.All().count("solver.cache_hits"), 1u);
+    EXPECT_EQ(view.Get("solver.cache_hits"), 0);
 }
 
 // ----------------------------------------------------------- trace rings
@@ -334,8 +347,11 @@ TEST(RunReportTest, JsonIntegersPrintWithoutDecimalPoint)
 using WitnessSummary =
     std::tuple<std::string, std::vector<uint8_t>, uint64_t>;
 
+/** `solver_counters_out` receives the home solver's counters plus the
+ *  server stats, which hold the worker solvers' counters. */
 std::vector<WitnessSummary>
-RunFsp(size_t workers, bool instrumented, obs::RunReport *report_out)
+RunFsp(size_t workers, bool instrumented, obs::RunReport *report_out,
+       obs::CounterView *solver_counters_out = nullptr)
 {
     smt::ExprContext ctx;
     smt::SolverConfig solver_config;
@@ -385,6 +401,10 @@ RunFsp(size_t workers, bool instrumented, obs::RunReport *report_out)
     }
     if (report_out != nullptr)
         *report_out = result.report;
+    if (solver_counters_out != nullptr) {
+        *solver_counters_out = solver.stats();
+        solver_counters_out->Merge(result.server.stats);
+    }
 
     core::CanonicalHasher hasher(&ctx);
     std::vector<WitnessSummary> witnesses;
@@ -405,8 +425,9 @@ TEST(ObsPipelineTest, WitnessSetsAreIdenticalWithObsOnOrOff)
         const std::vector<WitnessSummary> off =
             RunFsp(workers, false, nullptr);
         obs::RunReport report;
+        obs::CounterView solver_counters;
         const std::vector<WitnessSummary> on =
-            RunFsp(workers, true, &report);
+            RunFsp(workers, true, &report, &solver_counters);
         EXPECT_EQ(off, baseline)
             << "uninstrumented run diverged at " << workers << " workers";
         EXPECT_EQ(on, baseline)
@@ -421,6 +442,15 @@ TEST(ObsPipelineTest, WitnessSetsAreIdenticalWithObsOnOrOff)
         // distribution's sample count.
         EXPECT_DOUBLE_EQ(report.Get("solver.conflicts.count"),
                          report.Get("solver.queries"));
+        // The report counts every solver of the run: the home solver's
+        // serial phases plus each worker solver's stream.
+        for (const char *name :
+             {"solver.sat_decisions", "solver.incremental_sat_calls"}) {
+            EXPECT_GT(solver_counters.Get(name), 0) << name;
+            EXPECT_DOUBLE_EQ(report.Get(name),
+                             static_cast<double>(solver_counters.Get(name)))
+                << name << " at " << workers << " workers";
+        }
     }
 }
 

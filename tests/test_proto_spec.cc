@@ -1,13 +1,18 @@
 // Achilles reproduction -- tests.
 //
 // Wire-format spec frontend: parse/lower round-trip of a declarative
-// spec, line-anchored rejection of malformed specs, and end-to-end
-// pipeline runs on a compiled spec (the declared validation gaps must
-// surface as exactly the expected Trojans, at any worker count).
+// spec, line-anchored rejection of malformed specs, seeded mutation
+// fuzzing of the example specs (every mutant is a clean rejection or a
+// spec that lowers), and end-to-end pipeline runs on a compiled spec
+// (the declared validation gaps must surface as exactly the expected
+// Trojans, at any worker count).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -17,6 +22,7 @@
 #include "proto/registry.h"
 #include "proto/spec/lower.h"
 #include "proto/spec/spec.h"
+#include "support/rng.h"
 
 namespace achilles {
 namespace spec {
@@ -212,6 +218,127 @@ TEST(ProtoSpec, BadSpecsRejectedWithAnchoredLines)
             "bad.spec:" + std::to_string(c.line) + ": ";
         EXPECT_EQ(err.Format("bad.spec").rfind(want, 0), 0u)
             << err.Format("bad.spec");
+    }
+}
+
+std::vector<std::string>
+SplitLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::istringstream stream(text);
+    std::string line;
+    while (std::getline(stream, line))
+        lines.push_back(line);
+    return lines;
+}
+
+std::string
+JoinLines(const std::vector<std::string> &lines)
+{
+    std::string text;
+    for (const std::string &line : lines)
+        text += line + "\n";
+    return text;
+}
+
+/** Replace one whitespace-separated token of `line` (the whole line
+ *  when it has none). */
+void
+ReplaceToken(std::string *line, const std::string &token, Rng *rng)
+{
+    std::vector<std::pair<size_t, size_t>> spans;  // [begin, end)
+    for (size_t i = 0; i < line->size();) {
+        if (std::isspace(static_cast<unsigned char>((*line)[i]))) {
+            ++i;
+            continue;
+        }
+        const size_t begin = i;
+        while (i < line->size() &&
+               !std::isspace(static_cast<unsigned char>((*line)[i])))
+            ++i;
+        spans.emplace_back(begin, i);
+    }
+    if (spans.empty()) {
+        *line = token;
+        return;
+    }
+    const auto [begin, end] = spans[rng->Below(spans.size())];
+    line->replace(begin, end - begin, token);
+}
+
+/** One seeded mutation: delete, duplicate or swap lines, replace a
+ *  token, overwrite a byte, or truncate a line. */
+std::string
+Mutate(const std::string &text, Rng *rng)
+{
+    static const char *const kTokens[] = {
+        "0", "255", "256", "65535", "4294967296",
+        "99999999999999999999", "-1", "x", "protocol", "wire", "length",
+        "field", "payload", "lenfield", "dispatch", "client", "server",
+        "variant", "reply", "end", "const", "mask", "tlv", "lenprefix",
+        "union", "in", "..", "==", "<=", "*", "+"};
+    std::vector<std::string> lines = SplitLines(text);
+    const size_t i = rng->Below(lines.size());
+    switch (rng->Below(6)) {
+      case 0:
+        lines.erase(lines.begin() + i);
+        break;
+      case 1:
+        lines.insert(lines.begin() + i, lines[i]);
+        break;
+      case 2:
+        std::swap(lines[i], lines[rng->Below(lines.size())]);
+        break;
+      case 3:
+        ReplaceToken(&lines[i],
+                     kTokens[rng->Below(sizeof(kTokens) / sizeof(*kTokens))],
+                     rng);
+        break;
+      case 4: {
+        std::string out = JoinLines(lines);
+        out[rng->Below(out.size())] = static_cast<char>(rng->Below(256));
+        return out;
+      }
+      default:
+        lines[i].resize(rng->Below(lines[i].size() + 1));
+        break;
+    }
+    return JoinLines(lines);
+}
+
+TEST(ProtoSpec, MutatedExampleSpecsRejectCleanlyOrLower)
+{
+    Rng rng(0x5bec);
+    for (const char *name : {"kv_union.spec", "sensor_tlv.spec"}) {
+        std::ifstream in(std::string(ACHILLES_SOURCE_DIR) + "/examples/" +
+                         name);
+        std::ostringstream text;
+        text << in.rdbuf();
+        ASSERT_FALSE(text.str().empty()) << name;
+
+        int accepted = 0;
+        int rejected = 0;
+        for (int m = 0; m < 2000; ++m) {
+            const std::string mutant = Mutate(text.str(), &rng);
+            ProtocolSpec s;
+            SpecError err;
+            if (ParseSpec(mutant, name, &s, &err)) {
+                ++accepted;
+                // A validated spec must lower without tripping a check.
+                EXPECT_EQ(BuildProtocol(s).layout.length(), s.length);
+                continue;
+            }
+            ++rejected;
+            EXPECT_FALSE(err.message.empty()) << mutant;
+            EXPECT_GE(err.line, 0) << mutant;
+            EXPECT_LE(err.line,
+                      static_cast<int>(SplitLines(mutant).size()))
+                << err.Format(name) << "\n" << mutant;
+        }
+        // Both outcomes occur, so the mutants reach past the header
+        // checks into validation and lowering.
+        EXPECT_GT(accepted, 0) << name;
+        EXPECT_GT(rejected, 0) << name;
     }
 }
 

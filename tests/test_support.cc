@@ -1,13 +1,12 @@
 // Achilles reproduction -- tests.
 //
-// Support-library tests: deterministic RNG, stats registry, timers.
+// Support-library tests: deterministic RNG, timers.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "support/rng.h"
-#include "support/stats.h"
 #include "support/timer.h"
 
 namespace achilles {
@@ -66,34 +65,6 @@ TEST(RngTest, NextDoubleInUnitInterval)
         EXPECT_GE(d, 0.0);
         EXPECT_LT(d, 1.0);
     }
-}
-
-TEST(StatsTest, BumpSetGetMerge)
-{
-    StatsRegistry a;
-    a.Bump("x");
-    a.Bump("x", 4);
-    a.Set("y", 10);
-    EXPECT_EQ(a.Get("x"), 5);
-    EXPECT_EQ(a.Get("y"), 10);
-    EXPECT_EQ(a.Get("missing"), 0);
-
-    StatsRegistry b;
-    b.Bump("x", 2);
-    b.Bump("z", 3);
-    a.Merge(b);
-    EXPECT_EQ(a.Get("x"), 7);
-    EXPECT_EQ(a.Get("z"), 3);
-}
-
-TEST(StatsTest, DumpFormatsSorted)
-{
-    StatsRegistry s;
-    s.Set("b.two", 2);
-    s.Set("a.one", 1);
-    std::ostringstream os;
-    s.Dump(os, "  ");
-    EXPECT_EQ(os.str(), "  a.one = 1\n  b.two = 2\n");
 }
 
 TEST(TimerTest, MeasuresElapsedTime)
