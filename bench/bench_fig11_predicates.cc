@@ -8,12 +8,9 @@
 // show the same monotone-decay shape: longer execution paths are
 // triggered by fewer client predicates, so Trojan checks get cheaper.
 //
-// Ablation grids (both self-gating on witness identity and query
-// counts, both emitting JSON for the CI trend gate):
+// Ablation grid (self-gating on witness identity and query counts,
+// emitting JSON for the CI trend gate):
 //   --cores        unsat-core-guided predicate dropping on/off
-//   --prune-index  the shared pruning knowledge base (cross-state
-//                  Trojan-core subsumption + differentFrom overlay)
-//                  on/off
 
 #include <algorithm>
 #include <cstdio>
@@ -41,7 +38,6 @@ struct ComparePoint
 {
     int64_t solver_queries = 0;  ///< match + Trojan queries issued
     int64_t core_drops = 0;      ///< match queries skipped via cores
-    int64_t trojan_subsumed = 0; ///< Trojan queries skipped via cores
     std::vector<WitnessSummary> witnesses;
 };
 
@@ -71,7 +67,6 @@ RunComparePoint(const std::vector<const symexec::Program *> &clients,
     config.server_config.engine.num_workers = workers;
     config.server_config.use_unsat_cores = cores;
     config.server_config.use_different_from = difffrom;
-    config.compute_different_from = difffrom;
     const core::AchillesResult result =
         core::RunAchilles(&ctx, &solver, config);
 
@@ -80,8 +75,6 @@ RunComparePoint(const std::vector<const symexec::Program *> &clients,
         result.server.stats.Get("explorer.match_queries") +
         result.server.stats.Get("explorer.trojan_queries");
     point.core_drops = result.server.stats.Get("explorer.core_drops");
-    point.trojan_subsumed =
-        result.server.stats.Get("explorer.trojan_core_subsumed");
     core::CanonicalHasher hasher(&ctx);
     for (const core::TrojanWitness &t : result.server.trojans) {
         point.witnesses.emplace_back(t.accept_label, t.concrete,
@@ -89,171 +82,6 @@ RunComparePoint(const std::vector<const symexec::Program *> &clients,
     }
     std::sort(point.witnesses.begin(), point.witnesses.end());
     return point;
-}
-
-/**
- * One pipeline run for the --prune-index ablation: the shared pruning
- * knowledge base (cross-state Trojan-core subsumption + differentFrom
- * overlay) toggled at the explorer while cores and the static matrix
- * stay on (production config).
- */
-struct PrunePoint
-{
-    int64_t solver_queries = 0;   ///< match + Trojan queries issued
-    int64_t trojan_subsumed = 0;  ///< Trojan queries skipped via index
-    int64_t overlay_drops = 0;    ///< match queries skipped via overlay
-    int64_t cross_hits = 0;       ///< hits on another worker's entry
-    std::vector<WitnessSummary> witnesses;
-};
-
-PrunePoint
-RunPrunePoint(const std::vector<const symexec::Program *> &clients,
-              const symexec::Program *server,
-              const core::MessageLayout &layout, size_t workers,
-              bool prune_index)
-{
-    smt::ExprContext ctx;
-    smt::Solver solver(&ctx);
-
-    core::AchillesConfig config;
-    config.layout = layout;
-    config.clients = clients;
-    config.server = server;
-    config.server_config.engine.num_workers = workers;
-    config.server_config.use_prune_index = prune_index;
-    const core::AchillesResult result =
-        core::RunAchilles(&ctx, &solver, config);
-
-    PrunePoint point;
-    point.solver_queries =
-        result.server.stats.Get("explorer.match_queries") +
-        result.server.stats.Get("explorer.trojan_queries");
-    point.trojan_subsumed =
-        result.server.stats.Get("explorer.trojan_core_subsumed");
-    point.overlay_drops =
-        result.server.stats.Get("explorer.overlay_drops");
-    point.cross_hits =
-        result.server.stats.Get("prune.cross_worker_hits");
-    core::CanonicalHasher hasher(&ctx);
-    for (const core::TrojanWitness &t : result.server.trojans) {
-        point.witnesses.emplace_back(t.accept_label, t.concrete,
-                                     hasher.HashExprs(t.definition));
-    }
-    std::sort(point.witnesses.begin(), point.witnesses.end());
-    return point;
-}
-
-/**
- * The --prune-index comparison: the unified pruning knowledge base must
- * reduce solver queries on the FSP Trojan stream (the overlay skips
- * repeat predicate-match refutations) and on the guarded protocol (the
- * cross-state Trojan-core index subsumes sibling regions' dead states),
- * with bitwise-identical witness sets at every worker count in both
- * configurations.
- */
-bool
-RunPruneIndexComparison(size_t num_clients)
-{
-    bench::Header("PruneIndex -- solver queries with/without the shared "
-                  "pruning knowledge base");
-    const std::vector<size_t> worker_counts{1, 2, 4, 8};
-    bool witnesses_identical = true;
-    bool never_more = true;      // <= everywhere (hits only skip work)
-    bool serial_fewer = true;    // strict < at workers=1, both sections
-
-    const std::vector<symexec::Program> fsp_clients =
-        fsp::MakeAllClients();
-    std::vector<const symexec::Program *> fsp_client_ptrs;
-    for (size_t i = 0; i < fsp_clients.size() && i < num_clients; ++i)
-        fsp_client_ptrs.push_back(&fsp_clients[i]);
-    const symexec::Program fsp_server = fsp::MakeServer();
-    const core::MessageLayout fsp_layout = fsp::MakeLayout();
-
-    const symexec::Program guarded_client = synth::MakeGuardedClient(2);
-    const std::vector<const symexec::Program *> guarded_clients{
-        &guarded_client};
-    const symexec::Program guarded_server =
-        synth::MakeGuardedServer(2, 8);
-    const core::MessageLayout guarded_layout = synth::MakeGuardedLayout();
-
-    struct Section
-    {
-        const char *title;
-        const char *tag;
-        const std::vector<const symexec::Program *> *clients;
-        const symexec::Program *server;
-        const core::MessageLayout *layout;
-    };
-    const Section sections[] = {
-        {"FSP (overlay: runtime single-field cores densify "
-         "differentFrom)",
-         "fsp", &fsp_client_ptrs, &fsp_server, &fsp_layout},
-        {"guarded protocol (cross-state Trojan cores: sibling regions' "
-         "dead states subsume each other)",
-         "guarded", &guarded_clients, &guarded_server, &guarded_layout},
-    };
-
-    for (const Section &section : sections) {
-        bench::Section(section.title);
-        std::printf("  %8s %12s %12s %11s %9s %9s %7s\n", "workers",
-                    "q(no-index)", "q(index)", "reduction", "overlay",
-                    "subsumed", "cross");
-        for (size_t w : worker_counts) {
-            const PrunePoint off = RunPrunePoint(
-                *section.clients, section.server, *section.layout, w,
-                /*prune_index=*/false);
-            const PrunePoint on = RunPrunePoint(
-                *section.clients, section.server, *section.layout, w,
-                /*prune_index=*/true);
-            const double reduction =
-                off.solver_queries > 0
-                    ? 100.0 *
-                          static_cast<double>(off.solver_queries -
-                                              on.solver_queries) /
-                          static_cast<double>(off.solver_queries)
-                    : 0.0;
-            const double overlay_hit_rate =
-                on.solver_queries + on.overlay_drops > 0
-                    ? 100.0 * static_cast<double>(on.overlay_drops) /
-                          static_cast<double>(on.solver_queries +
-                                              on.overlay_drops)
-                    : 0.0;
-            std::printf(
-                "  %8zu %12lld %12lld %10.1f%% %9lld %9lld %7lld\n", w,
-                static_cast<long long>(off.solver_queries),
-                static_cast<long long>(on.solver_queries), reduction,
-                static_cast<long long>(on.overlay_drops),
-                static_cast<long long>(on.trojan_subsumed),
-                static_cast<long long>(on.cross_hits));
-            witnesses_identical &= on.witnesses == off.witnesses;
-            never_more &= on.solver_queries <= off.solver_queries;
-            if (w == 1)
-                serial_fewer &= on.solver_queries < off.solver_queries;
-
-            const std::string suffix = std::string("/") + section.tag +
-                                       "/workers=" + std::to_string(w);
-            bench::JsonRecorder::Instance().Record(
-                "fig11.prune_index_query_reduction_pct" + suffix,
-                reduction);
-            bench::JsonRecorder::Instance().Record(
-                "fig11.overlay_hit_rate" + suffix, overlay_hit_rate);
-            bench::JsonRecorder::Instance().Record(
-                "fig11.prune_index_cross_hits" + suffix,
-                static_cast<double>(on.cross_hits));
-        }
-    }
-    bench::Metric("fig11.prune_witness_sets_identical",
-                  witnesses_identical ? 1 : 0);
-    bench::Note("hits answer exactly what the skipped query would have "
-                "answered, so the index can reduce queries but never "
-                "change a verdict; cross counts hits on entries another "
-                "worker recorded (0 in serial runs)");
-
-    const bool ok = witnesses_identical && never_more && serial_fewer;
-    std::printf("\nPRUNE-INDEX: %s\n",
-                ok ? "PASS (fewer queries, identical witness sets)"
-                   : "MISMATCH");
-    return ok;
 }
 
 // ---------------------------------------------------------------------
@@ -332,9 +160,9 @@ MakeCompoundServer()
 }
 
 /**
- * The --cores comparison: at every worker count, the explorer with
- * core-guided dropping must issue fewer solver queries than without,
- * and the Trojan witness sets must be bitwise identical (cores only
+ * The --cores comparison: the explorer with core-guided dropping must
+ * issue fewer solver queries than without, and the Trojan witness sets
+ * must be bitwise identical at every worker count (cores only
  * accelerate drops that are already sound). Run both with the
  * differentFrom matrix on (production config; cores add whatever the
  * single-field rule missed) and off (isolation; the dynamic cores must
@@ -347,8 +175,9 @@ RunCoreComparison(size_t num_clients)
                   "with/without unsat cores");
     const std::vector<size_t> worker_counts{1, 2, 4, 8};
     bool witnesses_identical = true;
-    bool fsp_no_regression = true;     // <= (single-field branches: the
-                                       // matrix already finds every drop)
+    bool fsp_no_regression = true;     // <= at 1 worker (single-field
+                                       // branches: the matrix already
+                                       // finds every drop)
     bool fsp_isolation_fewer = true;   // strict <, matrix off
     bool compound_fewer = true;        // strict <, matrix ON
 
@@ -375,6 +204,8 @@ RunCoreComparison(size_t num_clients)
         const core::MessageLayout *layout;
         bool difffrom;
         bool *gate;
+        /** Strict `<` at every worker count; otherwise `<=` at 1
+         *  worker only. */
         bool strict;
     };
     const Section sections[] = {
@@ -393,9 +224,8 @@ RunCoreComparison(size_t num_clients)
 
     for (const Section &section : sections) {
         bench::Section(section.title);
-        std::printf("  %8s %12s %12s %11s %10s %9s\n", "workers",
-                    "q(no-cores)", "q(cores)", "reduction", "core-drop",
-                    "subsumed");
+        std::printf("  %8s %12s %12s %11s %10s\n", "workers",
+                    "q(no-cores)", "q(cores)", "reduction", "core-drop");
         for (size_t w : worker_counts) {
             const ComparePoint off = RunComparePoint(
                 *section.clients, section.server, *section.layout, w,
@@ -410,17 +240,20 @@ RunCoreComparison(size_t num_clients)
                                               on.solver_queries) /
                           static_cast<double>(off.solver_queries)
                     : 0.0;
-            std::printf("  %8zu %12lld %12lld %10.1f%% %10lld %9lld\n", w,
+            std::printf("  %8zu %12lld %12lld %10.1f%% %10lld\n", w,
                         static_cast<long long>(off.solver_queries),
                         static_cast<long long>(on.solver_queries),
                         reduction,
-                        static_cast<long long>(on.core_drops),
-                        static_cast<long long>(on.trojan_subsumed));
+                        static_cast<long long>(on.core_drops));
             witnesses_identical &= on.witnesses == off.witnesses;
-            *section.gate &=
-                section.strict
-                    ? on.solver_queries < off.solver_queries
-                    : on.solver_queries <= off.solver_queries;
+            if (section.strict) {
+                *section.gate &= on.solver_queries < off.solver_queries;
+            } else if (w == 1) {
+                // Cores tie the matrix here, so the parallel rows
+                // differ only by steal-schedule wobble; gate the
+                // deterministic serial stream.
+                *section.gate &= on.solver_queries <= off.solver_queries;
+            }
 
             const std::string suffix = std::string("/") + section.tag +
                                        "/workers=" + std::to_string(w);
@@ -456,7 +289,6 @@ main(int argc, char **argv)
 {
     bench::ParseBenchArgs(argc, argv);
     bool compare = false;
-    bool compare_prune = false;
     bool use_cores = true;
     size_t num_clients = 8;
     for (int i = 1; i < argc; ++i) {
@@ -464,8 +296,6 @@ main(int argc, char **argv)
             compare = true;
         else if (std::strcmp(argv[i], "--no-cores") == 0)
             use_cores = false;
-        else if (std::strcmp(argv[i], "--prune-index") == 0)
-            compare_prune = true;
         else if (std::strcmp(argv[i], "--json") == 0)
             compare = true;
         else if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc)
@@ -578,11 +408,6 @@ main(int argc, char **argv)
     bool cores_ok = true;
     if (compare)
         cores_ok = RunCoreComparison(num_clients);
-    // The --prune-index ablation: the shared pruning knowledge base
-    // on/off, gated on witness identity and a query reduction.
-    bool prune_ok = true;
-    if (compare_prune)
-        prune_ok = RunPruneIndexComparison(num_clients);
     bench::JsonRecorder::Instance().Flush();
-    return ok && cores_ok && prune_ok ? 0 : 1;
+    return ok && cores_ok ? 0 : 1;
 }

@@ -13,8 +13,6 @@ drop in any watched higher-is-better metric:
   * smt.trail_reuse_speedup
   * parallel.speedup/workers=N                 (N in BOTH sweeps)
   * fig11.core_query_reduction_pct/<section>/workers=N
-  * fig11.prune_index_query_reduction_pct/<section>/workers=N
-  * fig11.overlay_hit_rate/<section>/workers=N
   * corpus.trojan_yield[/<family>]             (bench_corpus)
   * warmstart.speedup                          (bench_warmstart)
   * warmstart.query_reduction_pct
@@ -61,8 +59,6 @@ WATCHED_PATTERNS = [
     "smt.trail_reuse_speedup",
     "parallel.speedup/workers=*",
     "fig11.core_query_reduction_pct/*",
-    "fig11.prune_index_query_reduction_pct/*",
-    "fig11.overlay_hit_rate/*",
     "corpus.trojan_yield",
     "corpus.trojan_yield/*",
     "warmstart.speedup",

@@ -43,10 +43,6 @@ RunAchilles(smt::ExprContext *ctx, smt::Solver *solver,
     ServerExplorerConfig server_config = config.server_config;
     if (!server_config.engine.obs.enabled())
         server_config.engine.obs = config.obs;
-    if (server_config.knowledge_in == nullptr)
-        server_config.knowledge_in = config.knowledge_in;
-    if (server_config.knowledge_out == nullptr)
-        server_config.knowledge_out = config.knowledge_out;
 
     AchillesResult result;
     Timer timer;
@@ -85,8 +81,7 @@ RunAchilles(smt::ExprContext *ctx, smt::Solver *solver,
              result.client_predicate.paths)
             result.negations.push_back(negate_op.Negate(pred));
 
-        if (config.compute_different_from &&
-            server_config.use_different_from) {
+        if (server_config.use_different_from) {
             different_from.Compute(result.client_predicate.paths,
                                    &negate_op);
             result.preprocessing_stats.Merge(different_from.stats());

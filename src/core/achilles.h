@@ -34,9 +34,9 @@ struct AchillesConfig
     std::vector<const symexec::Program *> clients;
     const symexec::Program *server = nullptr;
     ClientExtractorConfig client_config;
+    /** Also selects the preprocessing: the differentFrom matrix is
+     *  computed only when `server_config.use_different_from` is set. */
     ServerExplorerConfig server_config;
-    /** Compute the differentFrom matrix (preprocessing, 3.3 opt 2). */
-    bool compute_different_from = true;
     /**
      * Observability sinks for the whole pipeline (src/obs/obs.h). When
      * set, RunAchilles records one span per pipeline phase on lane 0,
@@ -48,16 +48,6 @@ struct AchillesConfig
      * same registry/tracer there.
      */
     obs::ObsHandle obs;
-    /**
-     * Warm-start knowledge persistence (src/persist/snapshot.h):
-     * `knowledge_in` (if set) is restored into the server-exploration
-     * knowledge stores before the exploration starts, and
-     * `knowledge_out` (if set) receives a capture of those stores when
-     * it finishes. Both forward into ServerExplorerConfig; explicit
-     * server_config pointers take precedence.
-     */
-    const persist::KnowledgeSnapshot *knowledge_in = nullptr;
-    persist::KnowledgeSnapshot *knowledge_out = nullptr;
 };
 
 /** Wall-clock seconds per pipeline phase (paper Section 6.2 breakdown). */

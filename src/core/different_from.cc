@@ -152,48 +152,7 @@ DifferentFromMatrix::Compute(const std::vector<ClientPathPredicate> &preds,
             }
         }
         per_field_.emplace(analyzed[f].name, std::move(rel));
-        field_by_token_.emplace(FieldToken(analyzed[f].name),
-                                analyzed[f].name);
     }
-}
-
-uint64_t
-DifferentFromMatrix::FieldToken(const std::string &field)
-{
-    // FNV-1a over the field name alone: stable across runs and builds,
-    // which warm-start persistence relies on -- overlay entries carry
-    // tokens in snapshots, and a later run's matrix must resolve them
-    // to the same fields.
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (char c : field)
-        h = (h ^ static_cast<uint8_t>(c)) * 0x100000001b3ull;
-    return h;
-}
-
-bool
-DifferentFromMatrix::OverlaySubsumed(exec::PruneIndex *overlay,
-                                     size_t consumer,
-                                     const exec::PruneFpVec &path_set,
-                                     const exec::PruneFpVec &match_set,
-                                     std::string *field) const
-{
-    if (overlay == nullptr)
-        return false;
-    // No independent fields means no token could ever resolve below;
-    // skip the index probe (and its fingerprint hashing) outright.
-    if (field_by_token_.empty())
-        return false;
-    uint64_t token = 0;
-    if (!overlay->OverlaySubsumes(consumer, path_set, match_set,
-                                  &token)) {
-        return false;
-    }
-    auto it = field_by_token_.find(token);
-    if (it == field_by_token_.end())
-        return false;  // not one of this matrix's independent fields
-    if (field != nullptr)
-        *field = it->second;
-    return true;
 }
 
 bool

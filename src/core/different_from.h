@@ -18,16 +18,6 @@
 // representatives only, which turns the O(n^2) pairwise computation into
 // O(c^2) with c = number of distinct value classes (single digits in
 // practice).
-//
-// Runtime overlay: the static matrix is computed once, before the
-// exploration, so it can only relate pairs through the value classes it
-// saw then. Single-field unsat cores discovered during exploration are
-// appended to the run's shared exec::PruneIndex as mutable value-class
-// edges ("these field-f path constraints refute every predicate whose
-// match set contains these field-f conjuncts"); OverlaySubsumed is the
-// read path the explorer consults alongside Different(), letting later
-// branches -- on any worker -- take the same fast path for
-// path-constraint/predicate pairs the precomputation never related.
 
 #ifndef ACHILLES_CORE_DIFFERENT_FROM_H_
 #define ACHILLES_CORE_DIFFERENT_FROM_H_
@@ -39,7 +29,6 @@
 #include "core/message.h"
 #include "core/negate.h"
 #include "core/path_predicate.h"
-#include "exec/prune_index.h"
 #include "obs/metrics.h"
 #include "smt/solver.h"
 
@@ -94,29 +83,6 @@ class DifferentFromMatrix
     std::vector<uint32_t> SameValueClass(size_t i,
                                          const std::string &field) const;
 
-    /**
-     * Stable token naming a field inside the pruning knowledge base's
-     * overlay (exec::PruneIndex carries no core-layer types, so overlay
-     * entries name their field by this hash; the matrix resolves it
-     * back through the independent fields it computed).
-     */
-    static uint64_t FieldToken(const std::string &field);
-
-    /**
-     * The overlay read path. True when a runtime-recorded single-field
-     * core in `overlay` refutes a predicate whose match fingerprints
-     * are `match_set` under the path fingerprints `path_set`; on a hit
-     * `*field` names the (independent, computed) field the core was
-     * confined to, so the caller can re-enter the static value-class
-     * rule for it. Sound to act on exactly like a kUnsat answer from
-     * the solver: the recorded core is contained in the probed query.
-     * `consumer` is the probing worker id (cross-worker attribution).
-     */
-    bool OverlaySubsumed(exec::PruneIndex *overlay, size_t consumer,
-                         const exec::PruneFpVec &path_set,
-                         const exec::PruneFpVec &match_set,
-                         std::string *field) const;
-
     /** The precomputation's counters as a name -> value view. */
     obs::CounterView stats() const { return obs::ViewOf(stats_); }
 
@@ -135,8 +101,6 @@ class DifferentFromMatrix
     smt::Solver *solver_;
     const MessageLayout *layout_;
     std::unordered_map<std::string, FieldRelation> per_field_;
-    /** FieldToken -> field name, for the independent fields computed. */
-    std::unordered_map<uint64_t, std::string> field_by_token_;
     DifferentFromStats stats_;
 };
 

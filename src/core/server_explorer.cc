@@ -3,6 +3,7 @@
 #include "core/server_explorer.h"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_set>
 
 #include "exec/worker.h"
@@ -78,9 +79,6 @@ class ServerExplorer::WorkerListener : public symexec::Listener
                                owner->message_[i]->VarId(),
                            "message variables out of alignment");
         }
-        prune_ = owner->config_.use_prune_index ? wc->prune_index
-                                                : nullptr;
-        match_fps_ = BuildMatchFps(prune_, match_);
     }
 
     Plane
@@ -92,12 +90,9 @@ class ServerExplorer::WorkerListener : public symexec::Listener
         p.match = &match_;
         p.negations = &negations_;
         p.message = &message_;
-        p.match_fps = &match_fps_;
         p.stats = &stats_;
         p.samples = &samples_;
         p.trojans = &trojans_;
-        p.prune = prune_;
-        p.worker_id = wc_->worker_id;
         // Worker w bumps/traces on obs lane 1 + w, matching the lane
         // numbering the ParallelEngine gives its engines and solvers.
         p.obs = owner_->config_.engine.obs.ForLane(wc_->worker_id + 1);
@@ -129,8 +124,6 @@ class ServerExplorer::WorkerListener : public symexec::Listener
     std::vector<std::vector<smt::ExprRef>> match_;
     std::vector<smt::ExprRef> negations_;
     std::vector<smt::ExprRef> message_;
-    std::vector<exec::PruneFpVec> match_fps_;
-    exec::PruneIndex *prune_ = nullptr;
     ExplorerStats stats_;
     std::vector<LiveSetSample> samples_;
     std::vector<TrojanWitness> trojans_;
@@ -215,17 +208,6 @@ ServerExplorer::ServerExplorer(
                                  ? (*negations_)[i].Disjunction(ctx_)
                                  : nullptr;
     }
-
-    if (config_.use_prune_index) {
-        // The serial-run knowledge base (multi-worker runs share the
-        // ParallelEngine's instance instead). One context, so every
-        // expression is fingerprintable.
-        exec::PruneIndexConfig prune_config;
-        prune_config.core_cap = config_.prune_core_cap;
-        prune_config.overlay_cap = config_.prune_overlay_cap;
-        home_prune_ = std::make_unique<exec::PruneIndex>(prune_config);
-        home_match_fps_ = BuildMatchFps(home_prune_.get(), match_);
-    }
 }
 
 void
@@ -238,11 +220,8 @@ ExplorerStats::AddTo(obs::CounterView *view) const
     view->Add("explorer.core_drops", core_drops);
     view->Add("explorer.core_subset_marks", core_subset_marks);
     view->Add("explorer.core_field_marks", core_field_marks);
-    view->Add("explorer.overlay_drops", overlay_drops);
-    view->Add("explorer.overlay_field_marks", overlay_field_marks);
     view->Add("explorer.prefilter_hits", prefilter_hits);
     view->Add("explorer.prefilter_trojan_hits", prefilter_trojan_hits);
-    view->Add("explorer.trojan_core_subsumed", trojan_core_subsumed);
     view->Add("explorer.blocked_by_unusable_negation",
               blocked_by_unusable_negation);
     view->Add("explorer.states_pruned", states_pruned);
@@ -260,29 +239,11 @@ ServerExplorer::HomePlane()
     p.match = &match_;
     p.negations = &negation_exprs_;
     p.message = &message_;
-    p.match_fps = &home_match_fps_;
     p.stats = &home_stats_;
     p.samples = &analysis_.live_samples;
     p.trojans = &analysis_.trojans;
-    p.prune = home_prune_.get();
-    p.worker_id = 0;
     p.obs = config_.engine.obs;
     return p;
-}
-
-std::vector<exec::PruneFpVec>
-ServerExplorer::BuildMatchFps(
-    const exec::PruneIndex *index,
-    const std::vector<std::vector<smt::ExprRef>> &match)
-{
-    std::vector<exec::PruneFpVec> out(match.size());
-    if (index == nullptr)
-        return out;
-    for (size_t i = 0; i < match.size(); ++i) {
-        if (!index->Fingerprint(match[i], &out[i]))
-            out[i].clear();  // empty marks "skip the index"
-    }
-    return out;
 }
 
 ServerExplorer::LiveSet *
@@ -316,11 +277,11 @@ ServerExplorer::PredicateMatches(Plane &plane, const symexec::State &state,
 bool
 ServerExplorer::CoresUsable(const Plane &plane) const
 {
-    // A budgeted solver can answer kUnknown; nothing may be dropped or
-    // subsumed off a core then (the no-drop-on-kUnknown contract), so
-    // core consumption is reserved for unbudgeted configurations where
-    // every core-guided decision coincides with a kUnsat the solver
-    // would have produced.
+    // A budgeted solver can answer kUnknown; nothing may be dropped off
+    // a core then (the no-drop-on-kUnknown contract), so core
+    // consumption is reserved for unbudgeted configurations where every
+    // core-guided decision coincides with a kUnsat the solver would
+    // have produced.
     const smt::SolverConfig &solver = plane.solver->config();
     return config_.use_unsat_cores && solver.enable_cores &&
            solver.unbudgeted();
@@ -336,14 +297,12 @@ ServerExplorer::CoreGuidedDrops(Plane &plane, const symexec::State &state,
     // expressions.
     const std::vector<smt::ExprRef> &path = state.constraints();
     const std::vector<smt::ExprRef> &match_i = (*plane.match)[i];
-    std::vector<smt::ExprRef> path_part;
     std::vector<smt::ExprRef> match_part;
     std::vector<smt::ExprRef> core_exprs;
     core_exprs.reserve(result.core.size());
     for (uint32_t idx : result.core) {
         if (idx < path.size()) {
-            path_part.push_back(path[idx]);
-            core_exprs.push_back(path_part.back());
+            core_exprs.push_back(path[idx]);
         } else {
             ACHILLES_CHECK(idx - path.size() < match_i.size(),
                            "core index out of range");
@@ -399,77 +358,14 @@ ServerExplorer::CoreGuidedDrops(Plane &plane, const symexec::State &state,
                     ++plane.stats->core_field_marks;
                 }
             }
-            // Densify the differentFrom overlay: the single-field core
-            // becomes a mutable value-class edge any plane (any
-            // worker) can take on later branches whose path contains
-            // the implicated field-f constraints. Entries must
-            // implicate the match side; a path-only core cannot arise
-            // from a feasible state, but guard anyway.
-            if (plane.prune != nullptr && !match_part.empty()) {
-                exec::PruneFpVec path_fps, match_fps;
-                if (plane.prune->Fingerprint(path_part, &path_fps) &&
-                    plane.prune->Fingerprint(match_part, &match_fps)) {
-                    plane.prune->RecordFieldCore(
-                        plane.worker_id,
-                        DifferentFromMatrix::FieldToken(field),
-                        path_fps, match_fps);
-                }
-            }
         }
     }
-}
-
-bool
-ServerExplorer::TrojanSubsumedByCore(
-    Plane &plane, const exec::PruneFpVec *path_fps,
-    const std::vector<smt::ExprRef> &negations) const
-{
-    if (plane.prune == nullptr || path_fps == nullptr)
-        return false;
-    exec::PruneFpVec neg_fps;
-    if (!plane.prune->Fingerprint(negations, &neg_fps))
-        return false;  // worker-local variable: not index-portable
-    return plane.prune->SubsumesCore(plane.worker_id, *path_fps,
-                                     neg_fps);
-}
-
-void
-ServerExplorer::RememberTrojanCore(
-    Plane &plane, const std::vector<smt::ExprRef> &path_constraints,
-    const std::vector<smt::ExprRef> &negations,
-    const smt::CheckResult &result)
-{
-    if (plane.prune == nullptr)
-        return;
-    // Split the core into its path part and its negation part; keyed
-    // by the path part, it subsumes any descendant state's query --
-    // on any worker -- whose constraints contain the path part and
-    // whose live negations contain the negation part.
-    std::vector<smt::ExprRef> path_part;
-    std::vector<smt::ExprRef> negation_part;
-    for (uint32_t idx : result.core) {
-        if (idx < path_constraints.size()) {
-            path_part.push_back(path_constraints[idx]);
-        } else {
-            ACHILLES_CHECK(idx - path_constraints.size() < negations.size(),
-                           "core index out of range");
-            negation_part.push_back(
-                negations[idx - path_constraints.size()]);
-        }
-    }
-    exec::PruneFpVec path_fps, neg_fps;
-    if (!plane.prune->Fingerprint(path_part, &path_fps) ||
-        !plane.prune->Fingerprint(negation_part, &neg_fps)) {
-        return;
-    }
-    plane.prune->RecordCore(plane.worker_id, path_fps, neg_fps);
 }
 
 smt::CheckResult
 ServerExplorer::TrojanQuery(
     Plane &plane, const std::vector<smt::ExprRef> &path_constraints,
-    const std::vector<uint32_t> &live, smt::Model *model,
-    const exec::PruneFpVec *path_fps)
+    const std::vector<uint32_t> &live, smt::Model *model)
 {
     std::vector<smt::ExprRef> negations;
     negations.reserve(live.size());
@@ -499,21 +395,9 @@ ServerExplorer::TrojanQuery(
             return smt::CheckResult(smt::CheckStatus::kSat);
         }
     }
-    // Only model-less (pruning) queries answered by an unbudgeted
-    // solver consult and feed the shared core index: a budgeted solver
-    // can answer kUnknown, so it must neither skip queries nor record
-    // cores (no-drop-on-kUnknown).
-    const bool cores = model == nullptr && CoresUsable(plane);
-    if (cores && TrojanSubsumedByCore(plane, path_fps, negations)) {
-        ++plane.stats->trojan_core_subsumed;
-        return smt::CheckResult(smt::CheckStatus::kUnsat);
-    }
     ++plane.stats->trojan_queries;
-    smt::CheckResult result = plane.solver->CheckSatAssuming(
-        path_constraints, negations, model);
-    if (cores && result == smt::CheckResult::kUnsat && result.has_core)
-        RememberTrojanCore(plane, path_constraints, negations, result);
-    return result;
+    return plane.solver->CheckSatAssuming(path_constraints, negations,
+                                          model);
 }
 
 std::vector<std::string>
@@ -542,15 +426,6 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
 {
     LiveSet *data = GetLiveSet(state);
 
-    // Path fingerprints for the index probes, computed once per branch
-    // (the differentFrom overlay and the Trojan-core store share
-    // them); an un-fingerprintable constraint set -- a worker-local
-    // variable -- just skips the index.
-    exec::PruneFpVec path_fps;
-    const bool path_fps_ok =
-        plane.prune != nullptr && config_.use_unsat_cores &&
-        plane.prune->Fingerprint(state.constraints(), &path_fps);
-
     // Only constraints over the message can change which client
     // predicates match (skipping others is conservative: we merely keep
     // predicates live longer).
@@ -562,9 +437,6 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
             different_from_->IsIndependentField(fields[0]);
 
         const bool cores_usable = CoresUsable(plane);
-        const bool overlay_usable =
-            cores_usable && path_fps_ok &&
-            config_.use_different_from && different_from_ != nullptr;
         // Concrete pre-filter context, computed once per branch: the
         // path-constraint evaluation is shared by every live predicate,
         // so each predicate costs only its own match conjuncts.
@@ -590,31 +462,6 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
             }
             if (decided[i] == 2) {
                 survivors.push_back(i);
-                continue;
-            }
-            // The differentFrom overlay: a single-field core recorded
-            // on an earlier branch (possibly by another worker) whose
-            // path part this state contains refutes predicate i
-            // outright, and names a field, so i's value class takes
-            // the static fast path too -- exactly the decisions the
-            // solver query below would have produced.
-            std::string overlay_field;
-            if (overlay_usable && !(*plane.match_fps)[i].empty() &&
-                different_from_->OverlaySubsumed(
-                    plane.prune, plane.worker_id, path_fps,
-                    (*plane.match_fps)[i], &overlay_field)) {
-                decided[i] = 3;
-                ++plane.stats->overlay_drops;
-                if (different_from_->IsIndependentField(overlay_field)) {
-                    for (uint32_t j : data->live) {
-                        if (decided[j] == 0 && j != i &&
-                            !different_from_->Different(j, i,
-                                                        overlay_field)) {
-                            decided[j] = 3;
-                            ++plane.stats->overlay_field_marks;
-                        }
-                    }
-                }
                 continue;
             }
             // Concrete pre-filter: the standing model satisfying pathS
@@ -661,8 +508,7 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
 
     if (config_.prune_trojan_free_states) {
         const smt::CheckResult r =
-            TrojanQuery(plane, state.constraints(), data->live, nullptr,
-                        path_fps_ok ? &path_fps : nullptr);
+            TrojanQuery(plane, state.constraints(), data->live, nullptr);
         if (r == smt::CheckResult::kUnsat) {
             ++plane.stats->states_pruned;
             obs::TraceInstant(plane.obs.tracer, plane.obs.lane,
@@ -737,10 +583,6 @@ ServerExplorer::RunParallel()
 {
     exec::ParallelEngine engine(ctx_, server_, symexec::Mode::kServer,
                                 config_.engine, solver_->config());
-    exec::PruneIndexConfig prune_config;
-    prune_config.core_cap = config_.prune_core_cap;
-    prune_config.overlay_cap = config_.prune_overlay_cap;
-    engine.SetPruneIndexConfig(prune_config);
     engine.SetIncomingMessage(message_);
     // Warm-start wiring: the persist layer is injected from above
     // (exec must not depend on it). Restore runs single-threaded before
@@ -748,15 +590,15 @@ ServerExplorer::RunParallel()
     exec::ParallelEngine::KnowledgeHook restore;
     if (config_.knowledge_in != nullptr) {
         const persist::KnowledgeSnapshot *in = config_.knowledge_in;
-        restore = [in](exec::PruneIndex *prune, exec::QueryCache *cache) {
-            persist::RestoreKnowledge(*in, prune, cache);
+        restore = [in](exec::QueryCache *cache) {
+            persist::RestoreKnowledge(*in, cache);
         };
     }
     exec::ParallelEngine::KnowledgeHook capture;
     if (config_.knowledge_out != nullptr) {
         persist::KnowledgeSnapshot *out = config_.knowledge_out;
-        capture = [out](exec::PruneIndex *prune, exec::QueryCache *cache) {
-            persist::CaptureKnowledge(prune, cache, out);
+        capture = [out](exec::QueryCache *cache) {
+            persist::CaptureKnowledge(cache, out);
         };
     }
     if (restore || capture)
@@ -805,58 +647,16 @@ ServerAnalysis
 ServerExplorer::Run()
 {
     timer_.Reset();
-    // The home index serves serial runs and the a-posteriori
-    // differencing pass; parallel incremental runs consult the
-    // ParallelEngine's stores instead (restored via RunParallel's
-    // hooks), so warming the home index there would only duplicate
-    // capture output.
-    const bool home_kb =
-        home_prune_ != nullptr && (config_.engine.num_workers <= 1 ||
-                                   config_.mode == SearchMode::kAPosteriori);
-    if (home_kb && config_.knowledge_in != nullptr) {
-        persist::RestoreKnowledge(*config_.knowledge_in, home_prune_.get(),
-                                  nullptr);
-    }
     std::vector<symexec::PathResult> paths;
     if (config_.engine.num_workers > 1) {
         paths = RunParallel();
     } else {
-        // Serial runs own their prune index here (parallel runs get
-        // theirs from ParallelEngine, which registers its own gauges);
-        // expose it to the heartbeat for the duration of the run, then
-        // freeze so the gauges never outlive home_prune_ as live reads.
-        const bool gauges = config_.engine.obs.metrics_on() &&
-                            home_prune_ != nullptr;
-        if (gauges) {
-            obs::MetricsRegistry *reg = config_.engine.obs.registry;
-            const exec::PruneIndex *prune = home_prune_.get();
-            reg->RegisterGauge("prune.core_hits",
-                               [prune] { return prune->core_hits(); });
-            reg->RegisterGauge("prune.overlay_hits",
-                               [prune] { return prune->overlay_hits(); });
-            reg->RegisterGauge("prune.core_probes",
-                               [prune] { return prune->core_probes(); });
-            reg->RegisterGauge("prune.overlay_probes", [prune] {
-                return prune->overlay_probes();
-            });
-        }
         symexec::Engine engine(ctx_, solver_, server_,
                                symexec::Mode::kServer, config_.engine);
         engine.SetIncomingMessage(message_);
         engine.SetListener(this);
         paths = engine.Run();
         analysis_.stats.Merge(engine.stats());
-        if (gauges) {
-            obs::MetricsRegistry *reg = config_.engine.obs.registry;
-            const auto freeze = [reg](const std::string &name,
-                                      int64_t value) {
-                reg->RegisterGauge(name, [value] { return value; });
-            };
-            freeze("prune.core_hits", home_prune_->core_hits());
-            freeze("prune.overlay_hits", home_prune_->overlay_hits());
-            freeze("prune.core_probes", home_prune_->core_probes());
-            freeze("prune.overlay_probes", home_prune_->overlay_probes());
-        }
     }
 
     for (symexec::PathResult &path : paths) {
@@ -899,13 +699,7 @@ ServerExplorer::Run()
         }
     }
 
-    if (home_kb && config_.knowledge_out != nullptr) {
-        persist::CaptureKnowledge(home_prune_.get(), nullptr,
-                                  config_.knowledge_out);
-    }
     home_stats_.AddTo(&analysis_.stats);
-    if (home_prune_ != nullptr)
-        home_prune_->ExportStats(&analysis_.stats);
     analysis_.seconds = timer_.Seconds();
     return std::move(analysis_);
 }

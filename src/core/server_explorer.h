@@ -20,7 +20,6 @@
 #ifndef ACHILLES_CORE_SERVER_EXPLORER_H_
 #define ACHILLES_CORE_SERVER_EXPLORER_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,7 +27,6 @@
 #include "core/message.h"
 #include "core/negate.h"
 #include "core/path_predicate.h"
-#include "exec/prune_index.h"
 #include "obs/metrics.h"
 #include "smt/solver.h"
 #include "support/timer.h"
@@ -67,8 +65,7 @@ struct ServerExplorerConfig
     bool prune_trojan_free_states = true;
     /**
      * Consume unsat cores from the solver to drop every predicate a
-     * refutation transitively implicates (not just the one under test)
-     * and to subsume repeat Trojan refutations without a solver call.
+     * refutation transitively implicates (not just the one under test).
      * Core-guided drops only ever accelerate decisions the plain query
      * path would make identically (the core proves the sibling query
      * UNSAT outright, or re-enters the differentFrom value-class rule
@@ -79,19 +76,6 @@ struct ServerExplorerConfig
      * kUnknown, and nothing may be dropped on kUnknown.
      */
     bool use_unsat_cores = true;
-    /**
-     * Consult and feed the run's shared pruning knowledge base
-     * (exec::PruneIndex): the cross-state Trojan-core subsumption
-     * index and the runtime differentFrom overlay. Every hit answers
-     * exactly what the skipped solver query would have answered, so
-     * witness sets are bitwise identical with the index on or off;
-     * like all core reuse it is inert on budgeted solvers.
-     */
-    bool use_prune_index = true;
-    /** Entry caps for the explorer-owned index (serial runs) and the
-     *  ParallelEngine-owned one (multi-worker runs). */
-    size_t prune_core_cap = 1024;
-    size_t prune_overlay_cap = 1024;
     /**
      * Concrete pre-filter over the solver's standing model: before any
      * solver call, evaluate the query's assertions under the last
@@ -112,15 +96,16 @@ struct ServerExplorerConfig
     bool use_concrete_prefilter = true;
     /**
      * Warm-start knowledge to import before exploring (null = cold
-     * start). Serial runs restore into the home PruneIndex; parallel
-     * runs restore into the ParallelEngine's shared stores before any
-     * worker thread starts. Restored facts only ever skip queries whose
-     * answers they already are, so witness sets are bitwise identical
-     * to a cold run's at any worker count.
+     * start): restored into the ParallelEngine's shared query cache
+     * before any worker thread starts. Restored entries only ever
+     * answer queries whose answers they already are, so witness sets
+     * are bitwise identical to a cold run's at any worker count. Only
+     * multi-worker runs have a shared cache; serial runs
+     * (num_workers <= 1) neither restore nor capture.
      */
     const persist::KnowledgeSnapshot *knowledge_in = nullptr;
-    /** When set, the run's knowledge stores are captured (appended)
-     *  here after exploration finishes. */
+    /** When set, a multi-worker run's query cache is captured
+     *  (appended) here after exploration finishes. */
     persist::KnowledgeSnapshot *knowledge_out = nullptr;
 };
 
@@ -166,11 +151,8 @@ struct ExplorerStats
     int64_t core_drops = 0;
     int64_t core_subset_marks = 0;
     int64_t core_field_marks = 0;
-    int64_t overlay_drops = 0;
-    int64_t overlay_field_marks = 0;
     int64_t prefilter_hits = 0;
     int64_t prefilter_trojan_hits = 0;
-    int64_t trojan_core_subsumed = 0;
     int64_t blocked_by_unusable_negation = 0;
     int64_t states_pruned = 0;
     int64_t accepting_without_trojans = 0;
@@ -188,8 +170,8 @@ struct ServerAnalysis
     std::vector<symexec::PathResult> accepting_paths;
     std::vector<LiveSetSample> live_samples;
     /** Every plane's explorer counters, the engines' and (parallel
-     *  runs) the worker solvers' counters, and the knowledge stores'
-     *  exports. The home solver's counters stay on the solver. */
+     *  runs) the worker solvers', scheduler's and shared query cache's
+     *  counters. The home solver's counters stay on the solver. */
     obs::CounterView stats;
     double seconds = 0.0;
 };
@@ -251,9 +233,7 @@ class ServerExplorer : public symexec::Listener
      * num_workers > 1 each worker gets a plane of bridge-translated
      * expressions, its own CachedSolver and private sinks, so the
      * LiveSet bookkeeping and witness emission never share mutable
-     * state across threads. Cross-plane pruning knowledge flows only
-     * through the shared PruneIndex, in context-independent
-     * fingerprints.
+     * state across threads.
      */
     struct Plane
     {
@@ -262,15 +242,9 @@ class ServerExplorer : public symexec::Listener
         const std::vector<std::vector<smt::ExprRef>> *match;
         const std::vector<smt::ExprRef> *negations;
         const std::vector<smt::ExprRef> *message;
-        /** Per-predicate sorted match fingerprints for overlay probes
-         *  (empty vector = not fingerprintable, skip the index). */
-        const std::vector<exec::PruneFpVec> *match_fps;
         ExplorerStats *stats;
         std::vector<LiveSetSample> *samples;
         std::vector<TrojanWitness> *trojans;
-        /** The shared pruning knowledge base (null = disabled). */
-        exec::PruneIndex *prune;
-        size_t worker_id;
         /** Observability sinks addressed to this plane's lane (inert
          *  when the run carries none). */
         obs::ObsHandle obs;
@@ -292,12 +266,6 @@ class ServerExplorer : public symexec::Listener
      *  queries. */
     bool CoresUsable(const Plane &plane) const;
 
-    /** Per-predicate sorted match fingerprints for a plane's tables
-     *  (empty entries mark non-fingerprintable predicates). */
-    static std::vector<exec::PruneFpVec> BuildMatchFps(
-        const exec::PruneIndex *index,
-        const std::vector<std::vector<smt::ExprRef>> &match);
-
     /**
      * Mark every still-undecided live predicate that the core of
      * predicate `i`'s refutation also refutes: predicates whose match
@@ -311,27 +279,10 @@ class ServerExplorer : public symexec::Listener
                          const std::vector<uint32_t> &live,
                          std::vector<uint8_t> *decided);
 
-    /** Subsumption probe / recording for pruning Trojan queries,
-     *  routed through the shared PruneIndex as fingerprints.
-     *  `path_fps` carries the precomputed fingerprints of the full
-     *  path-constraint set (HandleBranch computes them once per branch
-     *  for both the overlay and this probe); null means the set was
-     *  not fingerprintable, which skips the index. */
-    bool TrojanSubsumedByCore(
-        Plane &plane, const exec::PruneFpVec *path_fps,
-        const std::vector<smt::ExprRef> &negations) const;
-    void RememberTrojanCore(
-        Plane &plane, const std::vector<smt::ExprRef> &path_constraints,
-        const std::vector<smt::ExprRef> &negations,
-        const smt::CheckResult &result);
-
-    /** Trojan query for a state; fills the model when sat. `path_fps`
-     *  (optional) are the precomputed fingerprints of
-     *  `path_constraints` for the pruning-probe path. */
+    /** Trojan query for a state; fills the model when sat. */
     smt::CheckResult TrojanQuery(
         Plane &plane, const std::vector<smt::ExprRef> &path_constraints,
-        const std::vector<uint32_t> &live, smt::Model *model,
-        const exec::PruneFpVec *path_fps = nullptr);
+        const std::vector<uint32_t> &live, smt::Model *model);
 
     /** Fields constrained by an expression (via message byte vars). */
     std::vector<std::string> TouchedFields(const Plane &plane,
@@ -368,12 +319,6 @@ class ServerExplorer : public symexec::Listener
     ServerAnalysis analysis_;
     /** The home plane's counters, added to analysis_.stats by Run. */
     ExplorerStats home_stats_;
-    /** The pruning knowledge base for serial runs and the a-posteriori
-     *  pass (multi-worker runs use the ParallelEngine's instance). */
-    std::unique_ptr<exec::PruneIndex> home_prune_;
-    /** Home-plane match fingerprints (parallel planes build their
-     *  own). */
-    std::vector<exec::PruneFpVec> home_match_fps_;
     Timer timer_;
 };
 

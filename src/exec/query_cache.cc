@@ -87,8 +87,7 @@ QueryCache::ShardFor(const QueryCacheKey &key)
 bool
 QueryCache::Lookup(const QueryCacheKey &key,
                    const QueryFingerprints &fingerprints, bool want_model,
-                   smt::CheckStatus *status, smt::Model *model,
-                   bool *has_core, QueryFingerprints *core)
+                   smt::CheckStatus *status, smt::Model *model)
 {
     Shard &shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -114,13 +113,6 @@ QueryCache::Lookup(const QueryCacheKey &key,
     *status = entry.status;
     if (model)
         *model = entry.model;
-    if (has_core) {
-        // Cores live in the shared pruning knowledge base, keyed (and
-        // verified) by the query's own fingerprint vector.
-        *has_core = entry.status == smt::CheckStatus::kUnsat &&
-                    prune_ != nullptr &&
-                    prune_->LookupQueryCore(fingerprints, core);
-    }
     return true;
 }
 
@@ -128,19 +120,10 @@ void
 QueryCache::Insert(const QueryCacheKey &key,
                    const QueryFingerprints &fingerprints,
                    smt::CheckStatus status, bool has_model,
-                   const smt::Model &model, bool has_core,
-                   const QueryFingerprints &core)
+                   const smt::Model &model)
 {
     if (status == smt::CheckStatus::kUnknown)
         return;  // may become decidable with a bigger budget; don't pin
-    if (has_core && prune_ != nullptr &&
-        status == smt::CheckStatus::kUnsat) {
-        // Single source of truth for core fingerprints: the shared
-        // pruning knowledge base. Cores of the same query may differ
-        // across solver histories -- any of them is a valid
-        // refutation, so the store's first-writer rule is fine.
-        prune_->RecordQueryCore(fingerprints, core);
-    }
     Shard &shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto [it, inserted] = shard.map.try_emplace(
@@ -265,71 +248,22 @@ CachedSolver::CheckShared(const std::vector<smt::ExprRef> &base,
                                 &fingerprints, extras)) {
         return Solver::CheckSatSets(base, extras, model);
     }
-    const auto assertion_at = [&](uint32_t idx) {
-        return idx < base.size() ? base[idx]
-                                 : (*extras)[idx - base.size()];
-    };
-    const size_t total =
-        base.size() + (extras != nullptr ? extras->size() : 0);
-    // Mirror the facade's contract: cores only surface to callers whose
-    // query would have taken the core-producing path themselves, so a
-    // budgeted or model-requesting caller never sees one off a shared
-    // hit either.
-    const bool core_path = model == nullptr &&
-                           config().enable_incremental &&
-                           config().unbudgeted() && config().enable_cores;
-
     smt::CheckStatus status;
-    bool has_core = false;
-    QueryFingerprints core_fps;
     if (cache_->Lookup(key, fingerprints, model != nullptr, &status,
-                       model, core_path ? &has_core : nullptr,
-                       core_path ? &core_fps : nullptr)) {
+                       model)) {
         // Counted once, in the cache's own hit counter (exported as
         // "exec.queries_cached" by ExportStats) -- a per-solver bump
-        // here would double-count after the merge.
-        smt::CheckResult result(status);
-        if (has_core && core_path) {
-            // Cores travel as context-independent structural
-            // fingerprints; re-anchor them to this caller's assertion
-            // indices (first occurrence per fingerprint, matching the
-            // Solver contract for duplicated assertions).
-            result.has_core = true;
-            QueryFingerprints remaining = core_fps;
-            for (uint32_t idx = 0;
-                 idx < total && !remaining.empty(); ++idx) {
-                const smt::ExprRef e = assertion_at(idx);
-                const std::pair<uint64_t, uint64_t> fp(e->struct_hash(),
-                                                       e->struct_hash2());
-                auto it = std::find(remaining.begin(), remaining.end(),
-                                    fp);
-                if (it != remaining.end()) {
-                    result.core.push_back(idx);
-                    remaining.erase(it);
-                }
-            }
-        }
-        return result;
+        // here would double-count after the merge. A hit carries no
+        // core.
+        return smt::CheckResult(status);
     }
     // Model-less queries run on the per-worker incremental backend and
     // publish model-less entries; a later model-requesting caller takes
     // the deterministic fresh-instance path and upgrades the entry.
     smt::CheckResult result = Solver::CheckSatSets(base, extras, model);
-    QueryFingerprints out_core;
-    if (result.has_core) {
-        out_core.reserve(result.core.size());
-        for (uint32_t idx : result.core) {
-            const smt::ExprRef e = assertion_at(idx);
-            out_core.emplace_back(e->struct_hash(), e->struct_hash2());
-        }
-        std::sort(out_core.begin(), out_core.end());
-        out_core.erase(std::unique(out_core.begin(), out_core.end()),
-                       out_core.end());
-    }
     cache_->Insert(key, fingerprints, result.status,
                    /*has_model=*/model != nullptr,
-                   model != nullptr ? *model : smt::Model(),
-                   result.has_core, out_core);
+                   model != nullptr ? *model : smt::Model());
     return result;
 }
 

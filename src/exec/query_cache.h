@@ -13,6 +13,10 @@
 // entries from the model-less incremental path serve result-only
 // callers and are upgraded in place on first model demand.
 //
+// Unsat cores are not cached: a hit answers the verdict (and the model,
+// if stored) only, which the CheckResult contract allows -- has_core is
+// never promised.
+//
 // Key soundness: fingerprints hash variables by id, so a key is only
 // valid across contexts when the ids mean the same variable everywhere.
 // The parallel engine id-aligns every variable that exists in the home
@@ -31,7 +35,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "exec/prune_index.h"
 #include "smt/solver.h"
 
 namespace achilles {
@@ -74,14 +77,6 @@ class QueryCache
     QueryCache &operator=(const QueryCache &) = delete;
 
     /**
-     * Delegate unsat-core storage to the shared pruning knowledge base
-     * (the single source of truth for core fingerprints). Without an
-     * index, kUnsat entries are cached core-less: hits still answer the
-     * verdict, callers just cannot accelerate off a replayed core.
-     */
-    void SetPruneIndex(PruneIndex *index) { prune_ = index; }
-
-    /**
      * Compute the canonical key for an assertion set (optionally split
      * as assertions ∪ extras, mirroring CheckSatAssuming, so hot
      * callers need not concatenate), plus the sorted per-assertion
@@ -113,31 +108,21 @@ class QueryCache
      * when `want_model` is set, a kSat entry to actually carry a model
      * (entries published by the model-less incremental solving path do
      * not; the caller re-solves on the deterministic model-producing
-     * path and upgrades the entry via Insert). For kUnsat answers the
-     * unsat core -- stored in the attached PruneIndex, not in the entry
-     * -- is replayed as the fingerprints of the implicated assertions
-     * (`*has_core`/`*core`); the core store verifies the full query
-     * fingerprint vector itself, so a replayed core always belongs to
-     * exactly this assertion set.
+     * path and upgrades the entry via Insert).
      */
     bool Lookup(const QueryCacheKey &key,
                 const QueryFingerprints &fingerprints, bool want_model,
-                smt::CheckStatus *status, smt::Model *model,
-                bool *has_core = nullptr, QueryFingerprints *core = nullptr);
+                smt::CheckStatus *status, smt::Model *model);
 
     /**
      * Publish a result (kUnknown results are not stored). Re-inserting
      * an existing entry with `has_model` set upgrades a model-less
      * entry in place; fingerprint-mismatched keys are left untouched.
-     * `core` holds the sorted fingerprints of the core assertions for
-     * kUnsat answers decided by the incremental backend; it is handed
-     * to the attached PruneIndex (first writer wins there too).
      */
     void Insert(const QueryCacheKey &key,
                 const QueryFingerprints &fingerprints,
                 smt::CheckStatus status, bool has_model,
-                const smt::Model &model, bool has_core = false,
-                const QueryFingerprints &core = {});
+                const smt::Model &model);
 
     // -- Snapshot export / import (src/persist) -----------------------
 
@@ -202,7 +187,6 @@ class QueryCache
     Shard &ShardFor(const QueryCacheKey &key);
 
     std::vector<std::unique_ptr<Shard>> shards_;
-    PruneIndex *prune_ = nullptr;
     std::atomic<int64_t> hits_{0};
     std::atomic<int64_t> misses_{0};
     std::atomic<int64_t> collisions_{0};

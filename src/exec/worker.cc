@@ -39,20 +39,13 @@ ParallelEngine::Run()
     // every worker context; only queries confined to these variables may
     // use the shared cache (worker-local variable ids are ambiguous).
     const uint32_t shared_var_limit = home_->NumVars();
-    // The shared pruning knowledge base: Trojan-core subsumption and
-    // the differentFrom overlay for the explorer's planes, delegated
-    // core storage for the query cache. Portability of its fingerprints
-    // follows the same id-alignment rule as the cache's keys.
-    prune_config_.shared_var_limit = shared_var_limit;
-    prune_index_ = std::make_unique<PruneIndex>(prune_config_);
     cache_ = std::make_unique<QueryCache>();
-    cache_->SetPruneIndex(prune_index_.get());
-    // Warm start: restore persisted knowledge into the freshly built
-    // stores before any worker thread exists. Restored facts only skip
-    // queries whose answers they already are, so witness sets stay
-    // bitwise identical to a cold run's.
+    // Warm start: restore persisted entries into the freshly built
+    // cache before any worker thread exists. Restored entries only
+    // answer queries whose answers they already are, so witness sets
+    // stay bitwise identical to a cold run's.
     if (restore_hook_)
-        restore_hook_(prune_index_.get(), cache_.get());
+        restore_hook_(cache_.get());
 
     SchedulerConfig sched_config;
     sched_config.num_workers = n;
@@ -74,21 +67,6 @@ ParallelEngine::Run()
                            [cache] { return cache->misses(); });
         reg->RegisterGauge("cache.collisions",
                            [cache] { return cache->collisions(); });
-        const PruneIndex *prune = prune_index_.get();
-        reg->RegisterGauge("prune.core_hits",
-                           [prune] { return prune->core_hits(); });
-        reg->RegisterGauge("prune.overlay_hits",
-                           [prune] { return prune->overlay_hits(); });
-        reg->RegisterGauge("prune.core_probes",
-                           [prune] { return prune->core_probes(); });
-        reg->RegisterGauge("prune.overlay_probes",
-                           [prune] { return prune->overlay_probes(); });
-        reg->RegisterGauge("prune.cross_worker_hits",
-                           [prune] { return prune->cross_worker_hits(); });
-        reg->RegisterGauge("prune.evictions",
-                           [prune] { return prune->evictions(); });
-        reg->RegisterGauge("prune.hot_exemptions",
-                           [prune] { return prune->hot_exemptions(); });
         const WorkStealingScheduler *sched = scheduler_.get();
         reg->RegisterGauge("engine.frontier", [sched] {
             return static_cast<int64_t>(sched->queued());
@@ -110,7 +88,6 @@ ParallelEngine::Run()
         // Worker w owns obs lane 1 + w: its own metric shard and its own
         // trace track (lane 0 stays with the main/pipeline thread).
         engine_config.obs = config_.obs.ForLane(i + 1);
-        wc->prune_index = prune_index_.get();
         wc->bridge =
             std::make_unique<ExprBridge>(home_, &wc->ctx, &home_mutex_);
         wc->bridge->MirrorHomeVars();
@@ -174,7 +151,6 @@ ParallelEngine::Run()
                      });
     scheduler_->ExportStats(&stats_);
     cache_->ExportStats(&stats_);
-    prune_index_->ExportStats(&stats_);
     stats_.Add("exec.workers", static_cast<int64_t>(n));
 
     // The gauges registered above read components this engine owns;
@@ -189,21 +165,13 @@ ParallelEngine::Run()
         freeze("cache.hits", cache_->hits());
         freeze("cache.misses", cache_->misses());
         freeze("cache.collisions", cache_->collisions());
-        freeze("prune.core_hits", prune_index_->core_hits());
-        freeze("prune.overlay_hits", prune_index_->overlay_hits());
-        freeze("prune.core_probes", prune_index_->core_probes());
-        freeze("prune.overlay_probes", prune_index_->overlay_probes());
-        freeze("prune.cross_worker_hits",
-               prune_index_->cross_worker_hits());
-        freeze("prune.evictions", prune_index_->evictions());
-        freeze("prune.hot_exemptions", prune_index_->hot_exemptions());
         freeze("engine.frontier", 0);
         freeze("exec.states_stolen", scheduler_->states_stolen());
     }
     // Everything this run proved, for the next run's warm start. After
-    // the join, so the stores are quiescent.
+    // the join, so the cache is quiescent.
     if (capture_hook_)
-        capture_hook_(prune_index_.get(), cache_.get());
+        capture_hook_(cache_.get());
     return results;
 }
 

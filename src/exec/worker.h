@@ -20,16 +20,13 @@
 // pure function of the canonicalized query), never by the
 // history-dependent persistent SAT instance.
 //
-// Unsat cores cross workers without expression translation: a worker's
-// incremental backend reports a core as indices into the caller's own
-// assertion vectors (already in that worker's context), and the shared
-// query cache stores cores as context-independent structural
-// fingerprints that each CachedSolver re-anchors to its caller's
-// indices on a hit (exec/query_cache.h). Cores from different solver
-// histories may differ, but every core proves the same kUnsat verdict,
-// so core-guided consumers (the server explorer's predicate dropping)
-// stay schedule-independent in their results even when their skipped
-// query counts differ.
+// Unsat cores stay worker-local: a worker's incremental backend reports
+// a core as indices into the caller's own assertion vectors (already in
+// that worker's context), and a shared query-cache hit carries the
+// verdict only. Cores from different solver histories may differ, but
+// every core proves the same kUnsat verdict, so core-guided consumers
+// (the server explorer's predicate dropping) stay schedule-independent
+// in their results even when their skipped query counts differ.
 
 #ifndef ACHILLES_EXEC_WORKER_H_
 #define ACHILLES_EXEC_WORKER_H_
@@ -41,7 +38,6 @@
 #include <vector>
 
 #include "exec/expr_transfer.h"
-#include "exec/prune_index.h"
 #include "exec/query_cache.h"
 #include "exec/scheduler.h"
 #include "obs/metrics.h"
@@ -61,10 +57,6 @@ struct WorkerContext
     std::unique_ptr<symexec::Engine> engine;
     /** Worker-context replicas of the home incoming-message bytes. */
     std::vector<smt::ExprRef> incoming;
-    /** This worker's handle onto the run's shared pruning knowledge
-     *  base (Trojan-core subsumption, differentFrom overlay, delegated
-     *  query cores); identical pointer in every worker. */
-    PruneIndex *prune_index = nullptr;
 };
 
 /**
@@ -103,24 +95,16 @@ class ParallelEngine
         factory_ = factory;
     }
 
-    /** Override the pruning knowledge base's caps before Run (the
-     *  shared_var_limit field is recomputed at launch regardless). */
-    void SetPruneIndexConfig(PruneIndexConfig config)
-    {
-        prune_config_ = config;
-    }
-
     /**
-     * Hook over the run's shared knowledge stores. Used by the
-     * warm-start persistence layer (src/persist), which this subsystem
-     * must not depend on -- callers inject the snapshot logic from
-     * above.
+     * Hook over the run's shared query cache. Used by the warm-start
+     * persistence layer (src/persist), which this subsystem must not
+     * depend on -- callers inject the snapshot logic from above.
      */
-    using KnowledgeHook = std::function<void(PruneIndex *, QueryCache *)>;
+    using KnowledgeHook = std::function<void(QueryCache *)>;
 
     /**
-     * `restore` runs after the shared stores are constructed and before
-     * any worker thread starts (single-threaded, so imports need no
+     * `restore` runs after the cache is constructed and before any
+     * worker thread starts (single-threaded, so imports need no
      * coordination with consumers); `capture` runs after every worker
      * has joined and stats are merged, immediately before Run returns.
      * Either may be null.
@@ -140,14 +124,12 @@ class ParallelEngine
     std::vector<symexec::PathResult> Run();
 
     /** Every worker engine's and solver's counters plus the shared
-     *  stores' exports, merged after the join. */
+     *  cache's and scheduler's exports, merged after the join. */
     const obs::CounterView &stats() const { return stats_; }
 
     size_t num_workers() const { return workers_.size(); }
     WorkerContext &worker(size_t i) { return *workers_[i]; }
     QueryCache *query_cache() { return cache_.get(); }
-    /** The run's shared pruning knowledge base. */
-    PruneIndex *prune_index() { return prune_index_.get(); }
 
   private:
     void WorkerLoop(size_t worker_id);
@@ -161,8 +143,6 @@ class ParallelEngine
     std::vector<smt::ExprRef> incoming_;
 
     std::mutex home_mutex_;
-    PruneIndexConfig prune_config_;
-    std::unique_ptr<PruneIndex> prune_index_;
     std::unique_ptr<QueryCache> cache_;
     std::unique_ptr<WorkStealingScheduler> scheduler_;
     std::vector<std::unique_ptr<WorkerContext>> workers_;

@@ -6,7 +6,6 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
-#include <tuple>
 
 namespace achilles {
 namespace persist {
@@ -15,21 +14,12 @@ namespace {
 
 constexpr char kMagic[8] = {'A', 'C', 'H', 'S', 'N', 'A', 'P', '\0'};
 
-// Section tags. Unknown tags fail the load: a future writer's snapshot
-// is not partially importable, per the all-or-nothing rule. Tag 4 held
-// version 1's lemma pool; it is retired, not reused.
-constexpr uint32_t kSectionCores = 1;
-constexpr uint32_t kSectionOverlay = 2;
-constexpr uint32_t kSectionQueryCores = 3;
+// The one section tag. Any other tag fails the load: a future writer's
+// snapshot is not partially importable, per the all-or-nothing rule.
+// Tags 1-3 held version 2's pruning-index cores, overlay and query
+// cores, and tag 4 version 1's lemma pool; they are retired, not
+// reused.
 constexpr uint32_t kSectionQueries = 5;
-constexpr uint32_t kSectionCount = 4;
-
-bool
-KnownSection(uint32_t tag)
-{
-    return tag == kSectionCores || tag == kSectionOverlay ||
-           tag == kSectionQueryCores || tag == kSectionQueries;
-}
 
 // ------------------------------------------------------------ encoding
 
@@ -48,10 +38,10 @@ PutU64(std::vector<uint8_t> *buf, uint64_t v)
 }
 
 void
-PutFpVec(std::vector<uint8_t> *buf, const exec::PruneFpVec &fps)
+PutFpVec(std::vector<uint8_t> *buf, const exec::QueryFingerprints &fps)
 {
     PutU64(buf, fps.size());
-    for (const exec::PruneFp &fp : fps) {
+    for (const auto &fp : fps) {
         PutU64(buf, fp.first);
         PutU64(buf, fp.second);
     }
@@ -107,7 +97,7 @@ struct Reader
 };
 
 bool
-GetFpVec(Reader *r, exec::PruneFpVec *out)
+GetFpVec(Reader *r, exec::QueryFingerprints *out)
 {
     const uint64_t count = r->U64();
     // Each fingerprint is 16 bytes; a count the remaining payload
@@ -130,68 +120,7 @@ GetFpVec(Reader *r, exec::PruneFpVec *out)
     return true;
 }
 
-// ---------------------------------------------------- section payloads
-
-std::vector<uint8_t>
-EncodeEntries(const std::vector<exec::PruneIndex::ExportedEntry> &entries)
-{
-    std::vector<uint8_t> buf;
-    PutU64(&buf, entries.size());
-    for (const auto &e : entries) {
-        PutU64(&buf, e.payload);
-        PutFpVec(&buf, e.primary);
-        PutFpVec(&buf, e.secondary);
-    }
-    return buf;
-}
-
-bool
-DecodeEntries(Reader *r,
-              std::vector<exec::PruneIndex::ExportedEntry> *out)
-{
-    const uint64_t count = r->U64();
-    if (!r->ok || count > (r->size - r->pos) / 24)
-        return false;
-    out->reserve(static_cast<size_t>(count));
-    for (uint64_t i = 0; i < count; ++i) {
-        exec::PruneIndex::ExportedEntry e;
-        e.payload = r->U64();
-        if (!GetFpVec(r, &e.primary) || !GetFpVec(r, &e.secondary))
-            return false;
-        out->push_back(std::move(e));
-    }
-    return r->ok;
-}
-
-std::vector<uint8_t>
-EncodeQueryCores(
-    const std::vector<exec::PruneIndex::ExportedQueryCore> &entries)
-{
-    std::vector<uint8_t> buf;
-    PutU64(&buf, entries.size());
-    for (const auto &e : entries) {
-        PutFpVec(&buf, e.query);
-        PutFpVec(&buf, e.core);
-    }
-    return buf;
-}
-
-bool
-DecodeQueryCores(Reader *r,
-                 std::vector<exec::PruneIndex::ExportedQueryCore> *out)
-{
-    const uint64_t count = r->U64();
-    if (!r->ok || count > (r->size - r->pos) / 16)
-        return false;
-    out->reserve(static_cast<size_t>(count));
-    for (uint64_t i = 0; i < count; ++i) {
-        exec::PruneIndex::ExportedQueryCore e;
-        if (!GetFpVec(r, &e.query) || !GetFpVec(r, &e.core))
-            return false;
-        out->push_back(std::move(e));
-    }
-    return r->ok;
-}
+// ----------------------------------------------------- section payload
 
 std::vector<uint8_t>
 EncodeQueries(const std::vector<exec::QueryCache::ExportedEntry> &entries)
@@ -250,51 +179,14 @@ DecodeQueries(Reader *r,
 
 // -------------------------------------------------- canonical ordering
 
-bool
-EntryLess(const exec::PruneIndex::ExportedEntry &a,
-          const exec::PruneIndex::ExportedEntry &b)
-{
-    return std::tie(a.primary, a.secondary, a.payload) <
-           std::tie(b.primary, b.secondary, b.payload);
-}
-
-bool
-EntryEq(const exec::PruneIndex::ExportedEntry &a,
-        const exec::PruneIndex::ExportedEntry &b)
-{
-    return a.primary == b.primary && a.secondary == b.secondary &&
-           a.payload == b.payload;
-}
-
 void
 Canonicalize(KnowledgeSnapshot *snap)
 {
     // Deterministic bytes for identical knowledge: shard layout,
-    // capture order and duplicate appends (engine stores + home index)
-    // must not show in the file.
-    std::sort(snap->cores.begin(), snap->cores.end(), EntryLess);
-    snap->cores.erase(std::unique(snap->cores.begin(), snap->cores.end(),
-                                  EntryEq),
-                      snap->cores.end());
-    std::sort(snap->overlay.begin(), snap->overlay.end(), EntryLess);
-    snap->overlay.erase(std::unique(snap->overlay.begin(),
-                                    snap->overlay.end(), EntryEq),
-                        snap->overlay.end());
-    const auto qc_less = [](const exec::PruneIndex::ExportedQueryCore &a,
-                            const exec::PruneIndex::ExportedQueryCore &b) {
-        return std::tie(a.query, a.core) < std::tie(b.query, b.core);
-    };
-    const auto qc_eq = [](const exec::PruneIndex::ExportedQueryCore &a,
-                          const exec::PruneIndex::ExportedQueryCore &b) {
-        return a.query == b.query && a.core == b.core;
-    };
-    std::sort(snap->query_cores.begin(), snap->query_cores.end(), qc_less);
-    snap->query_cores.erase(std::unique(snap->query_cores.begin(),
-                                        snap->query_cores.end(), qc_eq),
-                            snap->query_cores.end());
-    // Queries: dedup by fingerprint vector, preferring the entry that
-    // carries a model (models are pure functions of the query, so any
-    // carrier has the same bytes).
+    // capture order and duplicate appends must not show in the file.
+    // Dedup by fingerprint vector, preferring the entry that carries a
+    // model (models are pure functions of the query, so any carrier
+    // has the same bytes).
     const auto q_less = [](const exec::QueryCache::ExportedEntry &a,
                            const exec::QueryCache::ExportedEntry &b) {
         if (a.fingerprints != b.fingerprints)
@@ -356,12 +248,7 @@ SaveSnapshot(const KnowledgeSnapshot &snapshot, const std::string &path,
     file.insert(file.end(), kMagic, kMagic + sizeof(kMagic));
     PutU32(&file, kSnapshotFormatVersion);
     PutU64(&file, canonical.protocol_fingerprint);
-    PutU32(&file, kSectionCount);
-    AppendSection(&file, kSectionCores, EncodeEntries(canonical.cores));
-    AppendSection(&file, kSectionOverlay,
-                  EncodeEntries(canonical.overlay));
-    AppendSection(&file, kSectionQueryCores,
-                  EncodeQueryCores(canonical.query_cores));
+    PutU32(&file, 1);  // section count
     AppendSection(&file, kSectionQueries,
                   EncodeQueries(canonical.queries));
 
@@ -425,7 +312,7 @@ LoadSnapshot(const std::string &path, uint64_t expected_fingerprint,
 
     KnowledgeSnapshot snap;
     snap.protocol_fingerprint = fingerprint;
-    bool seen[6] = {false, false, false, false, false, false};
+    bool seen_queries = false;
     for (uint32_t s = 0; s < section_count; ++s) {
         const uint32_t tag = r.U32();
         const uint64_t payload_size = r.U64();
@@ -436,26 +323,12 @@ LoadSnapshot(const std::string &path, uint64_t expected_fingerprint,
         if (Crc32(payload, static_cast<size_t>(payload_size)) != crc)
             return fail("section CRC mismatch (tag " +
                         std::to_string(tag) + ")");
-        if (!KnownSection(tag) || seen[tag])
+        if (tag != kSectionQueries || seen_queries)
             return fail("unknown or duplicate section tag " +
                         std::to_string(tag));
-        seen[tag] = true;
+        seen_queries = true;
         Reader sec{payload, static_cast<size_t>(payload_size), 0, true};
-        bool decoded = false;
-        switch (tag) {
-            case kSectionCores:
-                decoded = DecodeEntries(&sec, &snap.cores);
-                break;
-            case kSectionOverlay:
-                decoded = DecodeEntries(&sec, &snap.overlay);
-                break;
-            case kSectionQueryCores:
-                decoded = DecodeQueryCores(&sec, &snap.query_cores);
-                break;
-            case kSectionQueries:
-                decoded = DecodeQueries(&sec, &snap.queries);
-                break;
-        }
+        const bool decoded = DecodeQueries(&sec, &snap.queries);
         // The payload must decode cleanly AND account for every byte;
         // trailing garbage means the size field and the content
         // disagree.
@@ -472,29 +345,15 @@ LoadSnapshot(const std::string &path, uint64_t expected_fingerprint,
 }
 
 void
-RestoreKnowledge(const KnowledgeSnapshot &snapshot,
-                 exec::PruneIndex *prune, exec::QueryCache *cache)
+RestoreKnowledge(const KnowledgeSnapshot &snapshot, exec::QueryCache *cache)
 {
-    if (prune != nullptr) {
-        prune->ImportCores(snapshot.cores);
-        prune->ImportOverlay(snapshot.overlay);
-        prune->ImportQueryCores(snapshot.query_cores);
-    }
-    if (cache != nullptr)
-        cache->Import(snapshot.queries);
+    cache->Import(snapshot.queries);
 }
 
 void
-CaptureKnowledge(const exec::PruneIndex *prune,
-                 const exec::QueryCache *cache, KnowledgeSnapshot *out)
+CaptureKnowledge(const exec::QueryCache *cache, KnowledgeSnapshot *out)
 {
-    if (prune != nullptr) {
-        prune->ExportCores(&out->cores);
-        prune->ExportOverlay(&out->overlay);
-        prune->ExportQueryCores(&out->query_cores);
-    }
-    if (cache != nullptr)
-        cache->Export(&out->queries);
+    cache->Export(&out->queries);
 }
 
 }  // namespace persist

@@ -1,15 +1,14 @@
 // Achilles reproduction -- warm-start knowledge persistence.
 //
-// Cross-run snapshot/restore of the two knowledge stores the
-// exploration builds as it proves things: the PruneIndex (two-part core
-// subsumption, differentFrom overlay, delegated query cores) and the
-// cross-worker query cache. Every run today rediscovers from scratch
-// what prior runs already proved; both stores speak context-independent
-// structural fingerprints by construction, so persisting them is a
-// format problem, not a semantics problem -- the same
-// (struct_hash, struct_hash2) pairs mean
-// the same assertions in any run of the same protocol, because the
-// protocol's deterministic construction assigns the same variable ids.
+// Cross-run snapshot/restore of the shared query cache a multi-worker
+// exploration builds as it proves things. Without it every run
+// rediscovers from scratch what prior runs already proved; the cache
+// speaks context-independent structural fingerprints by construction,
+// so persisting it is a format problem, not a semantics problem -- the
+// same (struct_hash, struct_hash2) pairs mean the same assertions in
+// any run of the same protocol, because the protocol's deterministic
+// construction assigns the same variable ids. Serial runs have no
+// shared cache, so they neither restore nor capture.
 //
 // Format (little-endian throughout):
 //
@@ -20,8 +19,8 @@
 //            | payload bytes
 //
 // Section payloads encode counted vectors of fixed-width integers (see
-// snapshot.cc); tags are kSectionCores/Overlay/QueryCores/Queries
-// (1, 2, 3 and 5). The protocol fingerprint (persist/fingerprint.h) is a
+// snapshot.cc); the one section is kSectionQueries (tag 5). The
+// protocol fingerprint (persist/fingerprint.h) is a
 // structural hash of the materialized protocol bundle, so a snapshot of
 // an edited protocol silently misses instead of poisoning the run.
 //
@@ -31,11 +30,10 @@
 // mismatch, an unsorted fingerprint vector, or an out-of-range status
 // byte each fail the load completely, and the caller proceeds with a
 // cold start -- a bad snapshot can cost the warm start, never an
-// answer. On the import side the stores re-verify what they can:
-// query-cache keys are recomputed from the fingerprint vectors (never
-// read from the file), and every restored fact is only ever used to
-// skip a query whose answer it already is, so a snapshot -- even an
-// adversarial one -- cannot flip a verdict, only waste space.
+// answer. On the import side the cache re-verifies what it can: keys
+// are recomputed from the fingerprint vectors (never read from the
+// file), and every restored entry is only ever used to answer a query
+// whose answer it already is.
 
 #ifndef ACHILLES_PERSIST_SNAPSHOT_H_
 #define ACHILLES_PERSIST_SNAPSHOT_H_
@@ -44,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/prune_index.h"
 #include "exec/query_cache.h"
 
 namespace achilles {
@@ -52,35 +49,21 @@ namespace persist {
 
 /** Current snapshot format version (bumped on layout changes; loaders
  *  reject other versions, degrading to a cold start). */
-constexpr uint32_t kSnapshotFormatVersion = 2;
+constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /**
- * Everything a run's knowledge stores proved, in portable form.
- * Capture* appends (a run may capture the engine's shared stores and
- * the explorer's home index into one snapshot); SaveSnapshot sorts and
- * deduplicates, so the on-disk bytes are deterministic regardless of
- * capture order or shard layout.
+ * Everything a run's query cache proved, in portable form.
+ * CaptureKnowledge appends; SaveSnapshot sorts and deduplicates, so the
+ * on-disk bytes are deterministic regardless of capture order or shard
+ * layout.
  */
 struct KnowledgeSnapshot
 {
     uint64_t protocol_fingerprint = 0;
-    std::vector<exec::PruneIndex::ExportedEntry> cores;
-    std::vector<exec::PruneIndex::ExportedEntry> overlay;
-    std::vector<exec::PruneIndex::ExportedQueryCore> query_cores;
     std::vector<exec::QueryCache::ExportedEntry> queries;
 
-    bool
-    Empty() const
-    {
-        return cores.empty() && overlay.empty() && query_cores.empty() &&
-               queries.empty();
-    }
-    size_t
-    TotalEntries() const
-    {
-        return cores.size() + overlay.size() + query_cores.size() +
-               queries.size();
-    }
+    bool Empty() const { return queries.empty(); }
+    size_t TotalEntries() const { return queries.size(); }
 };
 
 /** CRC-32 (IEEE 802.3 polynomial, table-driven). */
@@ -105,17 +88,15 @@ bool LoadSnapshot(const std::string &path, uint64_t expected_fingerprint,
                   KnowledgeSnapshot *out, std::string *error);
 
 /**
- * Import a snapshot into live stores; null stores are skipped (serial
- * runs have no query cache). Routed through the stores' normal record
- * paths, so dedup and eviction apply.
+ * Import a snapshot into a live query cache, routed through the
+ * cache's normal insert path (QueryCache::Import).
  */
 void RestoreKnowledge(const KnowledgeSnapshot &snapshot,
-                      exec::PruneIndex *prune, exec::QueryCache *cache);
+                      exec::QueryCache *cache);
 
-/** Append the live stores' contents to `*out`; null stores are
- *  skipped. Does not touch `out->protocol_fingerprint`. */
-void CaptureKnowledge(const exec::PruneIndex *prune,
-                      const exec::QueryCache *cache,
+/** Append the cache's contents to `*out`. Does not touch
+ *  `out->protocol_fingerprint`. */
+void CaptureKnowledge(const exec::QueryCache *cache,
                       KnowledgeSnapshot *out);
 
 }  // namespace persist

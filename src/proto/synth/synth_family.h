@@ -5,9 +5,10 @@
 //  1. The fixed synthetic protocols of the Section 6.4 optimization
 //     study (moved here from bench/synth_protocol.h): a scaled
 //     CRC-tagged command protocol and a fully-validated "guarded"
-//     variant that exercises cross-state pruning. These are kept
-//     source-identical so the fig11/ablation benches and the prune
-//     tests measure exactly what they always measured.
+//     variant whose sibling regions repeat the same dead-end queries.
+//     These are kept source-identical so the fig11 and warm-start
+//     benches and the persistence tests measure exactly what they
+//     always measured.
 //
 //  2. A seeded family sampler: FamilyKnobs spans a grid of protocol
 //     shapes -- dispatch depth (how many binary dispatch levels the
@@ -146,12 +147,10 @@ MakeServer(uint32_t num_subcommands)
 // analyzed field, so no state has a Trojan) whose server re-derives the
 // same dead-end constraints in many sibling regions, selected by a pad
 // byte that belongs to no layout field. Each region's validation chain
-// ends in a state provably free of Trojans; the first such refutation's
-// core -- {cmd == i, arg < bound, ¬pathC_i} -- transfers verbatim to
-// every other region's chain (their extra pad constraints are not
-// implicated), which is exactly the workload the cross-state Trojan-core
-// index prunes: one worker's dead state subsumes the descendants of
-// every sibling region, including regions explored by other workers.
+// ends in a state provably free of Trojans, refuted by the same core --
+// {cmd == i, arg < bound, ¬pathC_i} -- in every region (the extra pad
+// constraints are not implicated). The regions' query streams overlap,
+// so a warm-started shared query cache answers nearly all of them.
 // ---------------------------------------------------------------------
 
 inline constexpr uint64_t kGuardedArgBound = 10;

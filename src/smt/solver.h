@@ -34,7 +34,7 @@ enum class CheckStatus : uint8_t { kSat, kUnsat, kUnknown };
  * CheckSatAssuming(base, extras) indexes base first, then extras offset
  * by base.size(). Duplicated assertions report their first occurrence.
  * `has_core` distinguishes "no core information" (fresh-instance or
- * interval answers, cache entries recorded without one) from a genuine
+ * interval answers, shared query-cache hits) from a genuine
  * core; an empty core with has_core set means the query is
  * unsatisfiable regardless of the assertions (cannot arise from
  * guarded assertions, but callers must treat it as "everything is

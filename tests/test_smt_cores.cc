@@ -2,8 +2,8 @@
 //
 // Unsat cores over assumptions, end to end: analyze-final extraction
 // and refute-only deletion minimization in the SAT solver, caller-index
-// mapping and cache round-trips in the Solver facade, fingerprint
-// translation through the shared cross-worker query cache, and the two
+// mapping and cache round-trips in the Solver facade, verdict-only hits
+// through the shared cross-worker query cache, and the two
 // standing contracts at the explorer level -- witness sets bitwise
 // identical across worker counts 1/2/4/8 with cores on or off, and
 // core-guided drops never firing on kUnknown or budgeted queries.
@@ -28,7 +28,6 @@ namespace achilles {
 namespace {
 
 using smt::CheckResult;
-using smt::CheckStatus;
 using smt::ExprContext;
 using smt::ExprRef;
 using smt::Lit;
@@ -273,7 +272,7 @@ TEST_F(SolverCoreTest, DisabledCoresNeverSurface)
 
 // -------------------------------------------------- shared query cache
 
-TEST(QueryCacheCoreTest, CoresTranslateAcrossContexts)
+TEST(QueryCacheCoreTest, RemoteHitCarriesVerdictWithoutCore)
 {
     ExprContext home;
     ExprRef x = home.FreshVar("x", 8);
@@ -288,10 +287,6 @@ TEST(QueryCacheCoreTest, CoresTranslateAcrossContexts)
     bridge.MirrorHomeVars();
 
     exec::QueryCache cache;
-    // Core storage is delegated to the pruning knowledge base; a cache
-    // without one still answers verdicts but replays no cores.
-    exec::PruneIndex prune;
-    cache.SetPruneIndex(&prune);
     const uint32_t limit = home.NumVars();
     exec::CachedSolver home_solver(&home, &cache, limit);
     exec::CachedSolver remote_solver(&remote, &cache, limit);
@@ -302,42 +297,15 @@ TEST(QueryCacheCoreTest, CoresTranslateAcrossContexts)
     ASSERT_TRUE(first.has_core);
     EXPECT_EQ(first.core, (std::vector<uint32_t>{1, 2}));
 
-    // The remote worker's probe hits the shared entry and re-anchors
-    // the fingerprint core to its own (reordered) assertion indices.
+    // The remote worker's probe (reordered, in its own context) hits
+    // the shared entry: the verdict crosses workers, the core does not.
     const CheckResult hit = remote_solver.CheckSat(
         {bridge.ToRemote(ge), bridge.ToRemote(irrelevant),
          bridge.ToRemote(lt)});
     ASSERT_EQ(hit, CheckResult::kUnsat);
-    ASSERT_TRUE(hit.has_core);
-    EXPECT_EQ(hit.core, (std::vector<uint32_t>{0, 2}));
+    EXPECT_FALSE(hit.has_core);
+    EXPECT_TRUE(hit.core.empty());
     EXPECT_EQ(cache.hits(), 1);
-}
-
-TEST(QueryCacheCoreTest, CoreUpgradeFillsCorelessUnsatEntries)
-{
-    exec::QueryCache cache;
-    exec::PruneIndex prune;
-    cache.SetPruneIndex(&prune);
-    exec::QueryCacheKey key{21, 22};
-    exec::QueryFingerprints fp{{1, 2}, {3, 4}};
-    const exec::QueryFingerprints core{{3, 4}};
-
-    cache.Insert(key, fp, CheckStatus::kUnsat, /*has_model=*/false,
-                 Model());
-    CheckStatus status;
-    bool has_core = false;
-    exec::QueryFingerprints out_core;
-    ASSERT_TRUE(cache.Lookup(key, fp, /*want_model=*/false, &status,
-                             nullptr, &has_core, &out_core));
-    EXPECT_FALSE(has_core);
-
-    cache.Insert(key, fp, CheckStatus::kUnsat, /*has_model=*/false,
-                 Model(), /*has_core=*/true, core);
-    ASSERT_TRUE(cache.Lookup(key, fp, /*want_model=*/false, &status,
-                             nullptr, &has_core, &out_core));
-    EXPECT_TRUE(has_core);
-    EXPECT_EQ(out_core, core);
-    EXPECT_EQ(cache.size(), 1u);
 }
 
 // ----------------------------------------------------------- explorer
@@ -349,7 +317,6 @@ struct PipelineRun
 {
     std::vector<WitnessSummary> witnesses;
     int64_t core_drops = 0;
-    int64_t trojan_subsumed = 0;
     int64_t match_queries = 0;
 };
 
@@ -373,14 +340,11 @@ RunFspPipeline(size_t workers, bool cores, bool difffrom,
     config.server_config.engine.num_workers = workers;
     config.server_config.use_unsat_cores = cores;
     config.server_config.use_different_from = difffrom;
-    config.compute_different_from = difffrom;
     const core::AchillesResult result =
         core::RunAchilles(&ctx, &solver, config);
 
     PipelineRun run;
     run.core_drops = result.server.stats.Get("explorer.core_drops");
-    run.trojan_subsumed =
-        result.server.stats.Get("explorer.trojan_core_subsumed");
     run.match_queries =
         result.server.stats.Get("explorer.match_queries");
     core::CanonicalHasher hasher(&ctx);
@@ -420,13 +384,11 @@ TEST(ExplorerCoreTest, BudgetedSolverNeverCoreDrops)
 {
     // With a conflict budget the solver can answer kUnknown; the
     // explorer must fall back to plain per-predicate queries -- zero
-    // core-guided drops and zero Trojan-core subsumptions, even with
-    // the toggle on.
+    // core-guided drops, even with the toggle on.
     const PipelineRun run = RunFspPipeline(
         /*workers=*/1, /*cores=*/true, /*difffrom=*/false,
         /*max_conflicts=*/3);
     EXPECT_EQ(run.core_drops, 0);
-    EXPECT_EQ(run.trojan_subsumed, 0);
 }
 
 }  // namespace

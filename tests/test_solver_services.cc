@@ -232,7 +232,6 @@ RunFspPipeline(size_t workers, bool prefilter)
     config.server_config.engine.num_workers = workers;
     config.server_config.use_different_from = false;
     config.server_config.use_concrete_prefilter = prefilter;
-    config.compute_different_from = false;
     const core::AchillesResult result =
         core::RunAchilles(&ctx, &solver, config);
 

@@ -26,19 +26,20 @@
 //   --progress       print a live progress heartbeat every second (or
 //                    every `secs` with --progress=secs, a decimal number
 //                    >= 0; 0 turns the heartbeat off)
-//   --knowledge-load warm-start: restore the pruning knowledge base and
-//                    query cache from a snapshot
-//                    written by a previous run of the same protocol (a
-//                    stale or corrupted snapshot degrades to a cold
-//                    start, never a wrong answer)
-//   --knowledge-save write the run's knowledge snapshot on exit
+//   --knowledge-load warm-start: restore the shared query cache from a
+//                    snapshot written by a previous run of the same
+//                    protocol (a stale or corrupted snapshot degrades
+//                    to a cold start, never a wrong answer)
+//   --knowledge-save write the run's query-cache snapshot on exit
 //   --knowledge-dir  both of the above, keyed automatically: the file
 //                    is <dir>/knowledge-<fingerprint>.snap, named by
 //                    the protocol's structural fingerprint so edited
 //                    protocols never collide with their own history
+//                    (the three knowledge flags need --workers > 1:
+//                    only multi-worker runs have a shared query cache)
 //
-// A malformed number or a flag missing its value prints the usage and
-// exits with status 2. A witness the protocol's concrete oracle rejects
+// A malformed number, a flag missing its value, or a knowledge flag on a
+// serial run prints the usage and exits with status 2. A witness the protocol's concrete oracle rejects
 // is an error: the run exits with status 1.
 //
 // Log verbosity follows the ACHILLES_LOG environment variable
@@ -206,6 +207,19 @@ main(int argc, char **argv)
         }
     }
 
+    const bool knowledge_flags = !knowledge_load.empty() ||
+                                 !knowledge_save.empty() ||
+                                 !knowledge_dir.empty();
+    if (knowledge_flags && workers <= 1) {
+        std::fprintf(stderr,
+                     "%s: --knowledge-load/--knowledge-save/"
+                     "--knowledge-dir need --workers > 1 (only "
+                     "multi-worker runs have a shared query cache)\n",
+                     argv[0]);
+        Usage(argv[0]);
+        return 2;
+    }
+
     proto::ProtocolRegistry &registry = proto::ProtocolRegistry::Global();
 
     if (list_protocols) {
@@ -306,9 +320,9 @@ main(int argc, char **argv)
     config.server_config.engine.num_workers = workers;
     config.obs = obs_handle;
     if (have_warm)
-        config.knowledge_in = &warm_in;
+        config.server_config.knowledge_in = &warm_in;
     if (!knowledge_save.empty())
-        config.knowledge_out = &warm_out;
+        config.server_config.knowledge_out = &warm_out;
 
     std::unique_ptr<obs::Heartbeat> heartbeat;
     if (obs_registry != nullptr && progress_secs > 0) {
