@@ -16,11 +16,12 @@
 // chrome://tracing or ui.perfetto.dev); `--progress` attaches the live
 // heartbeat to that run; with `--json`, the instrumented run's
 // RunReport lands as the nested "metrics" record. `--obs-overhead`
-// measures the full-instrumentation wall-clock cost at the max worker
-// count -- two paired off/on runs, the minimum pairwise overhead,
-// floored at zero -- and records it as obs.overhead_pct (the CI trend
-// gate holds this under an absolute ceiling). Witness sets must stay
-// identical with instrumentation on or off.
+// measures the full-instrumentation wall-clock cost at one worker --
+// five off/on pairs, alternating which arm runs first, the median
+// per-pair overhead, floored at zero -- and records it as
+// obs.overhead_pct (the CI trend gate holds this under an absolute
+// ceiling). Witness sets must stay identical with instrumentation on
+// or off.
 //
 // Every JSON record set includes one `parallel.swept/workers=N` marker
 // per worker count actually run, so downstream consumers (the CI
@@ -257,29 +258,39 @@ main(int argc, char **argv)
         bench::RecordRunMetrics(instrumented.report);
 
         if (obs_overhead) {
-            // Two paired off/on runs; the minimum pairwise overhead
+            // One worker keeps steal schedules and the host's core
+            // count out of the timing. Alternating which arm of a pair
+            // runs first cancels warm-up and drift, the median
             // discounts one-off scheduling noise, and the zero floor
             // keeps lucky negative deltas from masking a regression
             // elsewhere in the trend history.
             ObsOptions quiet = full;
             quiet.progress_secs = 0.0;  // no sampler thread in the
             quiet.trace_path.clear();   // timed region, no file I/O
-            double overhead_pct = 1e9;
-            for (int round = 0; round < 2; ++round) {
-                const SweepPoint off = RunOnce(max_workers, num_clients);
-                const SweepPoint on =
-                    RunOnce(max_workers, num_clients, quiet);
+            std::vector<double> overheads;
+            for (int pair = 0; pair < 5; ++pair) {
+                SweepPoint off, on;
+                if (pair % 2 == 0) {
+                    off = RunOnce(1, num_clients);
+                    on = RunOnce(1, num_clients, quiet);
+                } else {
+                    on = RunOnce(1, num_clients, quiet);
+                    off = RunOnce(1, num_clients);
+                }
                 identical &= off.witnesses == serial.witnesses &&
                              on.witnesses == serial.witnesses;
                 if (off.seconds > 0) {
-                    overhead_pct = std::min(
-                        overhead_pct, 100.0 *
-                                          (on.seconds - off.seconds) /
-                                          off.seconds);
+                    overheads.push_back(100.0 *
+                                        (on.seconds - off.seconds) /
+                                        off.seconds);
                 }
             }
-            overhead_pct =
-                overhead_pct >= 1e9 ? 0.0 : std::max(0.0, overhead_pct);
+            double overhead_pct = 0.0;
+            if (!overheads.empty()) {
+                std::sort(overheads.begin(), overheads.end());
+                overhead_pct =
+                    std::max(0.0, overheads[overheads.size() / 2]);
+            }
             bench::Metric("obs.overhead_pct", overhead_pct, "%");
         }
     }

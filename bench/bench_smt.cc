@@ -196,8 +196,8 @@ struct TrojanWorkload
     std::vector<ExprRef> negations;
     /** Match-shaped probes that conflict with deep prefixes: byte
      *  pins just outside a prefix range constraint, so the stream
-     *  mixes kUnsat answers (and, with cores on, extractions) in the
-     *  proportion the explorer's match loop sees. */
+     *  mixes kUnsat answers in the proportion the explorer's match
+     *  loop sees. */
     std::vector<ExprRef> match_probes;
 };
 
@@ -251,24 +251,14 @@ MakeTrojanWorkload()
     return w;
 }
 
-/** Per-stream solver counters surfaced next to the timings. */
-struct StreamStats
-{
-    int64_t cores_extracted = 0;
-    int64_t core_literals = 0;
-    int64_t interval_cores = 0;
-};
-
 /** Run the full query stream; returns seconds. Results are recorded so
  *  the configurations can be cross-checked. */
 double
-RunTrojanStream(TrojanWorkload *w, bool incremental, bool cores,
-                std::vector<CheckStatus> *results,
-                StreamStats *stream_stats = nullptr)
+RunTrojanStream(TrojanWorkload *w, bool incremental,
+                std::vector<CheckStatus> *results)
 {
     SolverConfig config;
     config.enable_incremental = incremental;
-    config.enable_cores = cores;
     config.enable_cache = false;  // isolate the backend, not the memo
     Solver solver(&w->ctx, config);
     results->clear();
@@ -277,22 +267,11 @@ RunTrojanStream(TrojanWorkload *w, bool incremental, bool cores,
     // HandleBranch/TrojanQuery iteration pattern.
     for (const std::vector<ExprRef> &prefix : w->prefixes) {
         for (ExprRef neg : w->negations)
-            results->push_back(
-                solver.CheckSatAssuming(prefix, {neg}).status);
+            results->push_back(solver.CheckSatAssuming(prefix, {neg}));
         for (ExprRef probe : w->match_probes)
-            results->push_back(
-                solver.CheckSatAssuming(prefix, {probe}).status);
+            results->push_back(solver.CheckSatAssuming(prefix, {probe}));
     }
-    const double seconds = timer.Seconds();
-    if (stream_stats != nullptr) {
-        stream_stats->cores_extracted =
-            solver.stats().Get("solver.cores_extracted");
-        stream_stats->core_literals =
-            solver.stats().Get("solver.core_literals");
-        stream_stats->interval_cores =
-            solver.stats().Get("solver.interval_cores");
-    }
-    return seconds;
+    return timer.Seconds();
 }
 
 /**
@@ -346,9 +325,8 @@ RunProbeStream(TrailWorkload *w, bool trail_reuse,
 {
     SolverConfig config;
     config.enable_cache = false;  // isolate the backend, not the memo
-    // Bypass the interval pre-check: with attribution cores it decides
-    // the range-conflict probes outright, and this ablation measures
-    // the SAT trail.
+    // Bypass the interval pre-check: it decides the range-conflict
+    // probes outright, and this ablation measures the SAT trail.
     config.use_interval_check = false;
     config.enable_trail_reuse = trail_reuse;
     Solver solver(&w->ctx, config);
@@ -358,8 +336,7 @@ RunProbeStream(TrailWorkload *w, bool trail_reuse,
     // jitter: the trend gate watches the on/off ratio.
     for (int rep = 0; rep < 32; ++rep) {
         for (ExprRef probe : w->probes)
-            results->push_back(
-                solver.CheckSatAssuming(w->prefix, {probe}).status);
+            results->push_back(solver.CheckSatAssuming(w->prefix, {probe}));
     }
     const double seconds = timer.Seconds();
     if (trail_reuses != nullptr)
@@ -397,54 +374,23 @@ CompareTrailReuse()
 }
 
 bool
-CompareIncrementalVsFresh(bool with_cores)
+CompareIncrementalVsFresh()
 {
     bench::Header("Incremental assumption-based backend vs fresh "
                   "instances (shared-prefix Trojan stream)");
     std::unique_ptr<TrojanWorkload> w = MakeTrojanWorkload();
-    std::vector<CheckStatus> fresh_results, inc_results, core_results;
+    std::vector<CheckStatus> fresh_results, inc_results;
     // Warm once to stabilize allocator state, then measure.
-    RunTrojanStream(w.get(), /*incremental=*/false, /*cores=*/false,
-                    &fresh_results);
-    const double fresh_s = RunTrojanStream(
-        w.get(), /*incremental=*/false, /*cores=*/false, &fresh_results);
-    const double nocores_s = RunTrojanStream(
-        w.get(), /*incremental=*/true, /*cores=*/false, &inc_results);
-    const size_t queries = fresh_results.size();
-    bool agree = fresh_results == inc_results;
+    RunTrojanStream(w.get(), /*incremental=*/false, &fresh_results);
+    const double fresh_s =
+        RunTrojanStream(w.get(), /*incremental=*/false, &fresh_results);
+    const double inc_s =
+        RunTrojanStream(w.get(), /*incremental=*/true, &inc_results);
+    const bool agree = fresh_results == inc_results;
 
     bench::Metric("smt.trojan_stream_queries",
-                  static_cast<double>(queries));
+                  static_cast<double>(fresh_results.size()));
     bench::Metric("smt.fresh_seconds", fresh_s, "s");
-    bench::Metric("smt.incremental_nocores_seconds", nocores_s, "s");
-
-    // The production configuration extracts (and minimizes) a core on
-    // every refutation; smt.incremental_speedup tracks it so the CI
-    // perf trend gates the backend as deployed.
-    double inc_s = nocores_s;
-    if (with_cores) {
-        StreamStats stream_stats;
-        inc_s = RunTrojanStream(w.get(), /*incremental=*/true,
-                                /*cores=*/true, &core_results,
-                                &stream_stats);
-        agree &= fresh_results == core_results;
-        const double overhead =
-            nocores_s > 0 ? 100.0 * (inc_s - nocores_s) / nocores_s : 0.0;
-        // Interval attribution answers this stream's range-conflict
-        // refutations before the SAT backend, so most cores are
-        // interval bound-pairs; both kinds are counted.
-        bench::Metric("smt.cores_extracted",
-                      static_cast<double>(stream_stats.cores_extracted));
-        bench::Metric("smt.interval_cores",
-                      static_cast<double>(stream_stats.interval_cores));
-        bench::Metric("smt.mean_core_size",
-                      stream_stats.cores_extracted > 0
-                          ? static_cast<double>(stream_stats.core_literals) /
-                                static_cast<double>(
-                                    stream_stats.cores_extracted)
-                          : 0.0);
-        bench::Metric("smt.core_overhead_pct", overhead, "%");
-    }
     bench::Metric("smt.incremental_seconds", inc_s, "s");
     bench::Metric("smt.incremental_speedup",
                   inc_s > 0 ? fresh_s / inc_s : 0.0, "x");
@@ -461,7 +407,6 @@ main(int argc, char **argv)
 {
     bench::ParseBenchArgs(argc, argv);
     bool compare = false;
-    bool with_cores = true;
     bool trail_reuse = false;
     // Strip harness-only flags before handing argv to Google Benchmark.
     std::vector<char *> gbench_argv{argv[0]};
@@ -471,10 +416,6 @@ main(int argc, char **argv)
             ++i;
         } else if (std::strcmp(argv[i], "--compare-incremental") == 0) {
             compare = true;
-        } else if (std::strcmp(argv[i], "--cores") == 0) {
-            compare = true;
-        } else if (std::strcmp(argv[i], "--no-cores") == 0) {
-            with_cores = false;
         } else if (std::strcmp(argv[i], "--trail-reuse") == 0) {
             trail_reuse = true;
         } else {
@@ -482,7 +423,7 @@ main(int argc, char **argv)
         }
     }
     // A verdict divergence must fail the process (CI gates on it).
-    bool agree = compare ? CompareIncrementalVsFresh(with_cores) : true;
+    bool agree = compare ? CompareIncrementalVsFresh() : true;
     if (trail_reuse)
         agree &= CompareTrailReuse();
 

@@ -12,7 +12,6 @@ drop in any watched higher-is-better metric:
   * smt.incremental_speedup
   * smt.trail_reuse_speedup
   * parallel.speedup/workers=N                 (N in BOTH sweeps)
-  * fig11.core_query_reduction_pct/<section>/workers=N
   * corpus.trojan_yield[/<family>]             (bench_corpus)
   * warmstart.speedup                          (bench_warmstart)
   * warmstart.query_reduction_pct
@@ -31,8 +30,8 @@ record sets carry its `parallel.swept/workers=N` marker (bench_parallel
 emits one per worker count actually run), so a truncated or widened
 sweep never produces a bogus comparison. Baselines that predate the
 markers fall back to metric presence. Metrics absent from the baseline
-(e.g. fig11.* before the artifact accumulated, or the ablations added
-later) are reported one-sided and skipped -- warn-only by construction.
+(e.g. the ablations added later) are reported one-sided and skipped --
+warn-only by construction.
 
 Nested records: {"metric": <name>, "nested": {...}} (the benches'
 observability summary) flattens to "<name>.<key>" entries, so flat
@@ -58,7 +57,6 @@ WATCHED_PATTERNS = [
     "smt.incremental_speedup",
     "smt.trail_reuse_speedup",
     "parallel.speedup/workers=*",
-    "fig11.core_query_reduction_pct/*",
     "corpus.trojan_yield",
     "corpus.trojan_yield/*",
     "warmstart.speedup",

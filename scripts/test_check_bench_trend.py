@@ -91,9 +91,7 @@ class GateTest(unittest.TestCase):
 
     def test_one_sided_metric_is_skipped(self):
         code, out = run_gate(
-            current=[
-                {"metric": "fig11.core_query_reduction_pct"
-                           "/fsp/workers=1", "value": 5.0}],
+            current=[{"metric": "warmstart.speedup", "value": 5.0}],
             baseline=[{"metric": "smt.incremental_speedup",
                        "value": 10.0}])
         self.assertEqual(code, 0, out)

@@ -217,9 +217,6 @@ ExplorerStats::AddTo(obs::CounterView *view) const
     view->Add("explorer.trojan_queries", trojan_queries);
     view->Add("explorer.predicate_drops", predicate_drops);
     view->Add("explorer.difffrom_drops", difffrom_drops);
-    view->Add("explorer.core_drops", core_drops);
-    view->Add("explorer.core_subset_marks", core_subset_marks);
-    view->Add("explorer.core_field_marks", core_field_marks);
     view->Add("explorer.prefilter_hits", prefilter_hits);
     view->Add("explorer.prefilter_trojan_hits", prefilter_trojan_hits);
     view->Add("explorer.blocked_by_unusable_negation",
@@ -272,94 +269,6 @@ ServerExplorer::PredicateMatches(Plane &plane, const symexec::State &state,
     ++plane.stats->match_queries;
     return plane.solver->CheckSatAssuming(state.constraints(),
                                           (*plane.match)[i]);
-}
-
-bool
-ServerExplorer::CoresUsable(const Plane &plane) const
-{
-    // A budgeted solver can answer kUnknown; nothing may be dropped off
-    // a core then (the no-drop-on-kUnknown contract), so core
-    // consumption is reserved for unbudgeted configurations where every
-    // core-guided decision coincides with a kUnsat the solver would
-    // have produced.
-    const smt::SolverConfig &solver = plane.solver->config();
-    return config_.use_unsat_cores && solver.enable_cores &&
-           solver.unbudgeted();
-}
-
-void
-ServerExplorer::CoreGuidedDrops(Plane &plane, const symexec::State &state,
-                                const smt::CheckResult &result, uint32_t i,
-                                const std::vector<uint32_t> &live,
-                                std::vector<uint8_t> *decided)
-{
-    // Split the core (caller indices over pathS ∥ match_i) back into
-    // expressions.
-    const std::vector<smt::ExprRef> &path = state.constraints();
-    const std::vector<smt::ExprRef> &match_i = (*plane.match)[i];
-    std::vector<smt::ExprRef> match_part;
-    std::vector<smt::ExprRef> core_exprs;
-    core_exprs.reserve(result.core.size());
-    for (uint32_t idx : result.core) {
-        if (idx < path.size()) {
-            core_exprs.push_back(path[idx]);
-        } else {
-            ACHILLES_CHECK(idx - path.size() < match_i.size(),
-                           "core index out of range");
-            match_part.push_back(match_i[idx - path.size()]);
-            core_exprs.push_back(match_part.back());
-        }
-    }
-
-    // Rule 1 (verbatim transfer): a predicate whose match conjunction
-    // contains every implicated match conjunct is refuted by the very
-    // same core -- pathS is shared, so its query is UNSAT without
-    // asking. Conjuncts are interned per plane context, so containment
-    // is pointer membership. (Byte equalities over constant-valued
-    // fields are shared across predicates, which is what makes this
-    // fire: one refuted command byte kills every predicate of that
-    // command.)
-    for (uint32_t j : live) {
-        if ((*decided)[j] != 0 || j == i)
-            continue;
-        if (smt::ContainsAllExprs((*plane.match)[j], match_part)) {
-            (*decided)[j] = 3;
-            ++plane.stats->core_subset_marks;
-        }
-    }
-
-    // Rule 2 (field-localized conflict): when every implicated
-    // constraint is confined to one independent field, the refutation
-    // excludes a superset of predicate i's value set for that field, so
-    // i's differentFrom value class dies with it -- the matrix rule the
-    // branch-constraint path only reaches when the branch itself was
-    // single-field.
-    if (config_.use_different_from && different_from_ != nullptr) {
-        std::string field;
-        bool single = true;
-        for (smt::ExprRef e : core_exprs) {
-            for (const std::string &f : TouchedFields(plane, e)) {
-                if (field.empty()) {
-                    field = f;
-                } else if (field != f) {
-                    single = false;
-                    break;
-                }
-            }
-            if (!single)
-                break;
-        }
-        if (single && !field.empty() &&
-            different_from_->IsIndependentField(field)) {
-            for (uint32_t j : live) {
-                if ((*decided)[j] == 0 && j != i &&
-                    !different_from_->Different(j, i, field)) {
-                    (*decided)[j] = 3;
-                    ++plane.stats->core_field_marks;
-                }
-            }
-        }
-    }
 }
 
 smt::CheckResult
@@ -436,7 +345,6 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
             different_from_ != nullptr &&
             different_from_->IsIndependentField(fields[0]);
 
-        const bool cores_usable = CoresUsable(plane);
         // Concrete pre-filter context, computed once per branch: the
         // path-constraint evaluation is shared by every live predicate,
         // so each predicate costs only its own match conjuncts.
@@ -449,15 +357,11 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
         std::vector<uint32_t> survivors;
         survivors.reserve(data->live.size());
         // Per-predicate verdicts: 1 = drop via the differentFrom value
-        // class, 2 = keep (matched), 3 = drop via an unsat core.
+        // class, 2 = keep (matched).
         std::vector<uint8_t> decided(preds_->size(), 0);
         for (uint32_t i : data->live) {
             if (decided[i] == 1) {
                 ++plane.stats->difffrom_drops;
-                continue;
-            }
-            if (decided[i] == 3) {
-                ++plane.stats->core_drops;
                 continue;
             }
             if (decided[i] == 2) {
@@ -467,9 +371,9 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
             // Concrete pre-filter: the standing model satisfying pathS
             // and match_i proves the match query kSat -- keep i with no
             // solver call. kUnsat decisions are untouched (no
-            // assignment satisfies an unsatisfiable query), so drops,
-            // value-class marks and cores fire on exactly the same
-            // queries as with the filter off.
+            // assignment satisfies an unsatisfiable query), so drops
+            // and value-class marks fire on exactly the same queries as
+            // with the filter off.
             if (path_holds && AllTrueUnder((*plane.match)[i], *standing)) {
                 ++plane.stats->prefilter_hits;
                 survivors.push_back(i);
@@ -494,11 +398,6 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
                     }
                 }
             }
-            // Core-guided transitive drops: everything the refutation
-            // itself implicates dies with i, whatever the branch
-            // constraint touched.
-            if (cores_usable && r.has_core)
-                CoreGuidedDrops(plane, state, r, i, data->live, &decided);
         }
         data->live = std::move(survivors);
     }

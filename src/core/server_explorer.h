@@ -64,19 +64,6 @@ struct ServerExplorerConfig
     /** Prune states that no Trojan message can trigger (3.2). */
     bool prune_trojan_free_states = true;
     /**
-     * Consume unsat cores from the solver to drop every predicate a
-     * refutation transitively implicates (not just the one under test).
-     * Core-guided drops only ever accelerate decisions the plain query
-     * path would make identically (the core proves the sibling query
-     * UNSAT outright, or re-enters the differentFrom value-class rule
-     * with the core's field instead of the branch constraint's), so
-     * live sets -- and therefore witness sets -- are bitwise identical
-     * with the toggle on or off. Never consulted when the solver runs
-     * budgeted queries (max_conflicts >= 0): a budget can answer
-     * kUnknown, and nothing may be dropped on kUnknown.
-     */
-    bool use_unsat_cores = true;
-    /**
      * Concrete pre-filter over the solver's standing model: before any
      * solver call, evaluate the query's assertions under the last
      * satisfying assignment the solver left standing
@@ -86,7 +73,7 @@ struct ServerExplorerConfig
      * so match checks answer "still matches" and pruning checks answer
      * "still Trojan-triggerable" with zero solver work. The filter can
      * only ever answer kSat (no assignment satisfies an unsatisfiable
-     * query), so kUnsat decisions -- drops, prunes, cores -- are taken
+     * query), so kUnsat decisions -- drops and prunes -- are taken
      * by exactly the same queries as with the filter off, and witness
      * sets are bitwise identical. On by default (it is a pure win on
      * every corpus protocol and witness-identical by construction);
@@ -148,9 +135,6 @@ struct ExplorerStats
     int64_t trojan_queries = 0;
     int64_t predicate_drops = 0;
     int64_t difffrom_drops = 0;
-    int64_t core_drops = 0;
-    int64_t core_subset_marks = 0;
-    int64_t core_field_marks = 0;
     int64_t prefilter_hits = 0;
     int64_t prefilter_trojan_hits = 0;
     int64_t blocked_by_unusable_negation = 0;
@@ -255,29 +239,10 @@ class ServerExplorer : public symexec::Listener
     /** Live-set of a state, creating the full set on first touch. */
     LiveSet *GetLiveSet(symexec::State &state);
 
-    /** Combined query: state constraints + client predicate i matches.
-     *  The full outcome is returned so kUnsat cores can be consumed. */
+    /** Combined query: state constraints + client predicate i matches. */
     smt::CheckResult PredicateMatches(Plane &plane,
                                       const symexec::State &state,
                                       size_t i);
-
-    /** True when core consumption off the plane's solver is sound and
-     *  enabled: the config toggle is on and the solver runs unbudgeted
-     *  queries. */
-    bool CoresUsable(const Plane &plane) const;
-
-    /**
-     * Mark every still-undecided live predicate that the core of
-     * predicate `i`'s refutation also refutes: predicates whose match
-     * conjunction contains all implicated match conjuncts (the
-     * refutation applies verbatim), and -- when the whole core touches
-     * a single independent field -- predicate i's differentFrom value
-     * class for that field.
-     */
-    void CoreGuidedDrops(Plane &plane, const symexec::State &state,
-                         const smt::CheckResult &result, uint32_t i,
-                         const std::vector<uint32_t> &live,
-                         std::vector<uint8_t> *decided);
 
     /** Trojan query for a state; fills the model when sat. */
     smt::CheckResult TrojanQuery(

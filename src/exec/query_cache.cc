@@ -253,15 +253,14 @@ CachedSolver::CheckShared(const std::vector<smt::ExprRef> &base,
                        model)) {
         // Counted once, in the cache's own hit counter (exported as
         // "exec.queries_cached" by ExportStats) -- a per-solver bump
-        // here would double-count after the merge. A hit carries no
-        // core.
-        return smt::CheckResult(status);
+        // here would double-count after the merge.
+        return status;
     }
     // Model-less queries run on the per-worker incremental backend and
     // publish model-less entries; a later model-requesting caller takes
     // the deterministic fresh-instance path and upgrades the entry.
-    smt::CheckResult result = Solver::CheckSatSets(base, extras, model);
-    cache_->Insert(key, fingerprints, result.status,
+    const smt::CheckResult result = Solver::CheckSatSets(base, extras, model);
+    cache_->Insert(key, fingerprints, result,
                    /*has_model=*/model != nullptr,
                    model != nullptr ? *model : smt::Model());
     return result;

@@ -13,10 +13,6 @@
 // entries from the model-less incremental path serve result-only
 // callers and are upgraded in place on first model demand.
 //
-// Unsat cores are not cached: a hit answers the verdict (and the model,
-// if stored) only, which the CheckResult contract allows -- has_core is
-// never promised.
-//
 // Key soundness: fingerprints hash variables by id, so a key is only
 // valid across contexts when the ids mean the same variable everywhere.
 // The parallel engine id-aligns every variable that exists in the home

@@ -27,8 +27,8 @@ WorkStealingScheduler::Seed(size_t worker,
     {
         std::lock_guard<std::mutex> lock(deques_[worker]->mutex);
         deques_[worker]->states.push_back(std::move(state));
+        queued_.fetch_add(1, std::memory_order_acq_rel);
     }
-    queued_.fetch_add(1, std::memory_order_acq_rel);
     wait_cv_.notify_one();
 }
 
@@ -45,10 +45,13 @@ WorkStealingScheduler::Push(size_t worker,
         live_.fetch_add(1, std::memory_order_acq_rel);
     }
     {
+        // Count the state under the deque lock: a thief decrements
+        // under the same lock, so the unsigned count can never wrap
+        // below zero and make the budget check above reject a fork.
         std::lock_guard<std::mutex> lock(deques_[worker]->mutex);
         deques_[worker]->states.push_back(std::move(*state));
+        queued_.fetch_add(1, std::memory_order_acq_rel);
     }
-    queued_.fetch_add(1, std::memory_order_acq_rel);
     wait_cv_.notify_one();
     return true;
 }

@@ -19,14 +19,6 @@
 // intact because every model is produced by the fresh-instance path (a
 // pure function of the canonicalized query), never by the
 // history-dependent persistent SAT instance.
-//
-// Unsat cores stay worker-local: a worker's incremental backend reports
-// a core as indices into the caller's own assertion vectors (already in
-// that worker's context), and a shared query-cache hit carries the
-// verdict only. Cores from different solver histories may differ, but
-// every core proves the same kUnsat verdict, so core-guided consumers
-// (the server explorer's predicate dropping) stay schedule-independent
-// in their results even when their skipped query counts differ.
 
 #ifndef ACHILLES_EXEC_WORKER_H_
 #define ACHILLES_EXEC_WORKER_H_

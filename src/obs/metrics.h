@@ -9,7 +9,7 @@
 //                 shard (a shard is one worker thread's lane), relaxed
 //                 fetch_add on the hot path.
 //   Distribution  min/max/sum/count of recorded values (per-solve
-//                 conflicts, core sizes, path depths); per-shard slots,
+//                 conflicts, path depths); per-shard slots,
 //                 CAS only for min/max.
 //   Gauge         a registered callback snapshotting an external atomic
 //                 (the query cache's hit counters, the scheduler's

@@ -15,7 +15,7 @@
 //
 // Event names/categories/arg keys are `const char *` and must outlive
 // the recorder -- string literals in practice; spans carry up to four
-// integer args (conflicts, verdict codes, core sizes, budget spent).
+// integer args (conflicts, verdict codes, budget spent).
 
 #ifndef ACHILLES_OBS_TRACE_H_
 #define ACHILLES_OBS_TRACE_H_

@@ -159,32 +159,6 @@ class Expr
  */
 int StructuralCompare(ExprRef a, ExprRef b);
 
-/**
- * True iff every element of `needles` occurs in `haystack`. Pointer
- * identity -- interning makes that structural identity within one
- * context. This is the subset probe behind every unsat-core consumer
- * (core-guided predicate drops, Trojan-core subsumption, refinement
- * core reuse): a refutation's core transfers to any assertion set
- * containing it.
- */
-inline bool
-ContainsAllExprs(const std::vector<ExprRef> &haystack,
-                 const std::vector<ExprRef> &needles)
-{
-    for (ExprRef e : needles) {
-        bool found = false;
-        for (ExprRef h : haystack) {
-            if (h == e) {
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            return false;
-    }
-    return true;
-}
-
 /** Metadata for one symbolic variable. */
 struct VarInfo
 {

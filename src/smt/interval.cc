@@ -33,53 +33,24 @@ StripZExt(ExprRef e)
 }  // namespace
 
 void
-IntervalChecker::Narrow(ExprRef var_like, const Interval &interval,
-                        int32_t source)
+IntervalChecker::Narrow(ExprRef var_like, const Interval &interval)
 {
     ExprRef inner = StripZExt(var_like);
     if (!inner->IsVar())
         return;
     // The ZExt wrapper does not change the unsigned value, so intervals
     // transfer directly (clipped to the inner width).
-    const Interval full = Interval::Full(inner->width());
-    Interval clipped = interval.Meet(full);
+    const Interval clipped = interval.Meet(Interval::Full(inner->width()));
     auto [it, inserted] = env_.emplace(inner->VarId(), clipped);
-    BoundSources &src = sources_[inner->VarId()];
-    if (inserted) {
-        // Bounds beyond the type bound came from this atom; the type
-        // bound itself needs no witness.
-        if (clipped.lo > full.lo)
-            src.lo = source;
-        if (clipped.hi < full.hi)
-            src.hi = source;
-        return;
-    }
-    const Interval met = it->second.Meet(clipped);
-    if (met.lo > it->second.lo)
-        src.lo = source;
-    if (met.hi < it->second.hi)
-        src.hi = source;
-    it->second = met;
+    if (!inserted)
+        it->second = it->second.Meet(clipped);
 }
 
 void
-IntervalChecker::AddBoundSources(uint32_t var_id,
-                                 std::vector<uint32_t> *core) const
-{
-    auto it = sources_.find(var_id);
-    if (it == sources_.end())
-        return;
-    if (it->second.lo >= 0)
-        core->push_back(static_cast<uint32_t>(it->second.lo));
-    if (it->second.hi >= 0)
-        core->push_back(static_cast<uint32_t>(it->second.hi));
-}
-
-void
-IntervalChecker::SeedFromAtom(ExprRef atom, bool positive, int32_t source)
+IntervalChecker::SeedFromAtom(ExprRef atom, bool positive)
 {
     if (atom->kind() == Kind::kNot) {
-        SeedFromAtom(atom->kid(0), !positive, source);
+        SeedFromAtom(atom->kid(0), !positive);
         return;
     }
     const Kind kind = atom->kind();
@@ -97,7 +68,7 @@ IntervalChecker::SeedFromAtom(ExprRef atom, bool positive, int32_t source)
 
     if (kind == Kind::kEq) {
         if (positive)
-            Narrow(x, Interval::Point(c), source);
+            Narrow(x, Interval::Point(c));
         // Negative equality only prunes at interval endpoints; skip.
         return;
     }
@@ -114,21 +85,21 @@ IntervalChecker::SeedFromAtom(ExprRef atom, bool positive, int32_t source)
         // x < c  or  x <= c
         if (lt) {
             if (c == 0)
-                Narrow(x, Interval::EmptySet(), source);
+                Narrow(x, Interval::EmptySet());
             else
-                Narrow(x, Interval{0, c - 1}, source);
+                Narrow(x, Interval{0, c - 1});
         } else {
-            Narrow(x, Interval{0, c}, source);
+            Narrow(x, Interval{0, c});
         }
     } else {
         // c < x  or  c <= x
         if (lt) {
             if (c == mask)
-                Narrow(x, Interval::EmptySet(), source);
+                Narrow(x, Interval::EmptySet());
             else
-                Narrow(x, Interval{c + 1, mask}, source);
+                Narrow(x, Interval{c + 1, mask});
         } else {
-            Narrow(x, Interval{c, mask}, source);
+            Narrow(x, Interval{c, mask});
         }
     }
 }
@@ -309,76 +280,28 @@ IntervalChecker::IntervalOf(ExprRef e)
 }
 
 bool
-IntervalChecker::AnalyzeUnsat(const std::vector<ExprRef> &assertions,
-                              std::vector<uint32_t> *core)
-{
-    env_.clear();
-    sources_.clear();
-    memo_.clear();
-
-    // Seed atoms map 1:1 to assertions: flattening an And-tree keeps
-    // the assertion index on every atom, so bound sources attribute to
-    // the caller's granularity directly.
-    std::vector<std::pair<ExprRef, uint32_t>> atoms;
-    for (size_t i = 0; i < assertions.size(); ++i) {
-        std::vector<ExprRef> flat;
-        FlattenConjunction(assertions[i], &flat);
-        for (ExprRef atom : flat)
-            atoms.emplace_back(atom, static_cast<uint32_t>(i));
-    }
-
-    for (const auto &[atom, index] : atoms) {
-        SeedFromAtom(atom, /*positive=*/true,
-                     static_cast<int32_t>(index));
-    }
-    const auto finish_core = [&](std::vector<uint32_t> *out) {
-        std::sort(out->begin(), out->end());
-        out->erase(std::unique(out->begin(), out->end()), out->end());
-    };
-    // Check for variables narrowed to the empty interval. The two atoms
-    // holding the final bounds each imply their half, so together they
-    // are an unsat core on their own.
-    for (const auto &[var, interval] : env_) {
-        if (!interval.Empty())
-            continue;
-        if (core != nullptr) {
-            AddBoundSources(var, core);
-            finish_core(core);
-        }
-        return true;
-    }
-    // Evaluate each atom under the seeded environment. A refuted atom
-    // is implicated together with the bound sources of every variable
-    // in its support (their narrowings are what emptied it).
-    for (const auto &[atom, index] : atoms) {
-        const Interval v = IntervalOf(atom);
-        if (!(v.Empty() || (v.IsSingleton() && v.lo == 0)))
-            continue;
-        if (core != nullptr) {
-            core->push_back(index);
-            std::unordered_set<uint32_t> vars;
-            ctx_->CollectVars(atom, &vars);
-            for (uint32_t var : vars)
-                AddBoundSources(var, core);
-            finish_core(core);
-        }
-        return true;
-    }
-    return false;
-}
-
-bool
 IntervalChecker::DefinitelyUnsat(const std::vector<ExprRef> &assertions)
 {
-    return AnalyzeUnsat(assertions, nullptr);
-}
+    env_.clear();
+    memo_.clear();
 
-bool
-IntervalChecker::DefinitelyUnsatWithCore(
-    const std::vector<ExprRef> &assertions, std::vector<uint32_t> *core)
-{
-    core->clear();
-    return AnalyzeUnsat(assertions, core);
+    std::vector<ExprRef> atoms;
+    for (ExprRef e : assertions)
+        FlattenConjunction(e, &atoms);
+    for (ExprRef atom : atoms)
+        SeedFromAtom(atom, /*positive=*/true);
+    // A variable narrowed to the empty interval refutes the conjunction.
+    for (const auto &[var, interval] : env_) {
+        if (interval.Empty())
+            return true;
+    }
+    // Evaluate each atom under the seeded environment.
+    for (ExprRef atom : atoms) {
+        const Interval v = IntervalOf(atom);
+        if (v.Empty() || (v.IsSingleton() && v.lo == 0))
+            return true;
+    }
+    return false;
 }
 
 }  // namespace smt

@@ -64,50 +64,17 @@ struct Interval
 class IntervalChecker
 {
   public:
-    explicit IntervalChecker(const ExprContext *ctx) : ctx_(ctx) {}
-
     /** True iff the conjunction of `assertions` is definitely UNSAT. */
     bool DefinitelyUnsat(const std::vector<ExprRef> &assertions);
-
-    /**
-     * As DefinitelyUnsat, but on a refutation also attributes it: fills
-     * `core` with the (sorted, deduplicated) indices of the assertions
-     * whose atoms narrowed the refuting interval. Seed atoms map 1:1 to
-     * assertions, and per variable only the atom that raised the lower
-     * bound to its final value and the atom that lowered the upper
-     * bound are implicated -- each alone implies its half of the bound,
-     * so the reported subset is itself UNSAT (a sound unsat core, one
-     * or two assertions per refuted variable). Refutations found while
-     * re-evaluating an atom add that atom's assertion plus the bound
-     * sources of every variable in its support. This is what lets the
-     * solver facade keep the interval fast path on the core-producing
-     * path instead of falling through to the SAT backend for an
-     * explanation.
-     */
-    bool DefinitelyUnsatWithCore(const std::vector<ExprRef> &assertions,
-                                 std::vector<uint32_t> *core);
 
     /** Interval of `e` under the last DefinitelyUnsat() environment. */
     Interval IntervalOf(ExprRef e);
 
   private:
-    /** Which seed atoms pinned a variable's current bounds (assertion
-     *  indices; -1 = the bound is still the type bound). */
-    struct BoundSources
-    {
-        int32_t lo = -1;
-        int32_t hi = -1;
-    };
+    void SeedFromAtom(ExprRef atom, bool positive);
+    void Narrow(ExprRef var_like, const Interval &interval);
 
-    bool AnalyzeUnsat(const std::vector<ExprRef> &assertions,
-                      std::vector<uint32_t> *core);
-    void SeedFromAtom(ExprRef atom, bool positive, int32_t source);
-    void Narrow(ExprRef var_like, const Interval &interval, int32_t source);
-    void AddBoundSources(uint32_t var_id, std::vector<uint32_t> *core) const;
-
-    const ExprContext *ctx_;
     std::unordered_map<uint32_t, Interval> env_;
-    std::unordered_map<uint32_t, BoundSources> sources_;
     std::unordered_map<const Expr *, Interval> memo_;
 };
 

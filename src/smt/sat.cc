@@ -46,7 +46,6 @@ SatStats::AddTo(obs::CounterView *view) const
     view->Add("sat.solution_reuses", solution_reuses);
     view->Add("sat.trail_reuses", trail_reuses);
     view->Add("sat.trail_levels_reused", trail_levels_reused);
-    view->Add("sat.core_minimize_probes", core_minimize_probes);
 }
 
 SatSolver::SatSolver() = default;
@@ -516,156 +515,18 @@ SatSolver::GarbageCollect()
         AttachClause(c);
 }
 
-void
-SatSolver::CollectCoreFromSeen()
-{
-    // Walk the trail top-down, expanding propagated literals through
-    // their reason clauses; marked decisions are assumption literals
-    // (analyze-final only ever runs with the decision stack inside the
-    // assumption prefix) and form the core.
-    const size_t bound = trail_lim_.empty() ? trail_.size() : trail_lim_[0];
-    for (size_t i = trail_.size(); i > bound; --i) {
-        const Lit l = trail_[i - 1];
-        const uint32_t v = l.var();
-        if (!seen_[v])
-            continue;
-        seen_[v] = 0;
-        const ClauseRef c = reason_[v];
-        if (c == kNoClause) {
-            core_.push_back(l);
-            continue;
-        }
-        const uint32_t size = ClauseSize(c);
-        for (uint32_t j = 0; j < size; ++j) {
-            const uint32_t w = ClauseLit(c, j).var();
-            if (w != v && level_[w] > 0)
-                seen_[w] = 1;
-        }
-    }
-}
-
-void
-SatSolver::AnalyzeFinalConflict(ClauseRef conflict)
-{
-    core_.clear();
-    if (DecisionLevel() == 0)
-        return;
-    const uint32_t size = ClauseSize(conflict);
-    for (uint32_t j = 0; j < size; ++j) {
-        const uint32_t v = ClauseLit(conflict, j).var();
-        if (level_[v] > 0)
-            seen_[v] = 1;
-    }
-    CollectCoreFromSeen();
-}
-
-void
-SatSolver::AnalyzeFinalLit(Lit p)
-{
-    // Assumption p is already falsified by the assumptions established
-    // so far: the core is p plus whatever implied ~p. A level-0 ~p
-    // means p is refuted by the clause set alone.
-    core_.clear();
-    core_.push_back(p);
-    if (DecisionLevel() == 0 || level_[p.var()] == 0)
-        return;
-    seen_[p.var()] = 1;
-    CollectCoreFromSeen();
-}
-
-void
-SatSolver::SortCore(const std::vector<Lit> &assumptions)
-{
-    // Present the core in the caller's assumption order, making it
-    // independent of trail/search history presentation.
-    std::vector<Lit> ordered;
-    ordered.reserve(core_.size());
-    for (Lit a : assumptions) {
-        if (std::find(ordered.begin(), ordered.end(), a) !=
-            ordered.end()) {
-            continue;  // duplicated assumption: one core entry
-        }
-        for (Lit c : core_) {
-            if (c == a) {
-                ordered.push_back(c);
-                break;
-            }
-        }
-    }
-    // Every core literal is an established assumption, so the filter is
-    // a permutation (duplicated assumptions collapse to one entry).
-    core_ = std::move(ordered);
-}
-
-void
-SatSolver::MinimizeCore()
-{
-    // Deletion-based minimization: drop each member in turn and
-    // re-probe the remainder. Probes run refute-only -- establish the
-    // candidate assumptions and propagate, never branch -- so a probe
-    // costs one propagation pass, not a model search; a member whose
-    // removal is not refuted by propagation is conservatively kept.
-    // With the refutation's clauses already in the store, redundant
-    // members fall to propagation in practice, and the recursive
-    // rescan-on-shrink makes the result a fixpoint. Deterministic
-    // given the query history: candidates are scanned in assumption
-    // order.
-    static constexpr size_t kMinimizeCap = 32;
-    if (core_.size() > kMinimizeCap)
-        return;
-    std::vector<Lit> work = core_;
-    size_t i = 0;
-    while (i < work.size() && work.size() > 1) {
-        std::vector<Lit> candidate;
-        candidate.reserve(work.size() - 1);
-        for (size_t j = 0; j < work.size(); ++j) {
-            if (j != i)
-                candidate.push_back(work[j]);
-        }
-        ++stats_.core_minimize_probes;
-        if (Search(candidate, /*max_conflicts=*/-1,
-                   /*refute_only=*/true) == SatStatus::kUnsat) {
-            work = core_;  // the refined core (subset of candidate)
-            i = 0;
-        } else {
-            ++i;
-        }
-    }
-    core_ = std::move(work);
-}
-
 SatStatus
 SatSolver::Solve(const std::vector<Lit> &assumptions, int64_t max_conflicts)
 {
-    if (!ok_) {
-        core_.clear();
+    if (!ok_)
         return SatStatus::kUnsat;
-    }
     ++stats_.solve_calls;
-    const SatStatus status = Search(assumptions, max_conflicts);
-    // Cores of at most two literals skip the deletion loop: a
-    // conflicting pair is already minimal unless one member is
-    // individually refutable, which the propagation-level probes almost
-    // never exhibit -- and the probes' root backtracking would destroy
-    // the assumption prefix the next query wants to reuse. The reported
-    // core stays conservative (never too small), as documented.
-    if (status == SatStatus::kUnsat && minimize_core_ && core_.size() > 2 &&
-        max_conflicts < 0) {
-        MinimizeCore();
-    }
-    return status;
+    return Search(assumptions, max_conflicts);
 }
 
 SatStatus
-SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
-                  bool refute_only)
+SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts)
 {
-    if (!ok_) {
-        // A minimization probe may have discovered instance-level
-        // unsatisfiability; the empty core says so.
-        core_.clear();
-        return SatStatus::kUnsat;
-    }
     // Solution reuse: a SAT call leaves its full assignment standing
     // (see the kSat exit below), and nothing invalidates it -- AddClause
     // either keeps it a model or flips ok_, NewVar un-fills the trail.
@@ -683,7 +544,6 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
         }
         if (satisfied) {
             model_ = assigns_;
-            core_.clear();
             ++stats_.solution_reuses;
             return SatStatus::kSat;
         }
@@ -731,18 +591,14 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
             ++stats_.conflicts;
             if (DecisionLevel() == 0) {
                 ok_ = false;
-                core_.clear();
                 return SatStatus::kUnsat;
             }
             if (DecisionLevel() <= assumptions.size()) {
                 // Conflict depends only on assumptions: UNSAT under
-                // them. Record which (analyze-final over the
-                // implication graph, before the trail unwinds). The
-                // conflicting level's propagation is poisoned, but the
-                // levels below it are established and conflict-free:
-                // keep them for the next query's prefix reuse.
-                AnalyzeFinalConflict(conflict);
-                SortCore(assumptions);
+                // them. The conflicting level's propagation is
+                // poisoned, but the levels below it are established and
+                // conflict-free: keep them for the next query's prefix
+                // reuse.
                 BacktrackTo(trail_reuse_ ? DecisionLevel() - 1 : 0);
                 return SatStatus::kUnsat;
             }
@@ -780,7 +636,6 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
                                 ? static_cast<uint32_t>(
                                       assumption_trail_.size())
                                 : 0);
-                core_.clear();
                 ++stats_.budget_exhausted;
                 return SatStatus::kUnknown;
             }
@@ -807,8 +662,6 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
                 NewDecisionLevel();  // dummy level keeps indexing aligned
                 assumption_trail_.push_back(p);
             } else if (v == LBool::kFalse) {
-                AnalyzeFinalLit(p);
-                SortCore(assumptions);
                 // The standing levels are conflict-free (p was refuted
                 // by their propagation closure, before its own level
                 // existed); keep them for prefix reuse.
@@ -823,24 +676,12 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
             continue;
         }
 
-        if (refute_only) {
-            // Assumptions established and propagation is conflict-free:
-            // a refutation by propagation is off the table, which is
-            // all a minimization probe wants to know. The established
-            // levels stay standing for the next probe's prefix reuse.
-            if (!trail_reuse_)
-                BacktrackTo(0);
-            core_.clear();
-            return SatStatus::kUnknown;
-        }
-
         const Lit next = PickBranchLit();
         if (next.code() == 0xffffffffu) {
             // All variables assigned: model found. Leave the assignment
             // standing for cross-query solution reuse (the next Solve
             // backtracks before searching anyway).
             model_ = assigns_;
-            core_.clear();
             return SatStatus::kSat;
         }
         ++stats_.decisions;

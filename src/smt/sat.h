@@ -64,7 +64,6 @@ struct SatStats
     int64_t solution_reuses = 0;
     int64_t trail_reuses = 0;
     int64_t trail_levels_reused = 0;
-    int64_t core_minimize_probes = 0;
 
     /** The one place these counters are named ("sat.*"). */
     void AddTo(obs::CounterView *view) const;
@@ -104,26 +103,6 @@ class SatSolver
      */
     SatStatus Solve(const std::vector<Lit> &assumptions = {},
                     int64_t max_conflicts = -1);
-
-    /**
-     * The assumption subset responsible for the last kUnsat answer (the
-     * unsat core over assumptions): an analyze-final pass over the
-     * implication graph from the final conflict, ordered like the
-     * caller's assumption vector. Valid until the next Solve. An empty
-     * core on kUnsat means the clause set is unsatisfiable regardless
-     * of assumptions. With SetMinimizeCore(true), unbudgeted kUnsat
-     * answers with more than two core members additionally run a
-     * deletion-based minimization loop: each member is dropped in turn
-     * and the remainder re-probed (refute-only, so a probe is one
-     * propagation pass), rescanning until a fixpoint. One- and
-     * two-member cores skip the loop -- a conflicting pair is already
-     * minimal unless a member is individually refutable, and the
-     * probes' root backtracking would churn the assumption trail the
-     * next query reuses. The result is conservative (never too small)
-     * in general.
-     */
-    const std::vector<Lit> &unsat_core() const { return core_; }
-    void SetMinimizeCore(bool on) { minimize_core_ = on; }
 
     /**
      * Assumption-prefix trail reuse (on by default). Consecutive Solve
@@ -188,17 +167,8 @@ class SatSolver
     };
 
     LBool LitValue(Lit l) const;
-    /** `refute_only`: return kUnknown (instead of branching toward a
-     *  model) once every assumption is established conflict-free --
-     *  the cheap probe mode deletion-minimization runs, where only a
-     *  propagation-level refutation matters. */
     SatStatus Search(const std::vector<Lit> &assumptions,
-                     int64_t max_conflicts, bool refute_only = false);
-    void AnalyzeFinalConflict(ClauseRef conflict);
-    void AnalyzeFinalLit(Lit p);
-    void CollectCoreFromSeen();
-    void SortCore(const std::vector<Lit> &assumptions);
-    void MinimizeCore();
+                     int64_t max_conflicts);
     void NewDecisionLevel() { trail_lim_.push_back(trail_.size()); }
     uint32_t DecisionLevel() const
     {
@@ -270,9 +240,7 @@ class SatSolver
     double cla_inc_ = 1.0;
     int64_t learnt_cap_ = 0;  // 0 = auto-size on next Solve
     bool ok_ = true;
-    bool minimize_core_ = false;
     bool trail_reuse_ = true;
-    std::vector<Lit> core_;
     /** The assumption literal established at each standing decision
      *  level (levels beyond its size are search decisions). The next
      *  Search keeps the longest prefix matching its own assumptions. */

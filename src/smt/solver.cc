@@ -45,15 +45,12 @@ SolverStats::AddTo(obs::CounterView *view) const
     view->Add("solver.cache_hits", cache_hits);
     view->Add("solver.cache_model_upgrades", cache_model_upgrades);
     view->Add("solver.interval_unsat", interval_unsat);
-    view->Add("solver.interval_cores", interval_cores);
     view->Add("solver.sat_calls", sat_calls);
     view->Add("solver.incremental_sat_calls", incremental_sat_calls);
     view->Add("solver.incremental_resets", incremental_resets);
     view->Add("solver.sat_conflicts", sat_conflicts);
     view->Add("solver.sat_decisions", sat_decisions);
     view->Add("solver.trail_reuses", trail_reuses);
-    view->Add("solver.cores_extracted", cores_extracted);
-    view->Add("solver.core_literals", core_literals);
 }
 
 Solver::Solver(ExprContext *ctx, SolverConfig config)
@@ -63,7 +60,6 @@ Solver::Solver(ExprContext *ctx, SolverConfig config)
         obs_queries_ = config_.obs.CounterFor("solver.queries");
         obs_unknowns_ = config_.obs.CounterFor("solver.unknowns");
         obs_conflicts_ = config_.obs.DistributionFor("solver.conflicts");
-        obs_core_size_ = config_.obs.DistributionFor("solver.core_size");
     }
 }
 
@@ -110,29 +106,18 @@ Solver::CheckSatAssuming(const std::vector<ExprRef> &base,
 bool
 Solver::Canonicalize(const std::vector<ExprRef> &base,
                      const std::vector<ExprRef> *extras,
-                     std::vector<ExprRef> *live,
-                     std::vector<uint32_t> *caller_index,
-                     uint32_t *false_index) const
+                     std::vector<ExprRef> *live) const
 {
-    // Collect live assertions tagged with their caller position (base
-    // first, then extras) so unsat cores can be mapped back.
-    std::vector<std::pair<ExprRef, uint32_t>> entries;
-    entries.reserve(base.size() + (extras ? extras->size() : 0));
-    uint32_t idx = 0;
-    for (size_t part = 0; part < 2; ++part) {
-        const std::vector<ExprRef> *assertions =
-            part == 0 ? &base : extras;
+    live->reserve(base.size() + (extras ? extras->size() : 0));
+    for (const std::vector<ExprRef> *assertions : {&base, extras}) {
         if (assertions == nullptr)
             continue;
         for (ExprRef e : *assertions) {
             ACHILLES_CHECK(e->width() == 1, "non-boolean assertion");
-            if (e->IsFalse()) {
-                *false_index = idx;
+            if (e->IsFalse())
                 return false;
-            }
             if (!e->IsTrue())
-                entries.emplace_back(e, idx);
-            ++idx;
+                live->push_back(e);
         }
     }
     // Deduplicate and order structurally. The order fixes the CNF
@@ -141,22 +126,12 @@ Solver::Canonicalize(const std::vector<ExprRef> &base,
     // -- and therefore the model returned for satisfiable queries --
     // identical across runs and across the id-aligned worker contexts
     // of the parallel explorer. The incremental backend reuses it as a
-    // deterministic assumption order. Ties break on caller position so
-    // duplicates collapse onto their first occurrence.
-    std::sort(entries.begin(), entries.end(),
-              [](const std::pair<ExprRef, uint32_t> &a,
-                 const std::pair<ExprRef, uint32_t> &b) {
-                  const int c = StructuralCompare(a.first, b.first);
-                  return c != 0 ? c < 0 : a.second < b.second;
-              });
-    live->reserve(entries.size());
-    caller_index->reserve(entries.size());
-    for (const auto &[e, pos] : entries) {
-        if (!live->empty() && live->back() == e)
-            continue;
-        live->push_back(e);
-        caller_index->push_back(pos);
-    }
+    // deterministic assumption order. Interning makes a structural tie
+    // the same node, so duplicates end up adjacent.
+    std::sort(live->begin(), live->end(), [](ExprRef a, ExprRef b) {
+        return StructuralCompare(a, b) < 0;
+    });
+    live->erase(std::unique(live->begin(), live->end()), live->end());
     return true;
 }
 
@@ -167,16 +142,16 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
     ++stats_.queries;
 
     // Observability: one span per query on this solver's lane, finalized
-    // with verdict/conflicts/core by `finish` below on every return
-    // path. All of it is behind null-check branches -- with
-    // config_.obs unset the query runs exactly as before.
+    // with verdict/conflicts by `finish` below on every return path. All
+    // of it is behind null-check branches -- with config_.obs unset the
+    // query runs exactly as before.
     obs::ScopedSpan span(config_.obs.tracer, config_.obs.lane,
                          "solver.query", "solver");
     const bool obs_on = config_.obs.enabled();
     const int64_t conflicts_before = stats_.sat_conflicts;
     const auto finish = [&](CheckResult result) -> CheckResult {
         obs_queries_.Bump();
-        if (result.status == CheckStatus::kUnknown)
+        if (result == CheckStatus::kUnknown)
             obs_unknowns_.Bump();
         if (obs_on) {
             const int64_t conflicts =
@@ -187,39 +162,17 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
                         static_cast<int64_t>(
                             base.size() +
                             (extras != nullptr ? extras->size() : 0)));
-            if (result.has_core) {
-                obs_core_size_.Record(
-                    static_cast<int64_t>(result.core.size()));
-                span.AddArg("core", static_cast<int64_t>(result.core.size()));
-            }
             span.SetStrArg("verdict", CheckResultName(result));
         }
         return result;
     };
 
-    // Cores only accompany answers the model-less, unbudgeted
-    // incremental path could have produced -- including the trivial
-    // ones, so has_core remains a reliable proxy for "decided on the
-    // core-producing path" (budgeted and model-producing queries are
-    // always core-less, per the CheckResult contract).
-    const bool incremental_path = model == nullptr &&
-                                  config_.enable_incremental &&
-                                  config_.unbudgeted();
-    const bool core_path = incremental_path && config_.enable_cores;
-
     std::vector<ExprRef> live;
-    std::vector<uint32_t> caller_index;
-    uint32_t false_index = 0;
-    if (!Canonicalize(base, extras, &live, &caller_index, &false_index)) {
+    if (!Canonicalize(base, extras, &live)) {
         ++stats_.trivial_unsat;
         if (model)
             *model = Model();
-        CheckResult result(CheckStatus::kUnsat);
-        if (core_path) {
-            result.has_core = true;
-            result.core.push_back(false_index);
-        }
-        return finish(result);
+        return finish(CheckStatus::kUnsat);
     }
     if (live.empty()) {
         ++stats_.trivial_sat;
@@ -227,17 +180,6 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
             *model = Model();
         return finish(CheckStatus::kSat);
     }
-
-    // Cores travel through both caches in canonical (live-vector)
-    // indices; per-call they are mapped to the caller's positions.
-    const auto core_to_caller = [&](const std::vector<uint32_t> &live_core) {
-        std::vector<uint32_t> out;
-        out.reserve(live_core.size());
-        for (uint32_t k : live_core)
-            out.push_back(caller_index[k]);
-        std::sort(out.begin(), out.end());
-        return out;
-    };
 
     CacheEntry *upgrade_entry = nullptr;
     if (config_.enable_cache) {
@@ -248,12 +190,7 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
                 ++stats_.cache_hits;
                 if (model)
                     *model = entry.model;
-                CheckResult result(entry.status);
-                if (entry.has_core && core_path) {
-                    result.has_core = true;
-                    result.core = core_to_caller(entry.core);
-                }
-                return finish(result);
+                return finish(entry.status);
             }
             // kSat cached off the model-less incremental path but the
             // caller wants a witness: fall through to the fresh solve
@@ -263,48 +200,19 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
         }
     }
 
-    // Interval pre-check. On the core-producing path it runs in
-    // attribution mode: the checker names the assertions that narrowed
-    // the refuting interval (seed atoms map 1:1 to assertions), so
-    // interval-refutable queries keep both the fast path and the core
-    // every consumer downstream drops predicates with.
-    if (config_.use_interval_check && upgrade_entry == nullptr) {
-        IntervalChecker checker(ctx_);
-        if (core_path) {
-            std::vector<uint32_t> interval_core;
-            if (checker.DefinitelyUnsatWithCore(live, &interval_core)) {
-                ++stats_.interval_unsat;
-                ++stats_.interval_cores;
-                if (config_.enable_cache) {
-                    cache_.emplace(
-                        live, CacheEntry{CheckStatus::kUnsat,
-                                         /*has_model=*/true, Model(),
-                                         /*has_core=*/true,
-                                         interval_core});
-                }
-                CheckResult result(CheckStatus::kUnsat);
-                result.has_core = true;
-                result.core = core_to_caller(interval_core);
-                return finish(result);
-            }
-        } else if (checker.DefinitelyUnsat(live)) {
-            ++stats_.interval_unsat;
-            if (config_.enable_cache) {
-                cache_.emplace(live,
-                               CacheEntry{CheckStatus::kUnsat,
-                                          /*has_model=*/true, Model(),
-                                          /*has_core=*/false, {}});
-            }
-            if (model)
-                *model = Model();
-            // Proof without attribution: no core on this arm.
-            return finish(CheckStatus::kUnsat);
+    if (config_.use_interval_check && upgrade_entry == nullptr &&
+        IntervalChecker().DefinitelyUnsat(live)) {
+        ++stats_.interval_unsat;
+        if (config_.enable_cache) {
+            cache_.emplace(live, CacheEntry{CheckStatus::kUnsat,
+                                            /*has_model=*/true, Model()});
         }
+        if (model)
+            *model = Model();
+        return finish(CheckStatus::kUnsat);
     }
 
     CheckStatus status;
-    bool got_core = false;
-    std::vector<uint32_t> live_core;
     Model out_model;
     // The incremental path serves model-less, unlimited-budget queries
     // only. Model-producing queries need the fresh instance for
@@ -312,13 +220,15 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
     // conflict budget spent against history-dependent learned clauses
     // would make the kUnsat/kUnknown boundary depend on the query
     // stream, not the query.
-    if (incremental_path) {
-        status = SolveIncremental(live, &got_core, &live_core);
-    } else {
+    const bool incremental_path = model == nullptr &&
+                                  config_.enable_incremental &&
+                                  config_.unbudgeted();
+    if (incremental_path)
+        status = SolveIncremental(live);
+    else
         status = SolveFresh(live, &out_model);
-    }
 
-    if (config_.retain_models && status == CheckStatus::kSat) {
+    if (status == CheckStatus::kSat) {
         if (incremental_path) {
             // The assignment is standing in the persistent instance;
             // extraction is deferred to the next StandingModel() read.
@@ -343,18 +253,12 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
                 upgrade_entry->has_model = true;
             }
         } else {
-            cache_.emplace(live, CacheEntry{status, has_model, out_model,
-                                            got_core, live_core});
+            cache_.emplace(live, CacheEntry{status, has_model, out_model});
         }
-    }
-    CheckResult result(status);
-    if (got_core) {
-        result.has_core = true;
-        result.core = core_to_caller(live_core);
     }
     if (model)
         *model = out_model;
-    return finish(result);
+    return finish(status);
 }
 
 CheckStatus
@@ -417,14 +321,10 @@ Solver::GuardAssertions(const std::vector<ExprRef> &live,
 }
 
 CheckStatus
-Solver::SolveIncremental(const std::vector<ExprRef> &live, bool *has_core,
-                         std::vector<uint32_t> *core)
+Solver::SolveIncremental(const std::vector<ExprRef> &live)
 {
-    *has_core = false;
-    core->clear();
     EnsureIncrementalBackend();
     ++stats_.incremental_sat_calls;
-    inc_->sat.SetMinimizeCore(config_.enable_cores);
     inc_->sat.SetTrailReuse(config_.enable_trail_reuse);
 
     std::vector<Lit> assumptions;
@@ -438,26 +338,7 @@ Solver::SolveIncremental(const std::vector<ExprRef> &live, bool *has_core,
     stats_.trail_reuses += after.trail_reuses - before.trail_reuses;
 
     switch (status) {
-      case SatStatus::kUnsat:
-        if (config_.enable_cores) {
-            // Map core activation literals back to positions in `live`.
-            // Both sequences are in assumption order, so a single merge
-            // pass suffices and the indices come out ascending.
-            const std::vector<Lit> &sat_core = inc_->sat.unsat_core();
-            *has_core = true;
-            core->reserve(sat_core.size());
-            uint32_t k = 0;
-            for (Lit l : sat_core) {
-                while (k < assumptions.size() && assumptions[k] != l)
-                    ++k;
-                if (k == assumptions.size())
-                    break;
-                core->push_back(k++);
-            }
-            ++stats_.cores_extracted;
-            stats_.core_literals += static_cast<int64_t>(core->size());
-        }
-        return CheckStatus::kUnsat;
+      case SatStatus::kUnsat: return CheckStatus::kUnsat;
       case SatStatus::kUnknown: return CheckStatus::kUnknown;
       case SatStatus::kSat: return CheckStatus::kSat;
     }
@@ -497,8 +378,6 @@ Solver::RefreshStandingModel()
 const Model *
 Solver::StandingModel()
 {
-    if (!config_.retain_models)
-        return nullptr;
     RefreshStandingModel();
     return has_standing_model_ ? &standing_model_ : nullptr;
 }

@@ -25,77 +25,10 @@ namespace smt {
 /** Status of a satisfiability query. */
 enum class CheckStatus : uint8_t { kSat, kUnsat, kUnknown };
 
-/**
- * Outcome of a satisfiability query: the status plus, for kUnsat
- * answers decided by the incremental assumption-based backend, the
- * unsat core mapped back to the caller's assertion indices.
- *
- * Core indexing: CheckSat(assertions) uses positions into `assertions`;
- * CheckSatAssuming(base, extras) indexes base first, then extras offset
- * by base.size(). Duplicated assertions report their first occurrence.
- * `has_core` distinguishes "no core information" (fresh-instance or
- * interval answers, shared query-cache hits) from a genuine
- * core; an empty core with has_core set means the query is
- * unsatisfiable regardless of the assertions (cannot arise from
- * guarded assertions, but callers must treat it as "everything is
- * implicated"). Cores never accompany kSat/kUnknown: budgeted and
- * model-producing queries bypass the incremental backend entirely, so
- * core-guided callers can never confuse an undecided answer with a
- * refutation.
- *
- * The struct is source-compatible with the old `enum CheckResult`:
- * `CheckResult::kSat` still names the status constant and comparisons
- * against a CheckStatus compare the status only.
- */
-struct CheckResult
-{
-    CheckStatus status = CheckStatus::kUnknown;
-    bool has_core = false;
-    /** Caller assertion indices implicated in the refutation, ascending. */
-    std::vector<uint32_t> core;
-
-    CheckResult() = default;
-    /*implicit*/ CheckResult(CheckStatus s) : status(s) {}
-
-    static constexpr CheckStatus kSat = CheckStatus::kSat;
-    static constexpr CheckStatus kUnsat = CheckStatus::kUnsat;
-    static constexpr CheckStatus kUnknown = CheckStatus::kUnknown;
-
-    friend bool operator==(const CheckResult &r, CheckStatus s)
-    {
-        return r.status == s;
-    }
-    friend bool operator==(CheckStatus s, const CheckResult &r)
-    {
-        return r.status == s;
-    }
-    friend bool operator!=(const CheckResult &r, CheckStatus s)
-    {
-        return r.status != s;
-    }
-    friend bool operator!=(CheckStatus s, const CheckResult &r)
-    {
-        return r.status != s;
-    }
-    /** Two outcomes are equal iff their statuses agree: the core is an
-     *  explanation of a kUnsat verdict, not part of the verdict (the
-     *  same query answers kUnsat with or without core extraction). */
-    friend bool operator==(const CheckResult &a, const CheckResult &b)
-    {
-        return a.status == b.status;
-    }
-    friend bool operator!=(const CheckResult &a, const CheckResult &b)
-    {
-        return a.status != b.status;
-    }
-};
+/** Outcome of a satisfiability query. */
+using CheckResult = CheckStatus;
 
 const char *CheckResultName(CheckStatus s);
-inline const char *
-CheckResultName(const CheckResult &r)
-{
-    return CheckResultName(r.status);
-}
 
 /** Solver-facade counters. Only the owning solver's thread writes
  *  them; the sat_* fields sum the SAT backend's per-call deltas. */
@@ -107,15 +40,12 @@ struct SolverStats
     int64_t cache_hits = 0;
     int64_t cache_model_upgrades = 0;
     int64_t interval_unsat = 0;
-    int64_t interval_cores = 0;
     int64_t sat_calls = 0;
     int64_t incremental_sat_calls = 0;
     int64_t incremental_resets = 0;
     int64_t sat_conflicts = 0;
     int64_t sat_decisions = 0;
     int64_t trail_reuses = 0;
-    int64_t cores_extracted = 0;
-    int64_t core_literals = 0;
 
     /** The one place these counters are named ("solver.*"). */
     void AddTo(obs::CounterView *view) const;
@@ -128,20 +58,6 @@ struct SolverConfig
     bool use_interval_check = true;
     /** Conflict budget for the SAT search; < 0 means unlimited. */
     int64_t max_conflicts = -1;
-    /**
-     * Keep the last satisfying assignment standing across queries and
-     * expose it through StandingModel(). The facade merges each kSat
-     * answer's variable values into one rolling Model (incremental-path
-     * answers lazily, on first StandingModel() read; fresh-path answers
-     * eagerly, since their model is already extracted). Consumers use
-     * it for concrete pre-filtering: evaluating a predicate under any
-     * total concrete assignment that satisfies it is a proof of kSat
-     * with zero solver work. Staleness is harmless -- a stale or merged
-     * model can only fail to satisfy a satisfiable predicate (lowering
-     * the hit rate), never satisfy an unsatisfiable one. Near-free when
-     * unread; flip off to pin memory on huge variable spaces.
-     */
-    bool retain_models = true;
     /** Memoize query results keyed by the assertion set. */
     bool enable_cache = true;
     /**
@@ -160,19 +76,6 @@ struct SolverConfig
      */
     bool enable_incremental = true;
     /**
-     * Extract unsat cores over assumptions on the incremental path and
-     * expose them through CheckResult. Extraction itself is one
-     * analyze-final walk over the final conflict's implication graph
-     * (near-free); consumers use cores to drop every assertion set a
-     * refutation transitively implicates (core-guided predicate
-     * dropping in the server explorer, witness-check reuse in
-     * refinement). Each core is also minimized by deletion (re-solving
-     * the core minus each member until a fixpoint): minimal cores
-     * transfer to more sibling queries, and the probes run on the
-     * already-learned incremental instance, so they are cheap.
-     */
-    bool enable_cores = true;
-    /**
      * Reset threshold for the incremental backend. A SAT verdict must
      * extend to a full assignment over every variable ever blasted into
      * the persistent instance, so per-query cost grows with accumulated
@@ -188,8 +91,7 @@ struct SolverConfig
      * the SAT trail segment for the longest common assumption prefix
      * between consecutive solves instead of re-establishing the whole
      * stack per query. Pure acceleration -- verdicts are unchanged;
-     * only the search path (and therefore which equally-valid core is
-     * reported) may differ.
+     * only the search path may differ.
      */
     bool enable_trail_reuse = true;
     /**
@@ -198,7 +100,7 @@ struct SolverConfig
      * distributions the heartbeat samples (its typed SolverStats count
      * either way); when the tracer is set every
      * CheckSat/CheckSatAssuming records one span on the lane's track,
-     * annotated with conflicts spent, verdict and core size. Default
+     * annotated with conflicts spent and verdict. Default
      * (both null) leaves a single branch per query -- instrumentation is
      * provably inert (witness sets are bitwise identical obs on/off; see
      * tests/test_obs.cc).
@@ -206,8 +108,7 @@ struct SolverConfig
     obs::ObsHandle obs;
 
     /** True when queries run with no conflict budget -- the
-     *  precondition for the incremental backend and for every
-     *  unsat-core consumer (nothing may be dropped on kUnknown). */
+     *  precondition for the incremental backend. */
     bool unbudgeted() const { return max_conflicts < 0; }
 };
 
@@ -273,12 +174,17 @@ class Solver
 
     /**
      * The rolling satisfying assignment left standing by past kSat
-     * answers, or nullptr when none exists yet (or retain_models is
-     * off). The referenced Model is owned by the solver and valid until
-     * the next Check* call. It is a genuine concrete assignment --
-     * every value either came from a SAT model or defaults to zero --
-     * so any assertion that evaluates true under it is satisfiable;
-     * nothing follows from evaluating false.
+     * answers, or nullptr before the first one. The facade merges each
+     * kSat answer's variable values into it (incremental-path answers
+     * lazily, on the first read; fresh-path answers eagerly, since
+     * their model is already extracted). Consumers use it for concrete
+     * pre-filtering. Staleness is harmless: a stale or merged model can
+     * only fail to satisfy a satisfiable predicate, never satisfy an
+     * unsatisfiable one. The referenced Model is owned by the solver
+     * and valid until the next Check* call. It is a genuine concrete
+     * assignment -- every value either came from a SAT model or
+     * defaults to zero -- so any assertion that evaluates true under it
+     * is satisfiable; nothing follows from evaluating false.
      */
     const Model *StandingModel();
 
@@ -316,10 +222,6 @@ class Solver
          *  upgraded in place by a fresh-instance solve. */
         bool has_model;
         Model model;
-        /** Unsat core in canonical (live-vector) indices; kUnsat entries
-         *  from the fresh-instance path carry none. */
-        bool has_core = false;
-        std::vector<uint32_t> core;
     };
     struct AssertionsHash
     {
@@ -328,24 +230,17 @@ class Solver
     struct IncrementalBackend;
 
     /** Canonical form: live (non-trivial) assertions, structurally
-     *  sorted and deduplicated, plus per-live-entry indices into the
-     *  caller's base∥extras concatenation (first occurrence wins).
-     *  Returns false on a trivially-false assertion, reporting its
-     *  caller index through `false_index`. */
+     *  sorted and deduplicated. Returns false on a trivially-false
+     *  assertion. */
     bool Canonicalize(const std::vector<ExprRef> &base,
                       const std::vector<ExprRef> *extras,
-                      std::vector<ExprRef> *live,
-                      std::vector<uint32_t> *caller_index,
-                      uint32_t *false_index) const;
+                      std::vector<ExprRef> *live) const;
 
     /** Solve `live` on a fresh SAT instance; fills `out_model` on kSat. */
     CheckStatus SolveFresh(const std::vector<ExprRef> &live,
                            Model *out_model);
-    /** Returns the status plus, on kUnsat with cores enabled, the core
-     *  as indices into `live`. */
-    CheckStatus SolveIncremental(const std::vector<ExprRef> &live,
-                                 bool *has_core,
-                                 std::vector<uint32_t> *core);
+    /** Solve `live` under assumptions on the persistent instance. */
+    CheckStatus SolveIncremental(const std::vector<ExprRef> &live);
 
     /** Reset-or-build the persistent incremental instance: drops it
      *  past incremental_max_vars (flushing the standing model first --
@@ -369,7 +264,7 @@ class Solver
         cache_;
     std::unique_ptr<IncrementalBackend> inc_;
     /** Rolling concrete assignment from past kSat answers (see
-     *  SolverConfig::retain_models and StandingModel()). */
+     *  StandingModel()). */
     Model standing_model_;
     bool has_standing_model_ = false;
     /** Assertions of the latest incremental-path kSat answer whose
@@ -384,7 +279,6 @@ class Solver
     obs::MetricsRegistry::Counter obs_queries_;
     obs::MetricsRegistry::Counter obs_unknowns_;
     obs::MetricsRegistry::Distribution obs_conflicts_;
-    obs::MetricsRegistry::Distribution obs_core_size_;
 };
 
 }  // namespace smt

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 #include <set>
+#include <thread>
 
 #include "core/path_predicate.h"
 #include "exec/expr_transfer.h"
@@ -417,6 +419,49 @@ TEST(SchedulerTest, FreshPushRespectsStateBudget)
     ASSERT_NE(s3, nullptr);  // rejected state stays with the caller
     // Re-queues are exempt (the state was already admitted once).
     EXPECT_TRUE(scheduler.Push(0, &s3, false));
+}
+
+TEST(SchedulerTest, StealsNeverPushFreshStatesOverBudget)
+{
+    // A chain of single-child states keeps about one state queued, so
+    // idle workers steal each child the moment it is pushed. A steal
+    // must never drive the queued count below zero: the unsigned count
+    // would wrap past max_queued_states and reject the next fork.
+    ProgramBuilder b("prog");
+    b.Function("main", {}, 0, [&] { b.Halt(); });
+    const Program program = b.Build();
+
+    SchedulerConfig config;
+    config.num_workers = 4;
+    WorkStealingScheduler scheduler(config);
+    scheduler.Seed(0, std::make_unique<State>(0, &program));
+    constexpr uint64_t kStates = 20000;
+    std::atomic<uint64_t> next_id{1};
+    std::atomic<int> rejected{0};
+    std::vector<std::thread> threads;
+    for (size_t w = 0; w < config.num_workers; ++w) {
+        threads.emplace_back([&, w] {
+            WorkStealingScheduler::Batch batch;
+            while (scheduler.Next(w, &batch)) {
+                if (batch.owner != w) {
+                    for (auto &s : batch.states)
+                        scheduler.Push(w, &s, /*fresh=*/false);
+                    continue;
+                }
+                const uint64_t id = next_id.fetch_add(1);
+                if (id < kStates) {
+                    auto child = std::make_unique<State>(id, &program);
+                    if (!scheduler.Push(w, &child, /*fresh=*/true))
+                        ++rejected;
+                }
+                scheduler.OnStateFinished();
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(rejected.load(), 0);
+    EXPECT_GE(next_id.load(), kStates);
 }
 
 // ------------------------------------------------------- parallel engine

@@ -5,17 +5,27 @@
 //    (model consistency, like the FSP version);
 //  * configuration equivalence -- every optimization configuration of
 //    the server explorer must discover the same FSP Trojan types;
-//  * search-order independence of the discovered Trojan set.
+//  * search-order independence of the discovered Trojan set;
+//  * completeness of the optimized pipeline: on every registered
+//    protocol and both example specs, the default configuration and an
+//    unoptimized reference configuration emit identical witnesses.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/achilles.h"
+#include "core/path_predicate.h"
 #include "proto/fsp/fsp_concrete.h"
 #include "proto/fsp/fsp_protocol.h"
 #include "proto/pbft/pbft_concrete.h"
 #include "proto/pbft/pbft_protocol.h"
+#include "proto/registry.h"
+#include "proto/spec/lower.h"
 #include "support/rng.h"
 
 namespace achilles {
@@ -137,6 +147,76 @@ TEST(ConfigEquivalenceTest, SearchOrderDoesNotChangeTheTypes)
     random.engine.order = symexec::SearchOrder::kRandom;
     random.engine.random_seed = 1234;
     EXPECT_EQ(FspTypesUnder(random), dfs);
+}
+
+/** A witness as two independent runs can compare it: server path id,
+ *  accept label, concrete bytes and the definition's canonical hash. */
+using WitnessKey =
+    std::tuple<uint64_t, std::string, std::vector<uint8_t>, uint64_t>;
+
+/**
+ * One serial RunAchilles over `factory`'s protocol. The reference
+ * configuration turns off every optional solver layer (incremental
+ * backend, memo cache, interval pre-check, trail reuse) and the
+ * explorer's concrete pre-filter and differentFrom matrix, leaving the
+ * paper's predicate dropping and state pruning on fresh SAT instances.
+ */
+std::vector<WitnessKey>
+WitnessesOf(const proto::ProtocolFactory &factory, bool reference)
+{
+    const proto::ProtocolBundle bundle = factory.Make();
+    smt::SolverConfig solver_config;
+    core::AchillesConfig config;
+    if (reference) {
+        solver_config.enable_incremental = false;
+        solver_config.enable_cache = false;
+        solver_config.use_interval_check = false;
+        solver_config.enable_trail_reuse = false;
+        config.server_config.use_concrete_prefilter = false;
+        config.server_config.use_different_from = false;
+    }
+    smt::ExprContext ctx;
+    smt::Solver solver(&ctx, solver_config);
+    config.layout = bundle.layout;
+    config.clients = bundle.ClientPtrs();
+    config.server = &bundle.server;
+    const core::AchillesResult result =
+        core::RunAchilles(&ctx, &solver, config);
+
+    core::CanonicalHasher hasher(&ctx);
+    std::vector<WitnessKey> out;
+    for (const core::TrojanWitness &t : result.server.trojans) {
+        out.emplace_back(t.server_path_id, t.accept_label, t.concrete,
+                         hasher.HashExprs(t.definition));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(ReferenceConfigTest, RegistryWitnessesMatchUnoptimizedReference)
+{
+    proto::ProtocolRegistry specs;
+    for (const char *file : {"kv_union.spec", "sensor_tlv.spec"}) {
+        std::string name, error;
+        ASSERT_TRUE(spec::RegisterSpecFile(std::string(ACHILLES_SOURCE_DIR) +
+                                               "/examples/" + file,
+                                           &specs, &name, &error))
+            << error;
+    }
+    auto factories = proto::ProtocolRegistry::Global().All();
+    for (const auto &factory : specs.All())
+        factories.push_back(factory);
+
+    size_t witnesses = 0;
+    for (const auto &factory : factories) {
+        const std::vector<WitnessKey> optimized =
+            WitnessesOf(*factory, /*reference=*/false);
+        EXPECT_EQ(optimized, WitnessesOf(*factory, /*reference=*/true))
+            << factory->info().name;
+        witnesses += optimized.size();
+    }
+    EXPECT_GE(factories.size(), 129u);
+    EXPECT_GT(witnesses, 0u);
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "smt/eval.h"
@@ -288,18 +287,6 @@ TEST(StandingModelTest, ModelSatisfiesEveryAssertedConstraint)
     EXPECT_NE(solver.StandingModel(), nullptr);
 }
 
-TEST(StandingModelTest, DisabledRetentionReturnsNull)
-{
-    ExprContext ctx;
-    SolverConfig config;
-    config.retain_models = false;
-    Solver solver(&ctx, config);
-    ExprRef x = ctx.FreshVar("x", 8);
-    ASSERT_EQ(solver.CheckSat({ctx.MakeEq(x, ctx.MakeConst(8, 1))}),
-              CheckResult::kSat);
-    EXPECT_EQ(solver.StandingModel(), nullptr);
-}
-
 TEST(StandingModelTest, ConcretelyTrueAssignmentIsAProofOfSat)
 {
     // The pre-filter's soundness argument, randomized: whenever a total
@@ -352,13 +339,13 @@ TEST(StandingModelTest, ConcretelyTrueAssignmentIsAProofOfSat)
 
 TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
 {
-    // One default solver -- incremental backend, memo cache, cores,
-    // trail reuse and the interval pre-check, all carrying state from
-    // query to query -- answers a long seeded stream whose base grows,
-    // shrinks and stays shared between consecutive queries, the shape
-    // of the explorer's pathS streams. Every verdict must match a fresh
-    // solver with every optimization off, and every returned core must
-    // itself be unsatisfiable there.
+    // One default solver -- incremental backend, memo cache, trail
+    // reuse and the interval pre-check, all carrying state from query
+    // to query -- answers a long seeded stream whose base grows, shrinks
+    // and stays shared between consecutive queries, the shape of the
+    // explorer's pathS streams. Every verdict must match a fresh solver
+    // with every optimization off, and every requested model must
+    // satisfy its query.
     ExprContext ctx;
     std::vector<ExprRef> vars;
     for (int i = 0; i < 4; ++i)
@@ -401,7 +388,7 @@ TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
     Solver solver(&ctx);
     std::vector<ExprRef> base;
     std::vector<ExprRef> extras;
-    int sat = 0, unsat = 0, cores = 0;
+    int sat = 0, unsat = 0;
     for (int q = 0; q < 2400; ++q) {
         // Every tenth query or so repeats the previous one verbatim (a
         // memo-cache hit); otherwise the base grows, shrinks at a random
@@ -439,22 +426,10 @@ TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
             continue;
         }
         ++unsat;
-        if (!got.has_core)
-            continue;
-        ++cores;
-        ASSERT_TRUE(std::is_sorted(got.core.begin(), got.core.end()));
-        std::vector<ExprRef> core;
-        for (uint32_t k : got.core) {
-            ASSERT_LT(k, query.size()) << "query " << q;
-            core.push_back(query[k]);
-        }
-        ASSERT_EQ(reference_check(core), CheckResult::kUnsat)
-            << "core of query " << q << " is satisfiable";
     }
     // The stream is mixed, and every optimized layer took part.
     EXPECT_GT(sat, 400);
     EXPECT_GT(unsat, 400);
-    EXPECT_GT(cores, 200);
     EXPECT_GE(solver.stats().Get("solver.incremental_sat_calls"), 500);
     EXPECT_GE(solver.stats().Get("solver.cache_hits"), 100);
     EXPECT_GE(solver.stats().Get("solver.trail_reuses"), 1);

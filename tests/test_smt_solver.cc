@@ -60,23 +60,11 @@ TEST_F(SolverTest, UnsignedRangeConflict)
     ExprRef x = ctx.FreshVar("x", 32);
     ExprRef lt100 = ctx.MakeUlt(x, ctx.MakeConst(32, 100));
     ExprRef ge100 = ctx.MakeUge(x, ctx.MakeConst(32, 100));
-    // Default config: the refutation comes from the incremental backend
-    // so it carries a core (the interval pre-check would answer the
-    // same but cannot explain itself); no fresh instance is built.
-    const CheckResult r = solver.CheckSat({lt100, ge100});
-    EXPECT_EQ(r, CheckResult::kUnsat);
-    EXPECT_TRUE(r.has_core);
-    EXPECT_EQ(r.core, (std::vector<uint32_t>{0, 1}));
+    // Default config: the interval pre-check refutes without SAT.
+    EXPECT_EQ(solver.CheckSat({lt100, ge100}), CheckResult::kUnsat);
+    EXPECT_GE(solver.stats().Get("solver.interval_unsat"), 1);
     EXPECT_EQ(solver.stats().Get("solver.sat_calls"), 0);
-
-    // With cores off, the interval pre-check refutes without SAT.
-    SolverConfig config;
-    config.enable_cores = false;
-    Solver nocores(&ctx, config);
-    EXPECT_EQ(nocores.CheckSat({lt100, ge100}), CheckResult::kUnsat);
-    EXPECT_GE(nocores.stats().Get("solver.interval_unsat"), 1);
-    EXPECT_EQ(nocores.stats().Get("solver.sat_calls"), 0);
-    EXPECT_EQ(nocores.stats().Get("solver.incremental_sat_calls"), 0);
+    EXPECT_EQ(solver.stats().Get("solver.incremental_sat_calls"), 0);
 }
 
 TEST_F(SolverTest, EqualityChainPropagation)
@@ -401,7 +389,7 @@ TEST(IntervalTest, MeetJoinBasics)
 TEST(IntervalTest, RefutesRangeConflicts)
 {
     ExprContext ctx;
-    IntervalChecker checker(&ctx);
+    IntervalChecker checker;
     ExprRef x = ctx.FreshVar("x", 8);
     ExprRef lt10 = ctx.MakeUlt(x, ctx.MakeConst(8, 10));
     ExprRef gt20 = ctx.MakeUgt(x, ctx.MakeConst(8, 20));
@@ -412,7 +400,7 @@ TEST(IntervalTest, RefutesRangeConflicts)
 TEST(IntervalTest, RefutesEqualityConflicts)
 {
     ExprContext ctx;
-    IntervalChecker checker(&ctx);
+    IntervalChecker checker;
     ExprRef x = ctx.FreshVar("x", 8);
     ExprRef eq3 = ctx.MakeEq(x, ctx.MakeConst(8, 3));
     ExprRef eq5 = ctx.MakeEq(x, ctx.MakeConst(8, 5));
@@ -440,15 +428,29 @@ TEST(IntervalTest, NeverClaimsUnsatOnSatisfiable)
             assertions.push_back(
                 ctx.MakeUge(x, ctx.MakeConst(8, lo)));
         }
-        IntervalChecker checker(&ctx);
+        IntervalChecker checker;
         EXPECT_FALSE(checker.DefinitelyUnsat(assertions));
     }
+}
+
+TEST(IntervalTest, RefutesThroughEvaluatedArithmetic)
+{
+    // No variable empties: x in [100, 999] is seeded from the bounds,
+    // and the sum atom is refuted only by evaluation under that range.
+    ExprContext ctx;
+    ExprRef x = ctx.FreshVar("x", 16);
+    IntervalChecker checker;
+    EXPECT_TRUE(checker.DefinitelyUnsat(
+        {ctx.MakeUlt(x, ctx.MakeConst(16, 1000)),
+         ctx.MakeUge(x, ctx.MakeConst(16, 100)),
+         ctx.MakeUle(ctx.MakeAdd(x, ctx.MakeConst(16, 10)),
+                     ctx.MakeConst(16, 50))}));
 }
 
 TEST(IntervalTest, ZExtTransfersRanges)
 {
     ExprContext ctx;
-    IntervalChecker checker(&ctx);
+    IntervalChecker checker;
     ExprRef x = ctx.FreshVar("x", 8);
     ExprRef wide = ctx.MakeZExt(x, 32);
     EXPECT_TRUE(checker.DefinitelyUnsat(

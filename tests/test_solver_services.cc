@@ -2,9 +2,8 @@
 //
 // The shared solver-services layer: assumption-prefix trail reuse
 // (SAT-level prefix keeping and facade-level stream equivalence),
-// witness determinism at 1/2/4/8 workers with the concrete pre-filter
-// off and on, and interval-checker core attribution (sound bound-pair
-// cores restoring the interval fast path on the core-producing path).
+// and witness determinism at 1/2/4/8 workers with the concrete
+// pre-filter off and on.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 
 #include "core/achilles.h"
 #include "proto/fsp/fsp_protocol.h"
-#include "smt/interval.h"
 #include "smt/sat.h"
 #include "smt/solver.h"
 #include "support/rng.h"
@@ -27,7 +25,6 @@ using smt::CheckResult;
 using smt::CheckStatus;
 using smt::ExprContext;
 using smt::ExprRef;
-using smt::IntervalChecker;
 using smt::Lit;
 using smt::Model;
 using smt::SatSolver;
@@ -47,12 +44,10 @@ TEST(SatTrailReuseTest, PrefixKeptAcrossSolves)
         sat.AddBinary(v[i], v[i + 1]);
     sat.AddBinary(~v[3], ~v[4]);  // v3 and v4 conflict
 
-    // Establishing {v0..v4} fails on the last assumption; the core
-    // names the conflicting pair and the established prefix survives.
+    // Establishing {v0..v4} fails on the last assumption; the
+    // established prefix survives.
     ASSERT_EQ(sat.Solve({v[0], v[1], v[2], v[3], v[4]}),
               SatStatus::kUnsat);
-    const std::vector<Lit> expected{v[3], v[4]};
-    EXPECT_EQ(sat.unsat_core(), expected);
 
     // The follow-up shares the first four assumptions: the kept trail
     // answers without re-establishing them.
@@ -118,9 +113,9 @@ TEST(SolverTrailReuseTest, SharedPrefixStreamEquivalence)
 
     SolverConfig on_config;
     on_config.enable_cache = false;
-    // Isolate the backend: with the pre-check on, the interval core
-    // path would answer the range-conflicting probes before the SAT
-    // trail ever gets a chance to be reused.
+    // Isolate the backend: with the pre-check on, the interval check
+    // would answer the range-conflicting probes before the SAT trail
+    // ever gets a chance to be reused.
     on_config.use_interval_check = false;
     SolverConfig off_config = on_config;
     off_config.enable_trail_reuse = false;
@@ -139,76 +134,12 @@ TEST(SolverTrailReuseTest, SharedPrefixStreamEquivalence)
                              ctx.MakeConst(8, rng.Below(200)));
         const CheckResult a = on.CheckSatAssuming(prefix, {probe});
         const CheckResult b = off.CheckSatAssuming(prefix, {probe});
-        ASSERT_EQ(a.status, b.status) << "query " << q;
+        ASSERT_EQ(a, b) << "query " << q;
         unsat += a == CheckResult::kUnsat ? 1 : 0;
     }
     EXPECT_GT(unsat, 0);
     EXPECT_GE(on.stats().Get("solver.trail_reuses"), 1);
     EXPECT_EQ(off.stats().Get("solver.trail_reuses"), 0);
-}
-
-// ------------------------------------- interval core attribution
-
-TEST(IntervalCoreTest, EmptyVariableAttributesBoundPair)
-{
-    ExprContext ctx;
-    ExprRef x = ctx.FreshVar("x", 8);
-    ExprRef y = ctx.FreshVar("y", 8);
-    IntervalChecker checker(&ctx);
-    std::vector<uint32_t> core;
-    ASSERT_TRUE(checker.DefinitelyUnsatWithCore(
-        {ctx.MakeEq(y, ctx.MakeConst(8, 5)),
-         ctx.MakeUlt(x, ctx.MakeConst(8, 10)),
-         ctx.MakeUge(x, ctx.MakeConst(8, 20))},
-        &core));
-    // Only the lower-bound raiser and the upper-bound lowerer are
-    // implicated; the unrelated equality is not.
-    EXPECT_EQ(core, (std::vector<uint32_t>{1, 2}));
-}
-
-TEST(IntervalCoreTest, EvalRefutationAttributesSupport)
-{
-    ExprContext ctx;
-    ExprRef x = ctx.FreshVar("x", 16);
-    const std::vector<ExprRef> assertions{
-        ctx.MakeUlt(x, ctx.MakeConst(16, 1000)),
-        ctx.MakeUge(x, ctx.MakeConst(16, 100)),
-        ctx.MakeUle(ctx.MakeAdd(x, ctx.MakeConst(16, 10)),
-                    ctx.MakeConst(16, 50)),
-    };
-    IntervalChecker checker(&ctx);
-    std::vector<uint32_t> core;
-    ASSERT_TRUE(checker.DefinitelyUnsatWithCore(assertions, &core));
-    // The refuted arithmetic atom plus both bound sources of x.
-    EXPECT_EQ(core, (std::vector<uint32_t>{0, 1, 2}));
-}
-
-TEST(IntervalCoreTest, FacadeFastPathRestoredWithCore)
-{
-    // PR 3 skipped the interval pre-check on the core path because the
-    // checker could prove but not explain; with attribution the fast
-    // path is back and refutations still come with a core.
-    ExprContext ctx;
-    ExprRef x = ctx.FreshVar("x", 8);
-    Solver solver(&ctx);
-    const std::vector<ExprRef> query{
-        ctx.MakeUlt(x, ctx.MakeConst(8, 10)),
-        ctx.MakeUge(x, ctx.MakeConst(8, 20))};
-    const CheckResult r = solver.CheckSat(query);
-    ASSERT_EQ(r, CheckResult::kUnsat);
-    ASSERT_TRUE(r.has_core);
-    EXPECT_EQ(r.core, (std::vector<uint32_t>{0, 1}));
-    EXPECT_GE(solver.stats().Get("solver.interval_unsat"), 1);
-    EXPECT_GE(solver.stats().Get("solver.interval_cores"), 1);
-    // Neither backend was consulted: the pre-check decided alone.
-    EXPECT_EQ(solver.stats().Get("solver.incremental_sat_calls"), 0);
-    EXPECT_EQ(solver.stats().Get("solver.sat_calls"), 0);
-
-    // The cached entry replays the interval core.
-    const CheckResult replay = solver.CheckSat(query);
-    ASSERT_TRUE(replay.has_core);
-    EXPECT_EQ(replay.core, r.core);
-    EXPECT_GE(solver.stats().Get("solver.cache_hits"), 1);
 }
 
 // ------------------------------------------- explorer contracts
