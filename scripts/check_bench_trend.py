@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Perf-trend regression gate over bench_* JSON records.
 
-Compares the current commit's bench records (bench_smt.json /
-bench_parallel.json, arrays of {"metric": ..., "value": ...} -- or
+Compares the current commit's bench records (bench_parallel.json /
+bench_corpus.json / bench_warmstart.json, arrays of
+{"metric": ..., "value": ...} -- or
 {"metric": ..., "values": [...]} for multi-sample records, aggregated
 by mean; a record with zero samples is skipped with a warning, never a
 crash) against a baseline set downloaded from the previous
 `bench-records-*` artifact on main, and fails on a >threshold relative
 drop in any watched higher-is-better metric:
 
-  * smt.incremental_speedup
-  * smt.trail_reuse_speedup
   * parallel.speedup/workers=N                 (N in BOTH sweeps)
   * corpus.trojan_yield[/<family>]             (bench_corpus)
   * warmstart.speedup                          (bench_warmstart)
@@ -54,8 +53,6 @@ import pathlib
 import sys
 
 WATCHED_PATTERNS = [
-    "smt.incremental_speedup",
-    "smt.trail_reuse_speedup",
     "parallel.speedup/workers=*",
     "corpus.trojan_yield",
     "corpus.trojan_yield/*",

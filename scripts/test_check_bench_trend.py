@@ -47,7 +47,7 @@ class LoadRecordsTest(unittest.TestCase):
         # must not crash the mean computation.
         self.assertIsNone(
             check_bench_trend.record_value(
-                {"metric": "smt.incremental_speedup", "values": []}))
+                {"metric": "warmstart.speedup", "values": []}))
 
     def test_values_list_is_mean_aggregated(self):
         self.assertEqual(
@@ -63,36 +63,36 @@ class LoadRecordsTest(unittest.TestCase):
 class GateTest(unittest.TestCase):
     def test_zero_sample_baseline_does_not_crash_the_gate(self):
         code, out = run_gate(
-            current=[{"metric": "smt.incremental_speedup", "value": 10.0}],
-            baseline=[{"metric": "smt.incremental_speedup", "values": []}])
+            current=[{"metric": "warmstart.speedup", "value": 10.0}],
+            baseline=[{"metric": "warmstart.speedup", "values": []}])
         self.assertEqual(code, 0, out)
         self.assertIn("zero-sample", out)
 
     def test_regression_fails(self):
         code, out = run_gate(
-            current=[{"metric": "smt.incremental_speedup", "value": 5.0}],
-            baseline=[{"metric": "smt.incremental_speedup",
+            current=[{"metric": "warmstart.speedup", "value": 5.0}],
+            baseline=[{"metric": "warmstart.speedup",
                        "values": [10.0, 10.0]}])
         self.assertEqual(code, 1, out)
 
     def test_regression_warn_only_passes(self):
         code, out = run_gate(
-            current=[{"metric": "smt.incremental_speedup", "value": 5.0}],
-            baseline=[{"metric": "smt.incremental_speedup", "value": 10.0}],
+            current=[{"metric": "warmstart.speedup", "value": 5.0}],
+            baseline=[{"metric": "warmstart.speedup", "value": 10.0}],
             extra_args=("--warn-only",))
         self.assertEqual(code, 0, out)
 
     def test_small_drop_passes(self):
         code, out = run_gate(
-            current=[{"metric": "smt.incremental_speedup", "value": 9.0}],
-            baseline=[{"metric": "smt.incremental_speedup",
+            current=[{"metric": "warmstart.speedup", "value": 9.0}],
+            baseline=[{"metric": "warmstart.speedup",
                        "value": 10.0}])
         self.assertEqual(code, 0, out)
 
     def test_one_sided_metric_is_skipped(self):
         code, out = run_gate(
             current=[{"metric": "warmstart.speedup", "value": 5.0}],
-            baseline=[{"metric": "smt.incremental_speedup",
+            baseline=[{"metric": "warmstart.query_reduction_pct",
                        "value": 10.0}])
         self.assertEqual(code, 0, out)
         self.assertIn("one-sided", out)
@@ -113,7 +113,7 @@ class GateTest(unittest.TestCase):
 
     def test_missing_baseline_passes(self):
         code, out = run_gate(
-            current=[{"metric": "smt.incremental_speedup", "value": 5.0}],
+            current=[{"metric": "warmstart.speedup", "value": 5.0}],
             baseline=None)
         self.assertEqual(code, 0, out)
 
@@ -184,7 +184,7 @@ class CorpusMetricsTest(unittest.TestCase):
             current=[
                 {"metric": "corpus.trojan_yield", "value": 2.0},
                 {"metric": "corpus.queries_per_protocol", "value": 90.0}],
-            baseline=[{"metric": "smt.incremental_speedup",
+            baseline=[{"metric": "warmstart.speedup",
                        "value": 10.0}])
         self.assertEqual(code, 0, out)
         self.assertIn("one-sided", out)
@@ -235,8 +235,7 @@ class WarmstartMetricsTest(unittest.TestCase):
                 {"metric": "warmstart.query_reduction_pct", "value": 8.0},
                 {"metric": "warmstart.corpus_query_reduction_pct",
                  "value": 28.0}],
-            baseline=[{"metric": "smt.incremental_speedup",
-                       "value": 10.0}])
+            baseline=[{"metric": "parallel.trojans", "value": 112.0}])
         self.assertEqual(code, 0, out)
         self.assertIn("one-sided", out)
 

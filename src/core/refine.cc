@@ -36,9 +36,8 @@ ConfirmWitnesses(smt::ExprContext *ctx, smt::Solver *solver,
         for (size_t p = 0; p < pc.paths.size() && !producible; ++p) {
             const ClientPathPredicate &pred = pc.paths[p];
             // Path constraints as the base, pinned-byte equalities as
-            // the extras: every witness re-asserts the same base, which
-            // the incremental backend turns into assumption flips over
-            // already-blasted CNF with the common trail prefix kept.
+            // the extras: every witness re-asserts the same base, passed
+            // by reference instead of copied per witness.
             std::vector<smt::ExprRef> pins;
             pins.reserve(analyzed.size());
             for (uint32_t off : analyzed) {

@@ -263,9 +263,8 @@ ServerExplorer::PredicateMatches(Plane &plane, const symexec::State &state,
                                  size_t i)
 {
     // pathS as the base, predicate i's match conjunction as the extras:
-    // iterating i over the live set re-asserts the same base, which the
-    // incremental solver backend turns into assumption flips over
-    // already-blasted CNF.
+    // iterating i over the live set re-asserts the same base without
+    // copying it into a new vector per predicate.
     ++plane.stats->match_queries;
     return plane.solver->CheckSatAssuming(state.constraints(),
                                           (*plane.match)[i]);

@@ -256,9 +256,9 @@ CachedSolver::CheckShared(const std::vector<smt::ExprRef> &base,
         // here would double-count after the merge.
         return status;
     }
-    // Model-less queries run on the per-worker incremental backend and
-    // publish model-less entries; a later model-requesting caller takes
-    // the deterministic fresh-instance path and upgrades the entry.
+    // Model-less callers publish verdict-only entries; a later
+    // model-requesting caller re-solves the query (its model is a pure
+    // function of the query) and upgrades the entry.
     const smt::CheckResult result = Solver::CheckSatSets(base, extras, model);
     cache_->Insert(key, fingerprints, result,
                    /*has_model=*/model != nullptr,

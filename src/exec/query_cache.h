@@ -7,10 +7,10 @@
 // threads. This cache memoizes CheckSat results under a canonical
 // 128-bit key computed from the context-independent structural
 // fingerprints of the assertion set, verified against the per-assertion
-// fingerprints on every probe. Models are carried for entries produced
-// (or later upgraded) by the model-producing fresh-instance path, so an
-// identical Trojan query can resolve witness bytes without a SAT call;
-// entries from the model-less incremental path serve result-only
+// fingerprints on every probe. Models are carried for entries published
+// (or later upgraded) by model-requesting callers, so an identical
+// Trojan query can resolve witness bytes without a SAT call; entries
+// published by model-less callers are verdict-only, serve result-only
 // callers and are upgraded in place on first model demand.
 //
 // Key soundness: fingerprints hash variables by id, so a key is only
@@ -102,9 +102,9 @@ class QueryCache
      * Probe. A hit requires the stored fingerprints to match (a bare
      * key match is treated as a collision and reported as a miss) and,
      * when `want_model` is set, a kSat entry to actually carry a model
-     * (entries published by the model-less incremental solving path do
-     * not; the caller re-solves on the deterministic model-producing
-     * path and upgrades the entry via Insert).
+     * (entries published by model-less callers do not; the caller
+     * re-solves, which gives the same deterministic model every time,
+     * and upgrades the entry via Insert).
      */
     bool Lookup(const QueryCacheKey &key,
                 const QueryFingerprints &fingerprints, bool want_model,

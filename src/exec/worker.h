@@ -2,23 +2,20 @@
 //
 // The worker pool. Each worker owns a full private solving stack -- an
 // ExprContext replica, a CachedSolver (its own bit-blasting solver
-// behind the shared cross-worker query cache, with a private
-// incremental assumption-based SAT backend that persists CNF and
-// learned clauses across the worker's model-less query stream) and a
-// symexec::Engine driven state-by-state -- plus an ExprBridge that
-// re-homes states stolen from other workers. ParallelEngine wires the
-// pool to the work-stealing scheduler and exposes the same surface as
-// the serial engine: set an incoming message, run, get PathResults in
-// the home context.
+// behind the shared cross-worker query cache) and a symexec::Engine
+// driven state-by-state -- plus an ExprBridge that re-homes states
+// stolen from other workers. ParallelEngine wires the pool to the
+// work-stealing scheduler and exposes the same surface as the serial
+// engine: set an incoming message, run, get PathResults in the home
+// context.
 //
 // Determinism: worker engines derive state ids from the fork tree
 // (schedule-independent), contexts are variable-id-aligned, expression
 // canonicalization and solver assertion ordering are structural, so the
 // merged results -- ordered by state id -- are identical for any worker
-// count and any steal interleaving. The incremental backends keep this
-// intact because every model is produced by the fresh-instance path (a
-// pure function of the canonicalized query), never by the
-// history-dependent persistent SAT instance.
+// count and any steal interleaving. Every verdict and model comes from
+// a fresh SAT instance per query, a pure function of the canonicalized
+// query, so no worker's query history can move a witness byte.
 
 #ifndef ACHILLES_EXEC_WORKER_H_
 #define ACHILLES_EXEC_WORKER_H_

@@ -429,27 +429,6 @@ BitBlaster::AssertTrue(ExprRef e)
     solver_->AddUnit(bits[0]);
 }
 
-Lit
-BitBlaster::ActivationLit(ExprRef e)
-{
-    ACHILLES_CHECK(e->width() == 1, "guarding non-boolean");
-    auto it = guard_memo_.find(e);
-    if (it != guard_memo_.end())
-        return it->second;
-    const Lit body = Blast(e)[0];
-    const Lit guard = NewLit();
-    // If e blasts to constant-false, AddClause reduces (¬g ∨ false) to
-    // the unit ¬g, so assuming g correctly yields UNSAT; constant-true
-    // bodies make the clause vacuous and g a free literal.
-    solver_->AddBinary(~guard, body);
-    // Guards branch to active first: models then satisfy as many
-    // retractable assertions as possible, so the solver's cross-query
-    // solution reuse keeps hitting as the assumption set drifts.
-    solver_->SetPhase(guard.var(), true);
-    guard_memo_.emplace(e, guard);
-    return guard;
-}
-
 uint64_t
 BitBlaster::VarValueFromModel(uint32_t var_id) const
 {

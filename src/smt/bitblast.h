@@ -35,15 +35,6 @@ class BitBlaster
     void AssertTrue(ExprRef e);
 
     /**
-     * Retractable assertion: return an activation literal g with the
-     * guard clause (¬g ∨ e) added, so solving under assumption g
-     * enforces e while leaving it inert otherwise. Memoized per node --
-     * the backbone of the incremental Solver backend, which re-asserts
-     * the same path-constraint prefixes across thousands of queries.
-     */
-    Lit ActivationLit(ExprRef e);
-
-    /**
      * Blast an expression, returning its literals (LSB first). Public so
      * tests can inspect encodings.
      */
@@ -88,7 +79,6 @@ class BitBlaster
     SatSolver *solver_;
     Lit true_lit_;
     std::unordered_map<const Expr *, std::vector<Lit>> memo_;
-    std::unordered_map<const Expr *, Lit> guard_memo_;
     std::unordered_map<uint32_t, std::vector<Lit>> var_bits_;
     // Gate CSE cache: key = (kind tag, lit codes).
     std::unordered_map<uint64_t, Lit> gate_cache_;

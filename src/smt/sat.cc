@@ -43,9 +43,6 @@ SatStats::AddTo(obs::CounterView *view) const
     view->Add("sat.learnt_clauses", learnt_clauses);
     view->Add("sat.reduce_dbs", reduce_dbs);
     view->Add("sat.learnts_removed", learnts_removed);
-    view->Add("sat.solution_reuses", solution_reuses);
-    view->Add("sat.trail_reuses", trail_reuses);
-    view->Add("sat.trail_levels_reused", trail_levels_reused);
 }
 
 SatSolver::SatSolver() = default;
@@ -422,8 +419,6 @@ SatSolver::BacktrackTo(uint32_t target_level)
     trail_.resize(bound);
     trail_lim_.resize(target_level);
     qhead_ = trail_.size();
-    if (assumption_trail_.size() > target_level)
-        assumption_trail_.resize(target_level);
 }
 
 Lit
@@ -516,66 +511,24 @@ SatSolver::GarbageCollect()
 }
 
 SatStatus
-SatSolver::Solve(const std::vector<Lit> &assumptions, int64_t max_conflicts)
+SatSolver::Solve(int64_t max_conflicts)
 {
     if (!ok_)
         return SatStatus::kUnsat;
     ++stats_.solve_calls;
-    return Search(assumptions, max_conflicts);
+    return Search(max_conflicts);
 }
 
 SatStatus
-SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts)
+SatSolver::Search(int64_t max_conflicts)
 {
-    // Solution reuse: a SAT call leaves its full assignment standing
-    // (see the kSat exit below), and nothing invalidates it -- AddClause
-    // either keeps it a model or flips ok_, NewVar un-fills the trail.
-    // If it already satisfies the new assumptions, the answer is kSat in
-    // O(|assumptions|), which is what lets a stream of closely related
-    // queries skip the O(vars) re-assignment entirely.
-    if (trail_.size() == NumVars()) {
-        bool satisfied = true;
-        for (Lit p : assumptions) {
-            ACHILLES_CHECK(p.var() < NumVars());
-            if (LitValue(p) != LBool::kTrue) {
-                satisfied = false;
-                break;
-            }
-        }
-        if (satisfied) {
-            model_ = assigns_;
-            ++stats_.solution_reuses;
-            return SatStatus::kSat;
-        }
-    }
-
-    // Assumption-prefix trail reuse: keep the trail segment of the
-    // longest common prefix between the standing assumption levels and
-    // this call's assumptions. The kept levels are fully propagated and
-    // conflict-free against the unchanged clause store (every exit path
-    // that leaves levels standing guarantees it; AddClause resets to
-    // the root), so re-establishment starts where the streams diverge.
-    uint32_t keep_level = 0;
-    if (trail_reuse_) {
-        const size_t limit =
-            std::min(assumptions.size(), assumption_trail_.size());
-        while (keep_level < limit &&
-               assumption_trail_[keep_level] == assumptions[keep_level]) {
-            ++keep_level;
-        }
-    }
-    if (keep_level > 0) {
-        ++stats_.trail_reuses;
-        stats_.trail_levels_reused += keep_level;
-    }
-    BacktrackTo(keep_level);
+    BacktrackTo(0);
     if (learnt_cap_ <= 0) {
         learnt_cap_ = std::max<int64_t>(
             kLearntFloor,
             static_cast<int64_t>(clauses_.size()) / kLearntDivisor);
     }
     if (static_cast<int64_t>(learnts_.size()) >= learnt_cap_) {
-        BacktrackTo(0);  // ReduceDB runs off the root level
         ReduceDB();
         learnt_cap_ += learnt_cap_ * kLearntGrowthPct / 100;
     }
@@ -593,31 +546,13 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts)
                 ok_ = false;
                 return SatStatus::kUnsat;
             }
-            if (DecisionLevel() <= assumptions.size()) {
-                // Conflict depends only on assumptions: UNSAT under
-                // them. The conflicting level's propagation is
-                // poisoned, but the levels below it are established and
-                // conflict-free: keep them for the next query's prefix
-                // reuse.
-                BacktrackTo(trail_reuse_ ? DecisionLevel() - 1 : 0);
-                return SatStatus::kUnsat;
-            }
             std::vector<Lit> learnt;
             uint32_t btlevel = 0;
             Analyze(conflict, &learnt, &btlevel);
-            // Never backjump into the middle of the assumption prefix
-            // without re-checking it; jumping to the assumption boundary
-            // is always safe.
             BacktrackTo(btlevel);
             if (learnt.size() == 1) {
-                if (DecisionLevel() == 0) {
-                    Enqueue(learnt[0], kNoClause);
-                } else {
-                    // Asserting unit below current level: restart to
-                    // apply it at level 0.
-                    BacktrackTo(0);
-                    Enqueue(learnt[0], kNoClause);
-                }
+                // Analyze backjumps unit learnts to the root level.
+                Enqueue(learnt[0], kNoClause);
             } else {
                 const ClauseRef cref = AllocClause(learnt, /*learnt=*/true);
                 learnts_.push_back(cref);
@@ -628,14 +563,7 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts)
             DecayVarActivity();
             DecayClauseActivity();
             if (max_conflicts >= 0 && conflicts >= max_conflicts) {
-                // Unwind the search decisions but keep any standing
-                // assumption prefix (assumption_trail_ is trimmed by
-                // every backtrack, so its size is the deepest level
-                // that is still an established assumption).
-                BacktrackTo(trail_reuse_
-                                ? static_cast<uint32_t>(
-                                      assumption_trail_.size())
-                                : 0);
+                BacktrackTo(0);
                 ++stats_.budget_exhausted;
                 return SatStatus::kUnknown;
             }
@@ -653,34 +581,10 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts)
             continue;
         }
 
-        // No conflict: establish the next assumption, or decide.
-        if (DecisionLevel() < assumptions.size()) {
-            const Lit p = assumptions[DecisionLevel()];
-            ACHILLES_CHECK(p.var() < NumVars());
-            const LBool v = LitValue(p);
-            if (v == LBool::kTrue) {
-                NewDecisionLevel();  // dummy level keeps indexing aligned
-                assumption_trail_.push_back(p);
-            } else if (v == LBool::kFalse) {
-                // The standing levels are conflict-free (p was refuted
-                // by their propagation closure, before its own level
-                // existed); keep them for prefix reuse.
-                if (!trail_reuse_)
-                    BacktrackTo(0);
-                return SatStatus::kUnsat;
-            } else {
-                NewDecisionLevel();
-                assumption_trail_.push_back(p);
-                Enqueue(p, kNoClause);
-            }
-            continue;
-        }
-
         const Lit next = PickBranchLit();
         if (next.code() == 0xffffffffu) {
-            // All variables assigned: model found. Leave the assignment
-            // standing for cross-query solution reuse (the next Solve
-            // backtracks before searching anyway).
+            // All variables assigned: model found. The assignment stays
+            // on the trail until the next Solve or AddClause backtracks.
             model_ = assigns_;
             return SatStatus::kSat;
         }

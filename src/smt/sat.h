@@ -61,9 +61,6 @@ struct SatStats
     int64_t learnt_clauses = 0;
     int64_t reduce_dbs = 0;
     int64_t learnts_removed = 0;
-    int64_t solution_reuses = 0;
-    int64_t trail_reuses = 0;
-    int64_t trail_levels_reused = 0;
 
     /** The one place these counters are named ("sat.*"). */
     void AddTo(obs::CounterView *view) const;
@@ -74,10 +71,8 @@ struct SatStats
  *
  * Usage: NewVar() variables, AddClause() clauses, Solve(). After kSat,
  * Value(var) gives the model. The solver may be re-Solved after adding
- * more clauses and under different assumptions (clauses persist; learnt
- * clauses are retained across calls up to a MiniSat-style ReduceDB cap,
- * which is what makes the incremental assumption-based Solver backend
- * pay off across closely related queries).
+ * more clauses (clauses persist; learnt clauses are retained across
+ * calls up to a MiniSat-style ReduceDB cap).
  */
 class SatSolver
 {
@@ -98,23 +93,10 @@ class SatSolver
     bool AddTernary(Lit a, Lit b, Lit c) { return AddClause({a, b, c}); }
 
     /**
-     * Solve under optional assumptions. `max_conflicts` < 0 means no
-     * budget limit; on budget exhaustion returns kUnknown.
+     * Solve the clause set. `max_conflicts` < 0 means no budget limit;
+     * on budget exhaustion returns kUnknown.
      */
-    SatStatus Solve(const std::vector<Lit> &assumptions = {},
-                    int64_t max_conflicts = -1);
-
-    /**
-     * Assumption-prefix trail reuse (on by default). Consecutive Solve
-     * calls keep the trail segment of the longest common assumption
-     * prefix -- MiniSat-style scoped assumption levels -- instead of
-     * backtracking to the root and re-propagating every assumption from
-     * scratch. Shaves the per-query linear re-establishment term for
-     * deep-prefix query streams; never changes verdicts (the kept
-     * segment is exactly the propagation closure the fresh
-     * re-establishment would recompute).
-     */
-    void SetTrailReuse(bool on) { trail_reuse_ = on; }
+    SatStatus Solve(int64_t max_conflicts = -1);
 
     /** Model value of a variable (valid after kSat). */
     bool
@@ -122,20 +104,6 @@ class SatSolver
     {
         ACHILLES_CHECK(var < model_.size());
         return model_[var] == LBool::kTrue;
-    }
-
-    /**
-     * Set the saved decision phase of a variable (the polarity tried
-     * first). The bit-blaster seeds activation literals with phase true
-     * so models satisfy as many retractable assertions as possible,
-     * which is what makes cross-query solution reuse hit; conflict
-     * analysis re-saves phases and adapts when assertions clash.
-     */
-    void
-    SetPhase(uint32_t var, bool value)
-    {
-        ACHILLES_CHECK(var < NumVars());
-        saved_phase_[var] = value ? 1 : 0;
     }
 
     /**
@@ -167,8 +135,7 @@ class SatSolver
     };
 
     LBool LitValue(Lit l) const;
-    SatStatus Search(const std::vector<Lit> &assumptions,
-                     int64_t max_conflicts);
+    SatStatus Search(int64_t max_conflicts);
     void NewDecisionLevel() { trail_lim_.push_back(trail_.size()); }
     uint32_t DecisionLevel() const
     {
@@ -240,11 +207,6 @@ class SatSolver
     double cla_inc_ = 1.0;
     int64_t learnt_cap_ = 0;  // 0 = auto-size on next Solve
     bool ok_ = true;
-    bool trail_reuse_ = true;
-    /** The assumption literal established at each standing decision
-     *  level (levels beyond its size are search decisions). The next
-     *  Search keeps the longest prefix matching its own assumptions. */
-    std::vector<Lit> assumption_trail_;
 
     // Conflict analysis scratch.
     std::vector<uint8_t> seen_;

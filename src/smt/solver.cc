@@ -22,20 +22,6 @@ CheckResultName(CheckStatus s)
     ACHILLES_UNREACHABLE("bad CheckStatus");
 }
 
-/**
- * The persistent solving stack behind model-less queries: one SAT
- * instance accumulating the CNF of every expression node ever asserted,
- * one activation literal per assertion, and learned clauses retained
- * across queries (ReduceDB-capped inside SatSolver).
- */
-struct Solver::IncrementalBackend
-{
-    SatSolver sat;
-    BitBlaster blaster;
-
-    IncrementalBackend() : blaster(&sat) {}
-};
-
 void
 SolverStats::AddTo(obs::CounterView *view) const
 {
@@ -46,11 +32,8 @@ SolverStats::AddTo(obs::CounterView *view) const
     view->Add("solver.cache_model_upgrades", cache_model_upgrades);
     view->Add("solver.interval_unsat", interval_unsat);
     view->Add("solver.sat_calls", sat_calls);
-    view->Add("solver.incremental_sat_calls", incremental_sat_calls);
-    view->Add("solver.incremental_resets", incremental_resets);
     view->Add("solver.sat_conflicts", sat_conflicts);
     view->Add("solver.sat_decisions", sat_decisions);
-    view->Add("solver.trail_reuses", trail_reuses);
 }
 
 Solver::Solver(ExprContext *ctx, SolverConfig config)
@@ -125,9 +108,8 @@ Solver::Canonicalize(const std::vector<ExprRef> &base,
     // depend on pointer values: structural order makes the SAT instance
     // -- and therefore the model returned for satisfiable queries --
     // identical across runs and across the id-aligned worker contexts
-    // of the parallel explorer. The incremental backend reuses it as a
-    // deterministic assumption order. Interning makes a structural tie
-    // the same node, so duplicates end up adjacent.
+    // of the parallel explorer. Interning makes a structural tie the
+    // same node, so duplicates end up adjacent.
     std::sort(live->begin(), live->end(), [](ExprRef a, ExprRef b) {
         return StructuralCompare(a, b) < 0;
     });
@@ -192,9 +174,9 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
                     *model = entry.model;
                 return finish(entry.status);
             }
-            // kSat cached off the model-less incremental path but the
-            // caller wants a witness: fall through to the fresh solve
-            // and fill the entry in place.
+            // kSat cached for a model-less caller but this caller wants
+            // a witness: fall through to the solve, which gives the
+            // same verdict, and fill the entry in place.
             ++stats_.cache_model_upgrades;
             upgrade_entry = &entry;
         }
@@ -212,39 +194,19 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
         return finish(CheckStatus::kUnsat);
     }
 
-    CheckStatus status;
     Model out_model;
-    // The incremental path serves model-less, unlimited-budget queries
-    // only. Model-producing queries need the fresh instance for
-    // deterministic witness bytes; budgeted queries need it because a
-    // conflict budget spent against history-dependent learned clauses
-    // would make the kUnsat/kUnknown boundary depend on the query
-    // stream, not the query.
-    const bool incremental_path = model == nullptr &&
-                                  config_.enable_incremental &&
-                                  config_.unbudgeted();
-    if (incremental_path)
-        status = SolveIncremental(live);
-    else
-        status = SolveFresh(live, &out_model);
-
+    const CheckStatus status = SolveFresh(live, &out_model);
     if (status == CheckStatus::kSat) {
-        if (incremental_path) {
-            // The assignment is standing in the persistent instance;
-            // extraction is deferred to the next StandingModel() read.
-            standing_live_ = live;
-        } else {
-            for (const auto &[id, value] : out_model.values())
-                standing_model_.Set(id, value);
-            has_standing_model_ = true;
-            standing_live_.clear();  // the fresh values are newer
-        }
+        for (const auto &[id, value] : out_model.values())
+            standing_model_.Set(id, value);
+        has_standing_model_ = true;
     }
 
     if (config_.enable_cache && status != CheckStatus::kUnknown) {
-        // has_model: kSat entries carry a model only when one was
-        // computed; kUnsat/kUnknown answers have the empty model by
-        // definition, so those entries can always serve model callers.
+        // has_model: kSat entries keep their model only when the caller
+        // asked for one; kUnsat/kUnknown answers have the empty model
+        // by definition, so those entries can always serve model
+        // callers.
         const bool has_model =
             status != CheckStatus::kSat || model != nullptr;
         if (upgrade_entry != nullptr) {
@@ -253,7 +215,8 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
                 upgrade_entry->has_model = true;
             }
         } else {
-            cache_.emplace(live, CacheEntry{status, has_model, out_model});
+            cache_.emplace(live, CacheEntry{status, has_model,
+                                            has_model ? out_model : Model()});
         }
     }
     if (model)
@@ -269,7 +232,7 @@ Solver::SolveFresh(const std::vector<ExprRef> &live, Model *out_model)
     BitBlaster blaster(&sat);
     for (ExprRef e : live)
         blaster.AssertTrue(e);
-    const SatStatus status = sat.Solve({}, config_.max_conflicts);
+    const SatStatus status = sat.Solve(config_.max_conflicts);
     stats_.sat_conflicts += sat.counters().conflicts;
     stats_.sat_decisions += sat.counters().decisions;
 
@@ -297,54 +260,6 @@ Solver::SolveFresh(const std::vector<ExprRef> &live, Model *out_model)
     ACHILLES_UNREACHABLE("bad SatStatus");
 }
 
-void
-Solver::EnsureIncrementalBackend()
-{
-    if (inc_ && inc_->sat.NumVars() > config_.incremental_max_vars) {
-        ++stats_.incremental_resets;
-        // A deferred standing assignment lives in the instance about to
-        // die; pull it into the rolling model first.
-        RefreshStandingModel();
-        inc_.reset();
-    }
-    if (!inc_)
-        inc_ = std::make_unique<IncrementalBackend>();
-}
-
-void
-Solver::GuardAssertions(const std::vector<ExprRef> &live,
-                        std::vector<Lit> *assumptions)
-{
-    assumptions->reserve(assumptions->size() + live.size());
-    for (ExprRef e : live)
-        assumptions->push_back(inc_->blaster.ActivationLit(e));
-}
-
-CheckStatus
-Solver::SolveIncremental(const std::vector<ExprRef> &live)
-{
-    EnsureIncrementalBackend();
-    ++stats_.incremental_sat_calls;
-    inc_->sat.SetTrailReuse(config_.enable_trail_reuse);
-
-    std::vector<Lit> assumptions;
-    GuardAssertions(live, &assumptions);
-    const SatStats before = inc_->sat.counters();
-    const SatStatus status =
-        inc_->sat.Solve(assumptions, config_.max_conflicts);
-    const SatStats &after = inc_->sat.counters();
-    stats_.sat_conflicts += after.conflicts - before.conflicts;
-    stats_.sat_decisions += after.decisions - before.decisions;
-    stats_.trail_reuses += after.trail_reuses - before.trail_reuses;
-
-    switch (status) {
-      case SatStatus::kUnsat: return CheckStatus::kUnsat;
-      case SatStatus::kUnknown: return CheckStatus::kUnknown;
-      case SatStatus::kSat: return CheckStatus::kSat;
-    }
-    ACHILLES_UNREACHABLE("bad SatStatus");
-}
-
 BatchOutcome
 Solver::CheckSatBatch(const std::vector<ExprRef> &base,
                       const std::vector<const std::vector<ExprRef> *> &groups)
@@ -356,29 +271,9 @@ Solver::CheckSatBatch(const std::vector<ExprRef> &base,
     return out;
 }
 
-void
-Solver::RefreshStandingModel()
-{
-    if (standing_live_.empty())
-        return;
-    if (inc_) {
-        // Every variable of the pending assertions was blasted before
-        // the kSat that deferred them, so the instance's standing
-        // assignment covers them all.
-        std::unordered_set<uint32_t> vars;
-        for (ExprRef e : standing_live_)
-            ctx_->CollectVars(e, &vars);
-        for (uint32_t id : vars)
-            standing_model_.Set(id, inc_->blaster.VarValueFromModel(id));
-        has_standing_model_ = true;
-    }
-    standing_live_.clear();
-}
-
 const Model *
-Solver::StandingModel()
+Solver::StandingModel() const
 {
-    RefreshStandingModel();
     return has_standing_model_ ? &standing_model_ : nullptr;
 }
 

@@ -181,8 +181,8 @@ bool
 Engine::Feasible(const State &state, smt::ExprRef extra)
 {
     // kUnknown is treated as feasible: exploration must over-approximate
-    // reachability to stay complete. The base/extras split lets the
-    // incremental solver backend reuse the already-asserted path prefix.
+    // reachability to stay complete. The base/extras split passes the
+    // path prefix by reference instead of copying it per branch.
     return solver_->CheckSatAssuming(state.constraints(), {extra}) !=
            smt::CheckResult::kUnsat;
 }

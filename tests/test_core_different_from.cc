@@ -255,41 +255,12 @@ TEST(ParallelDeterminismTest, IdenticalTrojanWitnessSetsAcrossWorkerCounts)
     };
 
     const std::vector<WitnessSummary> serial = run(1);
-    const std::vector<WitnessSummary> parallel = run(4);
     ASSERT_FALSE(serial.empty());
     // Bitwise-identical witness sets: same accept labels, same concrete
-    // bytes, alpha-equivalent definitions, across num_workers in {1, 4}.
-    EXPECT_EQ(serial, parallel);
-}
-
-TEST(ParallelDeterminismTest, IncrementalBackendPreservesWitnessBytes)
-{
-    // The acceptance contract of the incremental solver backend: Trojan
-    // witness sets (definitions and concrete bytes) stay bitwise
-    // identical to the fresh-instance path at every worker count,
-    // because every model is produced by the deterministic fresh path
-    // regardless of what the persistent SAT instance has accumulated.
-    const Program client = toy::MakeClient();
-    const Program server = toy::MakeServer();
-
-    auto run = [&](size_t workers, bool incremental) {
-        ExprContext ctx;
-        smt::SolverConfig solver_config;
-        solver_config.enable_incremental = incremental;
-        Solver solver(&ctx, solver_config);
-        AchillesConfig config;
-        config.layout = toy::MakeLayout(/*mask_crc=*/true);
-        config.clients = {&client};
-        config.server = &server;
-        config.server_config.engine.num_workers = workers;
-        AchillesResult result = RunAchilles(&ctx, &solver, config);
-        return SummarizeTrojans(ctx, result.server.trojans);
-    };
-
-    const std::vector<WitnessSummary> fresh = run(1, false);
-    ASSERT_FALSE(fresh.empty());
-    for (size_t workers : {1, 2, 4, 8})
-        EXPECT_EQ(run(workers, true), fresh) << "workers=" << workers;
+    // bytes, alpha-equivalent definitions, across num_workers in
+    // {1, 2, 4, 8}.
+    for (size_t workers : {2, 4, 8})
+        EXPECT_EQ(run(workers), serial) << "workers=" << workers;
 }
 
 }  // namespace

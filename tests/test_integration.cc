@@ -156,10 +156,10 @@ using WitnessKey =
 
 /**
  * One serial RunAchilles over `factory`'s protocol. The reference
- * configuration turns off every optional solver layer (incremental
- * backend, memo cache, interval pre-check, trail reuse) and the
- * explorer's concrete pre-filter and differentFrom matrix, leaving the
- * paper's predicate dropping and state pruning on fresh SAT instances.
+ * configuration turns off every optional solver layer (memo cache,
+ * interval pre-check) and the explorer's concrete pre-filter and
+ * differentFrom matrix, leaving the paper's predicate dropping and
+ * state pruning on fresh SAT instances.
  */
 std::vector<WitnessKey>
 WitnessesOf(const proto::ProtocolFactory &factory, bool reference)
@@ -168,10 +168,8 @@ WitnessesOf(const proto::ProtocolFactory &factory, bool reference)
     smt::SolverConfig solver_config;
     core::AchillesConfig config;
     if (reference) {
-        solver_config.enable_incremental = false;
         solver_config.enable_cache = false;
         solver_config.use_interval_check = false;
-        solver_config.enable_trail_reuse = false;
         config.server_config.use_concrete_prefilter = false;
         config.server_config.use_different_from = false;
     }

@@ -445,7 +445,7 @@ TEST(ObsPipelineTest, WitnessSetsAreIdenticalWithObsOnOrOff)
         // The report counts every solver of the run: the home solver's
         // serial phases plus each worker solver's stream.
         for (const char *name :
-             {"solver.sat_decisions", "solver.incremental_sat_calls"}) {
+             {"solver.sat_decisions", "solver.sat_calls"}) {
             EXPECT_GT(solver_counters.Get(name), 0) << name;
             EXPECT_DOUBLE_EQ(report.Get(name),
                              static_cast<double>(solver_counters.Get(name)))

@@ -88,22 +88,6 @@ TEST(SatSolverTest, DuplicateLiteralsAreDeduped)
     EXPECT_TRUE(s.Value(b));
 }
 
-TEST(SatSolverTest, AssumptionsRestrictModels)
-{
-    SatSolver s;
-    const uint32_t a = s.NewVar();
-    const uint32_t b = s.NewVar();
-    s.AddBinary(Lit(a, false), Lit(b, false));  // a | b
-    ASSERT_EQ(s.Solve({Lit(a, true)}), SatStatus::kSat);
-    EXPECT_FALSE(s.Value(a));
-    EXPECT_TRUE(s.Value(b));
-
-    // Under both negated assumptions the instance is UNSAT, but the
-    // clause set itself remains satisfiable afterwards.
-    EXPECT_EQ(s.Solve({Lit(a, true), Lit(b, true)}), SatStatus::kUnsat);
-    EXPECT_EQ(s.Solve(), SatStatus::kSat);
-}
-
 TEST(SatSolverTest, IncrementalClauseAddition)
 {
     SatSolver s;
@@ -156,7 +140,7 @@ TEST(SatSolverTest, ConflictBudgetReturnsUnknown)
     SatSolver s;
     BuildPigeonhole(&s, 8);
     // A tiny budget cannot refute PHP(9,8).
-    EXPECT_EQ(s.Solve({}, 2), SatStatus::kUnknown);
+    EXPECT_EQ(s.Solve(2), SatStatus::kUnknown);
 }
 
 /** Brute-force satisfiability of a clause set over n <= 20 vars. */

@@ -64,7 +64,6 @@ TEST_F(SolverTest, UnsignedRangeConflict)
     EXPECT_EQ(solver.CheckSat({lt100, ge100}), CheckResult::kUnsat);
     EXPECT_GE(solver.stats().Get("solver.interval_unsat"), 1);
     EXPECT_EQ(solver.stats().Get("solver.sat_calls"), 0);
-    EXPECT_EQ(solver.stats().Get("solver.incremental_sat_calls"), 0);
 }
 
 TEST_F(SolverTest, EqualityChainPropagation)

@@ -1,14 +1,13 @@
 // Achilles reproduction -- tests.
 //
-// The incremental assumption-based solver backend: equivalence with the
-// fresh-instance path on handcrafted and random query streams, the
-// CheckSatAssuming surface, solution reuse and learnt-clause retention
-// across queries, cache model-upgrade semantics, the stale-model
-// regression (every non-kSat return path must clear the caller's
-// Model), the standing model behind the explorer's concrete pre-filter
-// (a pre-filter hit must be a proof of kSat), and a long stateful
-// differential stream through the fully optimized facade against an
-// unoptimized reference.
+// The solver facade across a stream of queries: the CheckSatAssuming
+// surface, cache model-upgrade semantics, the stale-model regression
+// (every non-kSat return path must clear the caller's Model), budget
+// exhaustion, the standing model behind the explorer's concrete
+// pre-filter (a pre-filter hit must be a proof of kSat, and the
+// standing values are a pure function of the query stream), learnt-
+// clause eviction, and a long stateful differential stream through the
+// default facade against an unoptimized reference.
 
 #include <gtest/gtest.h>
 
@@ -24,32 +23,14 @@ namespace achilles {
 namespace smt {
 namespace {
 
-class IncrementalSolverTest : public ::testing::Test
+class SolverStreamTest : public ::testing::Test
 {
   protected:
     ExprContext ctx;
     Solver solver{&ctx};
 };
 
-TEST_F(IncrementalSolverTest, ModelLessQueriesUseIncrementalBackend)
-{
-    ExprRef x = ctx.FreshVar("x", 8);
-    ExprRef q1 = ctx.MakeUlt(x, ctx.MakeConst(8, 10));
-    ExprRef q2 = ctx.MakeUgt(x, ctx.MakeConst(8, 3));
-    EXPECT_EQ(solver.CheckSat({q1}), CheckResult::kSat);
-    EXPECT_EQ(solver.CheckSat({q1, q2}), CheckResult::kSat);
-    EXPECT_GE(solver.stats().Get("solver.incremental_sat_calls"), 2);
-    EXPECT_EQ(solver.stats().Get("solver.sat_calls"), 0);
-
-    // A model request routes to the fresh-instance path.
-    Model model;
-    ExprRef q3 = ctx.MakeEq(x, ctx.MakeConst(8, 7));
-    ASSERT_EQ(solver.CheckSat({q3}, &model), CheckResult::kSat);
-    EXPECT_EQ(model.Get(x->VarId()), 7u);
-    EXPECT_EQ(solver.stats().Get("solver.sat_calls"), 1);
-}
-
-TEST_F(IncrementalSolverTest, CheckSatAssumingMatchesConjunction)
+TEST_F(SolverStreamTest, CheckSatAssumingMatchesConjunction)
 {
     ExprRef x = ctx.FreshVar("x", 8);
     ExprRef y = ctx.FreshVar("y", 8);
@@ -68,47 +49,23 @@ TEST_F(IncrementalSolverTest, CheckSatAssumingMatchesConjunction)
     EXPECT_EQ(solver.CheckSat(joined), CheckResult::kUnsat);
 }
 
-TEST_F(IncrementalSolverTest, SharedPrefixStreamFlipsAssumptionsOnly)
+TEST_F(SolverStreamTest, CachedSatEntryUpgradesToModel)
 {
-    // The explorer's Trojan-loop shape: one pathS, many ¬pathC_i. After
-    // the first query blasts the prefix, later queries must not rebuild
-    // it (no fresh sat_calls; one incremental call per query).
-    std::vector<ExprRef> bytes;
-    for (int i = 0; i < 8; ++i)
-        bytes.push_back(ctx.FreshVar("m", 8));
-    std::vector<ExprRef> prefix;
-    for (int i = 0; i < 8; ++i)
-        prefix.push_back(ctx.MakeUlt(bytes[i], ctx.MakeConst(8, 200)));
-
-    Rng rng(42);
-    int sat = 0, unsat = 0;
-    for (int i = 0; i < 50; ++i) {
-        ExprRef neg = ctx.MakeNe(bytes[rng.Below(8)],
-                                 ctx.MakeConst(8, rng.Below(200)));
-        const CheckResult r = solver.CheckSatAssuming(prefix, {neg});
-        (r == CheckResult::kSat ? sat : unsat) += 1;
-        EXPECT_NE(r, CheckResult::kUnknown);
-    }
-    EXPECT_GT(sat, 0);
-    EXPECT_EQ(solver.stats().Get("solver.sat_calls"), 0);
-}
-
-TEST_F(IncrementalSolverTest, CachedSatEntryUpgradesToModel)
-{
-    // First ask without a model (incremental path caches result-only),
-    // then with one: the facade must re-solve on the fresh path, return
-    // a valid witness, and serve later model requests from the cache.
+    // First ask without a model (the cache keeps the verdict only),
+    // then with one: the facade must re-solve, return a valid witness,
+    // and serve later model requests from the cache.
     ExprRef x = ctx.FreshVar("x", 8);
     ExprRef q = ctx.MakeEq(ctx.MakeMul(x, ctx.MakeConst(8, 3)),
                            ctx.MakeConst(8, 21));
     EXPECT_EQ(solver.CheckSat({q}), CheckResult::kSat);
-    EXPECT_EQ(solver.stats().Get("solver.sat_calls"), 0);
+    EXPECT_EQ(solver.stats().Get("solver.sat_calls"), 1);
 
     Model model;
     ASSERT_EQ(solver.CheckSat({q}, &model), CheckResult::kSat);
     EXPECT_TRUE(EvaluateBool(q, model));
     EXPECT_GE(solver.stats().Get("solver.cache_model_upgrades"), 1);
     const int64_t fresh_calls = solver.stats().Get("solver.sat_calls");
+    EXPECT_EQ(fresh_calls, 2);
 
     Model again;
     ASSERT_EQ(solver.CheckSat({q}, &again), CheckResult::kSat);
@@ -116,7 +73,7 @@ TEST_F(IncrementalSolverTest, CachedSatEntryUpgradesToModel)
     EXPECT_EQ(again.Get(x->VarId()), model.Get(x->VarId()));
 }
 
-TEST_F(IncrementalSolverTest, StaleModelClearedOnEveryUnsatPath)
+TEST_F(SolverStreamTest, StaleModelClearedOnEveryUnsatPath)
 {
     // Regression: the interval-UNSAT early return (and the trivial-unsat
     // return) used to leave the caller's Model untouched, so reusing one
@@ -168,7 +125,7 @@ TEST_F(IncrementalSolverTest, StaleModelClearedOnEveryUnsatPath)
     EXPECT_GE(solver.stats().Get("solver.cache_hits"), 1);
 }
 
-TEST_F(IncrementalSolverTest, BudgetExhaustionIsUnknownAndUncached)
+TEST_F(SolverStreamTest, BudgetExhaustionIsUnknownAndUncached)
 {
     SolverConfig config;
     config.max_conflicts = 2;
@@ -184,73 +141,10 @@ TEST_F(IncrementalSolverTest, BudgetExhaustionIsUnknownAndUncached)
             query.push_back(ctx.MakeNe(vars[i], vars[j]));
 
     EXPECT_EQ(limited.CheckSat(query), CheckResult::kUnknown);
-    // Budgeted queries bypass the incremental backend: spending the
-    // budget against history-dependent learned clauses would make the
-    // kUnsat/kUnknown boundary depend on the query stream.
-    EXPECT_EQ(limited.stats().Get("solver.incremental_sat_calls"), 0);
     EXPECT_GE(limited.stats().Get("solver.sat_calls"), 1);
     // Not cached: the repeat costs another solve attempt, no cache hit.
     EXPECT_EQ(limited.CheckSat(query), CheckResult::kUnknown);
     EXPECT_EQ(limited.stats().Get("solver.cache_hits"), 0);
-}
-
-TEST_F(IncrementalSolverTest, RandomStreamsAgreeWithFreshInstances)
-{
-    // Property: on a stream of random small queries over shared
-    // variables, the persistent backend and a cache-less fresh-instance
-    // solver must produce identical verdicts.
-    Rng rng(0xfeedbead);
-    SolverConfig fresh_config;
-    fresh_config.enable_incremental = false;
-    fresh_config.enable_cache = false;
-    Solver fresh(&ctx, fresh_config);
-
-    std::vector<ExprRef> vars;
-    for (int i = 0; i < 4; ++i)
-        vars.push_back(ctx.FreshVar("v", 4));
-
-    auto random_atom = [&]() -> ExprRef {
-        ExprRef a = vars[rng.Below(vars.size())];
-        ExprRef b = rng.Chance(0.5)
-                        ? vars[rng.Below(vars.size())]
-                        : ctx.MakeConst(4, rng.Below(16));
-        if (rng.Chance(0.3))
-            a = ctx.MakeAdd(a, b);
-        switch (rng.Below(4)) {
-          case 0: return ctx.MakeEq(a, b);
-          case 1: return ctx.MakeNe(a, b);
-          case 2: return ctx.MakeUlt(a, b);
-          default: return ctx.MakeUle(a, b);
-        }
-    };
-
-    for (int iter = 0; iter < 200; ++iter) {
-        std::vector<ExprRef> query;
-        const size_t n = 1 + rng.Below(4);
-        for (size_t i = 0; i < n; ++i)
-            query.push_back(random_atom());
-        const CheckResult inc = solver.CheckSat(query);
-        const CheckResult ref = fresh.CheckSat(query);
-        ASSERT_EQ(inc, ref) << "iter=" << iter;
-    }
-    EXPECT_GE(solver.stats().Get("solver.incremental_sat_calls"), 1);
-}
-
-TEST_F(IncrementalSolverTest, BackendResetsWhenOversized)
-{
-    SolverConfig config;
-    config.incremental_max_vars = 64;  // tiny: force resets
-    config.enable_cache = false;
-    Solver small(&ctx, config);
-    ExprRef x = ctx.FreshVar("w", 16);
-    for (uint64_t i = 0; i < 20; ++i) {
-        // Distinct multiplications keep adding fresh CNF.
-        EXPECT_EQ(small.CheckSat({ctx.MakeEq(
-                      ctx.MakeMul(x, ctx.MakeConst(16, 2 * i + 3)),
-                      ctx.MakeConst(16, 9 * i + 1))}),
-                  CheckResult::kSat);
-    }
-    EXPECT_GE(small.stats().Get("solver.incremental_resets"), 1);
 }
 
 // ----------------------------------------------------- standing models
@@ -335,17 +229,69 @@ TEST(StandingModelTest, ConcretelyTrueAssignmentIsAProofOfSat)
         EXPECT_TRUE(EvaluateBool(e, model));
 }
 
+TEST(StandingModelTest, ModelLessSatStandsAsTheFreshModel)
+{
+    // The standing model is a pure function of the query stream: after
+    // a model-less kSat that missed the cache on solver A, A's
+    // standing values for the query's variables are exactly the model
+    // a model-requesting CheckSat of the same query returns on a fresh
+    // solver B.
+    ExprContext ctx;
+    std::vector<ExprRef> vars;
+    for (int i = 0; i < 3; ++i)
+        vars.push_back(ctx.FreshVar("v", 8));
+    Rng rng(0x5a4d);
+    Solver a(&ctx);
+    int checked = 0;
+    for (int q = 0; q < 200; ++q) {
+        // Atoms over two distinct variables, so none folds to a
+        // constant, and most rule out the all-zero assignment.
+        std::vector<ExprRef> query;
+        const size_t n = 1 + rng.Below(3);
+        for (size_t k = 0; k < n; ++k) {
+            const size_t i = rng.Below(vars.size());
+            const ExprRef v = vars[i];
+            const ExprRef w = vars[(i + 1 + rng.Below(2)) % vars.size()];
+            const ExprRef c = ctx.MakeConst(8, rng.Below(255));
+            ExprRef atom;
+            switch (rng.Below(3)) {
+              case 0: atom = ctx.MakeUlt(c, ctx.MakeAdd(v, w)); break;
+              case 1: atom = ctx.MakeNe(ctx.MakeXor(v, w), c); break;
+              default: atom = ctx.MakeUle(v, c); break;
+            }
+            query.push_back(atom);
+        }
+        const int64_t hits = a.stats().Get("solver.cache_hits");
+        if (a.CheckSat(query) != CheckResult::kSat ||
+            a.stats().Get("solver.cache_hits") != hits) {
+            continue;  // unsat, or a cache hit, which leaves it alone
+        }
+        Solver b(&ctx);
+        Model fresh;
+        ASSERT_EQ(b.CheckSat(query, &fresh), CheckResult::kSat);
+        const Model *standing = a.StandingModel();
+        ASSERT_NE(standing, nullptr);
+        if (checked == 0) {
+            // Nothing stood before: the standing model is that model.
+            EXPECT_EQ(standing->values(), fresh.values());
+        }
+        for (const auto &[id, value] : fresh.values())
+            EXPECT_EQ(standing->Get(id), value) << "query " << q;
+        ++checked;
+    }
+    EXPECT_GE(checked, 50);
+}
+
 // ------------------------------------------ stateful differential stream
 
 TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
 {
-    // One default solver -- incremental backend, memo cache, trail
-    // reuse and the interval pre-check, all carrying state from query
-    // to query -- answers a long seeded stream whose base grows, shrinks
-    // and stays shared between consecutive queries, the shape of the
-    // explorer's pathS streams. Every verdict must match a fresh solver
-    // with every optimization off, and every requested model must
-    // satisfy its query.
+    // One default solver -- memo cache and interval pre-check, both
+    // carrying state from query to query -- answers a long seeded
+    // stream whose base grows, shrinks and stays shared between
+    // consecutive queries, the shape of the explorer's pathS streams.
+    // Every verdict must match a fresh solver with both off, and every
+    // requested model must satisfy its query.
     ExprContext ctx;
     std::vector<ExprRef> vars;
     for (int i = 0; i < 4; ++i)
@@ -377,7 +323,6 @@ TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
     auto draw = [&]() { return pool[rng.Below(pool.size())]; };
 
     SolverConfig reference_config;
-    reference_config.enable_incremental = false;
     reference_config.enable_cache = false;
     reference_config.use_interval_check = false;
     auto reference_check = [&](const std::vector<ExprRef> &assertions) {
@@ -408,8 +353,8 @@ TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
         std::vector<ExprRef> query = base;
         query.insert(query.end(), extras.begin(), extras.end());
 
-        // A sprinkling of model requests takes the fresh-instance path
-        // and upgrades cached model-less entries in between.
+        // A sprinkling of model requests upgrades cached verdict-only
+        // entries in between.
         Model model;
         const bool want_model = q % 16 == 0;
         const CheckResult got = solver.CheckSatAssuming(
@@ -430,47 +375,14 @@ TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
     // The stream is mixed, and every optimized layer took part.
     EXPECT_GT(sat, 400);
     EXPECT_GT(unsat, 400);
-    EXPECT_GE(solver.stats().Get("solver.incremental_sat_calls"), 500);
+    EXPECT_GE(solver.stats().Get("solver.sat_calls"), 500);
     EXPECT_GE(solver.stats().Get("solver.cache_hits"), 100);
-    EXPECT_GE(solver.stats().Get("solver.trail_reuses"), 1);
     EXPECT_GE(solver.stats().Get("solver.interval_unsat"), 1);
 }
 
 // ----------------------------------------------------------------- SAT
 
-TEST(SatIncrementalTest, SolutionReuseAcrossAssumptionSets)
-{
-    SatSolver sat;
-    std::vector<Lit> vars;
-    for (int i = 0; i < 8; ++i)
-        vars.emplace_back(sat.NewVar(), false);
-    // Chain: v0 ∨ v1, v1 ∨ v2, ...
-    for (int i = 0; i + 1 < 8; ++i)
-        sat.AddBinary(vars[i], vars[i + 1]);
-
-    ASSERT_EQ(sat.Solve({vars[0]}), SatStatus::kSat);
-    const int64_t decisions = sat.stats().Get("sat.decisions");
-    // A second call whose assumptions the standing model already
-    // satisfies must be answered by solution reuse, without search.
-    std::vector<Lit> compatible;
-    for (int i = 0; i < 8; ++i) {
-        if (sat.Value(vars[i].var()))
-            compatible.push_back(vars[i]);
-    }
-    ASSERT_FALSE(compatible.empty());
-    ASSERT_EQ(sat.Solve(compatible), SatStatus::kSat);
-    EXPECT_EQ(sat.stats().Get("sat.decisions"), decisions);
-    EXPECT_GE(sat.stats().Get("sat.solution_reuses"), 1);
-
-    // Flipping to an incompatible assumption forces a real search and
-    // still answers correctly.
-    ASSERT_EQ(sat.Solve({~vars[0], ~vars[1]}), SatStatus::kUnsat);
-    ASSERT_EQ(sat.Solve({~vars[0], vars[1]}), SatStatus::kSat);
-    EXPECT_FALSE(sat.Value(vars[0].var()));
-    EXPECT_TRUE(sat.Value(vars[1].var()));
-}
-
-TEST(SatIncrementalTest, ReduceDBEvictsAndStaysCorrect)
+TEST(SatLearntCapTest, ReduceDBEvictsAndStaysCorrect)
 {
     // Pigeonhole instances force plenty of learnt clauses; with a tiny
     // retention cap, ReduceDB must run (evicting + garbage-collecting
