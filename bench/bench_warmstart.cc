@@ -9,9 +9,8 @@
 //
 // Solver work is the worker solvers' `solver.queries`, summed in the
 // server stats: a cache hit never reaches a solver. Explorer queries
-// are not the measure -- a warm run's standing models differ from a
-// cold run's, so it can issue slightly more explorer queries while
-// its solvers answer far fewer.
+// are not the measure: warm and cold runs issue the same explorer
+// queries, and only who answers them differs.
 //
 // Self-gates (hard, exit nonzero on failure):
 //   1. Witness identity: warm runs produce bitwise-identical witness

@@ -52,15 +52,13 @@ ExtractClientPredicate(smt::ExprContext *ctx, smt::Solver *solver,
                 pred.bytes = msg.bytes;
                 pred.constraints = path.constraints;
 
-                if (config.deduplicate) {
-                    std::vector<smt::ExprRef> key = pred.bytes;
-                    key.insert(key.end(), pred.constraints.begin(),
-                               pred.constraints.end());
-                    const uint64_t h = hasher.HashExprs(key);
-                    if (!seen.insert(h).second) {
-                        ++stats.duplicate_predicates;
-                        continue;
-                    }
+                // Drop structurally duplicate (alpha-renamed) predicates.
+                std::vector<smt::ExprRef> key = pred.bytes;
+                key.insert(key.end(), pred.constraints.begin(),
+                           pred.constraints.end());
+                if (!seen.insert(hasher.HashExprs(key)).second) {
+                    ++stats.duplicate_predicates;
+                    continue;
                 }
                 ++next_id;
                 out.paths.push_back(std::move(pred));

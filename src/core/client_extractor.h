@@ -24,8 +24,6 @@ namespace core {
 struct ClientExtractorConfig
 {
     symexec::EngineConfig engine;
-    /** Drop structurally duplicate predicates (alpha-renamed). */
-    bool deduplicate = true;
 };
 
 /** Extraction counters (the extraction runs on the calling thread). */

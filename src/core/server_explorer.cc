@@ -13,27 +13,6 @@
 namespace achilles {
 namespace core {
 
-namespace {
-
-/**
- * True when every assertion evaluates true under `model` -- which,
- * because a Model is a total concrete assignment (absent variables read
- * as zero), proves the conjunction satisfiable. Nothing follows from a
- * false evaluation: the model just fails to witness this query.
- */
-bool
-AllTrueUnder(const std::vector<smt::ExprRef> &assertions,
-             const smt::Model &model)
-{
-    for (smt::ExprRef e : assertions) {
-        if (!smt::EvaluateBool(e, model))
-            return false;
-    }
-    return true;
-}
-
-}  // namespace
-
 /** Per-state payload: indices of client predicates still matching. */
 struct ServerExplorer::LiveSet : public symexec::StateUserData
 {
@@ -217,8 +196,6 @@ ExplorerStats::AddTo(obs::CounterView *view) const
     view->Add("explorer.trojan_queries", trojan_queries);
     view->Add("explorer.predicate_drops", predicate_drops);
     view->Add("explorer.difffrom_drops", difffrom_drops);
-    view->Add("explorer.prefilter_hits", prefilter_hits);
-    view->Add("explorer.prefilter_trojan_hits", prefilter_trojan_hits);
     view->Add("explorer.blocked_by_unusable_negation",
               blocked_by_unusable_negation);
     view->Add("explorer.states_pruned", states_pruned);
@@ -286,23 +263,6 @@ ServerExplorer::TrojanQuery(
         }
         negations.push_back((*plane.negations)[i]);
     }
-    // Concrete pre-filter: a standing assignment satisfying the path
-    // and every live negation proves the pruning query kSat outright
-    // (keep the state) with zero solver work. Restricted to model-less
-    // queries -- witness-producing ones must run the fresh-instance
-    // path for their deterministic model bytes. Decision-identical:
-    // the filter only ever answers an exact kSat the solver would have
-    // answered too (or conservatively kept via kUnknown on a budgeted
-    // solver), and it can never fire for an unsatisfiable query.
-    if (model == nullptr && config_.use_concrete_prefilter) {
-        const smt::Model *standing = plane.solver->StandingModel();
-        if (standing != nullptr &&
-            AllTrueUnder(path_constraints, *standing) &&
-            AllTrueUnder(negations, *standing)) {
-            ++plane.stats->prefilter_trojan_hits;
-            return smt::CheckResult(smt::CheckStatus::kSat);
-        }
-    }
     ++plane.stats->trojan_queries;
     return plane.solver->CheckSatAssuming(path_constraints, negations,
                                           model);
@@ -344,56 +304,32 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
             different_from_ != nullptr &&
             different_from_->IsIndependentField(fields[0]);
 
-        // Concrete pre-filter context, computed once per branch: the
-        // path-constraint evaluation is shared by every live predicate,
-        // so each predicate costs only its own match conjuncts.
-        const smt::Model *standing = config_.use_concrete_prefilter
-                                         ? plane.solver->StandingModel()
-                                         : nullptr;
-        const bool path_holds =
-            standing != nullptr &&
-            AllTrueUnder(state.constraints(), *standing);
+        const std::vector<uint32_t> &live = data->live;
         std::vector<uint32_t> survivors;
-        survivors.reserve(data->live.size());
-        // Per-predicate verdicts: 1 = drop via the differentFrom value
-        // class, 2 = keep (matched).
-        std::vector<uint8_t> decided(preds_->size(), 0);
-        for (uint32_t i : data->live) {
-            if (decided[i] == 1) {
+        survivors.reserve(live.size());
+        // Predicates dropped, before their own visit, through the
+        // differentFrom value class of a predicate visited earlier.
+        std::vector<bool> class_dropped(preds_->size(), false);
+        for (size_t k = 0; k < live.size(); ++k) {
+            const uint32_t i = live[k];
+            if (class_dropped[i]) {
                 ++plane.stats->difffrom_drops;
-                continue;
-            }
-            if (decided[i] == 2) {
-                survivors.push_back(i);
-                continue;
-            }
-            // Concrete pre-filter: the standing model satisfying pathS
-            // and match_i proves the match query kSat -- keep i with no
-            // solver call. kUnsat decisions are untouched (no
-            // assignment satisfies an unsatisfiable query), so drops
-            // and value-class marks fire on exactly the same queries as
-            // with the filter off.
-            if (path_holds && AllTrueUnder((*plane.match)[i], *standing)) {
-                ++plane.stats->prefilter_hits;
-                survivors.push_back(i);
-                decided[i] = 2;
                 continue;
             }
             const smt::CheckResult r = PredicateMatches(plane, state, i);
             if (r != smt::CheckResult::kUnsat) {
                 survivors.push_back(i);
-                decided[i] = 2;
                 continue;
             }
-            decided[i] = 1;
             ++plane.stats->predicate_drops;
             if (single_independent_field) {
-                // Everything in i's value class (and any j that has no
-                // extra values for this field) dies with i.
-                for (uint32_t j : data->live) {
-                    if (decided[j] == 0 &&
+                // Every later predicate in i's value class (and any that
+                // has no extra values for this field) dies with i.
+                for (size_t m = k + 1; m < live.size(); ++m) {
+                    const uint32_t j = live[m];
+                    if (!class_dropped[j] &&
                         !different_from_->Different(j, i, fields[0])) {
-                        decided[j] = 1;
+                        class_dropped[j] = true;
                     }
                 }
             }

@@ -64,24 +64,6 @@ struct ServerExplorerConfig
     /** Prune states that no Trojan message can trigger (3.2). */
     bool prune_trojan_free_states = true;
     /**
-     * Concrete pre-filter over the solver's standing model: before any
-     * solver call, evaluate the query's assertions under the last
-     * satisfying assignment the solver left standing
-     * (Solver::StandingModel, pure concrete evaluation via smt/eval).
-     * A query every assertion of which evaluates true is kSat by
-     * construction -- the standing values are a genuine assignment --
-     * so match checks answer "still matches" and pruning checks answer
-     * "still Trojan-triggerable" with zero solver work. The filter can
-     * only ever answer kSat (no assignment satisfies an unsatisfiable
-     * query), so kUnsat decisions -- drops and prunes -- are taken
-     * by exactly the same queries as with the filter off, and witness
-     * sets are bitwise identical. On by default (it is a pure win on
-     * every corpus protocol and witness-identical by construction);
-     * ablation grids that count solver calls or cache entries turn it
-     * off explicitly to measure the unfiltered stream.
-     */
-    bool use_concrete_prefilter = true;
-    /**
      * Warm-start knowledge to import before exploring (null = cold
      * start): restored into the ParallelEngine's shared query cache
      * before any worker thread starts. Restored entries only ever
@@ -135,8 +117,6 @@ struct ExplorerStats
     int64_t trojan_queries = 0;
     int64_t predicate_drops = 0;
     int64_t difffrom_drops = 0;
-    int64_t prefilter_hits = 0;
-    int64_t prefilter_trojan_hits = 0;
     int64_t blocked_by_unusable_negation = 0;
     int64_t states_pruned = 0;
     int64_t accepting_without_trojans = 0;

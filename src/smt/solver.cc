@@ -196,11 +196,6 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
 
     Model out_model;
     const CheckStatus status = SolveFresh(live, &out_model);
-    if (status == CheckStatus::kSat) {
-        for (const auto &[id, value] : out_model.values())
-            standing_model_.Set(id, value);
-        has_standing_model_ = true;
-    }
 
     if (config_.enable_cache && status != CheckStatus::kUnknown) {
         // has_model: kSat entries keep their model only when the caller
@@ -269,12 +264,6 @@ Solver::CheckSatBatch(const std::vector<ExprRef> &base,
     for (const std::vector<ExprRef> *group : groups)
         out.verdicts.push_back(CheckSatAssuming(base, *group));
     return out;
-}
-
-const Model *
-Solver::StandingModel() const
-{
-    return has_standing_model_ ? &standing_model_ : nullptr;
 }
 
 }  // namespace smt

@@ -79,12 +79,12 @@ struct BatchOutcome
 /**
  * The decision procedure facade.
  *
- * Holds state across queries: the memo cache and the standing model.
- * A query that gets past canonicalization, the memo cache and the
- * interval pre-check is bit-blasted into a fresh SAT instance that is
- * discarded after the query, so every verdict and model is a pure
- * function of the canonical query -- the same across runs, worker
- * counts and query history.
+ * The memo cache is the only state it holds across queries. A query
+ * that gets past canonicalization, the memo cache and the interval
+ * pre-check is bit-blasted into a fresh SAT instance that is discarded
+ * after the query, so every verdict and model is a pure function of the
+ * canonical query -- the same across runs, worker counts and query
+ * history.
  *
  * CheckSat/CheckSatAssuming are virtual so decorators can interpose
  * (the parallel exploration subsystem wraps each worker's solver with a
@@ -125,22 +125,6 @@ class Solver
     virtual BatchOutcome
     CheckSatBatch(const std::vector<ExprRef> &base,
                   const std::vector<const std::vector<ExprRef> *> &groups);
-
-    /**
-     * The rolling satisfying assignment left standing by past kSat
-     * answers, or nullptr before the first one. Every kSat the SAT
-     * solver answers merges its model's variable values into it
-     * (cache hits and trivially true queries leave it alone), so it is
-     * a pure function of the query stream. Consumers use it for
-     * concrete pre-filtering. Staleness is harmless: a stale or merged
-     * model can only fail to satisfy a satisfiable predicate, never
-     * satisfy an unsatisfiable one. The referenced Model is owned by
-     * the solver and valid until the next Check* call. It is a genuine
-     * concrete assignment -- every value either came from a SAT model
-     * or defaults to zero -- so any assertion that evaluates true under
-     * it is satisfiable; nothing follows from evaluating false.
-     */
-    const Model *StandingModel() const;
 
     /** Convenience overload for a single (possibly And-tree) assertion. */
     CheckResult CheckSatExpr(ExprRef e, Model *model = nullptr);
@@ -202,10 +186,6 @@ class Solver
     // of silently returning another query's result/model.
     std::unordered_map<std::vector<ExprRef>, CacheEntry, AssertionsHash>
         cache_;
-    /** Rolling concrete assignment from past kSat answers (see
-     *  StandingModel()). */
-    Model standing_model_;
-    bool has_standing_model_ = false;
     SolverStats stats_;
     /** Live obs instruments on this solver's lane shard (inert handles
      *  when config_.obs carries no registry). */

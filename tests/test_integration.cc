@@ -157,9 +157,9 @@ using WitnessKey =
 /**
  * One serial RunAchilles over `factory`'s protocol. The reference
  * configuration turns off every optional solver layer (memo cache,
- * interval pre-check) and the explorer's concrete pre-filter and
- * differentFrom matrix, leaving the paper's predicate dropping and
- * state pruning on fresh SAT instances.
+ * interval pre-check) and the explorer's differentFrom matrix, leaving
+ * the paper's predicate dropping and state pruning on fresh SAT
+ * instances.
  */
 std::vector<WitnessKey>
 WitnessesOf(const proto::ProtocolFactory &factory, bool reference)
@@ -170,7 +170,6 @@ WitnessesOf(const proto::ProtocolFactory &factory, bool reference)
     if (reference) {
         solver_config.enable_cache = false;
         solver_config.use_interval_check = false;
-        config.server_config.use_concrete_prefilter = false;
         config.server_config.use_different_from = false;
     }
     smt::ExprContext ctx;

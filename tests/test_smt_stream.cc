@@ -3,11 +3,10 @@
 // The solver facade across a stream of queries: the CheckSatAssuming
 // surface, cache model-upgrade semantics, the stale-model regression
 // (every non-kSat return path must clear the caller's Model), budget
-// exhaustion, the standing model behind the explorer's concrete
-// pre-filter (a pre-filter hit must be a proof of kSat, and the
-// standing values are a pure function of the query stream), learnt-
-// clause eviction, and a long stateful differential stream through the
-// default facade against an unoptimized reference.
+// exhaustion, learnt-clause eviction, and a long stateful differential
+// stream through the default facade against an unoptimized reference
+// (same verdicts, and every requested model is the one a fresh solver
+// returns, whatever the stream asked before).
 
 #include <gtest/gtest.h>
 
@@ -147,141 +146,6 @@ TEST_F(SolverStreamTest, BudgetExhaustionIsUnknownAndUncached)
     EXPECT_EQ(limited.stats().Get("solver.cache_hits"), 0);
 }
 
-// ----------------------------------------------------- standing models
-
-TEST(StandingModelTest, ModelSatisfiesEveryAssertedConstraint)
-{
-    ExprContext ctx;
-    Solver solver(&ctx);
-    ExprRef x = ctx.FreshVar("x", 8);
-    ExprRef y = ctx.FreshVar("y", 8);
-
-    const std::vector<ExprRef> first{
-        ctx.MakeUlt(x, ctx.MakeConst(8, 10)),
-        ctx.MakeEq(y, ctx.MakeConst(8, 3))};
-    ASSERT_EQ(solver.CheckSat(first), CheckResult::kSat);
-    const Model *standing = solver.StandingModel();
-    ASSERT_NE(standing, nullptr);
-    for (ExprRef e : first)
-        EXPECT_TRUE(EvaluateBool(e, *standing));
-
-    // The standing model rolls forward with later satisfiable queries.
-    const std::vector<ExprRef> second{
-        ctx.MakeUgt(x, ctx.MakeConst(8, 200))};
-    ASSERT_EQ(solver.CheckSat(second), CheckResult::kSat);
-    standing = solver.StandingModel();
-    ASSERT_NE(standing, nullptr);
-    EXPECT_TRUE(EvaluateBool(second[0], *standing));
-
-    // An unsatisfiable query leaves the last standing model in place.
-    const std::vector<ExprRef> contradiction{
-        ctx.MakeUlt(x, ctx.MakeConst(8, 1)),
-        ctx.MakeUgt(x, ctx.MakeConst(8, 1))};
-    ASSERT_EQ(solver.CheckSat(contradiction), CheckResult::kUnsat);
-    EXPECT_NE(solver.StandingModel(), nullptr);
-}
-
-TEST(StandingModelTest, ConcretelyTrueAssignmentIsAProofOfSat)
-{
-    // The pre-filter's soundness argument, randomized: whenever a total
-    // concrete assignment evaluates every assertion to true, a fresh
-    // solver must answer kSat -- the assignment IS a witness, whatever
-    // query produced it. (The converse seeds the trial pool: models
-    // returned by the solver must evaluate to true.)
-    ExprContext ctx;
-    ExprRef a = ctx.FreshVar("a", 8);
-    ExprRef b = ctx.FreshVar("b", 8);
-    const std::vector<ExprRef> pool{
-        ctx.MakeUlt(a, ctx.MakeConst(8, 200)),
-        ctx.MakeUgt(a, ctx.MakeConst(8, 3)),
-        ctx.MakeEq(ctx.MakeAnd(a, ctx.MakeConst(8, 1)),
-                   ctx.MakeConst(8, 1)),
-        ctx.MakeUle(b, a),
-        ctx.MakeNe(b, ctx.MakeConst(8, 0)),
-        ctx.MakeUlt(ctx.MakeAdd(a, b), ctx.MakeConst(8, 250))};
-
-    Rng rng(0xba7c4);
-    size_t concrete_hits = 0;
-    for (int trial = 0; trial < 200; ++trial) {
-        std::vector<ExprRef> assertions;
-        for (ExprRef e : pool)
-            if (rng.Below(2) == 0)
-                assertions.push_back(e);
-        Model model;
-        model.Set(a->VarId(), rng.Below(256));
-        model.Set(b->VarId(), rng.Below(256));
-        bool all_true = true;
-        for (ExprRef e : assertions)
-            all_true &= EvaluateBool(e, model);
-        if (!all_true)
-            continue;
-        ++concrete_hits;
-        Solver fresh(&ctx);
-        EXPECT_EQ(fresh.CheckSat(assertions), CheckResult::kSat);
-    }
-    EXPECT_GT(concrete_hits, 0u) << "trial pool never exercised the "
-                                    "pre-filter direction";
-
-    Solver solver(&ctx);
-    Model model;
-    ASSERT_EQ(solver.CheckSat(pool, &model), CheckResult::kSat);
-    for (ExprRef e : pool)
-        EXPECT_TRUE(EvaluateBool(e, model));
-}
-
-TEST(StandingModelTest, ModelLessSatStandsAsTheFreshModel)
-{
-    // The standing model is a pure function of the query stream: after
-    // a model-less kSat that missed the cache on solver A, A's
-    // standing values for the query's variables are exactly the model
-    // a model-requesting CheckSat of the same query returns on a fresh
-    // solver B.
-    ExprContext ctx;
-    std::vector<ExprRef> vars;
-    for (int i = 0; i < 3; ++i)
-        vars.push_back(ctx.FreshVar("v", 8));
-    Rng rng(0x5a4d);
-    Solver a(&ctx);
-    int checked = 0;
-    for (int q = 0; q < 200; ++q) {
-        // Atoms over two distinct variables, so none folds to a
-        // constant, and most rule out the all-zero assignment.
-        std::vector<ExprRef> query;
-        const size_t n = 1 + rng.Below(3);
-        for (size_t k = 0; k < n; ++k) {
-            const size_t i = rng.Below(vars.size());
-            const ExprRef v = vars[i];
-            const ExprRef w = vars[(i + 1 + rng.Below(2)) % vars.size()];
-            const ExprRef c = ctx.MakeConst(8, rng.Below(255));
-            ExprRef atom;
-            switch (rng.Below(3)) {
-              case 0: atom = ctx.MakeUlt(c, ctx.MakeAdd(v, w)); break;
-              case 1: atom = ctx.MakeNe(ctx.MakeXor(v, w), c); break;
-              default: atom = ctx.MakeUle(v, c); break;
-            }
-            query.push_back(atom);
-        }
-        const int64_t hits = a.stats().Get("solver.cache_hits");
-        if (a.CheckSat(query) != CheckResult::kSat ||
-            a.stats().Get("solver.cache_hits") != hits) {
-            continue;  // unsat, or a cache hit, which leaves it alone
-        }
-        Solver b(&ctx);
-        Model fresh;
-        ASSERT_EQ(b.CheckSat(query, &fresh), CheckResult::kSat);
-        const Model *standing = a.StandingModel();
-        ASSERT_NE(standing, nullptr);
-        if (checked == 0) {
-            // Nothing stood before: the standing model is that model.
-            EXPECT_EQ(standing->values(), fresh.values());
-        }
-        for (const auto &[id, value] : fresh.values())
-            EXPECT_EQ(standing->Get(id), value) << "query " << q;
-        ++checked;
-    }
-    EXPECT_GE(checked, 50);
-}
-
 // ------------------------------------------ stateful differential stream
 
 TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
@@ -291,7 +155,9 @@ TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
     // stream whose base grows, shrinks and stays shared between
     // consecutive queries, the shape of the explorer's pathS streams.
     // Every verdict must match a fresh solver with both off, and every
-    // requested model must satisfy its query.
+    // requested model must satisfy its query and equal the fresh
+    // solver's model for it: the solver carries nothing but its memo
+    // cache from query to query.
     ExprContext ctx;
     std::vector<ExprRef> vars;
     for (int i = 0; i < 4; ++i)
@@ -325,9 +191,10 @@ TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
     SolverConfig reference_config;
     reference_config.enable_cache = false;
     reference_config.use_interval_check = false;
-    auto reference_check = [&](const std::vector<ExprRef> &assertions) {
+    auto reference_check = [&](const std::vector<ExprRef> &assertions,
+                               Model *model) {
         Solver reference(&ctx, reference_config);
-        return reference.CheckSat(assertions);
+        return reference.CheckSat(assertions, model);
     };
 
     Solver solver(&ctx);
@@ -355,11 +222,12 @@ TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
 
         // A sprinkling of model requests upgrades cached verdict-only
         // entries in between.
-        Model model;
+        Model model, reference_model;
         const bool want_model = q % 16 == 0;
         const CheckResult got = solver.CheckSatAssuming(
             base, extras, want_model ? &model : nullptr);
-        const CheckResult want = reference_check(query);
+        const CheckResult want =
+            reference_check(query, want_model ? &reference_model : nullptr);
         ASSERT_NE(want, CheckResult::kUnknown);
         ASSERT_EQ(got, want) << "query " << q;
         if (got == CheckResult::kSat) {
@@ -367,6 +235,8 @@ TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
             if (want_model) {
                 for (ExprRef e : query)
                     ASSERT_TRUE(EvaluateBool(e, model)) << "query " << q;
+                ASSERT_EQ(model.values(), reference_model.values())
+                    << "query " << q;
             }
             continue;
         }

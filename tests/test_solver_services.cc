@@ -1,7 +1,6 @@
 // Achilles reproduction -- tests.
 //
-// Explorer contracts on FSP: witness determinism at 1/2/4/8 workers
-// with the concrete pre-filter off and on.
+// Explorer contracts on FSP: witness determinism at 1/2/4/8 workers.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +25,7 @@ using WitnessSummary =
     std::tuple<std::string, std::vector<uint8_t>, uint64_t>;
 
 std::vector<WitnessSummary>
-RunFspPipeline(size_t workers, bool prefilter)
+RunFspPipeline(size_t workers)
 {
     ExprContext ctx;
     Solver solver(&ctx);
@@ -40,7 +39,6 @@ RunFspPipeline(size_t workers, bool prefilter)
     config.server = &server;
     config.server_config.engine.num_workers = workers;
     config.server_config.use_different_from = false;
-    config.server_config.use_concrete_prefilter = prefilter;
     const core::AchillesResult result =
         core::RunAchilles(&ctx, &solver, config);
 
@@ -58,21 +56,13 @@ TEST(WorkerSweepTest, WitnessesIdenticalAcrossWorkerCounts)
 {
     // The hard determinism constraint: Trojan witness sets (labels,
     // definitions, concrete bytes) are bitwise identical at every
-    // worker count and with the concrete pre-filter off or on. Witness
-    // bytes come from a fresh SAT instance per query, whatever each
-    // worker asked before, and a pre-filter hit only ever stands in for
-    // a kSat the solver would have answered too.
-    const std::vector<WitnessSummary> baseline =
-        RunFspPipeline(1, /*prefilter=*/true);
+    // worker count. Witness bytes come from a fresh SAT instance per
+    // query, whatever each worker asked before.
+    const std::vector<WitnessSummary> baseline = RunFspPipeline(1);
     ASSERT_FALSE(baseline.empty());
-    for (const bool prefilter : {false, true}) {
-        for (size_t workers : {1, 2, 4, 8}) {
-            if (prefilter && workers == 1)
-                continue;  // the baseline itself
-            EXPECT_EQ(RunFspPipeline(workers, prefilter), baseline)
-                << "diverged at " << workers
-                << " workers, prefilter=" << prefilter;
-        }
+    for (size_t workers : {2, 4, 8}) {
+        EXPECT_EQ(RunFspPipeline(workers), baseline)
+            << "diverged at " << workers << " workers";
     }
 }
 
