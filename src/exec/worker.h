@@ -14,8 +14,10 @@
 // canonicalization and solver assertion ordering are structural, so the
 // merged results -- ordered by state id -- are identical for any worker
 // count and any steal interleaving. Every verdict and model comes from
-// a fresh SAT instance per query, a pure function of the canonicalized
-// query, so no worker's query history can move a witness byte.
+// the worker thread's SAT instance, Reset before each query to the state
+// of a newly constructed one, so it is a pure function of the
+// canonicalized query and no worker's query history can move a witness
+// byte.
 
 #ifndef ACHILLES_EXEC_WORKER_H_
 #define ACHILLES_EXEC_WORKER_H_

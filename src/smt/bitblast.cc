@@ -25,8 +25,18 @@ GateKey(uint32_t tag, Lit a, Lit b)
 
 BitBlaster::BitBlaster(SatSolver *solver) : solver_(solver)
 {
-    const uint32_t tvar = solver_->NewVar();
-    true_lit_ = Lit(tvar, false);
+    true_lit_ = NewLit();
+    solver_->AddUnit(true_lit_);
+}
+
+void
+BitBlaster::Reset()
+{
+    solver_->Reset();
+    memo_.clear();
+    var_bits_.clear();
+    gate_cache_.clear();
+    true_lit_ = NewLit();
     solver_->AddUnit(true_lit_);
 }
 
@@ -429,28 +439,18 @@ BitBlaster::AssertTrue(ExprRef e)
     solver_->AddUnit(bits[0]);
 }
 
-uint64_t
-BitBlaster::VarValueFromModel(uint32_t var_id) const
+void
+BitBlaster::ExtractModel(Model *model) const
 {
-    auto it = var_bits_.find(var_id);
-    if (it == var_bits_.end())
-        return 0;
-    uint64_t value = 0;
-    for (size_t i = 0; i < it->second.size(); ++i) {
-        const Lit l = it->second[i];
-        const bool bit = solver_->Value(l.var()) != l.negated();
-        value |= static_cast<uint64_t>(bit) << i;
+    for (const auto &[var_id, bits] : var_bits_) {
+        uint64_t value = 0;
+        for (size_t i = 0; i < bits.size(); ++i) {
+            const Lit l = bits[i];
+            const bool bit = solver_->Value(l.var()) != l.negated();
+            value |= static_cast<uint64_t>(bit) << i;
+        }
+        model->Set(var_id, value);
     }
-    return value;
-}
-
-Model
-BitBlaster::ExtractModel(const std::vector<uint32_t> &var_ids) const
-{
-    Model model;
-    for (uint32_t id : var_ids)
-        model.Set(id, VarValueFromModel(id));
-    return model;
 }
 
 }  // namespace smt

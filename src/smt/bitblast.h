@@ -20,7 +20,7 @@ namespace achilles {
 namespace smt {
 
 /**
- * Incremental bit-blaster.
+ * Bit-blaster for one SAT instance.
  *
  * Owns the mapping from expression nodes to literal vectors. Multiple
  * assertions may be blasted into the same SatSolver; shared sub-DAGs are
@@ -29,7 +29,18 @@ namespace smt {
 class BitBlaster
 {
   public:
+    /** Blasts into `solver`; its next var (var 0 if it is empty)
+     *  becomes the true literal. */
     explicit BitBlaster(SatSolver *solver);
+
+    /**
+     * Reset the SatSolver, forget every encoding (the memo, the
+     * variable bits and the gate cache keep their bucket arrays), and
+     * make var 0 the true literal again: the pair is then in its
+     * just-constructed state, so the next instance gets the CNF
+     * numbering, clause order and model a new pair would give it.
+     */
+    void Reset();
 
     /** Assert a width-1 expression as a unit constraint. */
     void AssertTrue(ExprRef e);
@@ -41,14 +52,11 @@ class BitBlaster
     const std::vector<Lit> &Blast(ExprRef e);
 
     /**
-     * Read back a symbolic variable's value from the solver's model.
-     * Returns zero for variables that never reached the solver
-     * (don't-cares).
+     * After a kSat Solve, set in `model` the value of every symbolic
+     * variable blasted since construction or Reset -- every variable of
+     * the asserted expressions.
      */
-    uint64_t VarValueFromModel(uint32_t var_id) const;
-
-    /** Extract a full model for the given variables. */
-    Model ExtractModel(const std::vector<uint32_t> &var_ids) const;
+    void ExtractModel(Model *model) const;
 
     /** True literal (always-satisfied). */
     Lit TrueLit() const { return true_lit_; }

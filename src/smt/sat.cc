@@ -47,6 +47,37 @@ SatStats::AddTo(obs::CounterView *view) const
 
 SatSolver::SatSolver() = default;
 
+void
+SatSolver::Reset()
+{
+    // Lists past 2 * NumVars() were emptied by an earlier Reset.
+    for (size_t code = 0; code < 2 * size_t{NumVars()}; ++code)
+        watches_[code].clear();
+    arena_.clear();
+    clauses_.clear();
+    learnts_.clear();
+    assigns_.clear();
+    model_.clear();
+    saved_phase_.clear();
+    activity_.clear();
+    level_.clear();
+    reason_.clear();
+    trail_.clear();
+    trail_lim_.clear();
+    heap_.clear();
+    heap_pos_.clear();
+    heap_built_ = false;
+    order_cursor_ = 0;
+    qhead_ = 0;
+    var_inc_ = 1.0;
+    cla_inc_ = 1.0;
+    learnt_cap_ = 0;
+    ok_ = true;
+    seen_.clear();
+    learnt_lits_.clear();
+    stats_ = SatStats();
+}
+
 uint32_t
 SatSolver::NewVar()
 {
@@ -58,11 +89,23 @@ SatSolver::NewVar()
     level_.push_back(0);
     reason_.push_back(kNoClause);
     seen_.push_back(0);
-    watches_.emplace_back();
-    watches_.emplace_back();
+    if (watches_.size() < 2 * size_t{v} + 2)
+        watches_.resize(2 * size_t{v} + 2);
     heap_pos_.push_back(-1);
-    HeapInsert(v);
+    if (heap_built_)
+        HeapInsert(v);
     return v;
+}
+
+void
+SatSolver::BuildOrderHeap()
+{
+    ACHILLES_CHECK(!heap_built_);
+    for (uint32_t v = order_cursor_; v < NumVars(); ++v) {
+        heap_pos_[v] = static_cast<int32_t>(heap_.size());
+        heap_.push_back(v);
+    }
+    heap_built_ = true;
 }
 
 void
@@ -138,19 +181,21 @@ SatSolver::LitValue(Lit l) const
 }
 
 bool
-SatSolver::AddClause(std::vector<Lit> lits)
+SatSolver::AddClauseInPlace(Lit *lits, size_t n)
 {
     if (!ok_)
         return false;
     BacktrackTo(0);
 
     // Normalize: sort, dedupe, drop level-0-false literals, detect
-    // tautologies and level-0-true literals.
-    std::sort(lits.begin(), lits.end(),
+    // tautologies and level-0-true literals. The kept literals move to
+    // the front of `lits`, in sorted order.
+    std::sort(lits, lits + n,
               [](Lit a, Lit b) { return a.code() < b.code(); });
-    std::vector<Lit> out;
+    size_t kept = 0;
     Lit prev = Lit::FromCode(0xffffffffu);
-    for (Lit l : lits) {
+    for (size_t i = 0; i < n; ++i) {
+        const Lit l = lits[i];
         ACHILLES_CHECK(l.var() < NumVars(), "literal for unknown var");
         if (l == prev)
             continue;
@@ -161,34 +206,33 @@ SatSolver::AddClause(std::vector<Lit> lits)
             return true;  // already satisfied at level 0
         if (v == LBool::kFalse)
             continue;  // can never help
-        out.push_back(l);
+        lits[kept++] = l;
         prev = l;
     }
 
-    if (out.empty()) {
+    if (kept == 0) {
         ok_ = false;
         return false;
     }
-    if (out.size() == 1) {
-        Enqueue(out[0], kNoClause);
+    if (kept == 1) {
+        Enqueue(lits[0], kNoClause);
         if (Propagate() != kNoClause)
             ok_ = false;
         return ok_;
     }
-    const ClauseRef cref = AllocClause(out, /*learnt=*/false);
+    const ClauseRef cref = AllocClause(lits, kept, /*learnt=*/false);
     clauses_.push_back(cref);
     AttachClause(cref);
     return true;
 }
 
 SatSolver::ClauseRef
-SatSolver::AllocClause(const std::vector<Lit> &lits, bool learnt)
+SatSolver::AllocClause(const Lit *lits, size_t n, bool learnt)
 {
     const ClauseRef cref = static_cast<ClauseRef>(arena_.size());
-    arena_.push_back(static_cast<uint32_t>(lits.size()) |
-                     (learnt ? kLearntFlag : 0));
-    for (Lit l : lits)
-        arena_.push_back(l.code());
+    arena_.push_back(static_cast<uint32_t>(n) | (learnt ? kLearntFlag : 0));
+    for (size_t i = 0; i < n; ++i)
+        arena_.push_back(lits[i].code());
     if (learnt) {
         arena_.push_back(0);
         SetClauseActivity(cref, 0.0f);
@@ -414,7 +458,10 @@ SatSolver::BacktrackTo(uint32_t target_level)
         saved_phase_[l.var()] = l.negated() ? 0 : 1;
         assigns_[l.var()] = LBool::kUndef;
         reason_[l.var()] = kNoClause;
-        HeapInsert(l.var());
+        if (heap_built_)
+            HeapInsert(l.var());
+        else
+            order_cursor_ = std::min(order_cursor_, l.var());
     }
     trail_.resize(bound);
     trail_lim_.resize(target_level);
@@ -424,6 +471,17 @@ SatSolver::BacktrackTo(uint32_t target_level)
 Lit
 SatSolver::PickBranchLit()
 {
+    if (!heap_built_) {
+        // The heap's stand-in (see sat.h): the lowest unassigned var.
+        for (; order_cursor_ < NumVars(); ++order_cursor_) {
+            const uint32_t v = order_cursor_;
+            if (assigns_[v] == LBool::kUndef) {
+                ++order_cursor_;
+                return Lit(v, saved_phase_[v] == 0);
+            }
+        }
+        return Lit::FromCode(0xffffffffu);
+    }
     // Pop the activity order-heap until an unassigned variable surfaces.
     // Every unassigned variable is in the heap (BacktrackTo re-inserts
     // what it unassigns), so an empty heap means a full assignment.
@@ -546,19 +604,22 @@ SatSolver::Search(int64_t max_conflicts)
                 ok_ = false;
                 return SatStatus::kUnsat;
             }
-            std::vector<Lit> learnt;
+            if (!heap_built_)
+                BuildOrderHeap();
             uint32_t btlevel = 0;
-            Analyze(conflict, &learnt, &btlevel);
+            Analyze(conflict, &learnt_lits_, &btlevel);
             BacktrackTo(btlevel);
-            if (learnt.size() == 1) {
+            if (learnt_lits_.size() == 1) {
                 // Analyze backjumps unit learnts to the root level.
-                Enqueue(learnt[0], kNoClause);
+                Enqueue(learnt_lits_[0], kNoClause);
             } else {
-                const ClauseRef cref = AllocClause(learnt, /*learnt=*/true);
+                const ClauseRef cref =
+                    AllocClause(learnt_lits_.data(), learnt_lits_.size(),
+                                /*learnt=*/true);
                 learnts_.push_back(cref);
                 AttachClause(cref);
                 BumpClause(cref);
-                Enqueue(learnt[0], cref);
+                Enqueue(learnt_lits_[0], cref);
             }
             DecayVarActivity();
             DecayClauseActivity();

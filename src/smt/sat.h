@@ -72,12 +72,24 @@ struct SatStats
  * Usage: NewVar() variables, AddClause() clauses, Solve(). After kSat,
  * Value(var) gives the model. The solver may be re-Solved after adding
  * more clauses (clauses persist; learnt clauses are retained across
- * calls up to a MiniSat-style ReduceDB cap).
+ * calls up to a MiniSat-style ReduceDB cap). Reset() empties it for the
+ * next instance without giving back its buffers.
  */
 class SatSolver
 {
   public:
     SatSolver();
+
+    /**
+     * Return to the just-constructed state -- no variables or clauses,
+     * zeroed counters, auto-sized learnt cap, unit activity increments,
+     * not unsatisfiable -- while every buffer, the per-literal watch
+     * lists included, keeps its capacity. An instance built after
+     * Reset() gets the same variable numbering, decisions, learnt
+     * clauses, counters and model as one built on a new solver; it only
+     * skips the allocations.
+     */
+    void Reset();
 
     /** Create a fresh variable; returns its index. */
     uint32_t NewVar();
@@ -87,10 +99,29 @@ class SatSolver
      * Add a clause (disjunction of literals). Returns false if the clause
      * set is already unsatisfiable (empty clause / conflicting units).
      */
-    bool AddClause(std::vector<Lit> lits);
-    bool AddUnit(Lit a) { return AddClause({a}); }
-    bool AddBinary(Lit a, Lit b) { return AddClause({a, b}); }
-    bool AddTernary(Lit a, Lit b, Lit c) { return AddClause({a, b, c}); }
+    bool
+    AddClause(std::vector<Lit> lits)
+    {
+        return AddClauseInPlace(lits.data(), lits.size());
+    }
+    bool
+    AddUnit(Lit a)
+    {
+        Lit lits[] = {a};
+        return AddClauseInPlace(lits, 1);
+    }
+    bool
+    AddBinary(Lit a, Lit b)
+    {
+        Lit lits[] = {a, b};
+        return AddClauseInPlace(lits, 2);
+    }
+    bool
+    AddTernary(Lit a, Lit b, Lit c)
+    {
+        Lit lits[] = {a, b, c};
+        return AddClauseInPlace(lits, 3);
+    }
 
     /**
      * Solve the clause set. `max_conflicts` < 0 means no budget limit;
@@ -134,6 +165,9 @@ class SatSolver
         Lit blocker;
     };
 
+    /** AddClause on lits[0..n): sorted and simplified in place, then
+     *  copied straight into the arena. */
+    bool AddClauseInPlace(Lit *lits, size_t n);
     LBool LitValue(Lit l) const;
     SatStatus Search(int64_t max_conflicts);
     void NewDecisionLevel() { trail_lim_.push_back(trail_.size()); }
@@ -148,7 +182,7 @@ class SatSolver
                  uint32_t *out_btlevel);
     void BacktrackTo(uint32_t level);
     Lit PickBranchLit();
-    ClauseRef AllocClause(const std::vector<Lit> &lits, bool learnt);
+    ClauseRef AllocClause(const Lit *lits, size_t n, bool learnt);
     void AttachClause(ClauseRef cref);
     void BumpVar(uint32_t var);
     void DecayVarActivity();
@@ -157,11 +191,26 @@ class SatSolver
     // Activity order-heap (max-heap on activity, var index tie-break):
     // PickBranchLit pops candidates in O(log V) instead of scanning all
     // variables per decision.
+    //
+    // It is built lazily. HeapBefore is a strict total order, so the
+    // heap pops the vars it holds in an order fixed by which vars they
+    // are, and until the first conflict every activity is 0, which
+    // makes that order the index order. Until then `order_cursor_`
+    // stands in for the heap: PickBranchLit scans forward from it and
+    // BacktrackTo lowers it instead of inserting, so every var below it
+    // is assigned and the scan picks the lowest unassigned var -- the
+    // heap's pick. At the first conflict, before Analyze bumps any
+    // activity, BuildOrderHeap makes the vars from the cursor on (an
+    // ascending run, already a valid heap) the heap; any of them a heap
+    // kept from the start would not hold are assigned, and a pop skips
+    // those. Decisions are unchanged; an instance that never conflicts
+    // skips pushing every var and popping nearly all of them.
     bool HeapBefore(uint32_t a, uint32_t b) const
     {
         return activity_[a] > activity_[b] ||
                (activity_[a] == activity_[b] && a < b);
     }
+    void BuildOrderHeap();
     void HeapSiftUp(size_t i);
     void HeapSiftDown(size_t i);
     void HeapInsert(uint32_t var);
@@ -191,7 +240,9 @@ class SatSolver
     std::vector<uint32_t> arena_;
     std::vector<ClauseRef> clauses_;
     std::vector<ClauseRef> learnts_;
-    std::vector<std::vector<Watcher>> watches_;  // indexed by lit code
+    // Indexed by lit code. Reset() clears the lists instead of dropping
+    // them, so the vector may hold empty lists past 2 * NumVars().
+    std::vector<std::vector<Watcher>> watches_;
     std::vector<LBool> assigns_;
     std::vector<LBool> model_;
     std::vector<uint8_t> saved_phase_;
@@ -202,6 +253,8 @@ class SatSolver
     std::vector<size_t> trail_lim_;
     std::vector<uint32_t> heap_;     // var order-heap
     std::vector<int32_t> heap_pos_;  // var -> heap index, -1 if absent
+    bool heap_built_ = false;        // false until the first conflict
+    uint32_t order_cursor_ = 0;      // the heap's stand-in until then
     size_t qhead_ = 0;
     double var_inc_ = 1.0;
     double cla_inc_ = 1.0;
@@ -210,6 +263,7 @@ class SatSolver
 
     // Conflict analysis scratch.
     std::vector<uint8_t> seen_;
+    std::vector<Lit> learnt_lits_;
 
     SatStats stats_;
 };

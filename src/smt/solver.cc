@@ -3,6 +3,7 @@
 #include "smt/solver.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "smt/bitblast.h"
 #include "smt/interval.h"
@@ -10,6 +11,17 @@
 
 namespace achilles {
 namespace smt {
+
+namespace {
+
+/** The SAT instance SolveFresh reuses: a solver and its blaster. */
+struct SatInstance
+{
+    SatSolver sat;
+    BitBlaster blaster{&sat};
+};
+
+}  // namespace
 
 const char *
 CheckResultName(CheckStatus s)
@@ -223,25 +235,24 @@ CheckStatus
 Solver::SolveFresh(const std::vector<ExprRef> &live, Model *out_model)
 {
     ++stats_.sat_calls;
-    SatSolver sat;
-    BitBlaster blaster(&sat);
+    // Per thread, not per Solver: e2ebench's corpus keeps 122 solvers
+    // alive, and one instance each raised its peak_rss_mb from 19.9 to
+    // 35.7 MiB. Nothing below calls back into a solver, so the thread's
+    // one instance is never in use twice.
+    thread_local std::unique_ptr<SatInstance> instance;
+    if (instance)
+        instance->blaster.Reset();
+    else
+        instance = std::make_unique<SatInstance>();
+    SatSolver &sat = instance->sat;
+    BitBlaster &blaster = instance->blaster;
     for (ExprRef e : live)
         blaster.AssertTrue(e);
     const SatStatus status = sat.Solve(config_.max_conflicts);
     stats_.sat_conflicts += sat.counters().conflicts;
     stats_.sat_decisions += sat.counters().decisions;
-
-    switch (status) {
-      case SatStatus::kUnsat:
-        return CheckStatus::kUnsat;
-      case SatStatus::kUnknown:
-        return CheckStatus::kUnknown;
-      case SatStatus::kSat: {
-        std::unordered_set<uint32_t> vars;
-        for (ExprRef e : live)
-            ctx_->CollectVars(e, &vars);
-        for (uint32_t id : vars)
-            out_model->Set(id, blaster.VarValueFromModel(id));
+    if (status == SatStatus::kSat) {
+        blaster.ExtractModel(out_model);
         // Re-evaluate every assertion under the model: cheap, and a
         // model that fails is an encoder bug, so it panics.
         for (ExprRef e : live) {
@@ -249,8 +260,14 @@ Solver::SolveFresh(const std::vector<ExprRef> &live, Model *out_model)
                            "model validation failed for: ",
                            ctx_->ToString(e));
         }
-        return CheckStatus::kSat;
-      }
+    }
+    if (sat.NumVars() > kMaxRetainedSatVars)
+        instance.reset();
+
+    switch (status) {
+      case SatStatus::kSat: return CheckStatus::kSat;
+      case SatStatus::kUnsat: return CheckStatus::kUnsat;
+      case SatStatus::kUnknown: return CheckStatus::kUnknown;
     }
     ACHILLES_UNREACHABLE("bad SatStatus");
 }

@@ -81,10 +81,12 @@ struct BatchOutcome
  *
  * The memo cache is the only state it holds across queries. A query
  * that gets past canonicalization, the memo cache and the interval
- * pre-check is bit-blasted into a fresh SAT instance that is discarded
- * after the query, so every verdict and model is a pure function of the
- * canonical query -- the same across runs, worker counts and query
- * history.
+ * pre-check is bit-blasted into its thread's SAT instance (a SatSolver
+ * and BitBlaster pair shared by every Solver on the thread), which is
+ * Reset to the state of a newly constructed pair before each query and
+ * keeps nothing but buffer capacity. So every verdict and model is a
+ * pure function of the canonical query -- the same across runs, worker
+ * counts and query history.
  *
  * CheckSat/CheckSatAssuming are virtual so decorators can interpose
  * (the parallel exploration subsystem wraps each worker's solver with a
@@ -97,6 +99,18 @@ class Solver
   public:
     explicit Solver(ExprContext *ctx, SolverConfig config = {});
     virtual ~Solver();
+
+    /**
+     * A thread's SAT instance is freed after a query that grew it past
+     * this many SAT variables, instead of being Reset for the next one,
+     * so one rare large query does not pin its buffers for the thread's
+     * lifetime. fsp's largest instance has 712 vars; 0.14% of
+     * deep-par4's SAT calls and 0.01% of the corpus's exceed 1,024.
+     * Kept unbounded, the retained buffers raised deep-par4's e2ebench
+     * peak_rss_mb from 17.3 to 21.7 MiB (+25%, 20 s runs); with the
+     * bound it is within 0.3% of one instance per query.
+     */
+    static constexpr uint32_t kMaxRetainedSatVars = 1024;
 
     /**
      * Check satisfiability of the conjunction of `assertions`.
@@ -144,8 +158,8 @@ class Solver
   protected:
     /**
      * Shared workhorse for subclasses: canonicalize, consult the memo
-     * cache, then the interval check and a fresh SAT instance. `extras`
-     * may be null.
+     * cache, then the interval check and the thread's SAT instance,
+     * Reset for the query. `extras` may be null.
      */
     CheckResult CheckSatSets(const std::vector<ExprRef> &base,
                              const std::vector<ExprRef> *extras,
@@ -173,9 +187,11 @@ class Solver
                       const std::vector<ExprRef> *extras,
                       std::vector<ExprRef> *live) const;
 
-    /** Solve `live` on a SAT instance discarded afterwards. On kSat,
-     *  fills `out_model` with every variable of `live` and checks each
-     *  assertion against it with smt/eval. */
+    /** Solve `live` on the thread's SAT instance, Reset first and
+     *  freed afterwards if it grew past kMaxRetainedSatVars. On kSat,
+     *  fills `out_model` with every variable of `live`, read from the
+     *  bit-blaster, and checks each assertion against it with
+     *  smt/eval. */
     CheckStatus SolveFresh(const std::vector<ExprRef> &live,
                            Model *out_model);
 

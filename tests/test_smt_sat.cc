@@ -1,10 +1,13 @@
 // Achilles reproduction -- tests.
 //
 // Unit and property tests for the CDCL SAT solver, including brute-force
-// cross-checks on random 3-SAT instances.
+// cross-checks on random 3-SAT instances, a Reset solver checked against
+// a new one, and the pinned counters of a seeded instance stream.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include "smt/sat.h"
@@ -100,6 +103,23 @@ TEST(SatSolverTest, IncrementalClauseAddition)
     EXPECT_TRUE(s.Value(b));
     s.AddUnit(Lit(b, true));
     EXPECT_EQ(s.Solve(), SatStatus::kUnsat);
+}
+
+TEST(SatSolverTest, ResolveAfterSatDecidesUnassignedVars)
+{
+    // The first Solve decides every var (false) without a conflict; the
+    // clause added afterwards backtracks them all, and the second Solve
+    // must decide them again -- a and b, after which c propagates --
+    // not stop where the first one left off.
+    SatSolver s;
+    const uint32_t a = s.NewVar();
+    const uint32_t b = s.NewVar();
+    const uint32_t c = s.NewVar();
+    ASSERT_EQ(s.Solve(), SatStatus::kSat);
+    s.AddTernary(Lit(a, false), Lit(b, false), Lit(c, false));
+    ASSERT_EQ(s.Solve(), SatStatus::kSat);
+    EXPECT_TRUE(s.Value(a) || s.Value(b) || s.Value(c));
+    EXPECT_EQ(s.counters().decisions, 5);
 }
 
 /** Pigeonhole principle PHP(n+1, n): always UNSAT, needs real search. */
@@ -223,6 +243,114 @@ TEST_P(RandomThreeSatTest, MatchesBruteForce)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomThreeSatTest,
                          ::testing::Range(0, 8));
+
+// ------------------------------------------------ seeded instance stream
+
+/**
+ * Build and solve instance `index` of a seeded stream:
+ *   - random 3-SAT near the phase transition (~4.26 clauses/var), so
+ *     both verdicts occur and most instances conflict;
+ *   - a pigeonhole refutation, some under a small learnt cap so that
+ *     ReduceDB evicts and the arena is garbage-collected;
+ *   - PHP(9, 8) under a 2-conflict budget, which returns kUnknown.
+ * `s` must be empty.
+ */
+SatStatus
+SolveStreamInstance(SatSolver *s, uint64_t index)
+{
+    Rng rng(0x5eed5a7ull * (index + 1));
+    switch (rng.Below(6)) {
+      case 0:
+        BuildPigeonhole(s, static_cast<int>(3 + rng.Below(3)));
+        if (rng.Chance(0.5))
+            s->SetLearntCap(8);
+        return s->Solve();
+      case 1:
+        BuildPigeonhole(s, 8);
+        return s->Solve(2);
+      default: {
+        const uint32_t num_vars = static_cast<uint32_t>(20 + rng.Below(61));
+        for (uint32_t v = 0; v < num_vars; ++v)
+            s->NewVar();
+        const uint32_t num_clauses =
+            static_cast<uint32_t>(num_vars * 4.26 + 0.5);
+        for (uint32_t i = 0; i < num_clauses; ++i) {
+            s->AddTernary(
+                Lit(static_cast<uint32_t>(rng.Below(num_vars)),
+                    rng.Chance(0.5)),
+                Lit(static_cast<uint32_t>(rng.Below(num_vars)),
+                    rng.Chance(0.5)),
+                Lit(static_cast<uint32_t>(rng.Below(num_vars)),
+                    rng.Chance(0.5)));
+        }
+        return s->Solve();
+      }
+    }
+}
+
+constexpr uint64_t kStreamInstances = 80;
+
+TEST(SatSolverTest, ResetMatchesFreshInstance)
+{
+    // One solver Reset between instances must behave exactly like a new
+    // solver per instance: same verdict, same model, same counters.
+    SatSolver reused;
+    int verdicts[3] = {0, 0, 0};
+    for (uint64_t i = 0; i < kStreamInstances; ++i) {
+        if (i > 0)
+            reused.Reset();
+        SatSolver fresh;
+        const SatStatus want = SolveStreamInstance(&fresh, i);
+        const SatStatus got = SolveStreamInstance(&reused, i);
+        ++verdicts[static_cast<int>(want)];
+        ASSERT_EQ(got, want) << "instance " << i;
+        ASSERT_EQ(reused.NumVars(), fresh.NumVars()) << "instance " << i;
+        if (want == SatStatus::kSat) {
+            for (uint32_t v = 0; v < fresh.NumVars(); ++v)
+                ASSERT_EQ(reused.Value(v), fresh.Value(v))
+                    << "instance " << i << " var " << v;
+        }
+        ASSERT_EQ(reused.stats().All(), fresh.stats().All())
+            << "instance " << i;
+    }
+    EXPECT_GT(verdicts[static_cast<int>(SatStatus::kSat)], 0);
+    EXPECT_GT(verdicts[static_cast<int>(SatStatus::kUnsat)], 0);
+    EXPECT_GT(verdicts[static_cast<int>(SatStatus::kUnknown)], 0);
+}
+
+TEST(SatSolverTest, SeededStreamCountersArePinned)
+{
+    // The summed counters, verdict counts (verdict.<SatStatus>) and a
+    // digest of every model of the seeded stream, each instance on a
+    // new solver. Any change to decision order, clause normalization or
+    // learning moves them. The values were recorded with an order heap
+    // kept from the first var on and clauses normalized in a copy, so
+    // they also pin that the lazy heap and in-place normalization
+    // decide exactly as those did.
+    obs::CounterView total;
+    uint64_t model_digest = 0xcbf29ce484222325ull;
+    for (uint64_t i = 0; i < kStreamInstances; ++i) {
+        SatSolver s;
+        const SatStatus status = SolveStreamInstance(&s, i);
+        total.Merge(s.stats());
+        total.Add("verdict." + std::to_string(static_cast<int>(status)), 1);
+        if (status != SatStatus::kSat)
+            continue;
+        for (uint32_t v = 0; v < s.NumVars(); ++v)
+            model_digest = (model_digest ^ (s.Value(v) ? 1 : 0)) *
+                           0x100000001b3ull;
+    }
+    const std::map<std::string, int64_t> want = {
+        {"sat.budget_exhausted", 8}, {"sat.conflicts", 3814},
+        {"sat.decisions", 5062},     {"sat.learnt_clauses", 3587},
+        {"sat.learnts_removed", 200}, {"sat.propagations", 56913},
+        {"sat.reduce_dbs", 4},       {"sat.restarts", 12},
+        {"sat.solve_calls", 80},     {"verdict.0", 31},
+        {"verdict.1", 41},           {"verdict.2", 8},
+    };
+    EXPECT_EQ(total.All(), want);
+    EXPECT_EQ(model_digest, 11710914944715472621ull);
+}
 
 }  // namespace
 }  // namespace smt

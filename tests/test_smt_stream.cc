@@ -3,15 +3,18 @@
 // The solver facade across a stream of queries: the CheckSatAssuming
 // surface, cache model-upgrade semantics, the stale-model regression
 // (every non-kSat return path must clear the caller's Model), budget
-// exhaustion, learnt-clause eviction, and a long stateful differential
+// exhaustion, learnt-clause eviction, a long stateful differential
 // stream through the default facade against an unoptimized reference
 // (same verdicts, and every requested model is the one a fresh solver
-// returns, whatever the stream asked before).
+// returns, whatever the stream asked before), and large and small
+// instances interleaved, which crosses both the reset and the free path
+// of the per-thread SAT instance.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "smt/bitblast.h"
 #include "smt/eval.h"
 #include "smt/expr.h"
 #include "smt/sat.h"
@@ -248,6 +251,108 @@ TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
     EXPECT_GE(solver.stats().Get("solver.sat_calls"), 500);
     EXPECT_GE(solver.stats().Get("solver.cache_hits"), 100);
     EXPECT_GE(solver.stats().Get("solver.interval_unsat"), 1);
+}
+
+// ------------------------------------------- large and small instances
+
+TEST(SolverStreamSizeTest, LargeInstancesInterleavedMatchReverseOrder)
+{
+    // SolveFresh keeps one SAT instance per thread and Resets it before
+    // each query, but frees it after a query larger than
+    // kMaxRetainedSatVars. A stream mixing 32-bit multiply/divide
+    // queries (above the bound) with small 8-bit ones crosses both
+    // paths; answered forward and in reverse, on fresh solvers, every
+    // verdict and model must be the same.
+    ExprContext ctx;
+    const ExprRef x = ctx.FreshVar("x", 32);
+    const ExprRef y = ctx.FreshVar("y", 32);
+    const ExprRef z = ctx.FreshVar("z", 32);
+    const ExprRef a = ctx.FreshVar("a", 8);
+    const ExprRef b = ctx.FreshVar("b", 8);
+    auto c32 = [&](uint64_t v) { return ctx.MakeConst(32, v); };
+    auto c8 = [&](uint64_t v) { return ctx.MakeConst(8, v); };
+
+    Rng rng(0xb16b00b5ull);
+    std::vector<std::vector<ExprRef>> queries;
+    std::vector<bool> large;
+    for (int i = 0; i < 24; ++i) {
+        const uint64_t p = 1 + rng.Below(1u << 16);
+        const uint64_t q = 1 + rng.Below(1u << 16);
+        const uint64_t k = rng.Below(256);
+        const uint64_t m = rng.Below(256);
+        switch (i % 6) {
+          case 0:  // product of two pinned factors
+            queries.push_back({ctx.MakeEq(ctx.MakeMul(x, y), z),
+                               ctx.MakeEq(x, c32(p)), ctx.MakeEq(y, c32(q))});
+            break;
+          case 1:  // the same with a wrong product: UNSAT
+            queries.push_back(
+                {ctx.MakeEq(ctx.MakeMul(x, y), z), ctx.MakeEq(x, c32(p)),
+                 ctx.MakeEq(y, c32(q)),
+                 ctx.MakeNe(z, c32(p * q & 0xffffffffu))});
+            break;
+          case 2:  // a dividend for a quotient and divisor
+            queries.push_back({ctx.MakeEq(ctx.MakeUDiv(x, y), c32(p)),
+                               ctx.MakeEq(y, c32(q & 0xff))});
+            break;
+          case 3:  // small 8-bit queries
+            queries.push_back({ctx.MakeEq(ctx.MakeAdd(a, b), c8(k)),
+                               ctx.MakeUlt(a, c8(m))});
+            break;
+          case 4:  // a + b is even when a == b: UNSAT
+            queries.push_back({ctx.MakeEq(ctx.MakeAdd(a, b), c8(k | 1)),
+                               ctx.MakeEq(ctx.MakeXor(a, b), c8(0))});
+            break;
+          default:
+            queries.push_back({ctx.MakeEq(ctx.MakeAdd(a, b), c8(k)),
+                               ctx.MakeEq(ctx.MakeXor(a, b), c8(m))});
+            break;
+        }
+        large.push_back(i % 6 < 3);
+    }
+
+    for (size_t i = 0; i < queries.size(); ++i) {
+        if (!large[i])
+            continue;
+        SatSolver sat;
+        BitBlaster blaster(&sat);
+        for (ExprRef e : queries[i])
+            blaster.AssertTrue(e);
+        ASSERT_GT(sat.NumVars(), Solver::kMaxRetainedSatVars)
+            << "query " << i;
+    }
+
+    auto answer = [&](bool reverse, std::vector<CheckResult> *verdicts,
+                      std::vector<Model> *models) {
+        Solver solver(&ctx);
+        verdicts->assign(queries.size(), CheckResult::kUnknown);
+        models->assign(queries.size(), Model());
+        for (size_t n = 0; n < queries.size(); ++n) {
+            const size_t i = reverse ? queries.size() - 1 - n : n;
+            (*verdicts)[i] = solver.CheckSat(queries[i], &(*models)[i]);
+        }
+    };
+    std::vector<CheckResult> forward, backward;
+    std::vector<Model> forward_models, backward_models;
+    answer(false, &forward, &forward_models);
+    answer(true, &backward, &backward_models);
+    int sat[2] = {0, 0}, unsat[2] = {0, 0};
+    for (size_t i = 0; i < queries.size(); ++i) {
+        ASSERT_NE(forward[i], CheckResult::kUnknown) << "query " << i;
+        ASSERT_EQ(forward[i], backward[i]) << "query " << i;
+        ASSERT_EQ(forward_models[i].values(), backward_models[i].values())
+            << "query " << i;
+        const int side = large[i] ? 1 : 0;
+        if (forward[i] == CheckResult::kSat)
+            ++sat[side];
+        else
+            ++unsat[side];
+    }
+    // Both verdicts, on both sides of the bound.
+    for (int is_large = 0; is_large < 2; ++is_large) {
+        EXPECT_GT(sat[is_large], 0);
+        EXPECT_GT(unsat[is_large], 0);
+    }
 }
 
 // ----------------------------------------------------------------- SAT
