@@ -1,9 +1,9 @@
-// Achilles reproduction -- SMT solver micro-benchmarks (ablation).
+// Achilles reproduction -- SMT solver micro-benchmarks.
 //
-// Measures the design choices of the solver substrate: the interval
-// fast path vs full bit-blasting, arithmetic and Trojan-shaped queries,
-// expression interning, concrete evaluation, and raw CDCL search on a
-// hard instance.
+// Measures the solver substrate: a range conflict refuted while its
+// clauses are emitted, arithmetic and Trojan-shaped queries, expression
+// interning, concrete evaluation, and raw CDCL search on a hard
+// instance.
 
 #include <benchmark/benchmark.h>
 
@@ -19,9 +19,10 @@ using namespace achilles::smt;
 
 namespace {
 
-/** Range-conflict queries: the interval pre-check refutes these. */
+/** Range conflict on one field: unit propagation refutes it while the
+ *  clauses are emitted, with no decision or conflict. */
 void
-BM_IntervalFastPathUnsat(benchmark::State &state)
+BM_RangeConflictUnsat(benchmark::State &state)
 {
     ExprContext ctx;
     ExprRef x = ctx.FreshVar("x", 32);
@@ -36,27 +37,7 @@ BM_IntervalFastPathUnsat(benchmark::State &state)
         benchmark::DoNotOptimize(solver.CheckSat(query));
     }
 }
-BENCHMARK(BM_IntervalFastPathUnsat);
-
-/** The same queries with the interval check disabled: full bit-blast. */
-void
-BM_BitblastUnsat(benchmark::State &state)
-{
-    ExprContext ctx;
-    ExprRef x = ctx.FreshVar("x", 32);
-    std::vector<ExprRef> query{
-        ctx.MakeUlt(x, ctx.MakeConst(32, 100)),
-        ctx.MakeUge(x, ctx.MakeConst(32, 200)),
-    };
-    for (auto _ : state) {
-        SolverConfig config;
-        config.use_interval_check = false;
-        config.enable_cache = false;
-        Solver solver(&ctx, config);
-        benchmark::DoNotOptimize(solver.CheckSat(query));
-    }
-}
-BENCHMARK(BM_BitblastUnsat);
+BENCHMARK(BM_RangeConflictUnsat);
 
 /** SAT query with arithmetic: multiply/add chains like CRC checks. */
 void

@@ -189,9 +189,16 @@ SatSolver::AddClauseInPlace(Lit *lits, size_t n)
 
     // Normalize: sort, dedupe, drop level-0-false literals, detect
     // tautologies and level-0-true literals. The kept literals move to
-    // the front of `lits`, in sorted order.
-    std::sort(lits, lits + n,
-              [](Lit a, Lit b) { return a.code() < b.code(); });
+    // the front of `lits`, in sorted order. Insertion sort, because the
+    // bit-blaster's clauses have 1-3 literals; equal codes are equal
+    // literals, so the result is the one any sort would give.
+    for (size_t i = 1; i < n; ++i) {
+        const Lit l = lits[i];
+        size_t j = i;
+        for (; j > 0 && l.code() < lits[j - 1].code(); --j)
+            lits[j] = lits[j - 1];
+        lits[j] = l;
+    }
     size_t kept = 0;
     Lit prev = Lit::FromCode(0xffffffffu);
     for (size_t i = 0; i < n; ++i) {

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "smt/bitblast.h"
-#include "smt/interval.h"
 #include "smt/sat.h"
 
 namespace achilles {
@@ -42,7 +41,6 @@ SolverStats::AddTo(obs::CounterView *view) const
     view->Add("solver.trivial_unsat", trivial_unsat);
     view->Add("solver.cache_hits", cache_hits);
     view->Add("solver.cache_model_upgrades", cache_model_upgrades);
-    view->Add("solver.interval_unsat", interval_unsat);
     view->Add("solver.sat_calls", sat_calls);
     view->Add("solver.sat_conflicts", sat_conflicts);
     view->Add("solver.sat_decisions", sat_decisions);
@@ -75,14 +73,6 @@ Solver::AssertionsHash::operator()(
         key += h;
     }
     return static_cast<size_t>(key);
-}
-
-CheckResult
-Solver::CheckSatExpr(ExprRef e, Model *model)
-{
-    std::vector<ExprRef> conjuncts;
-    FlattenConjunction(e, &conjuncts);
-    return CheckSat(conjuncts, model);
 }
 
 CheckResult
@@ -192,18 +182,6 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
             ++stats_.cache_model_upgrades;
             upgrade_entry = &entry;
         }
-    }
-
-    if (config_.use_interval_check && upgrade_entry == nullptr &&
-        IntervalChecker().DefinitelyUnsat(live)) {
-        ++stats_.interval_unsat;
-        if (config_.enable_cache) {
-            cache_.emplace(live, CacheEntry{CheckStatus::kUnsat,
-                                            /*has_model=*/true, Model()});
-        }
-        if (model)
-            *model = Model();
-        return finish(CheckStatus::kUnsat);
     }
 
     Model out_model;

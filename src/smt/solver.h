@@ -2,9 +2,8 @@
 //
 // Solver facade: the QF_BV decision procedure used by every other layer
 // (symbolic execution feasibility checks, negate-operator overlap checks,
-// differentFrom precomputation, Trojan queries). Combines a fast interval
-// pre-check with bit-blasting + CDCL, plus a query cache, standing in for
-// the STP/Z3 usage in the paper.
+// differentFrom precomputation, Trojan queries). Bit-blasting + CDCL
+// behind a query cache, standing in for the STP/Z3 usage in the paper.
 
 #ifndef ACHILLES_SMT_SOLVER_H_
 #define ACHILLES_SMT_SOLVER_H_
@@ -37,7 +36,6 @@ struct SolverStats
     int64_t trivial_unsat = 0;
     int64_t cache_hits = 0;
     int64_t cache_model_upgrades = 0;
-    int64_t interval_unsat = 0;
     int64_t sat_calls = 0;
     int64_t sat_conflicts = 0;
     int64_t sat_decisions = 0;
@@ -49,8 +47,6 @@ struct SolverStats
 /** Tunables for the solver facade. */
 struct SolverConfig
 {
-    /** Run the interval UNSAT pre-check before bit-blasting. */
-    bool use_interval_check = true;
     /** Conflict budget for the SAT search; < 0 means unlimited. */
     int64_t max_conflicts = -1;
     /** Memoize query results keyed by the assertion set. */
@@ -80,13 +76,15 @@ struct BatchOutcome
  * The decision procedure facade.
  *
  * The memo cache is the only state it holds across queries. A query
- * that gets past canonicalization, the memo cache and the interval
- * pre-check is bit-blasted into its thread's SAT instance (a SatSolver
- * and BitBlaster pair shared by every Solver on the thread), which is
- * Reset to the state of a newly constructed pair before each query and
- * keeps nothing but buffer capacity. So every verdict and model is a
- * pure function of the canonical query -- the same across runs, worker
- * counts and query history.
+ * that gets past canonicalization and the memo cache is bit-blasted
+ * into its thread's SAT instance (a SatSolver and BitBlaster pair
+ * shared by every Solver on the thread), which is Reset to the state of
+ * a newly constructed pair before each query and keeps nothing but
+ * buffer capacity. A conjunction that unit propagation alone refutes,
+ * such as contradictory range checks on one field, fails while its
+ * clauses are emitted and costs no decision or conflict. So every
+ * verdict and model is a pure function of the canonical query -- the
+ * same across runs, worker counts and query history.
  *
  * CheckSat/CheckSatAssuming are virtual so decorators can interpose
  * (the parallel exploration subsystem wraps each worker's solver with a
@@ -140,16 +138,6 @@ class Solver
     CheckSatBatch(const std::vector<ExprRef> &base,
                   const std::vector<const std::vector<ExprRef> *> &groups);
 
-    /** Convenience overload for a single (possibly And-tree) assertion. */
-    CheckResult CheckSatExpr(ExprRef e, Model *model = nullptr);
-
-    /** True iff the conjunction is satisfiable (kUnknown -> false). */
-    bool
-    IsSat(const std::vector<ExprRef> &assertions)
-    {
-        return CheckSat(assertions) == CheckResult::kSat;
-    }
-
     ExprContext *ctx() { return ctx_; }
     const SolverConfig &config() const { return config_; }
     /** The solver's counters as a name -> value view. */
@@ -158,8 +146,8 @@ class Solver
   protected:
     /**
      * Shared workhorse for subclasses: canonicalize, consult the memo
-     * cache, then the interval check and the thread's SAT instance,
-     * Reset for the query. `extras` may be null.
+     * cache, then solve on the thread's SAT instance, Reset for the
+     * query. `extras` may be null.
      */
     CheckResult CheckSatSets(const std::vector<ExprRef> &base,
                              const std::vector<ExprRef> *extras,

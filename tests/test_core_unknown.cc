@@ -186,8 +186,9 @@ TEST_F(UnknownConservatismTest, RealBudgetExhaustionIsConservative)
 
     // Budget-starved kUnsat proofs are a subset of the real solver's,
     // so pruning can only be weaker: the explored accepting paths are a
-    // superset. (Predicate drops can still happen soundly -- interval
-    // refutations cost no conflicts -- so live counts are not pinned.)
+    // superset. (Predicate drops can still happen soundly --
+    // refutations found during clause emission cost no conflicts -- so
+    // live counts are not pinned.)
     EXPECT_GE(analysis.accepting_paths.size(), real.accepting_paths.size());
     EXPECT_FALSE(analysis.live_samples.empty());
 }

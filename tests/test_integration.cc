@@ -156,10 +156,9 @@ using WitnessKey =
 
 /**
  * One serial RunAchilles over `factory`'s protocol. The reference
- * configuration turns off every optional solver layer (memo cache,
- * interval pre-check) and the explorer's differentFrom matrix, leaving
- * the paper's predicate dropping and state pruning on fresh SAT
- * instances.
+ * configuration turns off the solver's memo cache and the explorer's
+ * differentFrom matrix, leaving the paper's predicate dropping and
+ * state pruning on fresh SAT instances.
  */
 std::vector<WitnessKey>
 WitnessesOf(const proto::ProtocolFactory &factory, bool reference)
@@ -169,7 +168,6 @@ WitnessesOf(const proto::ProtocolFactory &factory, bool reference)
     core::AchillesConfig config;
     if (reference) {
         solver_config.enable_cache = false;
-        solver_config.use_interval_check = false;
         config.server_config.use_different_from = false;
     }
     smt::ExprContext ctx;

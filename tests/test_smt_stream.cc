@@ -77,9 +77,9 @@ TEST_F(SolverStreamTest, CachedSatEntryUpgradesToModel)
 
 TEST_F(SolverStreamTest, StaleModelClearedOnEveryUnsatPath)
 {
-    // Regression: the interval-UNSAT early return (and the trivial-unsat
-    // return) used to leave the caller's Model untouched, so reusing one
-    // Model object across queries read the previous query's values.
+    // Regression: early kUnsat returns (and the trivial-unsat return)
+    // used to leave the caller's Model untouched, so reusing one Model
+    // object across queries read the previous query's values.
     ExprRef x = ctx.FreshVar("x", 8);
     Model model;
     ASSERT_EQ(solver.CheckSat({ctx.MakeEq(x, ctx.MakeConst(8, 42))},
@@ -87,7 +87,8 @@ TEST_F(SolverStreamTest, StaleModelClearedOnEveryUnsatPath)
               CheckResult::kSat);
     ASSERT_EQ(model.Get(x->VarId()), 42u);
 
-    // Interval-refuted UNSAT.
+    // Range conflict: SolveFresh returns kUnsat once clause emission
+    // fails, before any search.
     EXPECT_EQ(solver.CheckSat({ctx.MakeUlt(x, ctx.MakeConst(8, 10)),
                                ctx.MakeUgt(x, ctx.MakeConst(8, 20))},
                               &model),
@@ -102,8 +103,8 @@ TEST_F(SolverStreamTest, StaleModelClearedOnEveryUnsatPath)
     EXPECT_EQ(solver.CheckSat({ctx.False()}, &model), CheckResult::kUnsat);
     EXPECT_TRUE(model.values().empty());
 
-    // SAT-search-refuted UNSAT (interval checker cannot see through
-    // xor): model must still come back empty.
+    // UNSAT refuted by the SAT search: the model must still come back
+    // empty.
     ASSERT_EQ(solver.CheckSat({ctx.MakeEq(x, ctx.MakeConst(8, 42))},
                               &model),
               CheckResult::kSat);
@@ -153,14 +154,13 @@ TEST_F(SolverStreamTest, BudgetExhaustionIsUnknownAndUncached)
 
 TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
 {
-    // One default solver -- memo cache and interval pre-check, both
-    // carrying state from query to query -- answers a long seeded
-    // stream whose base grows, shrinks and stays shared between
-    // consecutive queries, the shape of the explorer's pathS streams.
-    // Every verdict must match a fresh solver with both off, and every
-    // requested model must satisfy its query and equal the fresh
-    // solver's model for it: the solver carries nothing but its memo
-    // cache from query to query.
+    // One default solver -- its memo cache carrying state from query
+    // to query -- answers a long seeded stream whose base grows, shrinks
+    // and stays shared between consecutive queries, the shape of the
+    // explorer's pathS streams. Every verdict must match a fresh solver
+    // with the cache off, and every requested model must satisfy its
+    // query and equal the fresh solver's model for it: the solver
+    // carries nothing but its memo cache from query to query.
     ExprContext ctx;
     std::vector<ExprRef> vars;
     for (int i = 0; i < 4; ++i)
@@ -193,7 +193,6 @@ TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
 
     SolverConfig reference_config;
     reference_config.enable_cache = false;
-    reference_config.use_interval_check = false;
     auto reference_check = [&](const std::vector<ExprRef> &assertions,
                                Model *model) {
         Solver reference(&ctx, reference_config);
@@ -245,12 +244,12 @@ TEST(SolverStreamDifferentialTest, LongStreamAgreesWithUnoptimizedReference)
         }
         ++unsat;
     }
-    // The stream is mixed, and every optimized layer took part.
+    // The stream is mixed, and both the cache and the SAT path took
+    // part.
     EXPECT_GT(sat, 400);
     EXPECT_GT(unsat, 400);
     EXPECT_GE(solver.stats().Get("solver.sat_calls"), 500);
     EXPECT_GE(solver.stats().Get("solver.cache_hits"), 100);
-    EXPECT_GE(solver.stats().Get("solver.interval_unsat"), 1);
 }
 
 // ------------------------------------------- large and small instances
