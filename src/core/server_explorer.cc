@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
 
 #include "exec/worker.h"
 #include "persist/snapshot.h"
@@ -243,14 +242,16 @@ ServerExplorer::PredicateMatches(Plane &plane, const symexec::State &state,
     // iterating i over the live set re-asserts the same base without
     // copying it into a new vector per predicate.
     ++plane.stats->match_queries;
-    return plane.solver->CheckSatAssuming(state.constraints(),
-                                          (*plane.match)[i]);
+    const std::vector<smt::ExprRef> &match = (*plane.match)[i];
+    if (state.path_sat())
+        return plane.solver->CheckSatOnSatBase(state.constraints(), match);
+    return plane.solver->CheckSatAssuming(state.constraints(), match);
 }
 
 smt::CheckResult
 ServerExplorer::TrojanQuery(
     Plane &plane, const std::vector<smt::ExprRef> &path_constraints,
-    const std::vector<uint32_t> &live, smt::Model *model)
+    bool path_sat, const std::vector<uint32_t> &live, smt::Model *model)
 {
     std::vector<smt::ExprRef> negations;
     negations.reserve(live.size());
@@ -264,6 +265,8 @@ ServerExplorer::TrojanQuery(
         negations.push_back((*plane.negations)[i]);
     }
     ++plane.stats->trojan_queries;
+    if (model == nullptr && path_sat)
+        return plane.solver->CheckSatOnSatBase(path_constraints, negations);
     return plane.solver->CheckSatAssuming(path_constraints, negations,
                                           model);
 }
@@ -271,10 +274,8 @@ ServerExplorer::TrojanQuery(
 std::vector<std::string>
 ServerExplorer::TouchedFields(const Plane &plane, smt::ExprRef e) const
 {
-    std::unordered_set<uint32_t> vars;
-    plane.ctx->CollectVars(e, &vars);
     std::vector<std::string> fields;
-    for (uint32_t v : vars) {
+    for (uint32_t v : plane.ctx->VarsOf(e)) {
         auto it = var_to_offset_.find(v);
         if (it == var_to_offset_.end())
             continue;
@@ -341,8 +342,9 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
         LiveSetSample{state.depth(), data->live.size()});
 
     if (config_.prune_trojan_free_states) {
-        const smt::CheckResult r =
-            TrojanQuery(plane, state.constraints(), data->live, nullptr);
+        const smt::CheckResult r = TrojanQuery(
+            plane, state.constraints(), state.path_sat(), data->live,
+            nullptr);
         if (r == smt::CheckResult::kUnsat) {
             ++plane.stats->states_pruned;
             obs::TraceInstant(plane.obs.tracer, plane.obs.lane,
@@ -359,8 +361,8 @@ ServerExplorer::EmitTrojan(Plane &plane, const symexec::State &state,
                            const std::vector<uint32_t> &live)
 {
     smt::Model model;
-    const smt::CheckResult r =
-        TrojanQuery(plane, state.constraints(), live, &model);
+    const smt::CheckResult r = TrojanQuery(
+        plane, state.constraints(), state.path_sat(), live, &model);
     if (r != smt::CheckResult::kSat) {
         ++plane.stats->accepting_without_trojans;
         return;
@@ -509,7 +511,8 @@ ServerExplorer::Run()
             all[i] = static_cast<uint32_t>(i);
         for (const symexec::PathResult &path : analysis_.accepting_paths) {
             smt::Model model;
-            if (TrojanQuery(plane, path.constraints, all, &model) !=
+            if (TrojanQuery(plane, path.constraints, /*path_sat=*/false, all,
+                            &model) !=
                 smt::CheckResult::kSat) {
                 continue;
             }

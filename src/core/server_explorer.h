@@ -219,15 +219,22 @@ class ServerExplorer : public symexec::Listener
     /** Live-set of a state, creating the full set on first touch. */
     LiveSet *GetLiveSet(symexec::State &state);
 
-    /** Combined query: state constraints + client predicate i matches. */
+    /** Combined query: state constraints + client predicate i matches,
+     *  sliced while the state's path_sat() holds. */
     smt::CheckResult PredicateMatches(Plane &plane,
                                       const symexec::State &state,
                                       size_t i);
 
-    /** Trojan query for a state; fills the model when sat. */
+    /**
+     * Trojan query for a path; fills the model when sat. A model-less
+     * query on a path proven satisfiable (`path_sat`, see
+     * symexec::State::path_sat) is sliced by
+     * smt::Solver::CheckSatOnSatBase; a model query never is.
+     */
     smt::CheckResult TrojanQuery(
         Plane &plane, const std::vector<smt::ExprRef> &path_constraints,
-        const std::vector<uint32_t> &live, smt::Model *model);
+        bool path_sat, const std::vector<uint32_t> &live,
+        smt::Model *model);
 
     /** Fields constrained by an expression (via message byte vars). */
     std::vector<std::string> TouchedFields(const Plane &plane,

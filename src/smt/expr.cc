@@ -632,6 +632,39 @@ ExprContext::CollectVars(ExprRef e, std::unordered_set<uint32_t> *out) const
     }
 }
 
+const std::vector<uint32_t> &
+ExprContext::VarsOf(ExprRef e)
+{
+    auto it = var_sets_.find(e);
+    if (it != var_sets_.end())
+        return it->second;
+    std::vector<uint32_t> vars;
+    std::vector<ExprRef> stack{e};
+    std::unordered_set<const Expr *> seen;
+    while (!stack.empty()) {
+        ExprRef node = stack.back();
+        stack.pop_back();
+        // max_var_bound() == 0: a variable-free sub-DAG.
+        if (node->max_var_bound() == 0 || !seen.insert(node).second)
+            continue;
+        if (node->IsVar()) {
+            vars.push_back(node->VarId());
+            continue;
+        }
+        auto memo = var_sets_.find(node);
+        if (memo != var_sets_.end()) {
+            vars.insert(vars.end(), memo->second.begin(), memo->second.end());
+            continue;
+        }
+        for (ExprRef kid : node->kids())
+            stack.push_back(kid);
+    }
+    std::sort(vars.begin(), vars.end());
+    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+    vars.shrink_to_fit();
+    return var_sets_.emplace(e, std::move(vars)).first->second;
+}
+
 ExprRef
 ExprContext::Substitute(ExprRef e,
                         const std::unordered_map<uint32_t, ExprRef> &map)

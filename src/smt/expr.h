@@ -273,6 +273,14 @@ class ExprContext
     void CollectVars(ExprRef e, std::unordered_set<uint32_t> *out) const;
 
     /**
+     * The sorted, duplicate-free ids of the variables appearing in `e`,
+     * memoized per node asked about: the first call walks e's DAG
+     * (taking the sets of memoized sub-nodes whole), later calls are one
+     * lookup. The reference stays valid for the context's lifetime.
+     */
+    const std::vector<uint32_t> &VarsOf(ExprRef e);
+
+    /**
      * Substitute variables in `e` according to `map` (var id -> expr).
      * Unmapped variables are left untouched. Used by the negate
      * operator's exact fast path and by predicate renaming.
@@ -301,6 +309,8 @@ class ExprContext
     std::unordered_set<const Expr *, NodeHash, NodeEq> interned_;
     std::vector<VarInfo> vars_;
     std::vector<ExprRef> var_nodes_;
+    /** VarsOf's memo. */
+    std::unordered_map<const Expr *, std::vector<uint32_t>> var_sets_;
     ExprRef true_ = nullptr;
     ExprRef false_ = nullptr;
 };

@@ -88,6 +88,54 @@ Solver::CheckSatAssuming(const std::vector<ExprRef> &base,
     return CheckSatSets(base, &extras, model);
 }
 
+CheckResult
+Solver::CheckSatOnSatBase(const std::vector<ExprRef> &base,
+                          const std::vector<ExprRef> &extras)
+{
+    slice_marks_.resize(ctx_->NumVars());
+    std::vector<uint32_t> marked;
+    const auto mark = [&](const std::vector<uint32_t> &vars) {
+        for (uint32_t v : vars) {
+            if (!slice_marks_[v]) {
+                slice_marks_[v] = 1;
+                marked.push_back(v);
+            }
+        }
+    };
+    for (ExprRef e : extras)
+        mark(ctx_->VarsOf(e));
+
+    // Keep every base assertion touching a marked variable and mark its
+    // variables too, until a pass keeps nothing new.
+    std::vector<const std::vector<uint32_t> *> base_vars;
+    base_vars.reserve(base.size());
+    for (ExprRef e : base)
+        base_vars.push_back(&ctx_->VarsOf(e));
+    std::vector<bool> kept(base.size(), false);
+    for (bool grew = true; grew;) {
+        grew = false;
+        for (size_t i = 0; i < base.size(); ++i) {
+            if (kept[i] ||
+                std::none_of(base_vars[i]->begin(), base_vars[i]->end(),
+                             [&](uint32_t v) { return slice_marks_[v]; })) {
+                continue;
+            }
+            kept[i] = true;
+            grew = true;
+            mark(*base_vars[i]);
+        }
+    }
+    for (uint32_t v : marked)
+        slice_marks_[v] = 0;
+
+    std::vector<ExprRef> slice;
+    for (size_t i = 0; i < base.size(); ++i) {
+        if (kept[i])
+            slice.push_back(base[i]);
+    }
+    return CheckSatAssuming(slice, extras);
+}
+
 bool
 Solver::Canonicalize(const std::vector<ExprRef> &base,
                      const std::vector<ExprRef> *extras,

@@ -4,6 +4,9 @@
 // (symbolic execution feasibility checks, negate-operator overlap checks,
 // differentFrom precomputation, Trojan queries). Bit-blasting + CDCL
 // behind a query cache, standing in for the STP/Z3 usage in the paper.
+// Verdict-only queries over a path known to be satisfiable can be sliced
+// to the constraints that share variables with the query, as KLEE does
+// (CheckSatOnSatBase).
 
 #ifndef ACHILLES_SMT_SOLVER_H_
 #define ACHILLES_SMT_SOLVER_H_
@@ -91,6 +94,14 @@ struct BatchOutcome
  * shared cross-worker query cache, see exec/query_cache.h). A Solver
  * instance is not thread-safe; parallel exploration gives each worker
  * its own.
+ *
+ * CheckSatOnSatBase is not virtual: it slices the base and hands the
+ * slice to CheckSatAssuming, so the memo cache and every decorator see,
+ * and cache, the sliced query. Its precondition, a satisfiable base, is
+ * the caller's to keep; the symbolic executor keeps it with
+ * symexec::State::path_sat(). Model queries always take the full base,
+ * so every model, and every witness byte built from one, is the same
+ * whether or not the verdict-only queries before it were sliced.
  */
 class Solver
 {
@@ -130,6 +141,20 @@ class Solver
     virtual CheckResult CheckSatAssuming(const std::vector<ExprRef> &base,
                                          const std::vector<ExprRef> &extras,
                                          Model *model = nullptr);
+
+    /**
+     * Verdict of base ∧ extras, for a `base` the caller knows to be
+     * satisfiable (precondition: an unsatisfiable base can be answered
+     * kSat). Passes CheckSatAssuming only the base assertions that
+     * share a variable with `extras`, transitively (KLEE's constraint
+     * independence): the rest is satisfiable, being part of a
+     * satisfiable base, and shares no variable with the query, so
+     * dropping it cannot change the verdict. It returns no model,
+     * since a model of the slice would not constrain the dropped
+     * assertions' variables.
+     */
+    CheckResult CheckSatOnSatBase(const std::vector<ExprRef> &base,
+                                  const std::vector<ExprRef> &extras);
 
     /** CheckSatAssuming(base, *groups[i]) per group, in group order. No
      *  caller under src/: kept only because e2ebench/timed_solver.h
@@ -185,6 +210,8 @@ class Solver
 
     ExprContext *ctx_;
     SolverConfig config_;
+    /** CheckSatOnSatBase's per-variable marks, all zero between calls. */
+    std::vector<uint8_t> slice_marks_;
     // Keyed by the canonical assertion vector itself (hashed by the old
     // 64-bit additive key): a hash collision degrades to a miss instead
     // of silently returning another query's result/model.

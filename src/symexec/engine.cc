@@ -177,14 +177,15 @@ Engine::EvalExpr(State &state, const DExprRef &e)
     ACHILLES_UNREACHABLE("bad DKind");
 }
 
-bool
+smt::CheckResult
 Engine::Feasible(const State &state, smt::ExprRef extra)
 {
-    // kUnknown is treated as feasible: exploration must over-approximate
-    // reachability to stay complete. The base/extras split passes the
-    // path prefix by reference instead of copying it per branch.
-    return solver_->CheckSatAssuming(state.constraints(), {extra}) !=
-           smt::CheckResult::kUnsat;
+    // The base/extras split passes the path prefix by reference instead
+    // of copying it per branch. On a path proven satisfiable only the
+    // constraints sharing a variable with `extra` can decide the check.
+    if (state.path_sat())
+        return solver_->CheckSatOnSatBase(state.constraints(), {extra});
+    return solver_->CheckSatAssuming(state.constraints(), {extra});
 }
 
 void
@@ -285,13 +286,20 @@ Engine::ExecuteStep(State &state, std::vector<std::unique_ptr<State>> *spawned)
         }
         state.BumpDepth();
         smt::ExprRef not_cond = ctx_->MakeNot(cond);
-        const bool feas_true = Feasible(state, cond);
-        const bool feas_false = Feasible(state, not_cond);
+        // kUnknown is treated as feasible: exploration must
+        // over-approximate reachability to stay complete. Only kSat
+        // proves the extended path satisfiable.
+        const smt::CheckResult r_true = Feasible(state, cond);
+        const smt::CheckResult r_false = Feasible(state, not_cond);
+        const bool feas_true = r_true != smt::CheckResult::kUnsat;
+        const bool feas_false = r_false != smt::CheckResult::kUnsat;
+        const bool sat_true = r_true == smt::CheckResult::kSat;
+        const bool sat_false = r_false == smt::CheckResult::kSat;
         if (feas_true && feas_false) {
             ++stats_.forks;
             auto other = state.Clone(NextChildId(state));
             other->TopFrame().pc = ins.b;
-            other->AddConstraint(not_cond);
+            other->AddConstraint(not_cond, sat_false);
             bool keep_other = true;
             if (listener_)
                 keep_other = listener_->OnBranch(*other, not_cond);
@@ -303,21 +311,21 @@ Engine::ExecuteStep(State &state, std::vector<std::unique_ptr<State>> *spawned)
             }
 
             frame.pc = ins.a;
-            state.AddConstraint(cond);
+            state.AddConstraint(cond, sat_true);
             if (listener_ && !listener_->OnBranch(state, cond)) {
                 ++stats_.listener_pruned;
                 FinalizePath(state, PathOutcome::kKilled);
             }
         } else if (feas_true) {
             frame.pc = ins.a;
-            state.AddConstraint(cond);
+            state.AddConstraint(cond, sat_true);
             if (listener_ && !listener_->OnBranch(state, cond)) {
                 ++stats_.listener_pruned;
                 FinalizePath(state, PathOutcome::kKilled);
             }
         } else if (feas_false) {
             frame.pc = ins.b;
-            state.AddConstraint(not_cond);
+            state.AddConstraint(not_cond, sat_false);
             if (listener_ && !listener_->OnBranch(state, not_cond)) {
                 ++stats_.listener_pruned;
                 FinalizePath(state, PathOutcome::kKilled);
@@ -447,11 +455,12 @@ Engine::ExecuteStep(State &state, std::vector<std::unique_ptr<State>> *spawned)
             break;
         }
         if (!cond->IsTrue()) {
-            if (!Feasible(state, cond)) {
+            const smt::CheckResult r = Feasible(state, cond);
+            if (r == smt::CheckResult::kUnsat) {
                 FinalizePath(state, PathOutcome::kKilled);
                 break;
             }
-            state.AddConstraint(cond);
+            state.AddConstraint(cond, r == smt::CheckResult::kSat);
             if (listener_ && !listener_->OnBranch(state, cond)) {
                 ++stats_.listener_pruned;
                 FinalizePath(state, PathOutcome::kKilled);

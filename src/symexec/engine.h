@@ -221,7 +221,9 @@ class Engine
     void ExecuteStep(State &state,
                      std::vector<std::unique_ptr<State>> *spawned);
     void FinalizePath(State &state, PathOutcome outcome);
-    bool Feasible(const State &state, smt::ExprRef extra);
+    /** Verdict of the state's path ∧ `extra`; kUnknown counts as
+     *  feasible, and only kSat sets the extended path's path_sat(). */
+    smt::CheckResult Feasible(const State &state, smt::ExprRef extra);
     uint64_t NextChildId(State &parent);
     std::unique_ptr<State> PopNext();
 

@@ -95,9 +95,9 @@ class State
         : accept_label(other.accept_label), id_(other.id_),
           program_(other.program_), frames_(other.frames_),
           constraints_(other.constraints_), sent_(other.sent_),
-          replied_(other.replied_), outcome_(other.outcome_),
-          depth_(other.depth_), steps_(other.steps_),
-          fork_seq_(other.fork_seq_)
+          path_sat_(other.path_sat_), replied_(other.replied_),
+          outcome_(other.outcome_), depth_(other.depth_),
+          steps_(other.steps_), fork_seq_(other.fork_seq_)
     {
         // user_data_ is cloned by Clone(); plain copy leaves it null.
     }
@@ -159,16 +159,33 @@ class State
         return nullptr;
     }
 
+    /**
+     * Append `c` to the path condition. `proven_sat` says whether the
+     * check that admitted it -- of constraints() ∧ c -- answered kSat
+     * (false when no check did); it becomes path_sat().
+     */
     void
-    AddConstraint(smt::ExprRef c)
+    AddConstraint(smt::ExprRef c, bool proven_sat = false)
     {
-        if (!c->IsTrue())
-            constraints_.push_back(c);
+        if (c->IsTrue())
+            return;
+        constraints_.push_back(c);
+        path_sat_ = proven_sat;
     }
     const std::vector<smt::ExprRef> &constraints() const
     {
         return constraints_;
     }
+
+    /**
+     * True when constraints() is proven satisfiable: the empty path, or
+     * a path whose last constraint was admitted by a check that
+     * answered kSat. A kUnknown admission clears it, and the next kSat
+     * one sets it again. While it is set, verdict-only queries over the
+     * path may leave out the constraints that share no variable with
+     * the query (smt::Solver::CheckSatOnSatBase).
+     */
+    bool path_sat() const { return path_sat_; }
 
     void AddSent(SentMessage m) { sent_.push_back(std::move(m)); }
     const std::vector<SentMessage> &sent() const { return sent_; }
@@ -209,6 +226,7 @@ class State
     std::vector<CallFrame> frames_;
     std::vector<smt::ExprRef> constraints_;
     std::vector<SentMessage> sent_;
+    bool path_sat_ = true;
     bool replied_ = false;
     PathOutcome outcome_ = PathOutcome::kRunning;
     size_t depth_ = 0;

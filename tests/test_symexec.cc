@@ -2,11 +2,14 @@
 //
 // Symbolic execution engine tests: DSL construction, concrete and
 // symbolic control flow, forking, arrays with symbolic indices, function
-// calls, environment intrinsics and annotations.
+// calls, environment intrinsics and annotations, and which path
+// conditions count as proven satisfiable, so that checks on them are
+// sliced.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "smt/eval.h"
 #include "smt/solver.h"
@@ -413,6 +416,131 @@ TEST_F(SymexecTest, MakeSymbolicHavocsLocalState)
     auto results = RunProgram(p, Mode::kClient);
     // After havoc both branches are feasible.
     EXPECT_EQ(results.size(), 2u);
+}
+
+// ------------------------------------------------ proven-satisfiable paths
+
+TEST(StatePathSatTest, EmptyPathIsSatAndClonesKeepTheBit)
+{
+    ExprContext ctx;
+    ProgramBuilder b("prog");
+    b.Function("main", {}, 0, [&] { b.Halt(); });
+    const Program p = b.Build();
+    State state(0, &p);
+    EXPECT_TRUE(state.path_sat());
+
+    const smt::ExprRef x = ctx.FreshVar("x", 8);
+    state.AddConstraint(ctx.MakeUlt(x, ctx.MakeConst(8, 10)),
+                        /*proven_sat=*/false);
+    EXPECT_FALSE(state.path_sat());
+    EXPECT_FALSE(state.Clone(1)->path_sat());
+    state.AddConstraint(ctx.MakeUlt(x, ctx.MakeConst(8, 5)),
+                        /*proven_sat=*/true);
+    EXPECT_TRUE(state.path_sat());
+    EXPECT_TRUE(state.Clone(2)->path_sat());
+}
+
+/**
+ * Records every CheckSatAssuming call, and answers kUnknown -- a spent
+ * conflict budget -- to each one whose extras mention a variable of
+ * `unknown_vars`.
+ */
+class GuardSolver : public Solver
+{
+  public:
+    struct Call
+    {
+        std::vector<smt::ExprRef> base;
+        std::vector<smt::ExprRef> extras;
+    };
+
+    explicit GuardSolver(ExprContext *ctx) : Solver(ctx) {}
+
+    CheckResult
+    CheckSatAssuming(const std::vector<smt::ExprRef> &base,
+                     const std::vector<smt::ExprRef> &extras,
+                     Model *model) override
+    {
+        calls.push_back({base, extras});
+        std::unordered_set<uint32_t> vars;
+        for (smt::ExprRef e : extras)
+            ctx()->CollectVars(e, &vars);
+        for (uint32_t v : vars) {
+            if (unknown_vars.count(v) != 0) {
+                if (model)
+                    *model = Model();
+                return CheckResult::kUnknown;
+            }
+        }
+        return Solver::CheckSatAssuming(base, extras, model);
+    }
+
+    std::vector<Call> calls;
+    std::unordered_set<uint32_t> unknown_vars;
+};
+
+TEST_F(SymexecTest, UnknownVerdictKeepsFullPathUntilKSat)
+{
+    // Four forks in a row, on bytes m0..m3. The solver answers kUnknown
+    // to every check on m0 or m1, so below those forks no path is proven
+    // satisfiable: the checks on m1 and m2 must get the state's whole
+    // constraint list, although it shares no variable with them. The
+    // checks on m2 answer kSat, which proves their paths again, so the
+    // checks on m3 are sliced down to nothing.
+    ProgramBuilder b("server");
+    b.Function("main", {}, 0, [&] {
+        b.ReceiveMessage("msg", 4);
+        auto byte = [](uint64_t i) {
+            return ProgramBuilder::ArrayAt("msg", 8, Val::Const(8, i));
+        };
+        b.If(byte(0) == 5, [&] {}, [&] {});
+        b.If(byte(1) < 10, [&] {}, [&] {});
+        b.If(byte(2) < 10, [&] {}, [&] {});
+        b.If(byte(3) < 10, [&] {}, [&] {});
+        b.Halt();
+    });
+    const Program p = b.Build();
+    const std::vector<smt::ExprRef> message = FreshMessage(4);
+    GuardSolver guard(&ctx);
+    guard.unknown_vars = {message[0]->VarId(), message[1]->VarId()};
+    Engine engine(&ctx, &guard, &p, Mode::kServer);
+    engine.SetIncomingMessage(message);
+    const std::vector<PathResult> results = engine.Run();
+    EXPECT_EQ(results.size(), 16u);
+
+    // The byte a check is on, and the bytes its base constrains.
+    auto byte_of = [&](smt::ExprRef e) {
+        std::unordered_set<uint32_t> vars;
+        ctx.CollectVars(e, &vars);
+        EXPECT_EQ(vars.size(), 1u);
+        for (size_t i = 0; i < message.size(); ++i) {
+            if (vars.count(message[i]->VarId()) != 0)
+                return i;
+        }
+        ADD_FAILURE() << "not a message byte: " << ctx.ToString(e);
+        return message.size();
+    };
+    std::vector<int> checks(message.size(), 0);
+    for (const GuardSolver::Call &call : guard.calls) {
+        ASSERT_EQ(call.extras.size(), 1u);
+        const size_t level = byte_of(call.extras[0]);
+        ASSERT_LT(level, message.size());
+        ++checks[level];
+        std::vector<size_t> base_bytes;
+        for (smt::ExprRef e : call.base)
+            base_bytes.push_back(byte_of(e));
+        std::sort(base_bytes.begin(), base_bytes.end());
+        // Levels 1 and 2: the full path, one constraint per byte above.
+        // Level 0 has the empty path; level 3 is sliced to nothing.
+        std::vector<size_t> want;
+        if (level == 1 || level == 2) {
+            for (size_t i = 0; i < level; ++i)
+                want.push_back(i);
+        }
+        EXPECT_EQ(base_bytes, want) << "check on m" << level;
+    }
+    // Two checks per state at each fork, and the states double.
+    EXPECT_EQ(checks, (std::vector<int>{2, 4, 8, 16}));
 }
 
 }  // namespace
