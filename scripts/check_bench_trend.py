@@ -2,7 +2,7 @@
 """Perf-trend regression gate over bench_* JSON records.
 
 Compares the current commit's bench records (bench_parallel.json /
-bench_corpus.json / bench_warmstart.json, arrays of
+bench_corpus.json, arrays of
 {"metric": ..., "value": ...} -- or
 {"metric": ..., "values": [...]} for multi-sample records, aggregated
 by mean; a record with zero samples is skipped with a warning, never a
@@ -12,9 +12,6 @@ drop in any watched higher-is-better metric:
 
   * parallel.speedup/workers=N                 (N in BOTH sweeps)
   * corpus.trojan_yield[/<family>]             (bench_corpus)
-  * warmstart.speedup                          (bench_warmstart)
-  * warmstart.query_reduction_pct
-  * warmstart.corpus_query_reduction_pct
 
 Lower-is-better metrics invert the comparison: the gate fails on a
 >threshold relative RISE instead of a drop. Currently that is
@@ -56,9 +53,6 @@ WATCHED_PATTERNS = [
     "parallel.speedup/workers=*",
     "corpus.trojan_yield",
     "corpus.trojan_yield/*",
-    "warmstart.speedup",
-    "warmstart.query_reduction_pct",
-    "warmstart.corpus_query_reduction_pct",
 ]
 # Watched metrics where a relative RISE beyond the threshold fails.
 LOWER_IS_BETTER_PATTERNS = [

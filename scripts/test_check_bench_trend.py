@@ -47,7 +47,7 @@ class LoadRecordsTest(unittest.TestCase):
         # must not crash the mean computation.
         self.assertIsNone(
             check_bench_trend.record_value(
-                {"metric": "warmstart.speedup", "values": []}))
+                {"metric": "corpus.trojan_yield", "values": []}))
 
     def test_values_list_is_mean_aggregated(self):
         self.assertEqual(
@@ -63,36 +63,38 @@ class LoadRecordsTest(unittest.TestCase):
 class GateTest(unittest.TestCase):
     def test_zero_sample_baseline_does_not_crash_the_gate(self):
         code, out = run_gate(
-            current=[{"metric": "warmstart.speedup", "value": 10.0}],
-            baseline=[{"metric": "warmstart.speedup", "values": []}])
+            current=[{"metric": "corpus.trojan_yield", "value": 10.0}],
+            baseline=[{"metric": "corpus.trojan_yield", "values": []}])
         self.assertEqual(code, 0, out)
         self.assertIn("zero-sample", out)
 
     def test_regression_fails(self):
         code, out = run_gate(
-            current=[{"metric": "warmstart.speedup", "value": 5.0}],
-            baseline=[{"metric": "warmstart.speedup",
+            current=[{"metric": "corpus.trojan_yield", "value": 5.0}],
+            baseline=[{"metric": "corpus.trojan_yield",
                        "values": [10.0, 10.0]}])
         self.assertEqual(code, 1, out)
 
     def test_regression_warn_only_passes(self):
         code, out = run_gate(
-            current=[{"metric": "warmstart.speedup", "value": 5.0}],
-            baseline=[{"metric": "warmstart.speedup", "value": 10.0}],
+            current=[{"metric": "corpus.trojan_yield", "value": 5.0}],
+            baseline=[{"metric": "corpus.trojan_yield", "value": 10.0}],
             extra_args=("--warn-only",))
         self.assertEqual(code, 0, out)
+        self.assertIn("regressed", out)
 
     def test_small_drop_passes(self):
         code, out = run_gate(
-            current=[{"metric": "warmstart.speedup", "value": 9.0}],
-            baseline=[{"metric": "warmstart.speedup",
+            current=[{"metric": "corpus.trojan_yield", "value": 9.0}],
+            baseline=[{"metric": "corpus.trojan_yield",
                        "value": 10.0}])
         self.assertEqual(code, 0, out)
+        self.assertIn("-10.0%", out)
 
     def test_one_sided_metric_is_skipped(self):
         code, out = run_gate(
-            current=[{"metric": "warmstart.speedup", "value": 5.0}],
-            baseline=[{"metric": "warmstart.query_reduction_pct",
+            current=[{"metric": "corpus.trojan_yield", "value": 5.0}],
+            baseline=[{"metric": "corpus.queries_per_protocol",
                        "value": 10.0}])
         self.assertEqual(code, 0, out)
         self.assertIn("one-sided", out)
@@ -113,9 +115,25 @@ class GateTest(unittest.TestCase):
 
     def test_missing_baseline_passes(self):
         code, out = run_gate(
-            current=[{"metric": "warmstart.speedup", "value": 5.0}],
+            current=[{"metric": "corpus.trojan_yield", "value": 5.0}],
             baseline=None)
         self.assertEqual(code, 0, out)
+
+    def test_baseline_with_removed_metrics_passes(self):
+        # The first run after a bench is deleted compares against an
+        # artifact that still carries its metrics: they are no longer
+        # watched, so they are neither compared nor listed.
+        code, out = run_gate(
+            current=[{"metric": "corpus.trojan_yield", "value": 5.0}],
+            baseline=[
+                {"metric": "corpus.trojan_yield", "value": 5.0},
+                {"metric": "warmstart.speedup", "value": 7.26},
+                {"metric": "warmstart.query_reduction_pct", "value": 8.0},
+                {"metric": "warmstart.corpus_query_reduction_pct",
+                 "value": 28.0}])
+        self.assertEqual(code, 0, out)
+        self.assertIn("corpus.trojan_yield", out)
+        self.assertNotIn("warmstart", out)
 
 
 class NestedRecordTest(unittest.TestCase):
@@ -184,57 +202,6 @@ class CorpusMetricsTest(unittest.TestCase):
             current=[
                 {"metric": "corpus.trojan_yield", "value": 2.0},
                 {"metric": "corpus.queries_per_protocol", "value": 90.0}],
-            baseline=[{"metric": "warmstart.speedup",
-                       "value": 10.0}])
-        self.assertEqual(code, 0, out)
-        self.assertIn("one-sided", out)
-
-
-class WarmstartMetricsTest(unittest.TestCase):
-    def test_query_reduction_drop_fails(self):
-        code, out = run_gate(
-            current=[{"metric": "warmstart.query_reduction_pct",
-                      "value": 2.0}],
-            baseline=[{"metric": "warmstart.query_reduction_pct",
-                       "value": 8.0}])
-        self.assertEqual(code, 1, out)
-        self.assertIn("warmstart.query_reduction_pct", out)
-
-    def test_speedup_drop_fails(self):
-        code, out = run_gate(
-            current=[{"metric": "warmstart.speedup", "value": 0.6}],
-            baseline=[{"metric": "warmstart.speedup", "value": 1.0}])
-        self.assertEqual(code, 1, out)
-        self.assertIn("warmstart.speedup", out)
-
-    def test_corpus_reduction_drop_fails(self):
-        code, out = run_gate(
-            current=[{"metric": "warmstart.corpus_query_reduction_pct",
-                      "value": 5.0}],
-            baseline=[{"metric": "warmstart.corpus_query_reduction_pct",
-                       "value": 28.0}])
-        self.assertEqual(code, 1, out)
-
-    def test_per_worker_warmstart_timings_are_not_watched(self):
-        # The per-worker speedup cells exist for the bench's own tables;
-        # wall-clock at a fixed worker count is scheduler-dominated and
-        # must not be gated -- only the headline metrics are.
-        code, out = run_gate(
-            current=[{"metric": "warmstart.speedup/fsp/workers=8",
-                      "value": 0.5}],
-            baseline=[{"metric": "warmstart.speedup/fsp/workers=8",
-                       "value": 1.2}])
-        self.assertEqual(code, 0, out)
-
-    def test_warmstart_metrics_absent_from_baseline_are_warn_only(self):
-        # A baseline artifact that predates bench_warmstart must not
-        # fail the gate: the comparison is one-sided.
-        code, out = run_gate(
-            current=[
-                {"metric": "warmstart.speedup", "value": 1.0},
-                {"metric": "warmstart.query_reduction_pct", "value": 8.0},
-                {"metric": "warmstart.corpus_query_reduction_pct",
-                 "value": 28.0}],
             baseline=[{"metric": "parallel.trojans", "value": 112.0}])
         self.assertEqual(code, 0, out)
         self.assertIn("one-sided", out)

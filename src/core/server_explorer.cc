@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "exec/worker.h"
-#include "persist/snapshot.h"
 #include "smt/eval.h"
 
 namespace achilles {
@@ -420,25 +419,6 @@ ServerExplorer::RunParallel()
     exec::ParallelEngine engine(ctx_, server_, symexec::Mode::kServer,
                                 config_.engine, solver_->config());
     engine.SetIncomingMessage(message_);
-    // Warm-start wiring: the persist layer is injected from above
-    // (exec must not depend on it). Restore runs single-threaded before
-    // any worker starts; capture runs after every worker has joined.
-    exec::ParallelEngine::KnowledgeHook restore;
-    if (config_.knowledge_in != nullptr) {
-        const persist::KnowledgeSnapshot *in = config_.knowledge_in;
-        restore = [in](exec::QueryCache *cache) {
-            persist::RestoreKnowledge(*in, cache);
-        };
-    }
-    exec::ParallelEngine::KnowledgeHook capture;
-    if (config_.knowledge_out != nullptr) {
-        persist::KnowledgeSnapshot *out = config_.knowledge_out;
-        capture = [out](exec::QueryCache *cache) {
-            persist::CaptureKnowledge(cache, out);
-        };
-    }
-    if (restore || capture)
-        engine.SetKnowledgeHooks(std::move(restore), std::move(capture));
     WorkerFactory factory(this);
     const bool incremental = config_.mode == SearchMode::kIncremental;
     if (incremental)

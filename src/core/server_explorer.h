@@ -33,11 +33,6 @@
 #include "symexec/engine.h"
 
 namespace achilles {
-
-namespace persist {
-struct KnowledgeSnapshot;
-}  // namespace persist
-
 namespace core {
 
 /** How Trojan messages are computed relative to the exploration. */
@@ -63,25 +58,18 @@ struct ServerExplorerConfig
     bool use_different_from = true;
     /** Prune states that no Trojan message can trigger (3.2). */
     bool prune_trojan_free_states = true;
-    /**
-     * Warm-start knowledge to import before exploring (null = cold
-     * start): restored into the ParallelEngine's shared query cache
-     * before any worker thread starts. Restored entries only ever
-     * answer queries whose answers they already are, so witness sets
-     * are bitwise identical to a cold run's at any worker count. Only
-     * multi-worker runs have a shared cache; serial runs
-     * (num_workers <= 1) neither restore nor capture.
-     */
-    const persist::KnowledgeSnapshot *knowledge_in = nullptr;
-    /** When set, a multi-worker run's query cache is captured
-     *  (appended) here after exploration finishes. */
-    persist::KnowledgeSnapshot *knowledge_out = nullptr;
 };
 
 /** A discovered Trojan message. */
 struct TrojanWitness
 {
-    /** Id of the server path (engine state) that accepts it. */
+    /**
+     * Id of the server path (engine state) that accepts it. Serial runs
+     * number states by the engine's creation counter; parallel runs use
+     * fork-tree ids (EngineConfig::deterministic_state_ids, set only by
+     * exec/worker.cc). The same witness therefore has different ids at 1
+     * and at N > 1 workers: compare across worker counts without it.
+     */
     uint64_t server_path_id = 0;
     /** Label of the accept marker (or "" for the default rule). */
     std::string accept_label;

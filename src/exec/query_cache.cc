@@ -45,28 +45,19 @@ QueryCache::ComputeKey(const std::vector<smt::ExprRef> &assertions,
         fingerprints->emplace_back(e->struct_hash(), e->struct_hash2());
     }
     std::sort(fingerprints->begin(), fingerprints->end());
-    *out = KeyFromFingerprints(*fingerprints);
-    return true;
-}
 
-QueryCacheKey
-QueryCache::KeyFromFingerprints(const QueryFingerprints &fingerprints)
-{
     // Commutative accumulation keeps the key order-insensitive,
-    // matching the logical conjunction the assertions denote -- and
-    // makes the key a pure function of the sorted fingerprint vector,
-    // which is what snapshot importers recompute it from.
+    // matching the logical conjunction the assertions denote.
     uint64_t lo = 0x51ed270b9f9f2b4dull +
-                  0x632be59bd9b4e019ull * fingerprints.size();
+                  0x632be59bd9b4e019ull * fingerprints->size();
     uint64_t hi = 0x8ebc6af09c88c6e3ull;
-    for (const auto &fp : fingerprints) {
+    for (const auto &fp : *fingerprints) {
         lo += MixBits(fp.first ^ 0xa0761d6478bd642full);
         hi += MixBits(fp.second + 0xe7037ed1a0b428dbull);
     }
-    QueryCacheKey key;
-    key.lo = lo;
-    key.hi = hi;
-    return key;
+    out->lo = lo;
+    out->hi = hi;
+    return true;
 }
 
 QueryCache::QueryCache(size_t shards)
@@ -164,54 +155,6 @@ QueryCache::ExportStats(obs::CounterView *stats) const
     stats->Add("exec.query_cache_misses", misses());
     stats->Add("exec.query_cache_collisions", collisions());
     stats->Add("exec.query_cache_entries", static_cast<int64_t>(size()));
-}
-
-void
-QueryCache::Export(std::vector<ExportedEntry> *out) const
-{
-    for (const auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        for (const auto &[key, entry] : shard->map) {
-            ExportedEntry exported;
-            exported.fingerprints = entry.fingerprints;
-            exported.status = entry.status;
-            exported.has_model = entry.has_model;
-            if (entry.has_model) {
-                exported.model_values.reserve(entry.model.values().size());
-                for (const auto &[id, value] : entry.model.values())
-                    exported.model_values.emplace_back(id, value);
-                // Deterministic bytes: the model map is unordered.
-                std::sort(exported.model_values.begin(),
-                          exported.model_values.end());
-            }
-            out->push_back(std::move(exported));
-        }
-    }
-}
-
-size_t
-QueryCache::Import(const std::vector<ExportedEntry> &entries)
-{
-    size_t accepted = 0;
-    for (const ExportedEntry &e : entries) {
-        // Full verification on load: the key is recomputed from the
-        // fingerprint vector (never read from the snapshot), kUnknown
-        // is never imported (same rule as Insert), and a malformed
-        // unsorted vector is rejected outright -- Lookup's equality
-        // check against freshly sorted fingerprints could never hit it,
-        // it would only squat on a key.
-        if (e.status == smt::CheckStatus::kUnknown)
-            continue;
-        if (!std::is_sorted(e.fingerprints.begin(), e.fingerprints.end()))
-            continue;
-        smt::Model model;
-        for (const auto &[id, value] : e.model_values)
-            model.Set(id, value);
-        Insert(KeyFromFingerprints(e.fingerprints), e.fingerprints,
-               e.status, e.has_model, model);
-        ++accepted;
-    }
-    return accepted;
 }
 
 CachedSolver::CachedSolver(smt::ExprContext *ctx, QueryCache *cache,

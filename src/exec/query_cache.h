@@ -87,18 +87,6 @@ class QueryCache
                            const std::vector<smt::ExprRef> *extras = nullptr);
 
     /**
-     * The key as a pure function of the sorted per-assertion
-     * fingerprints (the accumulation is commutative, so summing in
-     * fingerprint order equals ComputeKey's assertion order;
-     * fingerprints are deduplicated exactly like the assertions). This
-     * is what makes entries portable across runs: an importer
-     * recomputes the key from the verified fingerprints instead of
-     * trusting a stored one.
-     */
-    static QueryCacheKey KeyFromFingerprints(
-        const QueryFingerprints &fingerprints);
-
-    /**
      * Probe. A hit requires the stored fingerprints to match (a bare
      * key match is treated as a collision and reported as a miss) and,
      * when `want_model` is set, a kSat entry to actually carry a model
@@ -119,31 +107,6 @@ class QueryCache
                 const QueryFingerprints &fingerprints,
                 smt::CheckStatus status, bool has_model,
                 const smt::Model &model);
-
-    // -- Snapshot export / import (src/persist) -----------------------
-
-    /**
-     * One cache entry as it travels in a snapshot. The 128-bit map key
-     * is deliberately absent: importers recompute it from the
-     * fingerprint vector (KeyFromFingerprints), so a corrupted or
-     * hand-edited key can never alias another query's entry. Models are
-     * flattened to sorted (var id, value) pairs -- ids are portable
-     * because cacheable queries only mention id-aligned variables.
-     */
-    struct ExportedEntry
-    {
-        QueryFingerprints fingerprints;
-        smt::CheckStatus status = smt::CheckStatus::kUnknown;
-        bool has_model = false;
-        std::vector<std::pair<uint32_t, uint64_t>> model_values;
-    };
-
-    void Export(std::vector<ExportedEntry> *out) const;
-
-    /** Re-publish snapshot entries through Insert (kUnknown and
-     *  unsorted-fingerprint entries are skipped); returns the number
-     *  accepted. */
-    size_t Import(const std::vector<ExportedEntry> &entries);
 
     int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
     int64_t misses() const

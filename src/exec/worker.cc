@@ -40,12 +40,6 @@ ParallelEngine::Run()
     // use the shared cache (worker-local variable ids are ambiguous).
     const uint32_t shared_var_limit = home_->NumVars();
     cache_ = std::make_unique<QueryCache>();
-    // Warm start: restore persisted entries into the freshly built
-    // cache before any worker thread exists. Restored entries only
-    // answer queries whose answers they already are, so witness sets
-    // stay bitwise identical to a cold run's.
-    if (restore_hook_)
-        restore_hook_(cache_.get());
 
     SchedulerConfig sched_config;
     sched_config.num_workers = n;
@@ -168,10 +162,6 @@ ParallelEngine::Run()
         freeze("engine.frontier", 0);
         freeze("exec.states_stolen", scheduler_->states_stolen());
     }
-    // Everything this run proved, for the next run's warm start. After
-    // the join, so the cache is quiescent.
-    if (capture_hook_)
-        capture_hook_(cache_.get());
     return results;
 }
 

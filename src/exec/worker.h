@@ -23,7 +23,6 @@
 #define ACHILLES_EXEC_WORKER_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -87,27 +86,6 @@ class ParallelEngine
     }
 
     /**
-     * Hook over the run's shared query cache. Used by the warm-start
-     * persistence layer (src/persist), which this subsystem must not
-     * depend on -- callers inject the snapshot logic from above.
-     */
-    using KnowledgeHook = std::function<void(QueryCache *)>;
-
-    /**
-     * `restore` runs after the cache is constructed and before any
-     * worker thread starts (single-threaded, so imports need no
-     * coordination with consumers); `capture` runs after every worker
-     * has joined and stats are merged, immediately before Run returns.
-     * Either may be null.
-     */
-    void
-    SetKnowledgeHooks(KnowledgeHook restore, KnowledgeHook capture)
-    {
-        restore_hook_ = std::move(restore);
-        capture_hook_ = std::move(capture);
-    }
-
-    /**
      * Explore all paths with num_workers threads; returns one PathResult
      * per finished path, expressed in the home context and ordered by
      * (schedule-independent) state id.
@@ -120,7 +98,6 @@ class ParallelEngine
 
     size_t num_workers() const { return workers_.size(); }
     WorkerContext &worker(size_t i) { return *workers_[i]; }
-    QueryCache *query_cache() { return cache_.get(); }
 
   private:
     void WorkerLoop(size_t worker_id);
@@ -140,8 +117,6 @@ class ParallelEngine
     std::vector<std::unique_ptr<symexec::Listener>> listeners_;
     std::atomic<size_t> finished_paths_{0};
     obs::CounterView stats_;
-    KnowledgeHook restore_hook_;
-    KnowledgeHook capture_hook_;
     bool ran_ = false;
 };
 

@@ -2,12 +2,10 @@
 //
 // Two layers:
 //
-//  1. The fixed synthetic protocols of the Section 6.4 optimization
+//  1. The fixed synthetic protocol of the Section 6.4 optimization
 //     study (moved here from bench/synth_protocol.h): a scaled
-//     CRC-tagged command protocol and a fully-validated "guarded"
-//     variant whose sibling regions repeat the same dead-end queries.
-//     These are kept source-identical so the fig11 and warm-start
-//     benches and the persistence tests measure exactly what they
+//     CRC-tagged command protocol, kept source-identical so the fig11
+//     and optimization-ablation benches measure exactly what they
 //     always measured.
 //
 //  2. A seeded family sampler: FamilyKnobs spans a grid of protocol
@@ -138,83 +136,6 @@ MakeServer(uint32_t num_subcommands)
                      [&] { dispatch(bit - 1, prefix | mask); });
             };
         dispatch(bits, 0);
-    });
-    return b.Build();
-}
-
-// ---------------------------------------------------------------------
-// Guarded variant: a fully validated protocol (the server checks every
-// analyzed field, so no state has a Trojan) whose server re-derives the
-// same dead-end constraints in many sibling regions, selected by a pad
-// byte that belongs to no layout field. Each region's validation chain
-// ends in a state provably free of Trojans, refuted by the same core --
-// {cmd == i, arg < bound, ¬pathC_i} -- in every region (the extra pad
-// constraints are not implicated). The regions' query streams overlap,
-// so a warm-started shared query cache answers nearly all of them.
-// ---------------------------------------------------------------------
-
-inline constexpr uint64_t kGuardedArgBound = 10;
-
-inline core::MessageLayout
-MakeGuardedLayout()
-{
-    // Byte 2 ("pad") intentionally belongs to no field: the server's
-    // region dispatch on it forks states without entering the
-    // predicate-match logic.
-    core::MessageLayout out(kMessageLength);
-    out.AddField("cmd", 0, 1).AddField("arg", 1, 1);
-    return out;
-}
-
-inline symexec::Program
-MakeGuardedClient(uint32_t num_cmds)
-{
-    using symexec::ProgramBuilder;
-    using symexec::Val;
-    ProgramBuilder b("guarded-client");
-    b.Function("main", {}, 0, [&] {
-        Val which = b.ReadInput("which", 8);
-        Val arg = b.ReadInput("arg", 8);
-        b.Array("msg", 8, kMessageLength);
-        for (uint32_t i = 0; i < num_cmds; ++i) {
-            b.If(which == i, [&] {
-                b.If(arg >= kGuardedArgBound, [&] { b.Halt(); });
-                b.Store("msg", Val::Const(8, 0), Val::Const(8, i));
-                b.Store("msg", Val::Const(8, 1), arg);
-                b.Store("msg", Val::Const(8, 2), Val::Const(8, 0));
-                b.SendMessage("msg");
-            });
-        }
-    });
-    return b.Build();
-}
-
-inline symexec::Program
-MakeGuardedServer(uint32_t num_cmds, uint32_t regions)
-{
-    using symexec::ProgramBuilder;
-    using symexec::Val;
-    ProgramBuilder b("guarded-server");
-    b.Function("main", {}, 0, [&] {
-        b.ReceiveMessage("msg", kMessageLength);
-        Val cmd = b.Local(
-            "cmd", 8, ProgramBuilder::ArrayAt("msg", 8, Val::Const(8, 0)));
-        Val arg = b.Local(
-            "arg", 8, ProgramBuilder::ArrayAt("msg", 8, Val::Const(8, 1)));
-        Val pad = b.Local(
-            "pad", 8, ProgramBuilder::ArrayAt("msg", 8, Val::Const(8, 2)));
-        for (uint32_t r = 0; r < regions; ++r) {
-            b.If(pad == r, [&] {
-                for (uint32_t i = 0; i < num_cmds; ++i) {
-                    b.If(cmd == i, [&] {
-                        b.If(arg < kGuardedArgBound, [&] {
-                            b.MarkAccept("h" + std::to_string(i));
-                        });
-                    });
-                }
-            });
-        }
-        b.MarkReject("bad");
     });
     return b.Build();
 }

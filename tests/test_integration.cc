@@ -8,11 +8,18 @@
 //  * search-order independence of the discovered Trojan set;
 //  * completeness of the optimized pipeline: on every registered
 //    protocol and both example specs, the default configuration and an
-//    unoptimized reference configuration emit identical witnesses.
+//    unoptimized reference configuration emit identical witnesses;
+//  * pinned witness bytes: on the same protocols, serial and 4-worker
+//    runs match the counts and digests in tests/witness_digests.txt.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -155,13 +162,14 @@ using WitnessKey =
     std::tuple<uint64_t, std::string, std::vector<uint8_t>, uint64_t>;
 
 /**
- * One serial RunAchilles over `factory`'s protocol. The reference
- * configuration turns off the solver's memo cache and the explorer's
- * differentFrom matrix, leaving the paper's predicate dropping and
- * state pruning on fresh SAT instances.
+ * One RunAchilles over `factory`'s protocol on `workers` workers. The
+ * reference configuration turns off the solver's memo cache and the
+ * explorer's differentFrom matrix, leaving the paper's predicate
+ * dropping and state pruning on fresh SAT instances.
  */
 std::vector<WitnessKey>
-WitnessesOf(const proto::ProtocolFactory &factory, bool reference)
+WitnessesOf(const proto::ProtocolFactory &factory, bool reference,
+            size_t workers = 1)
 {
     const proto::ProtocolBundle bundle = factory.Make();
     smt::SolverConfig solver_config;
@@ -170,6 +178,7 @@ WitnessesOf(const proto::ProtocolFactory &factory, bool reference)
         solver_config.enable_cache = false;
         config.server_config.use_different_from = false;
     }
+    config.server_config.engine.num_workers = workers;
     smt::ExprContext ctx;
     smt::Solver solver(&ctx, solver_config);
     config.layout = bundle.layout;
@@ -188,12 +197,14 @@ WitnessesOf(const proto::ProtocolFactory &factory, bool reference)
     return out;
 }
 
-TEST(ReferenceConfigTest, RegistryWitnessesMatchUnoptimizedReference)
+/** Every registered protocol plus the two example specs. */
+std::vector<std::shared_ptr<const proto::ProtocolFactory>>
+AllProtocols()
 {
     proto::ProtocolRegistry specs;
     for (const char *file : {"kv_union.spec", "sensor_tlv.spec"}) {
         std::string name, error;
-        ASSERT_TRUE(spec::RegisterSpecFile(std::string(ACHILLES_SOURCE_DIR) +
+        EXPECT_TRUE(spec::RegisterSpecFile(std::string(ACHILLES_SOURCE_DIR) +
                                                "/examples/" + file,
                                            &specs, &name, &error))
             << error;
@@ -201,7 +212,12 @@ TEST(ReferenceConfigTest, RegistryWitnessesMatchUnoptimizedReference)
     auto factories = proto::ProtocolRegistry::Global().All();
     for (const auto &factory : specs.All())
         factories.push_back(factory);
+    return factories;
+}
 
+TEST(ReferenceConfigTest, RegistryWitnessesMatchUnoptimizedReference)
+{
+    const auto factories = AllProtocols();
     size_t witnesses = 0;
     for (const auto &factory : factories) {
         const std::vector<WitnessKey> optimized =
@@ -212,6 +228,76 @@ TEST(ReferenceConfigTest, RegistryWitnessesMatchUnoptimizedReference)
     }
     EXPECT_GE(factories.size(), 129u);
     EXPECT_GT(witnesses, 0u);
+}
+
+void
+DigestByte(uint64_t *h, uint8_t byte)
+{
+    *h ^= byte;
+    *h *= 1099511628211ull;
+}
+
+void
+DigestU64(uint64_t *h, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        DigestByte(h, static_cast<uint8_t>(v >> (8 * i)));
+}
+
+/**
+ * `<name> <count> <digest>`: an FNV-1a over the sorted (accept label,
+ * concrete bytes, definition hash) triples. The server path id is left
+ * out, since serial and parallel runs number paths differently.
+ */
+std::string
+DigestLine(const std::string &name, const std::vector<WitnessKey> &keys)
+{
+    std::vector<std::tuple<std::string, std::vector<uint8_t>, uint64_t>>
+        triples;
+    for (const WitnessKey &k : keys)
+        triples.emplace_back(std::get<1>(k), std::get<2>(k), std::get<3>(k));
+    std::sort(triples.begin(), triples.end());
+    uint64_t h = 1469598103934665603ull;
+    for (const auto &[label, bytes, definition] : triples) {
+        DigestU64(&h, label.size());
+        for (char c : label)
+            DigestByte(&h, static_cast<uint8_t>(c));
+        DigestU64(&h, bytes.size());
+        for (uint8_t b : bytes)
+            DigestByte(&h, b);
+        DigestU64(&h, definition);
+    }
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016" PRIx64, h);
+    return name + " " + std::to_string(triples.size()) + " " + digest;
+}
+
+TEST(WitnessPinTest, WitnessesMatchCheckedInDigests)
+{
+    const std::string path =
+        std::string(ACHILLES_SOURCE_DIR) + "/tests/witness_digests.txt";
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "cannot read " << path;
+    std::map<std::string, std::string> pinned;
+    for (std::string line; std::getline(in, line);) {
+        if (!line.empty())
+            pinned[line.substr(0, line.find(' '))] = line;
+    }
+
+    const auto factories = AllProtocols();
+    EXPECT_EQ(pinned.size(), factories.size()) << path;
+    for (const auto &factory : factories) {
+        const std::string &name = factory->info().name;
+        const auto it = pinned.find(name);
+        const std::string have = it == pinned.end() ? "" : it->second;
+        for (size_t workers : {1u, 4u}) {
+            const std::string line = DigestLine(
+                name, WitnessesOf(*factory, /*reference=*/false, workers));
+            EXPECT_EQ(have, line)
+                << name << " at " << workers << " workers; expected line:\n"
+                << line;
+        }
+    }
 }
 
 }  // namespace

@@ -8,8 +8,6 @@
 //                [--workers N] [--clients N]
 //                [--metrics-out <path>] [--trace-out <path>]
 //                [--progress[=secs]]
-//                [--knowledge-load <path>] [--knowledge-save <path>]
-//                [--knowledge-dir <dir>]
 //
 //   --protocol       registry protocol to analyze (default fsp); any
 //                    name from --list-protocols, including the sampled
@@ -26,21 +24,10 @@
 //   --progress       print a live progress heartbeat every second (or
 //                    every `secs` with --progress=secs, a decimal number
 //                    >= 0; 0 turns the heartbeat off)
-//   --knowledge-load warm-start: restore the shared query cache from a
-//                    snapshot written by a previous run of the same
-//                    protocol (a stale or corrupted snapshot degrades
-//                    to a cold start, never a wrong answer)
-//   --knowledge-save write the run's query-cache snapshot on exit
-//   --knowledge-dir  both of the above, keyed automatically: the file
-//                    is <dir>/knowledge-<fingerprint>.snap, named by
-//                    the protocol's structural fingerprint so edited
-//                    protocols never collide with their own history
-//                    (the three knowledge flags need --workers > 1:
-//                    only multi-worker runs have a shared query cache)
 //
-// A malformed number, a flag missing its value, or a knowledge flag on a
-// serial run prints the usage and exits with status 2. A witness the protocol's concrete oracle rejects
-// is an error: the run exits with status 1.
+// A malformed number, a flag missing its value, or an unknown argument
+// prints the usage and exits with status 2. A witness the protocol's
+// concrete oracle rejects is an error: the run exits with status 1.
 //
 // Log verbosity follows the ACHILLES_LOG environment variable
 // (debug|info|warn|error|off).
@@ -59,8 +46,6 @@
 #include "core/achilles.h"
 #include "obs/heartbeat.h"
 #include "obs/log.h"
-#include "persist/fingerprint.h"
-#include "persist/snapshot.h"
 #include "proto/registry.h"
 #include "proto/spec/lower.h"
 
@@ -77,9 +62,7 @@ Usage(const char *argv0)
         "[--list-protocols]\n"
         "          [--workers N] [--clients N]\n"
         "          [--metrics-out <path>] [--trace-out <path>]\n"
-        "          [--progress[=secs]]\n"
-        "          [--knowledge-load <path>] [--knowledge-save <path>]\n"
-        "          [--knowledge-dir <dir>]\n",
+        "          [--progress[=secs]]\n",
         argv0);
 }
 
@@ -123,8 +106,7 @@ TakesValue(const char *arg)
 {
     for (const char *flag :
          {"--protocol", "--spec", "--workers", "--clients", "--metrics-out",
-          "--trace-out", "--knowledge-load", "--knowledge-save",
-          "--knowledge-dir"}) {
+          "--trace-out"}) {
         if (std::strcmp(arg, flag) == 0)
             return true;
     }
@@ -155,9 +137,6 @@ main(int argc, char **argv)
     std::string metrics_path;
     std::string trace_path;
     double progress_secs = 0.0;
-    std::string knowledge_load;
-    std::string knowledge_save;
-    std::string knowledge_dir;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -182,12 +161,6 @@ main(int argc, char **argv)
             metrics_path = argv[++i];
         } else if (std::strcmp(arg, "--trace-out") == 0) {
             trace_path = argv[++i];
-        } else if (std::strcmp(arg, "--knowledge-load") == 0) {
-            knowledge_load = argv[++i];
-        } else if (std::strcmp(arg, "--knowledge-save") == 0) {
-            knowledge_save = argv[++i];
-        } else if (std::strcmp(arg, "--knowledge-dir") == 0) {
-            knowledge_dir = argv[++i];
         } else if (std::strcmp(arg, "--progress") == 0) {
             progress_secs = 1.0;
         } else if (std::strncmp(arg, "--progress=", 11) == 0) {
@@ -205,19 +178,6 @@ main(int argc, char **argv)
             Usage(argv[0]);
             return 2;
         }
-    }
-
-    const bool knowledge_flags = !knowledge_load.empty() ||
-                                 !knowledge_save.empty() ||
-                                 !knowledge_dir.empty();
-    if (knowledge_flags && workers <= 1) {
-        std::fprintf(stderr,
-                     "%s: --knowledge-load/--knowledge-save/"
-                     "--knowledge-dir need --workers > 1 (only "
-                     "multi-worker runs have a shared query cache)\n",
-                     argv[0]);
-        Usage(argv[0]);
-        return 2;
     }
 
     proto::ProtocolRegistry &registry = proto::ProtocolRegistry::Global();
@@ -258,40 +218,6 @@ main(int argc, char **argv)
     if (num_clients < bundle.clients.size())
         bundle.clients.resize(num_clients);
 
-    // Warm-start persistence. The snapshot key is the bundle's
-    // structural fingerprint, computed after the --clients trim (a
-    // different client subset means different predicates, so its
-    // knowledge must not be shared).
-    const uint64_t protocol_fp = persist::ProtocolFingerprint(bundle);
-    if (!knowledge_dir.empty()) {
-        char name[64];
-        std::snprintf(name, sizeof(name), "/knowledge-%016llx.snap",
-                      static_cast<unsigned long long>(protocol_fp));
-        const std::string keyed = knowledge_dir + name;
-        if (knowledge_load.empty())
-            knowledge_load = keyed;
-        if (knowledge_save.empty())
-            knowledge_save = keyed;
-    }
-    persist::KnowledgeSnapshot warm_in;
-    bool have_warm = false;
-    if (!knowledge_load.empty()) {
-        std::string error;
-        if (persist::LoadSnapshot(knowledge_load, protocol_fp, &warm_in,
-                                  &error)) {
-            have_warm = true;
-            std::printf("warm start: %zu entries from %s\n",
-                        warm_in.TotalEntries(), knowledge_load.c_str());
-        } else {
-            // Missing/stale/corrupted snapshots cost the warm start,
-            // nothing else.
-            std::printf("cold start: %s (%s)\n", knowledge_load.c_str(),
-                        error.c_str());
-        }
-    }
-    persist::KnowledgeSnapshot warm_out;
-    warm_out.protocol_fingerprint = protocol_fp;
-
     // Observability sinks: metrics whenever any obs output is wanted
     // (the heartbeat and the report both read the registry), tracing
     // only when a trace file was asked for. Lane 0 is this thread;
@@ -319,10 +245,6 @@ main(int argc, char **argv)
     config.server = &bundle.server;
     config.server_config.engine.num_workers = workers;
     config.obs = obs_handle;
-    if (have_warm)
-        config.server_config.knowledge_in = &warm_in;
-    if (!knowledge_save.empty())
-        config.server_config.knowledge_out = &warm_out;
 
     std::unique_ptr<obs::Heartbeat> heartbeat;
     if (obs_registry != nullptr && progress_secs > 0) {
@@ -372,16 +294,6 @@ main(int argc, char **argv)
         }
     }
 
-    if (!knowledge_save.empty()) {
-        std::string error;
-        if (persist::SaveSnapshot(warm_out, knowledge_save, &error)) {
-            std::printf("knowledge snapshot written to %s\n",
-                        knowledge_save.c_str());
-        } else {
-            obs::LogError("cannot write snapshot: " + error);
-            status = 1;
-        }
-    }
     if (!metrics_path.empty()) {
         std::ofstream out(metrics_path);
         if (out.is_open()) {
