@@ -39,6 +39,7 @@ SolverStats::AddTo(obs::CounterView *view) const
     view->Add("solver.queries", queries);
     view->Add("solver.trivial_sat", trivial_sat);
     view->Add("solver.trivial_unsat", trivial_unsat);
+    view->Add("solver.rewritten", rewritten);
     view->Add("solver.cache_hits", cache_hits);
     view->Add("solver.cache_model_upgrades", cache_model_upgrades);
     view->Add("solver.sat_calls", sat_calls);
@@ -93,12 +94,12 @@ Solver::CheckSatOnSatBase(const std::vector<ExprRef> &base,
                           const std::vector<ExprRef> &extras)
 {
     slice_marks_.resize(ctx_->NumVars());
-    std::vector<uint32_t> marked;
+    slice_marked_.clear();
     const auto mark = [&](const std::vector<uint32_t> &vars) {
         for (uint32_t v : vars) {
             if (!slice_marks_[v]) {
                 slice_marks_[v] = 1;
-                marked.push_back(v);
+                slice_marked_.push_back(v);
             }
         }
     };
@@ -107,41 +108,40 @@ Solver::CheckSatOnSatBase(const std::vector<ExprRef> &base,
 
     // Keep every base assertion touching a marked variable and mark its
     // variables too, until a pass keeps nothing new.
-    std::vector<const std::vector<uint32_t> *> base_vars;
-    base_vars.reserve(base.size());
+    slice_base_vars_.clear();
     for (ExprRef e : base)
-        base_vars.push_back(&ctx_->VarsOf(e));
-    std::vector<bool> kept(base.size(), false);
+        slice_base_vars_.push_back(&ctx_->VarsOf(e));
+    slice_kept_.assign(base.size(), false);
     for (bool grew = true; grew;) {
         grew = false;
         for (size_t i = 0; i < base.size(); ++i) {
-            if (kept[i] ||
-                std::none_of(base_vars[i]->begin(), base_vars[i]->end(),
+            const std::vector<uint32_t> &vars = *slice_base_vars_[i];
+            if (slice_kept_[i] ||
+                std::none_of(vars.begin(), vars.end(),
                              [&](uint32_t v) { return slice_marks_[v]; })) {
                 continue;
             }
-            kept[i] = true;
+            slice_kept_[i] = true;
             grew = true;
-            mark(*base_vars[i]);
+            mark(vars);
         }
     }
-    for (uint32_t v : marked)
+    for (uint32_t v : slice_marked_)
         slice_marks_[v] = 0;
 
-    std::vector<ExprRef> slice;
+    slice_.clear();
     for (size_t i = 0; i < base.size(); ++i) {
-        if (kept[i])
-            slice.push_back(base[i]);
+        if (slice_kept_[i])
+            slice_.push_back(base[i]);
     }
-    return CheckSatAssuming(slice, extras);
+    return CheckSatAssuming(slice_, extras);
 }
 
 bool
 Solver::Canonicalize(const std::vector<ExprRef> &base,
-                     const std::vector<ExprRef> *extras,
-                     std::vector<ExprRef> *live) const
+                     const std::vector<ExprRef> *extras, bool substitute)
 {
-    live->reserve(base.size() + (extras ? extras->size() : 0));
+    live_.clear();
     for (const std::vector<ExprRef> *assertions : {&base, extras}) {
         if (assertions == nullptr)
             continue;
@@ -150,9 +150,11 @@ Solver::Canonicalize(const std::vector<ExprRef> &base,
             if (e->IsFalse())
                 return false;
             if (!e->IsTrue())
-                live->push_back(e);
+                live_.push_back(e);
         }
     }
+    if (substitute && !SubstituteBindings())
+        return false;
     // Deduplicate and order structurally. The order fixes the CNF
     // variable numbering of the fresh-instance path, so it must not
     // depend on pointer values: structural order makes the SAT instance
@@ -160,10 +162,41 @@ Solver::Canonicalize(const std::vector<ExprRef> &base,
     // identical across runs and across the id-aligned worker contexts
     // of the parallel explorer. Interning makes a structural tie the
     // same node, so duplicates end up adjacent.
-    std::sort(live->begin(), live->end(), [](ExprRef a, ExprRef b) {
+    std::sort(live_.begin(), live_.end(), [](ExprRef a, ExprRef b) {
         return StructuralCompare(a, b) < 0;
     });
-    live->erase(std::unique(live->begin(), live->end()), live->end());
+    live_.erase(std::unique(live_.begin(), live_.end()), live_.end());
+    return true;
+}
+
+bool
+Solver::SubstituteBindings()
+{
+    // MakeEq puts a constant operand second, so every `var == const`
+    // reads (kEq var const). The first binding of a variable wins; any
+    // other equality on it stays and folds to `c1 == c2` below, false
+    // unless it is the same constant, so which one wins cannot change
+    // the rewritten query.
+    bindings_.clear();
+    for (ExprRef e : live_) {
+        if (e->kind() == Kind::kEq && e->kid(0)->IsVar() &&
+            e->kid(1)->IsConst()) {
+            bindings_.emplace(e->kid(0)->VarId(), e->kid(1));
+        }
+    }
+    if (bindings_.empty())
+        return true;
+    ++stats_.rewritten;
+    // Rewrite in place: slot `kept` is never ahead of the one read.
+    size_t kept = 0;
+    for (ExprRef e : live_) {
+        const ExprRef rewritten = ctx_->Substitute(e, bindings_);
+        if (rewritten->IsFalse())
+            return false;
+        if (!rewritten->IsTrue())
+            live_[kept++] = rewritten;
+    }
+    live_.resize(kept);
     return true;
 }
 
@@ -199,14 +232,13 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
         return result;
     };
 
-    std::vector<ExprRef> live;
-    if (!Canonicalize(base, extras, &live)) {
+    if (!Canonicalize(base, extras, /*substitute=*/model == nullptr)) {
         ++stats_.trivial_unsat;
         if (model)
             *model = Model();
         return finish(CheckStatus::kUnsat);
     }
-    if (live.empty()) {
+    if (live_.empty()) {
         ++stats_.trivial_sat;
         if (model)
             *model = Model();
@@ -215,7 +247,7 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
 
     CacheEntry *upgrade_entry = nullptr;
     if (config_.enable_cache) {
-        auto it = cache_.find(live);
+        auto it = cache_.find(live_);
         if (it != cache_.end()) {
             CacheEntry &entry = it->second;
             if (model == nullptr || entry.has_model) {
@@ -233,7 +265,7 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
     }
 
     Model out_model;
-    const CheckStatus status = SolveFresh(live, &out_model);
+    const CheckStatus status = SolveFresh(live_, &out_model);
 
     if (config_.enable_cache && status != CheckStatus::kUnknown) {
         // has_model: kSat entries keep their model only when the caller
@@ -248,8 +280,9 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
                 upgrade_entry->has_model = true;
             }
         } else {
-            cache_.emplace(live, CacheEntry{status, has_model,
-                                            has_model ? out_model : Model()});
+            cache_.emplace(live_,
+                           CacheEntry{status, has_model,
+                                      has_model ? out_model : Model()});
         }
     }
     if (model)

@@ -6,7 +6,9 @@
 // behind a query cache, standing in for the STP/Z3 usage in the paper.
 // Verdict-only queries over a path known to be satisfiable can be sliced
 // to the constraints that share variables with the query, as KLEE does
-// (CheckSatOnSatBase).
+// (CheckSatOnSatBase), and every verdict-only query has the variables it
+// pins to a constant substituted away, as KLEE's constraint manager and
+// STP's variable elimination do.
 
 #ifndef ACHILLES_SMT_SOLVER_H_
 #define ACHILLES_SMT_SOLVER_H_
@@ -35,8 +37,14 @@ const char *CheckResultName(CheckStatus s);
 struct SolverStats
 {
     int64_t queries = 0;
+    /** Queries answered without the cache or a SAT call, including the
+     *  verdict-only queries that equality substitution folded to no
+     *  live assertion (trivial_sat) or to a false one (trivial_unsat). */
     int64_t trivial_sat = 0;
     int64_t trivial_unsat = 0;
+    /** Verdict-only queries that held at least one `var == const`
+     *  binding, substituted into the rest of the query. */
+    int64_t rewritten = 0;
     int64_t cache_hits = 0;
     int64_t cache_model_upgrades = 0;
     int64_t sat_calls = 0;
@@ -78,6 +86,17 @@ struct BatchOutcome
 /**
  * The decision procedure facade.
  *
+ * A verdict-only query (no Model requested) is rewritten first: every
+ * live assertion `var == const` binds its variable, and each binding is
+ * substituted into every assertion of the query. The factories
+ * constant-fold as they rebuild, so the binding's own equality drops
+ * out, a second equality on the variable becomes `c1 == c2`, and an
+ * assertion over bound variables only becomes true or false. The
+ * rewritten conjunction is equisatisfiable with the query, and smaller.
+ * A model query is never rewritten: a model of the rewritten query would
+ * lack the bound variables, and the query as asked keeps its CNF, so
+ * its model is the same whatever verdict-only queries came before.
+ *
  * The memo cache is the only state it holds across queries. A query
  * that gets past canonicalization and the memo cache is bit-blasted
  * into its thread's SAT instance (a SatSolver and BitBlaster pair
@@ -102,6 +121,12 @@ struct BatchOutcome
  * symexec::State::path_sat(). Model queries always take the full base,
  * so every model, and every witness byte built from one, is the same
  * whether or not the verdict-only queries before it were sliced.
+ *
+ * The equality substitution sits below that boundary, inside
+ * CheckSatSets, so every model-less caller gets it and decorators still
+ * see, and key their caches by, each query as asked: only the memo
+ * cache and the SAT instance see it rewritten. Sound for any
+ * conjunction, it needs no precondition.
  */
 class Solver
 {
@@ -126,17 +151,20 @@ class Solver
      * On kSat and non-null `model`, fills `model` with values for every
      * variable occurring in the assertions; on every other outcome a
      * non-null `model` is cleared (callers may reuse one Model object
-     * across queries without reading stale values).
+     * across queries without reading stale values). With a null `model`
+     * the query is solved with its `var == const` bindings substituted
+     * (see the class comment); with a model it is solved as asked.
      */
     virtual CheckResult CheckSat(const std::vector<ExprRef> &assertions,
                                  Model *model = nullptr);
 
     /**
      * Check satisfiability of base ∧ extras. Semantically identical to
-     * CheckSat on the concatenation; the split spells out the
-     * shared-prefix query streams of the server explorer (one pathS
-     * per state, many ¬pathC_i iterated against it) without making
-     * callers copy the base for every query.
+     * CheckSat on the concatenation, the rewrite of verdict-only
+     * queries included; the split spells out the shared-prefix query
+     * streams of the server explorer (one pathS per state, many
+     * ¬pathC_i iterated against it) without making callers copy the
+     * base for every query.
      */
     virtual CheckResult CheckSatAssuming(const std::vector<ExprRef> &base,
                                          const std::vector<ExprRef> &extras,
@@ -170,9 +198,10 @@ class Solver
 
   protected:
     /**
-     * Shared workhorse for subclasses: canonicalize, consult the memo
-     * cache, then solve on the thread's SAT instance, Reset for the
-     * query. `extras` may be null.
+     * Shared workhorse for subclasses: canonicalize (substituting the
+     * bindings of a verdict-only query), consult the memo cache, then
+     * solve on the thread's SAT instance, Reset for the query. `extras`
+     * may be null.
      */
     CheckResult CheckSatSets(const std::vector<ExprRef> &base,
                              const std::vector<ExprRef> *extras,
@@ -193,12 +222,17 @@ class Solver
     {
         size_t operator()(const std::vector<ExprRef> &assertions) const;
     };
-    /** Canonical form: live (non-trivial) assertions, structurally
-     *  sorted and deduplicated. Returns false on a trivially-false
-     *  assertion. */
+    /** Canonical form, left in live_: the live (non-trivial)
+     *  assertions, with the bindings substituted when `substitute`
+     *  holds, structurally sorted and deduplicated. Returns false on a
+     *  trivially-false assertion. */
     bool Canonicalize(const std::vector<ExprRef> &base,
-                      const std::vector<ExprRef> *extras,
-                      std::vector<ExprRef> *live) const;
+                      const std::vector<ExprRef> *extras, bool substitute);
+
+    /** Substitutes the `var == const` bindings among live_ into each
+     *  assertion of live_, dropping those that fold to true. Returns
+     *  false if one folds to false. */
+    bool SubstituteBindings();
 
     /** Solve `live` on the thread's SAT instance, Reset first and
      *  freed afterwards if it grew past kMaxRetainedSatVars. On kSat,
@@ -210,8 +244,19 @@ class Solver
 
     ExprContext *ctx_;
     SolverConfig config_;
-    /** CheckSatOnSatBase's per-variable marks, all zero between calls. */
+    /** CheckSatOnSatBase's per-variable marks, all zero between calls,
+     *  and its other buffers, reused so that a call allocates nothing
+     *  once they have grown: the marked variable ids, each base
+     *  assertion's variable set, the kept flags and the slice. */
     std::vector<uint8_t> slice_marks_;
+    std::vector<uint32_t> slice_marked_;
+    std::vector<const std::vector<uint32_t> *> slice_base_vars_;
+    std::vector<bool> slice_kept_;
+    std::vector<ExprRef> slice_;
+    /** CheckSatSets' canonical query and SubstituteBindings' var id ->
+     *  constant map, both cleared per query. */
+    std::vector<ExprRef> live_;
+    std::unordered_map<uint32_t, ExprRef> bindings_;
     // Keyed by the canonical assertion vector itself (hashed by the old
     // 64-bit additive key): a hash collision degrades to a miss instead
     // of silently returning another query's result/model.

@@ -64,13 +64,14 @@ TEST_F(SolverTest, UnsignedRangeConflict)
     ExprRef x = ctx.FreshVar("x", 32);
     ExprRef y = ctx.FreshVar("y", 8);
     ExprRef wide = ctx.MakeZExt(y, 32);
+    const std::vector<ExprRef> two_equalities{
+        ctx.MakeEq(y, ctx.MakeConst(8, 3)),
+        ctx.MakeEq(y, ctx.MakeConst(8, 5))};
     const std::vector<std::vector<ExprRef>> queries{
         {ctx.MakeUlt(x, ctx.MakeConst(32, 100)),
          ctx.MakeUge(x, ctx.MakeConst(32, 100))},
         {ctx.MakeUlt(x, ctx.MakeConst(32, 100)),
          ctx.MakeUge(x, ctx.MakeConst(32, 200))},
-        {ctx.MakeEq(y, ctx.MakeConst(8, 3)),
-         ctx.MakeEq(y, ctx.MakeConst(8, 5))},
         {ctx.MakeUlt(wide, ctx.MakeConst(32, 5)),
          ctx.MakeUgt(wide, ctx.MakeConst(32, 9))},
     };
@@ -85,6 +86,28 @@ TEST_F(SolverTest, UnsignedRangeConflict)
             << "query " << i;
         EXPECT_EQ(fresh.stats().Get("solver.sat_conflicts"), 0)
             << "query " << i;
+    }
+
+    // Two equalities on one variable. As a verdict-only query, y == 3
+    // binds y and turns y == 5 into 3 == 5: refuted before any SAT call.
+    // A model query is never rewritten, so it keeps the CNF of the query
+    // as asked, which clause emission refutes.
+    {
+        Solver fresh(&ctx, config);
+        EXPECT_EQ(fresh.CheckSat(two_equalities), CheckResult::kUnsat);
+        EXPECT_EQ(fresh.stats().Get("solver.sat_calls"), 0);
+        EXPECT_EQ(fresh.stats().Get("solver.trivial_unsat"), 1);
+        EXPECT_EQ(fresh.stats().Get("solver.rewritten"), 1);
+    }
+    {
+        Solver fresh(&ctx, config);
+        Model model;
+        EXPECT_EQ(fresh.CheckSat(two_equalities, &model),
+                  CheckResult::kUnsat);
+        EXPECT_EQ(fresh.stats().Get("solver.sat_calls"), 1);
+        EXPECT_EQ(fresh.stats().Get("solver.sat_decisions"), 0);
+        EXPECT_EQ(fresh.stats().Get("solver.sat_conflicts"), 0);
+        EXPECT_EQ(fresh.stats().Get("solver.rewritten"), 0);
     }
 
     // Bounds that conflict only through arithmetic: z in [100, 999]
