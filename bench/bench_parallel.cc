@@ -2,10 +2,10 @@
 //
 // Sweeps the FSP server exploration (phase 2, the dominant cost in the
 // paper's Section 6.2 breakdown) over 1/2/4/8 workers and reports the
-// wall-clock speedup, the shared Trojan-query cache hit rate and the
-// work-stealing counters. Also validates the subsystem's determinism
-// guarantee: the Trojan witness sets (accept labels, definitions,
-// concrete bytes) must be bitwise-identical at every worker count.
+// wall-clock speedup and the work-stealing counters. Also validates
+// the subsystem's determinism guarantee: the Trojan witness sets
+// (accept labels, definitions, concrete bytes) must be
+// bitwise-identical at every worker count.
 //
 // Usage: bench_parallel [--clients N] [--workers 1,2,4,8]
 //                       [--json <path>] [--trace-out <path>]
@@ -59,8 +59,6 @@ struct SweepPoint
     size_t workers = 1;
     double seconds = 0.0;
     size_t trojans = 0;
-    int64_t cache_hits = 0;
-    int64_t cache_misses = 0;
     int64_t states_stolen = 0;
     std::vector<WitnessSummary> witnesses;
     obs::RunReport report;
@@ -130,9 +128,6 @@ RunOnce(size_t workers, size_t num_clients, const ObsOptions &obs_opts = {})
     point.workers = workers;
     point.seconds = result.timings.server_analysis;
     point.trojans = result.server.trojans.size();
-    point.cache_hits = result.server.stats.Get("exec.queries_cached");
-    point.cache_misses =
-        result.server.stats.Get("exec.query_cache_misses");
     point.states_stolen = result.server.stats.Get("exec.states_stolen");
     CanonicalHasher hasher(&ctx);
     for (const TrojanWitness &t : result.server.trojans) {
@@ -201,19 +196,14 @@ main(int argc, char **argv)
     const SweepPoint &serial = points.front();
 
     bench::Section("sweep");
-    std::printf("  %8s %12s %9s %10s %12s %9s\n", "workers", "seconds",
-                "speedup", "trojans", "cache-hit%", "stolen");
+    std::printf("  %8s %12s %9s %10s %9s\n", "workers", "seconds",
+                "speedup", "trojans", "stolen");
     bool identical = true;
     for (const SweepPoint &p : points) {
         const double speedup =
             p.seconds > 0 ? serial.seconds / p.seconds : 0.0;
-        const int64_t lookups = p.cache_hits + p.cache_misses;
-        const double hit_rate =
-            lookups > 0 ? 100.0 * static_cast<double>(p.cache_hits) /
-                              static_cast<double>(lookups)
-                        : 0.0;
-        std::printf("  %8zu %12.3f %8.2fx %10zu %11.1f%% %9lld\n",
-                    p.workers, p.seconds, speedup, p.trojans, hit_rate,
+        std::printf("  %8zu %12.3f %8.2fx %10zu %9lld\n", p.workers,
+                    p.seconds, speedup, p.trojans,
                     static_cast<long long>(p.states_stolen));
         identical &= p.witnesses == serial.witnesses;
 
@@ -227,8 +217,6 @@ main(int argc, char **argv)
             "parallel.server_seconds" + suffix, p.seconds);
         bench::JsonRecorder::Instance().Record(
             "parallel.speedup" + suffix, speedup);
-        bench::JsonRecorder::Instance().Record(
-            "parallel.cache_hit_rate" + suffix, hit_rate);
         bench::JsonRecorder::Instance().Record(
             "parallel.states_stolen" + suffix,
             static_cast<double>(p.states_stolen));

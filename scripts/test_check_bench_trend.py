@@ -120,9 +120,10 @@ class GateTest(unittest.TestCase):
         self.assertEqual(code, 0, out)
 
     def test_baseline_with_removed_metrics_passes(self):
-        # The first run after a bench is deleted compares against an
-        # artifact that still carries its metrics: they are no longer
-        # watched, so they are neither compared nor listed.
+        # The first run after a bench or a bench column is deleted
+        # compares against an artifact that still carries its metrics:
+        # they are no longer watched, so they are neither compared nor
+        # listed.
         code, out = run_gate(
             current=[{"metric": "corpus.trojan_yield", "value": 5.0}],
             baseline=[
@@ -130,10 +131,13 @@ class GateTest(unittest.TestCase):
                 {"metric": "warmstart.speedup", "value": 7.26},
                 {"metric": "warmstart.query_reduction_pct", "value": 8.0},
                 {"metric": "warmstart.corpus_query_reduction_pct",
-                 "value": 28.0}])
+                 "value": 28.0},
+                {"metric": "parallel.cache_hit_rate/workers=4",
+                 "value": 51.2}])
         self.assertEqual(code, 0, out)
         self.assertIn("corpus.trojan_yield", out)
         self.assertNotIn("warmstart", out)
+        self.assertNotIn("cache_hit_rate", out)
 
 
 class NestedRecordTest(unittest.TestCase):

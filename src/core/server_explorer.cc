@@ -28,8 +28,8 @@ struct ServerExplorer::LiveSet : public symexec::StateUserData
 /**
  * Per-worker listener: bridge-translated copies of the predicate-match
  * and negation tables, private result sinks, and the worker's own
- * cached solver. The heavy lifting delegates to the owner's
- * HandleBranch/HandleAccept over this worker's plane.
+ * solver. The heavy lifting delegates to the owner's HandleBranch/
+ * HandleAccept over this worker's plane.
  */
 class ServerExplorer::WorkerListener : public symexec::Listener
 {

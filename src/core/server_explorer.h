@@ -122,8 +122,8 @@ struct ServerAnalysis
     std::vector<symexec::PathResult> accepting_paths;
     std::vector<LiveSetSample> live_samples;
     /** Every plane's explorer counters, the engines' and (parallel
-     *  runs) the worker solvers', scheduler's and shared query cache's
-     *  counters. The home solver's counters stay on the solver. */
+     *  runs) the worker solvers' and scheduler's counters. The home
+     *  solver's counters stay on the solver. */
     obs::CounterView stats;
     double seconds = 0.0;
 };
@@ -137,9 +137,8 @@ struct ServerAnalysis
  * With config.engine.num_workers > 1 the exploration runs on the
  * exec::ParallelEngine work-stealing pool: each worker evaluates the
  * incremental checks against bridge-translated predicate tables with
- * its own solver behind the shared query cache, and the merged analysis
- * (witness definitions re-homed, ordered by path id) is identical to a
- * serial run's.
+ * its own solver, and the merged analysis (witness definitions
+ * re-homed, ordered by path id) is identical to a serial run's.
  */
 class ServerExplorer : public symexec::Listener
 {
@@ -183,9 +182,9 @@ class ServerExplorer : public symexec::Listener
      * per-predicate expression tables the logic runs against, plus the
      * sinks it writes to. The serial path uses a single home plane; with
      * num_workers > 1 each worker gets a plane of bridge-translated
-     * expressions, its own CachedSolver and private sinks, so the
-     * LiveSet bookkeeping and witness emission never share mutable
-     * state across threads.
+     * expressions, its own solver and private sinks, so the LiveSet
+     * bookkeeping and witness emission never share mutable state across
+     * threads.
      */
     struct Plane
     {

@@ -79,8 +79,8 @@ ExprBridge::MirrorHomeVars()
         const smt::VarInfo &info = home_->InfoOf(id);
         smt::ExprRef remote_var =
             remote_->FreshVar(VarBaseName(info.name), info.width);
-        // Id alignment is what makes models, cache keys and the
-        // explorer's var->offset map portable; it requires mirroring
+        // Id alignment is what makes models, structural fingerprints and
+        // the explorer's var->offset map portable; it requires mirroring
         // into a context that has not created variables of its own yet.
         ACHILLES_CHECK(remote_var->VarId() == id,
                        "worker context variables out of alignment");

@@ -9,8 +9,9 @@
 //  * Variables are id-aligned: at launch every variable of the home
 //    context is mirrored into the worker context in id order, so
 //    variable k means the same thing everywhere. This is what makes
-//    solver models, the shared query cache and the explorer's
-//    var-to-field map portable across workers.
+//    solver models and the explorer's var-to-field map portable across
+//    workers, and what gives a node the same structural fingerprint
+//    (hence the same operand and assertion order) in every context.
 //  * Nodes are rebuilt bottom-up through the destination context's
 //    factory methods. Factories canonicalize by the context-independent
 //    structural fingerprint (smt::StructuralCompare), so a round trip

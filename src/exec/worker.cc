@@ -35,11 +35,6 @@ ParallelEngine::Run()
     ran_ = true;
 
     const size_t n = config_.num_workers;
-    // Every variable existing in the home context now is id-aligned in
-    // every worker context; only queries confined to these variables may
-    // use the shared cache (worker-local variable ids are ambiguous).
-    const uint32_t shared_var_limit = home_->NumVars();
-    cache_ = std::make_unique<QueryCache>();
 
     SchedulerConfig sched_config;
     sched_config.num_workers = n;
@@ -48,19 +43,13 @@ ParallelEngine::Run()
     sched_config.max_queued_states = config_.max_states;
     scheduler_ = std::make_unique<WorkStealingScheduler>(sched_config);
 
-    // Absorb the shared components' existing lock-free counters into the
-    // run's metrics registry as gauges: the heartbeat's sampler reads
-    // them live without the components' hot paths ever touching the
+    // Absorb the scheduler's existing lock-free counters into the run's
+    // metrics registry as gauges: the heartbeat's sampler reads them
+    // live without the scheduler's hot paths ever touching the
     // registry. (RegisterGauge replaces by name, so the scheduler's
     // queued-state count overrides any serial engine.frontier gauge.)
     if (config_.obs.metrics_on()) {
         obs::MetricsRegistry *reg = config_.obs.registry;
-        const QueryCache *cache = cache_.get();
-        reg->RegisterGauge("cache.hits", [cache] { return cache->hits(); });
-        reg->RegisterGauge("cache.misses",
-                           [cache] { return cache->misses(); });
-        reg->RegisterGauge("cache.collisions",
-                           [cache] { return cache->collisions(); });
         const WorkStealingScheduler *sched = scheduler_.get();
         reg->RegisterGauge("engine.frontier", [sched] {
             return static_cast<int64_t>(sched->queued());
@@ -87,8 +76,7 @@ ParallelEngine::Run()
         wc->bridge->MirrorHomeVars();
         smt::SolverConfig worker_config = solver_config_;
         worker_config.obs = solver_config_.obs.ForLane(i + 1);
-        wc->solver = std::make_unique<CachedSolver>(
-            &wc->ctx, cache_.get(), shared_var_limit, worker_config);
+        wc->solver = std::make_unique<smt::Solver>(&wc->ctx, worker_config);
         wc->engine = std::make_unique<symexec::Engine>(
             &wc->ctx, wc->solver.get(), program_, mode_, engine_config);
         wc->engine->SetFinalizeGate([this] {
@@ -144,10 +132,9 @@ ParallelEngine::Run()
                          return a.state_id < b.state_id;
                      });
     scheduler_->ExportStats(&stats_);
-    cache_->ExportStats(&stats_);
     stats_.Add("exec.workers", static_cast<int64_t>(n));
 
-    // The gauges registered above read components this engine owns;
+    // The gauges registered above read the scheduler this engine owns;
     // freeze them to their final values so a heartbeat (or RunReport)
     // sampling after this engine is destroyed reads constants, not
     // dangling pointers.
@@ -156,9 +143,6 @@ ParallelEngine::Run()
         const auto freeze = [reg](const std::string &name, int64_t value) {
             reg->RegisterGauge(name, [value] { return value; });
         };
-        freeze("cache.hits", cache_->hits());
-        freeze("cache.misses", cache_->misses());
-        freeze("cache.collisions", cache_->collisions());
         freeze("engine.frontier", 0);
         freeze("exec.states_stolen", scheduler_->states_stolen());
     }

@@ -1,13 +1,11 @@
 // Achilles reproduction -- parallel exploration subsystem.
 //
 // The worker pool. Each worker owns a full private solving stack -- an
-// ExprContext replica, a CachedSolver (its own bit-blasting solver
-// behind the shared cross-worker query cache) and a symexec::Engine
-// driven state-by-state -- plus an ExprBridge that re-homes states
-// stolen from other workers. ParallelEngine wires the pool to the
-// work-stealing scheduler and exposes the same surface as the serial
-// engine: set an incoming message, run, get PathResults in the home
-// context.
+// ExprContext replica, an smt::Solver and a symexec::Engine driven
+// state-by-state -- plus an ExprBridge that re-homes states stolen from
+// other workers. ParallelEngine wires the pool to the work-stealing
+// scheduler and exposes the same surface as the serial engine: set an
+// incoming message, run, get PathResults in the home context.
 //
 // Determinism: worker engines derive state ids from the fork tree
 // (schedule-independent), contexts are variable-id-aligned, expression
@@ -28,7 +26,6 @@
 #include <vector>
 
 #include "exec/expr_transfer.h"
-#include "exec/query_cache.h"
 #include "exec/scheduler.h"
 #include "obs/metrics.h"
 #include "smt/solver.h"
@@ -43,7 +40,7 @@ struct WorkerContext
     size_t worker_id = 0;
     smt::ExprContext ctx;
     std::unique_ptr<ExprBridge> bridge;
-    std::unique_ptr<CachedSolver> solver;
+    std::unique_ptr<smt::Solver> solver;
     std::unique_ptr<symexec::Engine> engine;
     /** Worker-context replicas of the home incoming-message bytes. */
     std::vector<smt::ExprRef> incoming;
@@ -92,8 +89,8 @@ class ParallelEngine
      */
     std::vector<symexec::PathResult> Run();
 
-    /** Every worker engine's and solver's counters plus the shared
-     *  cache's and scheduler's exports, merged after the join. */
+    /** Every worker engine's and solver's counters plus the
+     *  scheduler's exports, merged after the join. */
     const obs::CounterView &stats() const { return stats_; }
 
     size_t num_workers() const { return workers_.size(); }
@@ -111,7 +108,6 @@ class ParallelEngine
     std::vector<smt::ExprRef> incoming_;
 
     std::mutex home_mutex_;
-    std::unique_ptr<QueryCache> cache_;
     std::unique_ptr<WorkStealingScheduler> scheduler_;
     std::vector<std::unique_ptr<WorkerContext>> workers_;
     std::vector<std::unique_ptr<symexec::Listener>> listeners_;

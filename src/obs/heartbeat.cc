@@ -38,10 +38,10 @@ HeartbeatSample::Format() const
     std::snprintf(
         buf, sizeof(buf),
         "progress t=%.1fs states=%lld frontier=%lld queries=%lld "
-        "(%.1f/s) cache=%.1f%% unknown=%.1f%%",
+        "(%.1f/s) unknown=%.1f%%",
         elapsed_seconds, static_cast<long long>(states_explored),
         static_cast<long long>(frontier), static_cast<long long>(queries),
-        queries_per_sec, cache_hit_rate, unknown_rate);
+        queries_per_sec, unknown_rate);
     return buf;
 }
 
@@ -110,9 +110,6 @@ Heartbeat::Sample()
     last_time_ = now;
     last_queries_ = s.queries;
 
-    const int64_t cache_hits = ValueOf(agg, "cache.hits");
-    s.cache_hit_rate =
-        Percent(cache_hits, cache_hits + ValueOf(agg, "cache.misses"));
     s.unknown_rate = Percent(ValueOf(agg, "solver.unknowns"), s.queries);
     return s;
 }

@@ -5,8 +5,7 @@
 // (relaxed loads plus registered gauges -- it never touches worker
 // structures), and reports one line of live run state:
 //
-//   states explored, frontier depth, queries + queries/sec, cache hit
-//   rate, kUnknown rate
+//   states explored, frontier depth, queries + queries/sec, kUnknown rate
 //
 // Rates are deltas between consecutive samples. The line goes through
 // the leveled logger by default (whole-line writes, run-id prefix); a
@@ -37,8 +36,7 @@ struct HeartbeatSample
     int64_t frontier = 0;
     int64_t queries = 0;
     double queries_per_sec = 0.0;
-    double cache_hit_rate = 0.0;  ///< shared query cache, percent
-    double unknown_rate = 0.0;    ///< kUnknown verdicts, percent
+    double unknown_rate = 0.0;  ///< kUnknown verdicts, percent
 
     std::string Format() const;
 };

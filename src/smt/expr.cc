@@ -80,25 +80,17 @@ Expr::Expr(Kind kind, uint32_t width, uint64_t aux, std::vector<ExprRef> kids)
         h = HashCombine(h, reinterpret_cast<size_t>(kid));
     hash_ = h;
 
-    // Pointer-free fingerprints (see struct_hash()): kids contribute
-    // their own, so this is O(1) per node. The second hash uses
-    // different mix constants so the pair forms an effectively 128-bit
-    // key for the shared query cache.
+    // Pointer-free fingerprint (see struct_hash()): kids contribute
+    // their own, so this is O(1) per node.
     uint64_t s = MixBits((static_cast<uint64_t>(kind_) << 32) | width_);
     s = MixBits(s + 0x9e3779b97f4a7c15ull * (aux_ + 1));
-    uint64_t s2 = MixBits(0xd6e8feb86659fd93ull +
-                          (static_cast<uint64_t>(kind_) << 40) +
-                          (static_cast<uint64_t>(width_) << 8));
-    s2 = MixBits(s2 ^ (aux_ * 0xc2b2ae3d27d4eb4full));
     max_var_bound_ =
         kind_ == Kind::kVar ? static_cast<uint32_t>(aux_) + 1 : 0;
     for (ExprRef kid : kids_) {
         s = MixBits(s + 0xff51afd7ed558ccdull * kid->struct_hash());
-        s2 = MixBits(s2 + 0x9e3779b97f4a7c15ull * kid->struct_hash2());
         max_var_bound_ = std::max(max_var_bound_, kid->max_var_bound());
     }
     struct_hash_ = s;
-    struct_hash2_ = s2;
 }
 
 int

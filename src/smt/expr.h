@@ -103,12 +103,10 @@ class Expr
      * kids' fingerprints only -- never of pointer values. Two nodes built
      * in different ExprContexts from id-aligned variables get the same
      * fingerprint, which is what lets the parallel exploration subsystem
-     * canonicalize operand order, sort solver assertions and key the
-     * shared query cache identically on every worker.
+     * canonicalize operand order and sort solver assertions identically
+     * on every worker.
      */
     uint64_t struct_hash() const { return struct_hash_; }
-    /** Second, independent fingerprint (128-bit keys pair the two). */
-    uint64_t struct_hash2() const { return struct_hash2_; }
     /** Max variable id occurring in this DAG, plus 1 (0 = no vars). */
     uint32_t max_var_bound() const { return max_var_bound_; }
 
@@ -147,7 +145,6 @@ class Expr
     std::vector<ExprRef> kids_;
     size_t hash_;
     uint64_t struct_hash_;
-    uint64_t struct_hash2_;
     uint32_t max_var_bound_;
 };
 

@@ -109,14 +109,13 @@ struct BatchOutcome
  * same across runs, worker counts and query history.
  *
  * CheckSat/CheckSatAssuming are virtual so decorators can interpose
- * (the parallel exploration subsystem wraps each worker's solver with a
- * shared cross-worker query cache, see exec/query_cache.h). A Solver
- * instance is not thread-safe; parallel exploration gives each worker
- * its own.
+ * (e2ebench's timing decorator and the tests' solver doubles do). A
+ * Solver instance is not thread-safe; parallel exploration gives each
+ * worker its own.
  *
  * CheckSatOnSatBase is not virtual: it slices the base and hands the
- * slice to CheckSatAssuming, so the memo cache and every decorator see,
- * and cache, the sliced query. Its precondition, a satisfiable base, is
+ * slice to CheckSatAssuming, so the memo cache and every decorator see
+ * the sliced query. Its precondition, a satisfiable base, is
  * the caller's to keep; the symbolic executor keeps it with
  * symexec::State::path_sat(). Model queries always take the full base,
  * so every model, and every witness byte built from one, is the same
@@ -124,9 +123,8 @@ struct BatchOutcome
  *
  * The equality substitution sits below that boundary, inside
  * CheckSatSets, so every model-less caller gets it and decorators still
- * see, and key their caches by, each query as asked: only the memo
- * cache and the SAT instance see it rewritten. Sound for any
- * conjunction, it needs no precondition.
+ * see each query as asked: only the memo cache and the SAT instance see
+ * it rewritten. Sound for any conjunction, it needs no precondition.
  */
 class Solver
 {
@@ -196,18 +194,17 @@ class Solver
     /** The solver's counters as a name -> value view. */
     obs::CounterView stats() const { return obs::ViewOf(stats_); }
 
-  protected:
+  private:
     /**
-     * Shared workhorse for subclasses: canonicalize (substituting the
-     * bindings of a verdict-only query), consult the memo cache, then
-     * solve on the thread's SAT instance, Reset for the query. `extras`
-     * may be null.
+     * Shared workhorse of CheckSat and CheckSatAssuming: canonicalize
+     * (substituting the bindings of a verdict-only query), consult the
+     * memo cache, then solve on the thread's SAT instance, Reset for
+     * the query. `extras` may be null.
      */
     CheckResult CheckSatSets(const std::vector<ExprRef> &base,
                              const std::vector<ExprRef> *extras,
                              Model *model);
 
-  private:
     struct CacheEntry
     {
         CheckStatus status;

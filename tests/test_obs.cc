@@ -259,15 +259,12 @@ TEST(HeartbeatTest, SampleReadsTheRegistrysAggregate)
     reg.GetCounter(1, "solver.queries").Bump(50);
     reg.GetCounter(1, "solver.unknowns").Bump(5);
     reg.RegisterGauge("engine.frontier", [] { return int64_t{7}; });
-    reg.RegisterGauge("cache.hits", [] { return int64_t{30}; });
-    reg.RegisterGauge("cache.misses", [] { return int64_t{10}; });
 
     obs::Heartbeat hb(&reg, /*interval_seconds=*/3600.0);
     const obs::HeartbeatSample sample = hb.Sample();
     EXPECT_EQ(sample.states_explored, 21);
     EXPECT_EQ(sample.frontier, 7);
     EXPECT_EQ(sample.queries, 50);
-    EXPECT_DOUBLE_EQ(sample.cache_hit_rate, 75.0);
     EXPECT_DOUBLE_EQ(sample.unknown_rate, 10.0);
     EXPECT_FALSE(sample.Format().empty());
 }

@@ -15,7 +15,8 @@
 //   --spec           parse + register a wire-format spec file and
 //                    analyze it (overrides --protocol)
 //   --list-protocols print every registered protocol name and exit
-//   --workers        server-exploration worker threads (default 1)
+//   --workers        server-exploration worker threads (default 1,
+//                    at most 256)
 //   --clients        client programs to include (default all)
 //                    (both take a decimal integer >= 1)
 //   --metrics-out    write the end-of-run RunReport as one JSON object
@@ -25,9 +26,10 @@
 //                    every `secs` with --progress=secs, a decimal number
 //                    >= 0; 0 turns the heartbeat off)
 //
-// A malformed number, a flag missing its value, or an unknown argument
-// prints the usage and exits with status 2. A witness the protocol's
-// concrete oracle rejects is an error: the run exits with status 1.
+// A malformed or out-of-range number, a flag missing its value, or an
+// unknown argument prints the usage and exits with status 2. A witness
+// the protocol's concrete oracle rejects is an error: the run exits
+// with status 1.
 //
 // Log verbosity follows the ACHILLES_LOG environment variable
 // (debug|info|warn|error|off).
@@ -52,6 +54,11 @@
 using namespace achilles;
 
 namespace {
+
+/** Largest --workers accepted. Each worker is a thread with its own
+ *  expression context and solver, so a larger count is a typo, and
+ *  one near SIZE_MAX would otherwise abort the scheduler's set-up. */
+constexpr size_t kMaxWorkers = 256;
 
 void
 Usage(const char *argv0)
@@ -154,6 +161,11 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--workers") == 0) {
             if (!ParseCount(argv[++i], &workers))
                 return BadNumber(argv[0], arg, "an integer >= 1", argv[i]);
+            if (workers > kMaxWorkers) {
+                const std::string want =
+                    "an integer <= " + std::to_string(kMaxWorkers);
+                return BadNumber(argv[0], arg, want.c_str(), argv[i]);
+            }
         } else if (std::strcmp(arg, "--clients") == 0) {
             if (!ParseCount(argv[++i], &num_clients))
                 return BadNumber(argv[0], arg, "an integer >= 1", argv[i]);
