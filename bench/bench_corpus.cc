@@ -15,9 +15,13 @@
 // trend gate watches the emitted metrics across PRs.
 //
 // Flags: --limit N     cap on synth protocols (default 40, 0 = all)
-//        --workers N   explorer worker count (default 1)
+//        --workers N   explorer worker count (default 1, at most 256)
 //        --specs DIR   load every *.spec file in DIR and run those too
 //        --json PATH   machine-readable metrics (bench_util.h)
+//
+// Both numbers are decimal integers. A malformed or out-of-range
+// number, or a flag missing its value, prints the usage and exits with
+// status 2 before any run.
 
 #include <algorithm>
 #include <chrono>
@@ -32,10 +36,20 @@
 #include "core/achilles.h"
 #include "proto/registry.h"
 #include "proto/spec/lower.h"
+#include "tools/flags.h"
 
 using namespace achilles;
 
 namespace {
+
+void
+Usage(const char *argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s [--limit N] [--workers N] [--specs <dir>] "
+                 "[--json <path>]\n",
+                 argv0);
+}
 
 struct RunResult
 {
@@ -86,18 +100,32 @@ MetricSuffix(const std::string &family)
 int
 main(int argc, char **argv)
 {
-    bench::ParseBenchArgs(argc, argv);
     size_t limit = 40;
     size_t workers = 1;
     std::string specs_dir;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--limit") == 0 && i + 1 < argc)
-            limit = static_cast<size_t>(std::atoll(argv[i + 1]));
-        else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc)
-            workers = static_cast<size_t>(std::atoi(argv[i + 1]));
-        else if (std::strcmp(argv[i], "--specs") == 0 && i + 1 < argc)
-            specs_dir = argv[i + 1];
+        const char *arg = argv[i];
+        if (i + 1 == argc &&
+            flags::TakesValue(arg,
+                              {"--limit", "--workers", "--specs", "--json"})) {
+            return flags::MissingValue(argv[0], Usage, arg);
+        }
+        if (std::strcmp(arg, "--limit") == 0) {
+            if (!flags::ParseCount(argv[++i], &limit, /*min=*/0)) {
+                return flags::BadNumber(argv[0], Usage, arg,
+                                        "an integer >= 0", argv[i]);
+            }
+        } else if (std::strcmp(arg, "--workers") == 0) {
+            std::string want;
+            if (!flags::ParseWorkers(argv[++i], &workers, &want))
+                return flags::BadNumber(argv[0], Usage, arg, want, argv[i]);
+        } else if (std::strcmp(arg, "--specs") == 0) {
+            specs_dir = argv[++i];
+        } else if (std::strcmp(arg, "--json") == 0) {
+            ++i;  // bench::ParseBenchArgs opens it below
+        }
     }
+    bench::ParseBenchArgs(argc, argv);
 
     bench::Header("Protocol corpus -- per-family Trojan yield over the "
                   "seeded synthetic families + wire-format specs");

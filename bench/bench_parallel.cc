@@ -11,6 +11,11 @@
 //                       [--json <path>] [--trace-out <path>]
 //                       [--progress[=secs]] [--obs-overhead]
 //
+// --clients takes a decimal integer >= 1, and --workers a comma list of
+// them, each at most 256; --progress=secs takes a decimal number >= 0.
+// A malformed or out-of-range number, or a flag missing its value,
+// prints the usage and exits with status 2 before any run.
+//
 // Observability: `--trace-out` re-runs the max-worker point with the
 // Chrome-trace recorder attached and writes the trace there (load it in
 // chrome://tracing or ui.perfetto.dev); `--progress` attaches the live
@@ -31,7 +36,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -44,11 +48,23 @@
 #include "core/achilles.h"
 #include "obs/heartbeat.h"
 #include "proto/fsp/fsp_protocol.h"
+#include "tools/flags.h"
 
 using namespace achilles;
 using namespace achilles::core;
 
 namespace {
+
+void
+Usage(const char *argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s [--clients N] [--workers N,N,...] "
+                 "[--json <path>]\n"
+                 "          [--trace-out <path>] [--progress[=secs]] "
+                 "[--obs-overhead]\n",
+                 argv0);
+}
 
 /** Witness summary comparable across independent runs. */
 using WitnessSummary =
@@ -143,38 +159,60 @@ RunOnce(size_t workers, size_t num_clients, const ObsOptions &obs_opts = {})
 int
 main(int argc, char **argv)
 {
-    bench::ParseBenchArgs(argc, argv);
     size_t num_clients = 8;
     bool obs_overhead = false;
     double progress_secs = 0.0;
     std::string trace_path;
     std::vector<size_t> worker_counts{1, 2, 4, 8};
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--obs-overhead") == 0)
+        const char *arg = argv[i];
+        if (i + 1 == argc &&
+            flags::TakesValue(arg, {"--clients", "--workers", "--json",
+                                    "--trace-out"})) {
+            return flags::MissingValue(argv[0], Usage, arg);
+        }
+        if (std::strcmp(arg, "--obs-overhead") == 0) {
             obs_overhead = true;
-        else if (std::strcmp(argv[i], "--progress") == 0)
+        } else if (std::strcmp(arg, "--progress") == 0) {
             progress_secs = 1.0;
-        else if (std::strncmp(argv[i], "--progress=", 11) == 0)
-            progress_secs = std::atof(argv[i] + 11);
-    }
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--clients") == 0) {
-            num_clients = static_cast<size_t>(std::atoi(argv[i + 1]));
-        } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-            trace_path = argv[i + 1];
-        } else if (std::strcmp(argv[i], "--workers") == 0) {
+        } else if (std::strncmp(arg, "--progress=", 11) == 0) {
+            if (!flags::ParseSeconds(arg + 11, &progress_secs)) {
+                return flags::BadNumber(argv[0], Usage, "--progress=",
+                                        "a number of seconds >= 0",
+                                        arg + 11);
+            }
+        } else if (std::strcmp(arg, "--clients") == 0) {
+            if (!flags::ParseCount(argv[++i], &num_clients)) {
+                return flags::BadNumber(argv[0], Usage, arg,
+                                        "an integer >= 1", argv[i]);
+            }
+        } else if (std::strcmp(arg, "--trace-out") == 0) {
+            trace_path = argv[++i];
+        } else if (std::strcmp(arg, "--json") == 0) {
+            ++i;  // bench::ParseBenchArgs opens it below
+        } else if (std::strcmp(arg, "--workers") == 0) {
+            const std::string list = argv[++i];
             worker_counts.clear();
-            for (const char *p = argv[i + 1]; *p != '\0';) {
-                char *end = nullptr;
-                const long w = std::strtol(p, &end, 10);
-                if (end == p)
+            for (size_t start = 0;;) {
+                const size_t comma = list.find(',', start);
+                const std::string item = list.substr(start, comma - start);
+                size_t workers = 0;
+                if (!flags::ParseCount(item.c_str(), &workers) ||
+                    workers > flags::kMaxWorkers) {
+                    return flags::BadNumber(
+                        argv[0], Usage, arg,
+                        "a comma list of integers from 1 to " +
+                            std::to_string(flags::kMaxWorkers),
+                        list.c_str());
+                }
+                worker_counts.push_back(workers);
+                if (comma == std::string::npos)
                     break;
-                if (w > 0)
-                    worker_counts.push_back(static_cast<size_t>(w));
-                p = *end == ',' ? end + 1 : end;
+                start = comma + 1;
             }
         }
     }
+    bench::ParseBenchArgs(argc, argv);
     if (std::find(worker_counts.begin(), worker_counts.end(), 1u) ==
         worker_counts.end()) {
         // The sweep's speedup baseline is the serial run; force it in.

@@ -2,7 +2,6 @@
 
 #include "baselines/classic_se.h"
 
-#include "exec/worker.h"
 #include "smt/eval.h"
 #include "support/timer.h"
 
@@ -30,9 +29,10 @@ RunClassicSe(smt::ExprContext *ctx, smt::Solver *solver,
     for (uint32_t i = 0; i < layout.length(); ++i)
         message.push_back(ctx->FreshVar("msg", 8));
 
-    std::vector<symexec::PathResult> paths =
-        exec::RunExploration(ctx, solver, server, symexec::Mode::kServer,
-                             config.engine, message, &result.stats);
+    symexec::Engine engine(ctx, solver, server, symexec::Mode::kServer);
+    engine.SetIncomingMessage(message);
+    std::vector<symexec::PathResult> paths = engine.Run();
+    result.stats.Merge(engine.stats());
     result.exploration_seconds = timer.Seconds();
 
     // Analyzed byte offsets (model blocking is restricted to these).

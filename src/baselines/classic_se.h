@@ -24,9 +24,6 @@ namespace baselines {
 /** Configuration for the classic-SE baseline. */
 struct ClassicSeConfig
 {
-    /** engine.num_workers > 1 runs the exploration on the
-     *  exec::ParallelEngine work-stealing pool. */
-    symexec::EngineConfig engine;
     /** Max concrete messages enumerated per accepting path. */
     size_t enumerate_per_path = 1;
 };
@@ -51,16 +48,16 @@ struct ClassicSeResult
     double exploration_seconds = 0.0;
     /** Exploration + per-path message enumeration. */
     double seconds = 0.0;
-    /** The baseline's counters plus the exploration's engine (and,
-     *  with workers, worker solver) counters. */
+    /** The baseline's counters plus the exploration's engine
+     *  counters. */
     obs::CounterView stats;
 };
 
 /**
- * Run vanilla symbolic execution of the server and enumerate accepted
- * messages. Enumeration blocks previous models on the *analyzed*
- * (unmasked) bytes only, so masked header fields do not inflate the
- * count.
+ * Run vanilla symbolic execution of the server (one serial engine on
+ * the calling thread) and enumerate accepted messages. Enumeration
+ * blocks previous models on the *analyzed* (unmasked) bytes only, so
+ * masked header fields do not inflate the count.
  */
 ClassicSeResult RunClassicSe(smt::ExprContext *ctx, smt::Solver *solver,
                              const symexec::Program *server,

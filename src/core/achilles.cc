@@ -8,26 +8,6 @@
 namespace achilles {
 namespace core {
 
-namespace {
-
-/** The pipeline's own entries: the worker count each explored phase ran
- *  with, filed next to that phase's counters. */
-struct PipelineStats
-{
-    int64_t client_workers = 0;
-    int64_t server_workers = 0;
-
-    /** The one place these entries are named ("achilles.*"). */
-    void
-    AddTo(obs::CounterView *preprocessing, obs::CounterView *server) const
-    {
-        preprocessing->Add("achilles.client_workers", client_workers);
-        server->Add("achilles.server_workers", server_workers);
-    }
-};
-
-}  // namespace
-
 AchillesResult
 RunAchilles(smt::ExprContext *ctx, smt::Solver *solver,
             const AchillesConfig &config)
@@ -35,11 +15,8 @@ RunAchilles(smt::ExprContext *ctx, smt::Solver *solver,
     ACHILLES_CHECK(config.server != nullptr, "no server program");
     ACHILLES_CHECK(!config.clients.empty(), "no client programs");
 
-    // Propagate the pipeline's obs handle into the phase configs unless
-    // a caller already wired those explicitly.
-    ClientExtractorConfig client_config = config.client_config;
-    if (!client_config.engine.obs.enabled())
-        client_config.engine.obs = config.obs;
+    // Propagate the pipeline's obs handle into the server config unless
+    // a caller already wired it explicitly.
     ServerExplorerConfig server_config = config.server_config;
     if (!server_config.engine.obs.enabled())
         server_config.engine.obs = config.obs;
@@ -52,7 +29,7 @@ RunAchilles(smt::ExprContext *ctx, smt::Solver *solver,
         obs::ScopedSpan span(config.obs.tracer, config.obs.lane,
                              "phase.client_extraction", "pipeline");
         result.client_predicate = ExtractClientPredicate(
-            ctx, solver, config.clients, config.layout, client_config);
+            ctx, solver, config.clients, config.layout, config.obs);
         span.AddArg("paths", static_cast<int64_t>(
                                  result.client_predicate.paths.size()));
     }
@@ -109,17 +86,16 @@ RunAchilles(smt::ExprContext *ctx, smt::Solver *solver,
                     static_cast<int64_t>(result.server.trojans.size()));
     }
     result.timings.server_analysis = timer.Seconds();
-    PipelineStats pipeline;
-    pipeline.client_workers =
-        static_cast<int64_t>(client_config.engine.num_workers);
-    pipeline.server_workers =
-        static_cast<int64_t>(server_config.engine.num_workers);
-    pipeline.AddTo(&result.preprocessing_stats, &result.server.stats);
+    result.server.stats.Add(
+        "achilles.server_workers",
+        static_cast<int64_t>(server_config.engine.num_workers));
 
     // Fold the run's observability into the result. The counter views
-    // sum: no event is counted in two of them (the worker solvers count
-    // into the server stats, the home solver only on itself).
-    obs::CounterView counters = result.preprocessing_stats;
+    // sum: no event is counted in two of them (each phase's engines
+    // count into that phase's stats, the worker solvers into the server
+    // stats, the home solver only on itself).
+    obs::CounterView counters = result.client_predicate.stats;
+    counters.Merge(result.preprocessing_stats);
     counters.Merge(result.server.stats);
     counters.Merge(solver->stats());
     result.report.Add(counters);

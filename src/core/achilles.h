@@ -33,15 +33,14 @@ struct AchillesConfig
     MessageLayout layout;
     std::vector<const symexec::Program *> clients;
     const symexec::Program *server = nullptr;
-    ClientExtractorConfig client_config;
     /** Also selects the preprocessing: the differentFrom matrix is
      *  computed only when `server_config.use_different_from` is set. */
     ServerExplorerConfig server_config;
     /**
      * Observability sinks for the whole pipeline (src/obs/obs.h). When
      * set, RunAchilles records one span per pipeline phase on lane 0,
-     * propagates the handle into the client-extraction and
-     * server-exploration engine configs (unless those already carry
+     * passes the handle to the client-extraction engines and into the
+     * server-exploration engine config (unless that already carries
      * one), and folds the registry's aggregate plus trace accounting
      * into AchillesResult::report. The solver's own instrumentation is
      * configured at solver construction (SolverConfig::obs) -- pass the
@@ -70,12 +69,12 @@ struct AchillesResult
     ServerAnalysis server;
     PhaseTimings timings;
     NegateStats negate_stats;
-    /** The differentFrom precomputation's counters, plus the
-     *  client-extraction worker count. */
+    /** The differentFrom precomputation's counters. */
     obs::CounterView preprocessing_stats;
-    /** End-of-run observability summary: the preprocessing, server and
-     *  home-solver counters summed, then (when AchillesConfig::obs
-     *  carries them) the registry aggregate and trace volume. */
+    /** End-of-run observability summary: the client-extraction,
+     *  preprocessing, server and home-solver counters summed, then
+     *  (when AchillesConfig::obs carries them) the registry aggregate
+     *  and trace volume. */
     obs::RunReport report;
 };
 

@@ -4,7 +4,7 @@
 
 #include <unordered_set>
 
-#include "exec/worker.h"
+#include "symexec/engine.h"
 
 namespace achilles {
 namespace core {
@@ -20,24 +20,21 @@ ClientExtractorStats::AddTo(obs::CounterView *view) const
 ClientPredicate
 ExtractClientPredicate(smt::ExprContext *ctx, smt::Solver *solver,
                        const std::vector<const symexec::Program *> &clients,
-                       const MessageLayout &layout,
-                       const ClientExtractorConfig &config)
+                       const MessageLayout &layout, obs::ObsHandle obs)
 {
     ClientPredicate out;
     ClientExtractorStats stats;
     CanonicalHasher hasher(ctx);
     std::unordered_set<uint64_t> seen;
     uint64_t next_id = 0;
+    symexec::EngineConfig engine_config;
+    engine_config.obs = obs;
 
     for (const symexec::Program *client : clients) {
-        // With num_workers > 1 extraction runs on the worker pool:
-        // client paths are independent, and the ParallelEngine returns
-        // them home-translated in a schedule-independent order, so
-        // predicate ids stay stable.
-        const std::vector<symexec::PathResult> paths =
-            exec::RunExploration(ctx, solver, client,
-                                 symexec::Mode::kClient, config.engine,
-                                 {}, &out.stats);
+        symexec::Engine engine(ctx, solver, client, symexec::Mode::kClient,
+                               engine_config);
+        const std::vector<symexec::PathResult> paths = engine.Run();
+        out.stats.Merge(engine.stats());
         for (const symexec::PathResult &path : paths) {
             if (path.outcome != symexec::PathOutcome::kClientDone)
                 continue;

@@ -14,17 +14,12 @@
 #include "core/message.h"
 #include "core/path_predicate.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "smt/solver.h"
-#include "symexec/engine.h"
+#include "symexec/program.h"
 
 namespace achilles {
 namespace core {
-
-/** Options for client predicate extraction. */
-struct ClientExtractorConfig
-{
-    symexec::EngineConfig engine;
-};
 
 /** Extraction counters (the extraction runs on the calling thread). */
 struct ClientExtractorStats
@@ -41,19 +36,20 @@ struct ClientExtractorStats
 struct ClientPredicate
 {
     std::vector<ClientPathPredicate> paths;
-    /** The extraction's counters plus every exploration's engine (and,
-     *  with workers, worker solver) counters. */
+    /** The extraction's counters plus every client engine's counters. */
     obs::CounterView stats;
 };
 
 /**
- * Run every client program symbolically and collect one
- * ClientPathPredicate per (path, sent message).
+ * Run every client program symbolically, one serial engine each on the
+ * calling thread, and collect one ClientPathPredicate per (path, sent
+ * message). `obs` is the run's observability handle, passed to every
+ * client engine.
  */
 ClientPredicate ExtractClientPredicate(
     smt::ExprContext *ctx, smt::Solver *solver,
     const std::vector<const symexec::Program *> &clients,
-    const MessageLayout &layout, const ClientExtractorConfig &config = {});
+    const MessageLayout &layout, obs::ObsHandle obs = {});
 
 }  // namespace core
 }  // namespace achilles

@@ -25,110 +25,52 @@ struct ServerExplorer::LiveSet : public symexec::StateUserData
     }
 };
 
-/**
- * Per-worker listener: bridge-translated copies of the predicate-match
- * and negation tables, private result sinks, and the worker's own
- * solver. The heavy lifting delegates to the owner's HandleBranch/
- * HandleAccept over this worker's plane.
- */
-class ServerExplorer::WorkerListener : public symexec::Listener
+ServerExplorer::Plane::Plane(ServerExplorer *owner)
+    : owner(owner), ctx(owner->ctx_), solver(owner->solver_),
+      message(&owner->message_), obs(owner->config_.engine.obs)
 {
-  public:
-    WorkerListener(ServerExplorer *owner, exec::WorkerContext *wc)
-        : owner_(owner), wc_(wc)
-    {
-        // Translate the shared expression tables into this worker's
-        // context (single-threaded: runs before worker threads start).
-        match_.resize(owner->match_.size());
-        for (size_t i = 0; i < owner->match_.size(); ++i) {
-            match_[i].reserve(owner->match_[i].size());
-            for (smt::ExprRef e : owner->match_[i])
-                match_[i].push_back(wc->bridge->ToRemote(e));
-        }
-        negations_.reserve(owner->negation_exprs_.size());
-        for (smt::ExprRef e : owner->negation_exprs_)
-            negations_.push_back(e ? wc->bridge->ToRemote(e) : nullptr);
-        // The engine's incoming message is the worker replica of the
-        // home message; id alignment makes var_to_offset_ valid here.
-        message_ = wc->incoming;
-        for (size_t i = 0; i < message_.size(); ++i) {
-            ACHILLES_CHECK(message_[i]->VarId() ==
-                               owner->message_[i]->VarId(),
-                           "message variables out of alignment");
-        }
-    }
+}
 
-    Plane
-    plane()
-    {
-        Plane p;
-        p.ctx = &wc_->ctx;
-        p.solver = wc_->solver.get();
-        p.match = &match_;
-        p.negations = &negations_;
-        p.message = &message_;
-        p.stats = &stats_;
-        p.samples = &samples_;
-        p.trojans = &trojans_;
-        // Worker w bumps/traces on obs lane 1 + w, matching the lane
-        // numbering the ParallelEngine gives its engines and solvers.
-        p.obs = owner_->config_.engine.obs.ForLane(wc_->worker_id + 1);
-        return p;
-    }
-
-    bool
-    OnBranch(symexec::State &state, smt::ExprRef constraint) override
-    {
-        Plane p = plane();
-        return owner_->HandleBranch(p, state, constraint);
-    }
-
-    void
-    OnAccept(symexec::State &state) override
-    {
-        Plane p = plane();
-        owner_->HandleAccept(p, state);
-    }
-
-    exec::WorkerContext *wc() { return wc_; }
-    const ExplorerStats &stats() const { return stats_; }
-    std::vector<LiveSetSample> &samples() { return samples_; }
-    std::vector<TrojanWitness> &trojans() { return trojans_; }
-
-  private:
-    ServerExplorer *owner_;
-    exec::WorkerContext *wc_;
-    std::vector<std::vector<smt::ExprRef>> match_;
-    std::vector<smt::ExprRef> negations_;
-    std::vector<smt::ExprRef> message_;
-    ExplorerStats stats_;
-    std::vector<LiveSetSample> samples_;
-    std::vector<TrojanWitness> trojans_;
-};
-
-class ServerExplorer::WorkerFactory : public exec::WorkerListenerFactory
+ServerExplorer::Plane::Plane(ServerExplorer *owner, exec::WorkerContext *wc)
+    : owner(owner), ctx(&wc->ctx), solver(wc->solver.get()),
+      message(&wc->incoming),
+      // Worker w bumps/traces on obs lane 1 + w, matching the lane
+      // numbering the ParallelEngine gives its engines and solvers.
+      obs(owner->config_.engine.obs.ForLane(wc->worker_id + 1)),
+      bridge(wc->bridge.get())
 {
-  public:
-    explicit WorkerFactory(ServerExplorer *owner) : owner_(owner) {}
-
-    std::unique_ptr<symexec::Listener>
-    MakeListener(exec::WorkerContext *wc) override
-    {
-        auto listener = std::make_unique<WorkerListener>(owner_, wc);
-        created_.push_back(listener.get());
-        return listener;
+    // The engine's incoming message is the worker replica of the home
+    // message; id alignment makes var_to_offset_ valid here.
+    for (size_t i = 0; i < message->size(); ++i) {
+        ACHILLES_CHECK((*message)[i]->VarId() ==
+                           owner->message_[i]->VarId(),
+                       "message variables out of alignment");
     }
-
-    /** Listeners in worker-id order (owned by the ParallelEngine). */
-    const std::vector<WorkerListener *> &created() const
-    {
-        return created_;
+    const Plane &home = owner->home_;
+    match.resize(home.match.size());
+    for (size_t i = 0; i < home.match.size(); ++i) {
+        match[i].reserve(home.match[i].size());
+        for (smt::ExprRef e : home.match[i])
+            match[i].push_back(bridge->ToRemote(e));
     }
+    negations.reserve(home.negations.size());
+    for (smt::ExprRef e : home.negations)
+        negations.push_back(e ? bridge->ToRemote(e) : nullptr);
+}
 
-  private:
-    ServerExplorer *owner_;
-    std::vector<WorkerListener *> created_;
-};
+bool
+ServerExplorer::Plane::OnBranch(symexec::State &state,
+                                smt::ExprRef constraint)
+{
+    return owner->HandleBranch(*this, state, constraint);
+}
+
+void
+ServerExplorer::Plane::OnAccept(symexec::State &state)
+{
+    owner->EmitTrojan(*this, state.id(), state.accept_label,
+                      state.constraints(), owner->GetLiveSet(state)->live);
+}
 
 ServerExplorer::ServerExplorer(
     smt::ExprContext *ctx, smt::Solver *solver,
@@ -139,7 +81,7 @@ ServerExplorer::ServerExplorer(
     std::vector<smt::ExprRef> message)
     : ctx_(ctx), solver_(solver), server_(server), layout_(layout),
       preds_(preds), negations_(negations), different_from_(different_from),
-      config_(config), message_(std::move(message))
+      config_(config), message_(std::move(message)), home_(this)
 {
     ACHILLES_CHECK(preds_->size() == negations_->size(),
                    "negations out of sync with predicates");
@@ -169,19 +111,19 @@ ServerExplorer::ServerExplorer(
     // Pre-build, per client path predicate, the conjunction stating
     // "this server message is one of the predicate's messages":
     // byte equalities over analyzed bytes plus the client constraints.
-    match_.resize(preds_->size());
-    negation_exprs_.resize(preds_->size());
+    home_.match.resize(preds_->size());
+    home_.negations.resize(preds_->size());
     for (size_t i = 0; i < preds_->size(); ++i) {
         const ClientPathPredicate &pred = (*preds_)[i];
         for (uint32_t k = 0; k < layout_->length(); ++k) {
             if (!analyzed_byte[k])
                 continue;
-            match_[i].push_back(
+            home_.match[i].push_back(
                 ctx_->MakeEq(message_[k], pred.bytes[k]));
         }
         for (smt::ExprRef c : pred.constraints)
-            match_[i].push_back(c);
-        negation_exprs_[i] = (*negations_)[i].Usable()
+            home_.match[i].push_back(c);
+        home_.negations[i] = (*negations_)[i].Usable()
                                  ? (*negations_)[i].Disjunction(ctx_)
                                  : nullptr;
     }
@@ -200,22 +142,6 @@ ExplorerStats::AddTo(obs::CounterView *view) const
     view->Add("explorer.accepting_without_trojans",
               accepting_without_trojans);
     view->Add("explorer.trojans", trojans);
-}
-
-ServerExplorer::Plane
-ServerExplorer::HomePlane()
-{
-    Plane p;
-    p.ctx = ctx_;
-    p.solver = solver_;
-    p.match = &match_;
-    p.negations = &negation_exprs_;
-    p.message = &message_;
-    p.stats = &home_stats_;
-    p.samples = &analysis_.live_samples;
-    p.trojans = &analysis_.trojans;
-    p.obs = config_.engine.obs;
-    return p;
 }
 
 ServerExplorer::LiveSet *
@@ -240,8 +166,8 @@ ServerExplorer::PredicateMatches(Plane &plane, const symexec::State &state,
     // pathS as the base, predicate i's match conjunction as the extras:
     // iterating i over the live set re-asserts the same base without
     // copying it into a new vector per predicate.
-    ++plane.stats->match_queries;
-    const std::vector<smt::ExprRef> &match = (*plane.match)[i];
+    ++plane.stats.match_queries;
+    const std::vector<smt::ExprRef> &match = plane.match[i];
     if (state.path_sat())
         return plane.solver->CheckSatOnSatBase(state.constraints(), match);
     return plane.solver->CheckSatAssuming(state.constraints(), match);
@@ -255,15 +181,15 @@ ServerExplorer::TrojanQuery(
     std::vector<smt::ExprRef> negations;
     negations.reserve(live.size());
     for (uint32_t i : live) {
-        if ((*plane.negations)[i] == nullptr) {
+        if (plane.negations[i] == nullptr) {
             // An un-negatable live predicate blocks the whole query: we
             // cannot certify any message as outside its value set.
-            ++plane.stats->blocked_by_unusable_negation;
+            ++plane.stats.blocked_by_unusable_negation;
             return smt::CheckResult::kUnsat;
         }
-        negations.push_back((*plane.negations)[i]);
+        negations.push_back(plane.negations[i]);
     }
-    ++plane.stats->trojan_queries;
+    ++plane.stats.trojan_queries;
     if (model == nullptr && path_sat)
         return plane.solver->CheckSatOnSatBase(path_constraints, negations);
     return plane.solver->CheckSatAssuming(path_constraints, negations,
@@ -313,7 +239,7 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
         for (size_t k = 0; k < live.size(); ++k) {
             const uint32_t i = live[k];
             if (class_dropped[i]) {
-                ++plane.stats->difffrom_drops;
+                ++plane.stats.difffrom_drops;
                 continue;
             }
             const smt::CheckResult r = PredicateMatches(plane, state, i);
@@ -321,7 +247,7 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
                 survivors.push_back(i);
                 continue;
             }
-            ++plane.stats->predicate_drops;
+            ++plane.stats.predicate_drops;
             if (single_independent_field) {
                 // Every later predicate in i's value class (and any that
                 // has no extra values for this field) dies with i.
@@ -337,7 +263,7 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
         data->live = std::move(survivors);
     }
 
-    plane.samples->push_back(
+    plane.samples.push_back(
         LiveSetSample{state.depth(), data->live.size()});
 
     if (config_.prune_trojan_free_states) {
@@ -345,7 +271,7 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
             plane, state.constraints(), state.path_sat(), data->live,
             nullptr);
         if (r == smt::CheckResult::kUnsat) {
-            ++plane.stats->states_pruned;
+            ++plane.stats.states_pruned;
             obs::TraceInstant(plane.obs.tracer, plane.obs.lane,
                               "explorer.state_pruned", "explorer", "state",
                               static_cast<int64_t>(state.id()));
@@ -356,22 +282,25 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
 }
 
 void
-ServerExplorer::EmitTrojan(Plane &plane, const symexec::State &state,
+ServerExplorer::EmitTrojan(Plane &plane, uint64_t path_id,
+                           const std::string &accept_label,
+                           const std::vector<smt::ExprRef> &path_constraints,
                            const std::vector<uint32_t> &live)
 {
+    // A model query is never sliced, so path_sat does not matter here.
     smt::Model model;
     const smt::CheckResult r = TrojanQuery(
-        plane, state.constraints(), state.path_sat(), live, &model);
+        plane, path_constraints, /*path_sat=*/false, live, &model);
     if (r != smt::CheckResult::kSat) {
-        ++plane.stats->accepting_without_trojans;
+        ++plane.stats.accepting_without_trojans;
         return;
     }
     TrojanWitness witness;
-    witness.server_path_id = state.id();
-    witness.accept_label = state.accept_label;
-    witness.definition = state.constraints();
+    witness.server_path_id = path_id;
+    witness.accept_label = accept_label;
+    witness.definition = path_constraints;
     for (uint32_t i : live)
-        witness.definition.push_back((*plane.negations)[i]);
+        witness.definition.push_back(plane.negations[i]);
     witness.concrete.reserve(plane.message->size());
     for (smt::ExprRef byte : *plane.message) {
         witness.concrete.push_back(
@@ -380,77 +309,52 @@ ServerExplorer::EmitTrojan(Plane &plane, const symexec::State &state,
     }
     witness.bundled_with_valid = !live.empty();
     witness.discovered_at_seconds = timer_.Seconds();
-    witness.path_depth = state.depth();
-    plane.trojans->push_back(std::move(witness));
-    ++plane.stats->trojans;
+    plane.trojans.push_back(std::move(witness));
+    ++plane.stats.trojans;
     obs::TraceInstant(plane.obs.tracer, plane.obs.lane,
                       "explorer.trojan_witness", "explorer", "path",
-                      static_cast<int64_t>(state.id()));
-}
-
-void
-ServerExplorer::HandleAccept(Plane &plane, symexec::State &state)
-{
-    LiveSet *data = GetLiveSet(state);
-    EmitTrojan(plane, state, data->live);
-}
-
-bool
-ServerExplorer::OnBranch(symexec::State &state, smt::ExprRef constraint)
-{
-    if (config_.mode == SearchMode::kAPosteriori)
-        return true;
-    Plane plane = HomePlane();
-    return HandleBranch(plane, state, constraint);
-}
-
-void
-ServerExplorer::OnAccept(symexec::State &state)
-{
-    if (config_.mode == SearchMode::kAPosteriori)
-        return;
-    Plane plane = HomePlane();
-    HandleAccept(plane, state);
+                      static_cast<int64_t>(path_id));
 }
 
 std::vector<symexec::PathResult>
 ServerExplorer::RunParallel()
 {
-    exec::ParallelEngine engine(ctx_, server_, symexec::Mode::kServer,
-                                config_.engine, solver_->config());
+    // The worker engines' listeners, in worker order, declared first so
+    // that they outlive the engines pointing at them.
+    std::vector<std::unique_ptr<Plane>> planes;
+    exec::ParallelEngine engine(ctx_, server_, config_.engine,
+                                solver_->config());
     engine.SetIncomingMessage(message_);
-    WorkerFactory factory(this);
-    const bool incremental = config_.mode == SearchMode::kIncremental;
-    if (incremental)
-        engine.SetListenerFactory(&factory);
+    if (config_.mode == SearchMode::kIncremental) {
+        engine.SetListenerFactory([this, &planes](exec::WorkerContext *wc) {
+            planes.push_back(std::make_unique<Plane>(this, wc));
+            return planes.back().get();
+        });
+    }
     std::vector<symexec::PathResult> paths = engine.Run();
     analysis_.stats.Merge(engine.stats());
 
-    if (!incremental)
-        return paths;
-
-    // Merge the worker-private sinks. Witness definitions live in the
-    // worker contexts; translate them home so callers can re-solve them
-    // against the home message variables, exactly as in a serial run.
-    for (WorkerListener *listener : factory.created()) {
-        listener->stats().AddTo(&analysis_.stats);
-        analysis_.live_samples.insert(analysis_.live_samples.end(),
-                                      listener->samples().begin(),
-                                      listener->samples().end());
-        for (TrojanWitness &witness : listener->trojans()) {
+    // Merge the worker planes' sinks into the home plane's. Witness
+    // definitions live in the worker contexts; translate them home so
+    // callers can re-solve them against the home message variables,
+    // exactly as in a serial run.
+    for (const std::unique_ptr<Plane> &plane : planes) {
+        plane->stats.AddTo(&analysis_.stats);
+        home_.samples.insert(home_.samples.end(), plane->samples.begin(),
+                             plane->samples.end());
+        for (TrojanWitness &witness : plane->trojans) {
             for (smt::ExprRef &e : witness.definition)
-                e = listener->wc()->bridge->ToHome(e);
-            analysis_.trojans.push_back(std::move(witness));
+                e = plane->bridge->ToHome(e);
+            home_.trojans.push_back(std::move(witness));
         }
     }
     // Deterministic presentation regardless of schedule: witnesses by
     // (schedule-independent) accepting path id, samples by position.
-    std::stable_sort(analysis_.trojans.begin(), analysis_.trojans.end(),
+    std::stable_sort(home_.trojans.begin(), home_.trojans.end(),
                      [](const TrojanWitness &a, const TrojanWitness &b) {
                          return a.server_path_id < b.server_path_id;
                      });
-    std::stable_sort(analysis_.live_samples.begin(),
-                     analysis_.live_samples.end(),
+    std::stable_sort(home_.samples.begin(), home_.samples.end(),
                      [](const LiveSetSample &a, const LiveSetSample &b) {
                          return a.path_length != b.path_length
                                     ? a.path_length < b.path_length
@@ -463,6 +367,7 @@ ServerAnalysis
 ServerExplorer::Run()
 {
     timer_.Reset();
+    const bool incremental = config_.mode == SearchMode::kIncremental;
     std::vector<symexec::PathResult> paths;
     if (config_.engine.num_workers > 1) {
         paths = RunParallel();
@@ -470,7 +375,8 @@ ServerExplorer::Run()
         symexec::Engine engine(ctx_, solver_, server_,
                                symexec::Mode::kServer, config_.engine);
         engine.SetIncomingMessage(message_);
-        engine.SetListener(this);
+        if (incremental)
+            engine.SetListener(&home_);
         paths = engine.Run();
         analysis_.stats.Merge(engine.stats());
     }
@@ -480,43 +386,23 @@ ServerExplorer::Run()
             analysis_.accepting_paths.push_back(path);
     }
 
-    if (config_.mode == SearchMode::kAPosteriori) {
+    if (!incremental) {
         // Differencing after the fact: conjoin every predicate's
         // negation on each accepting path. Paths from a parallel run
         // are already home-translated, so this stays a serial pass on
-        // the home solver either way.
-        Plane plane = HomePlane();
+        // the home plane either way.
         std::vector<uint32_t> all(preds_->size());
         for (size_t i = 0; i < all.size(); ++i)
             all[i] = static_cast<uint32_t>(i);
         for (const symexec::PathResult &path : analysis_.accepting_paths) {
-            smt::Model model;
-            if (TrojanQuery(plane, path.constraints, /*path_sat=*/false, all,
-                            &model) !=
-                smt::CheckResult::kSat) {
-                continue;
-            }
-            TrojanWitness witness;
-            witness.server_path_id = path.state_id;
-            witness.accept_label = path.accept_label;
-            witness.definition = path.constraints;
-            for (uint32_t i : all)
-                if (negation_exprs_[i] != nullptr)
-                    witness.definition.push_back(negation_exprs_[i]);
-            for (smt::ExprRef byte : message_) {
-                witness.concrete.push_back(
-                    static_cast<uint8_t>(smt::Evaluate(byte, model)));
-                witness.message_vars.push_back(byte->VarId());
-            }
-            witness.bundled_with_valid = true;  // not tracked in this mode
-            witness.discovered_at_seconds = timer_.Seconds();
-            witness.path_depth = path.depth;
-            analysis_.trojans.push_back(std::move(witness));
-            ++home_stats_.trojans;
+            EmitTrojan(home_, path.state_id, path.accept_label,
+                       path.constraints, all);
         }
     }
 
-    home_stats_.AddTo(&analysis_.stats);
+    home_.stats.AddTo(&analysis_.stats);
+    analysis_.trojans = std::move(home_.trojans);
+    analysis_.live_samples = std::move(home_.samples);
     analysis_.seconds = timer_.Seconds();
     return std::move(analysis_);
 }

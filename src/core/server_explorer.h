@@ -33,6 +33,11 @@
 #include "symexec/engine.h"
 
 namespace achilles {
+namespace exec {
+class ExprBridge;
+struct WorkerContext;
+}  // namespace exec
+
 namespace core {
 
 /** How Trojan messages are computed relative to the exploration. */
@@ -86,8 +91,6 @@ struct TrojanWitness
     bool bundled_with_valid = false;
     /** Seconds into server analysis when this witness was produced. */
     double discovered_at_seconds = 0.0;
-    /** Symbolic branch depth of the accepting path. */
-    size_t path_depth = 0;
 };
 
 /** One (path length, live predicate count) sample for Figure 11. */
@@ -140,7 +143,7 @@ struct ServerAnalysis
  * its own solver, and the merged analysis (witness definitions
  * re-homed, ordered by path id) is identical to a serial run's.
  */
-class ServerExplorer : public symexec::Listener
+class ServerExplorer
 {
   public:
     /**
@@ -157,6 +160,8 @@ class ServerExplorer : public symexec::Listener
                    const DifferentFromMatrix *different_from,
                    ServerExplorerConfig config = {},
                    std::vector<smt::ExprRef> message = {});
+    ServerExplorer(const ServerExplorer &) = delete;
+    ServerExplorer &operator=(const ServerExplorer &) = delete;
 
     /** Run the analysis to completion. */
     ServerAnalysis Run();
@@ -167,41 +172,55 @@ class ServerExplorer : public symexec::Listener
         return message_;
     }
 
-    // symexec::Listener interface.
-    bool OnBranch(symexec::State &state, smt::ExprRef constraint) override;
-    void OnAccept(symexec::State &state) override;
-
   private:
     struct LiveSet;
-    class WorkerListener;
-    class WorkerFactory;
-    friend class WorkerListener;
 
     /**
-     * One data plane for the exploration logic: the context, solver and
-     * per-predicate expression tables the logic runs against, plus the
-     * sinks it writes to. The serial path uses a single home plane; with
-     * num_workers > 1 each worker gets a plane of bridge-translated
-     * expressions, its own solver and private sinks, so the LiveSet
-     * bookkeeping and witness emission never share mutable state across
-     * threads.
+     * One data plane of the exploration logic, and the engine listener
+     * that runs it: the context, solver and per-predicate expression
+     * tables the logic runs against, plus the sinks it writes to. The
+     * home plane holds the tables built over the home context; it
+     * listens to a serial run and takes the a-posteriori witnesses. With
+     * num_workers > 1 each worker engine gets a plane of its own:
+     * bridge-translated copies of the tables, the worker's solver and
+     * private sinks, so the LiveSet bookkeeping and witness emission
+     * never share mutable state across threads.
      */
-    struct Plane
+    struct Plane : public symexec::Listener
     {
+        /** The home plane, on the owner's context and solver; the
+         *  ServerExplorer constructor fills its tables. */
+        explicit Plane(ServerExplorer *owner);
+        /** Worker `wc`'s plane, translating the home plane's tables
+         *  (before any worker thread starts). */
+        Plane(ServerExplorer *owner, exec::WorkerContext *wc);
+        Plane(const Plane &) = delete;
+        Plane &operator=(const Plane &) = delete;
+
+        bool OnBranch(symexec::State &state,
+                      smt::ExprRef constraint) override;
+        void OnAccept(symexec::State &state) override;
+
+        ServerExplorer *owner;
         smt::ExprContext *ctx;
         smt::Solver *solver;
-        const std::vector<std::vector<smt::ExprRef>> *match;
-        const std::vector<smt::ExprRef> *negations;
+        /** The symbolic message bytes in this plane's context. */
         const std::vector<smt::ExprRef> *message;
-        ExplorerStats *stats;
-        std::vector<LiveSetSample> *samples;
-        std::vector<TrojanWitness> *trojans;
         /** Observability sinks addressed to this plane's lane (inert
          *  when the run carries none). */
         obs::ObsHandle obs;
+        /** Translates this plane's expressions home (null on the home
+         *  plane). */
+        exec::ExprBridge *bridge = nullptr;
+        /** Per predicate: match conjunction (byte equalities + client
+         *  pcs). */
+        std::vector<std::vector<smt::ExprRef>> match;
+        /** Per predicate: negation disjunction expr (null if unusable). */
+        std::vector<smt::ExprRef> negations;
+        ExplorerStats stats;
+        std::vector<LiveSetSample> samples;
+        std::vector<TrojanWitness> trojans;
     };
-
-    Plane HomePlane();
 
     /** Live-set of a state, creating the full set on first touch. */
     LiveSet *GetLiveSet(symexec::State &state);
@@ -227,12 +246,16 @@ class ServerExplorer : public symexec::Listener
     std::vector<std::string> TouchedFields(const Plane &plane,
                                            smt::ExprRef e) const;
 
-    /** Core branch/accept logic, shared by serial and worker planes. */
+    /** Branch logic: drop predicates that stopped matching, then prune
+     *  the state if no Trojan message can trigger it. */
     bool HandleBranch(Plane &plane, symexec::State &state,
                       smt::ExprRef constraint);
-    void HandleAccept(Plane &plane, symexec::State &state);
 
-    void EmitTrojan(Plane &plane, const symexec::State &state,
+    /** Witness for an accepting path if its Trojan query with the
+     *  `live` predicates' negations is satisfiable. */
+    void EmitTrojan(Plane &plane, uint64_t path_id,
+                    const std::string &accept_label,
+                    const std::vector<smt::ExprRef> &path_constraints,
                     const std::vector<uint32_t> &live);
 
     /** Multi-worker variant of Run's exploration (num_workers > 1). */
@@ -250,14 +273,9 @@ class ServerExplorer : public symexec::Listener
     std::vector<smt::ExprRef> message_;
     /** var id -> byte offset in the message. */
     std::unordered_map<uint32_t, uint32_t> var_to_offset_;
-    /** Per predicate: match conjunction (byte equalities + client pcs). */
-    std::vector<std::vector<smt::ExprRef>> match_;
-    /** Per predicate: negation disjunction expr (null if unusable). */
-    std::vector<smt::ExprRef> negation_exprs_;
+    Plane home_;
 
     ServerAnalysis analysis_;
-    /** The home plane's counters, added to analysis_.stats by Run. */
-    ExplorerStats home_stats_;
     Timer timer_;
 };
 

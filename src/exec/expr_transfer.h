@@ -65,8 +65,6 @@ class ExprBridge
     smt::ExprRef ToRemoteLocked(smt::ExprRef e);
     smt::ExprRef ToHomeLocked(smt::ExprRef e);
 
-    smt::ExprContext *home() { return home_; }
-    smt::ExprContext *remote() { return remote_; }
     std::mutex *shared_mutex() { return mutex_; }
 
   private:

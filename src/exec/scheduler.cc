@@ -7,16 +7,14 @@
 namespace achilles {
 namespace exec {
 
-WorkStealingScheduler::WorkStealingScheduler(const SchedulerConfig &config)
-    : config_(config)
+WorkStealingScheduler::WorkStealingScheduler(size_t num_workers,
+                                             size_t max_queued_states)
+    : max_queued_states_(max_queued_states)
 {
-    ACHILLES_CHECK(config_.num_workers >= 1, "need at least one worker");
-    deques_.reserve(config_.num_workers);
-    rngs_.reserve(config_.num_workers);
-    for (size_t i = 0; i < config_.num_workers; ++i) {
+    ACHILLES_CHECK(num_workers >= 1, "need at least one worker");
+    deques_.reserve(num_workers);
+    for (size_t i = 0; i < num_workers; ++i)
         deques_.push_back(std::make_unique<WorkerDeque>());
-        rngs_.emplace_back(config_.random_seed + i);
-    }
 }
 
 void
@@ -38,10 +36,8 @@ WorkStealingScheduler::Push(size_t worker,
                             bool fresh)
 {
     if (fresh) {
-        if (queued_.load(std::memory_order_acquire) >=
-            config_.max_queued_states) {
+        if (queued_.load(std::memory_order_acquire) >= max_queued_states_)
             return false;
-        }
         live_.fetch_add(1, std::memory_order_acq_rel);
     }
     {
@@ -63,27 +59,10 @@ WorkStealingScheduler::PopLocal(size_t worker, Batch *out)
     std::lock_guard<std::mutex> lock(dq.mutex);
     if (dq.states.empty())
         return false;
-    std::unique_ptr<symexec::State> state;
-    switch (config_.order) {
-      case symexec::SearchOrder::kDfs:
-        state = std::move(dq.states.back());
-        dq.states.pop_back();
-        break;
-      case symexec::SearchOrder::kBfs:
-        state = std::move(dq.states.front());
-        dq.states.pop_front();
-        break;
-      case symexec::SearchOrder::kRandom: {
-        const size_t i = rngs_[worker].Below(dq.states.size());
-        std::swap(dq.states[i], dq.states.back());
-        state = std::move(dq.states.back());
-        dq.states.pop_back();
-        break;
-      }
-    }
-    queued_.fetch_sub(1, std::memory_order_acq_rel);
     out->states.clear();
-    out->states.push_back(std::move(state));
+    out->states.push_back(std::move(dq.states.back()));
+    dq.states.pop_back();
+    queued_.fetch_sub(1, std::memory_order_acq_rel);
     out->owner = worker;
     return true;
 }

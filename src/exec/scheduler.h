@@ -1,14 +1,12 @@
 // Achilles reproduction -- parallel exploration subsystem.
 //
 // Work-stealing state scheduler. Each worker owns a deque of pending
-// execution states and serves itself from it under the configured
-// search order (DFS from the back, BFS from the front, or seeded
-// random), exactly mirroring the serial engine's PopNext policy. An
-// idle worker steals the older half of a victim's deque -- the
-// shallowest states, i.e. the biggest unexplored subtrees -- which is
-// the classic policy that keeps steals rare and batches large
-// (Cilk-style steal-half, as used by Cloud9's tree-partitioned
-// exploration).
+// execution states and serves itself depth-first from its back, as the
+// serial engine's worklist does. An idle worker steals the older half
+// of a victim's deque -- the shallowest states, i.e. the biggest
+// unexplored subtrees -- which is the classic policy that keeps steals
+// rare and batches large (Cilk-style steal-half, as used by Cloud9's
+// tree-partitioned exploration).
 //
 // Termination detection is a single atomic count of live (unfinished)
 // states: seeded and forked states increment it, finished states
@@ -25,28 +23,19 @@
 #include <mutex>
 #include <vector>
 
-#include "support/rng.h"
 #include "symexec/engine.h"
 #include "symexec/state.h"
 
 namespace achilles {
 namespace exec {
 
-/** Scheduler tunables. */
-struct SchedulerConfig
-{
-    size_t num_workers = 1;
-    symexec::SearchOrder order = symexec::SearchOrder::kDfs;
-    uint64_t random_seed = 1;
-    /** Global bound on queued states (mirrors EngineConfig::max_states). */
-    size_t max_queued_states = 1 << 20;
-};
-
 /** Per-worker deques with steal-half load balancing. */
 class WorkStealingScheduler
 {
   public:
-    explicit WorkStealingScheduler(const SchedulerConfig &config);
+    /** `max_queued_states` bounds the fresh states queued across all
+     *  workers (EngineConfig::max_states). */
+    WorkStealingScheduler(size_t num_workers, size_t max_queued_states);
     WorkStealingScheduler(const WorkStealingScheduler &) = delete;
     WorkStealingScheduler &operator=(const WorkStealingScheduler &) =
         delete;
@@ -117,9 +106,8 @@ class WorkStealingScheduler
     bool PopLocal(size_t worker, Batch *out);
     bool StealFrom(size_t thief, Batch *out);
 
-    SchedulerConfig config_;
+    const size_t max_queued_states_;
     std::vector<std::unique_ptr<WorkerDeque>> deques_;
-    std::vector<Rng> rngs_;  ///< per-worker, used only by its owner
     std::atomic<int64_t> live_{0};
     std::atomic<size_t> queued_{0};
     std::atomic<bool> stop_{false};

@@ -12,10 +12,9 @@ namespace exec {
 
 ParallelEngine::ParallelEngine(smt::ExprContext *home,
                                const symexec::Program *program,
-                               symexec::Mode mode,
                                symexec::EngineConfig config,
                                smt::SolverConfig solver_config)
-    : home_(home), program_(program), mode_(mode), config_(config),
+    : home_(home), program_(program), config_(config),
       solver_config_(solver_config)
 {
     if (config_.num_workers < 1)
@@ -36,26 +35,19 @@ ParallelEngine::Run()
 
     const size_t n = config_.num_workers;
 
-    SchedulerConfig sched_config;
-    sched_config.num_workers = n;
-    sched_config.order = config_.order;
-    sched_config.random_seed = config_.random_seed;
-    sched_config.max_queued_states = config_.max_states;
-    scheduler_ = std::make_unique<WorkStealingScheduler>(sched_config);
+    scheduler_ =
+        std::make_unique<WorkStealingScheduler>(n, config_.max_states);
 
-    // Absorb the scheduler's existing lock-free counters into the run's
-    // metrics registry as gauges: the heartbeat's sampler reads them
+    // Absorb the scheduler's lock-free queued-state count into the run's
+    // metrics registry as a gauge: the heartbeat's sampler reads it
     // live without the scheduler's hot paths ever touching the
-    // registry. (RegisterGauge replaces by name, so the scheduler's
-    // queued-state count overrides any serial engine.frontier gauge.)
+    // registry. (RegisterGauge replaces by name, so it overrides any
+    // serial engine.frontier gauge.)
     if (config_.obs.metrics_on()) {
-        obs::MetricsRegistry *reg = config_.obs.registry;
         const WorkStealingScheduler *sched = scheduler_.get();
-        reg->RegisterGauge("engine.frontier", [sched] {
+        config_.obs.registry->RegisterGauge("engine.frontier", [sched] {
             return static_cast<int64_t>(sched->queued());
         });
-        reg->RegisterGauge("exec.states_stolen",
-                           [sched] { return sched->states_stolen(); });
     }
 
     // Per-worker engines explore disjoint subtrees; ids must therefore
@@ -64,7 +56,6 @@ ParallelEngine::Run()
     engine_config.deterministic_state_ids = true;
 
     workers_.reserve(n);
-    listeners_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
         auto wc = std::make_unique<WorkerContext>();
         wc->worker_id = i;
@@ -78,7 +69,8 @@ ParallelEngine::Run()
         worker_config.obs = solver_config_.obs.ForLane(i + 1);
         wc->solver = std::make_unique<smt::Solver>(&wc->ctx, worker_config);
         wc->engine = std::make_unique<symexec::Engine>(
-            &wc->ctx, wc->solver.get(), program_, mode_, engine_config);
+            &wc->ctx, wc->solver.get(), program_, symexec::Mode::kServer,
+            engine_config);
         wc->engine->SetFinalizeGate([this] {
             const size_t slot =
                 finished_paths_.fetch_add(1, std::memory_order_acq_rel);
@@ -92,12 +84,8 @@ ParallelEngine::Run()
                 wc->incoming.push_back(wc->bridge->ToRemote(b));
             wc->engine->SetIncomingMessage(wc->incoming);
         }
-        std::unique_ptr<symexec::Listener> listener;
-        if (factory_) {
-            listener = factory_->MakeListener(wc.get());
-            wc->engine->SetListener(listener.get());
-        }
-        listeners_.push_back(std::move(listener));
+        if (factory_)
+            wc->engine->SetListener(factory_(wc.get()));
         workers_.push_back(std::move(wc));
     }
 
@@ -134,18 +122,12 @@ ParallelEngine::Run()
     scheduler_->ExportStats(&stats_);
     stats_.Add("exec.workers", static_cast<int64_t>(n));
 
-    // The gauges registered above read the scheduler this engine owns;
-    // freeze them to their final values so a heartbeat (or RunReport)
-    // sampling after this engine is destroyed reads constants, not
-    // dangling pointers.
-    if (config_.obs.metrics_on()) {
-        obs::MetricsRegistry *reg = config_.obs.registry;
-        const auto freeze = [reg](const std::string &name, int64_t value) {
-            reg->RegisterGauge(name, [value] { return value; });
-        };
-        freeze("engine.frontier", 0);
-        freeze("exec.states_stolen", scheduler_->states_stolen());
-    }
+    // The gauge registered above reads the scheduler this engine owns;
+    // freeze it so a heartbeat (or RunReport) sampling after this engine
+    // is destroyed reads a constant, not a dangling pointer.
+    if (config_.obs.metrics_on())
+        config_.obs.registry->RegisterGauge("engine.frontier",
+                                            [] { return int64_t{0}; });
     return results;
 }
 
@@ -182,29 +164,6 @@ ParallelEngine::WorkerLoop(size_t worker_id)
         else
             scheduler_->Push(worker_id, &state, /*fresh=*/false);
     }
-}
-
-std::vector<symexec::PathResult>
-RunExploration(smt::ExprContext *ctx, smt::Solver *solver,
-               const symexec::Program *program, symexec::Mode mode,
-               const symexec::EngineConfig &config,
-               std::vector<smt::ExprRef> incoming, obs::CounterView *stats)
-{
-    if (config.num_workers > 1) {
-        ParallelEngine engine(ctx, program, mode, config,
-                              solver->config());
-        if (!incoming.empty())
-            engine.SetIncomingMessage(std::move(incoming));
-        std::vector<symexec::PathResult> paths = engine.Run();
-        stats->Merge(engine.stats());
-        return paths;
-    }
-    symexec::Engine engine(ctx, solver, program, mode, config);
-    if (!incoming.empty())
-        engine.SetIncomingMessage(std::move(incoming));
-    std::vector<symexec::PathResult> paths = engine.Run();
-    stats->Merge(engine.stats());
-    return paths;
 }
 
 }  // namespace exec

@@ -1,11 +1,13 @@
 // Achilles reproduction -- parallel exploration subsystem.
 //
-// The worker pool. Each worker owns a full private solving stack -- an
-// ExprContext replica, an smt::Solver and a symexec::Engine driven
-// state-by-state -- plus an ExprBridge that re-homes states stolen from
-// other workers. ParallelEngine wires the pool to the work-stealing
-// scheduler and exposes the same surface as the serial engine: set an
-// incoming message, run, get PathResults in the home context.
+// The worker pool of the server exploration (phase 2, the only phase
+// that runs on threads). Each worker owns a full private solving stack
+// -- an ExprContext replica, an smt::Solver and a server-mode
+// symexec::Engine driven state-by-state -- plus an ExprBridge that
+// re-homes states stolen from other workers. ParallelEngine wires the
+// pool to the work-stealing scheduler and exposes the same surface as
+// the serial engine: set an incoming message and a listener per
+// worker, run, get PathResults in the home context.
 //
 // Determinism: worker engines derive state ids from the fork tree
 // (schedule-independent), contexts are variable-id-aligned, expression
@@ -21,6 +23,7 @@
 #define ACHILLES_EXEC_WORKER_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -47,21 +50,7 @@ struct WorkerContext
 };
 
 /**
- * Creates the per-worker engine listener. Implementations translate
- * whatever shared expression data they need through wc->bridge (called
- * once per worker, before any worker thread starts) and must only touch
- * worker-local or properly synchronized state from the callbacks.
- */
-class WorkerListenerFactory
-{
-  public:
-    virtual ~WorkerListenerFactory() = default;
-    virtual std::unique_ptr<symexec::Listener>
-    MakeListener(WorkerContext *wc) = 0;
-};
-
-/**
- * Multi-threaded drop-in for symexec::Engine::Run.
+ * Multi-threaded drop-in for a server-mode symexec::Engine::Run.
  *
  * One-shot: construct, configure, Run() once. The instance must stay
  * alive while callers post-process worker-context data (e.g. the server
@@ -71,15 +60,26 @@ class ParallelEngine
 {
   public:
     ParallelEngine(smt::ExprContext *home, const symexec::Program *program,
-                   symexec::Mode mode, symexec::EngineConfig config,
+                   symexec::EngineConfig config,
                    smt::SolverConfig solver_config = {});
 
     /** Home-context symbolic message bytes served by ReceiveMessage. */
     void SetIncomingMessage(std::vector<smt::ExprRef> bytes);
 
-    void SetListenerFactory(WorkerListenerFactory *factory)
+    /**
+     * Attach one listener per worker engine. Run calls `factory` once
+     * per worker, in worker order and before any worker thread starts;
+     * it translates whatever shared expression data it needs through
+     * wc->bridge and returns a listener the caller owns and keeps alive
+     * until Run returns. The listener's callbacks run on that worker's
+     * thread and must only touch worker-local or properly synchronized
+     * state.
+     */
+    void
+    SetListenerFactory(
+        std::function<symexec::Listener *(WorkerContext *wc)> factory)
     {
-        factory_ = factory;
+        factory_ = std::move(factory);
     }
 
     /**
@@ -101,32 +101,18 @@ class ParallelEngine
 
     smt::ExprContext *home_;
     const symexec::Program *program_;
-    symexec::Mode mode_;
     symexec::EngineConfig config_;
     smt::SolverConfig solver_config_;
-    WorkerListenerFactory *factory_ = nullptr;
+    std::function<symexec::Listener *(WorkerContext *wc)> factory_;
     std::vector<smt::ExprRef> incoming_;
 
     std::mutex home_mutex_;
     std::unique_ptr<WorkStealingScheduler> scheduler_;
     std::vector<std::unique_ptr<WorkerContext>> workers_;
-    std::vector<std::unique_ptr<symexec::Listener>> listeners_;
     std::atomic<size_t> finished_paths_{0};
     obs::CounterView stats_;
     bool ran_ = false;
 };
-
-/**
- * Listener-less exploration dispatch: the serial engine (using the
- * caller's solver) for num_workers <= 1, the ParallelEngine otherwise.
- * Engine stats are merged into `stats`. Shared by the classic-SE
- * baseline and client predicate extraction.
- */
-std::vector<symexec::PathResult> RunExploration(
-    smt::ExprContext *ctx, smt::Solver *solver,
-    const symexec::Program *program, symexec::Mode mode,
-    const symexec::EngineConfig &config,
-    std::vector<smt::ExprRef> incoming, obs::CounterView *stats);
 
 }  // namespace exec
 }  // namespace achilles

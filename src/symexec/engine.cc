@@ -46,7 +46,7 @@ EngineStats::AddTo(obs::CounterView *view) const
 Engine::Engine(smt::ExprContext *ctx, smt::Solver *solver,
                const Program *program, Mode mode, EngineConfig config)
     : ctx_(ctx), solver_(solver), program_(program), mode_(mode),
-      config_(config), rng_(config.random_seed)
+      config_(config)
 {
     if (config_.obs.metrics_on()) {
         obs_steps_ = config_.obs.CounterFor("engine.steps");
@@ -217,8 +217,6 @@ Engine::FinalizePath(State &state, PathOutcome outcome)
     result.sent = state.sent();
     result.accept_label = state.accept_label;
     result.depth = state.depth();
-    if (listener_)
-        listener_->OnPathFinished(result);
     results_.push_back(std::move(result));
     ++stats_.paths_finished;
 }
@@ -542,31 +540,6 @@ Engine::AdvanceState(State &state,
     return state.Finished();
 }
 
-std::unique_ptr<State>
-Engine::PopNext()
-{
-    ACHILLES_CHECK(!worklist_.empty());
-    std::unique_ptr<State> next;
-    switch (config_.order) {
-      case SearchOrder::kDfs:
-        next = std::move(worklist_.back());
-        worklist_.pop_back();
-        break;
-      case SearchOrder::kBfs:
-        next = std::move(worklist_.front());
-        worklist_.pop_front();
-        break;
-      case SearchOrder::kRandom: {
-        const size_t i = rng_.Below(worklist_.size());
-        std::swap(worklist_[i], worklist_.back());
-        next = std::move(worklist_.back());
-        worklist_.pop_back();
-        break;
-      }
-    }
-    return next;
-}
-
 std::vector<PathResult>
 Engine::Run()
 {
@@ -576,7 +549,8 @@ Engine::Run()
 
     while (!worklist_.empty() &&
            results_.size() < config_.max_finished_paths) {
-        auto state = PopNext();
+        std::unique_ptr<State> state = std::move(worklist_.back());
+        worklist_.pop_back();
         std::vector<std::unique_ptr<State>> spawned;
         AdvanceState(*state, &spawned);
         for (auto &s : spawned) {

@@ -11,14 +11,12 @@
 #define ACHILLES_SYMEXEC_ENGINE_H_
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "obs/obs.h"
 #include "smt/solver.h"
-#include "support/rng.h"
 #include "symexec/program.h"
 #include "symexec/state.h"
 
@@ -31,33 +29,30 @@ enum class Mode : uint8_t {
     kServer,  ///< feed a symbolic message; classify accept/reject
 };
 
-/** State selection order. */
-enum class SearchOrder : uint8_t { kDfs, kBfs, kRandom };
-
 /** Engine tunables. */
 struct EngineConfig
 {
-    SearchOrder order = SearchOrder::kDfs;
     /** Stop a client path at its first SendMessage (the paper analyzes
      *  one message per path). */
     bool stop_client_after_send = true;
     size_t max_states = 1 << 20;
     size_t max_steps_per_state = 1 << 16;
     size_t max_finished_paths = 1 << 20;
-    uint64_t random_seed = 1;
     /**
-     * Number of exploration workers. 1 (the default) keeps today's
-     * serial in-engine worklist; values > 1 make the higher layers
-     * (ServerExplorer, classic SE, client extraction) route the run
-     * through the exec::ParallelEngine work-stealing subsystem.
+     * Number of exploration workers. Only the server exploration reads
+     * it: 1 (the default) runs this engine's serial worklist, and values
+     * > 1 make ServerExplorer run phase 2 on the exec::ParallelEngine
+     * work-stealing pool. Client extraction and classic SE always run
+     * one serial engine.
      */
     size_t num_workers = 1;
     /**
      * Derive child state ids from the fork tree (hash of parent id and
      * per-state fork sequence) instead of a creation counter. Tree ids
      * are independent of exploration schedule, which is what lets a
-     * parallel run order its results deterministically. Off by default:
-     * serial runs keep the historical dense counter ids.
+     * parallel run order its results deterministically. Only
+     * exec::ParallelEngine sets it, on its worker engines: serial runs
+     * keep the dense creation-counter ids.
      */
     bool deterministic_state_ids = false;
     /**
@@ -135,9 +130,6 @@ class Listener
      * listeners never act on paths the budget drops.
      */
     virtual void OnAccept(State &state) { (void)state; }
-
-    /** A path finished with any outcome. */
-    virtual void OnPathFinished(const PathResult &result) { (void)result; }
 };
 
 /**
@@ -225,7 +217,6 @@ class Engine
      *  feasible, and only kSat sets the extended path's path_sat(). */
     smt::CheckResult Feasible(const State &state, smt::ExprRef extra);
     uint64_t NextChildId(State &parent);
-    std::unique_ptr<State> PopNext();
 
     smt::ExprContext *ctx_;
     smt::Solver *solver_;
@@ -235,11 +226,11 @@ class Engine
     Listener *listener_ = nullptr;
     std::vector<smt::ExprRef> incoming_;
     uint32_t entry_func_ = 0;
-    std::deque<std::unique_ptr<State>> worklist_;
+    /** Depth-first: Run pops the most recently pushed state. */
+    std::vector<std::unique_ptr<State>> worklist_;
     std::vector<PathResult> results_;
     uint64_t next_state_id_ = 0;
     std::function<bool()> finalize_gate_;
-    Rng rng_;
     EngineStats stats_;
     /** Live obs instruments (inert when config_.obs is unset). */
     obs::MetricsRegistry::Counter obs_steps_;

@@ -2,9 +2,10 @@
 //
 // Parallel exploration subsystem: the expression bridge (id-aligned
 // mirroring, round trips, model portability, state transfer), the
-// work-stealing scheduler (orders, steal-half, termination) and the
-// ParallelEngine (parity with the serial engine, schedule-independent
-// determinism, global path caps, surfaced counters).
+// work-stealing scheduler (local pops, steal-half, termination, state
+// budget) and the server-mode ParallelEngine (parity with the serial
+// engine, schedule-independent determinism, global path caps, surfaced
+// counters).
 
 #include <gtest/gtest.h>
 
@@ -39,19 +40,33 @@ using symexec::ProgramBuilder;
 using symexec::State;
 using symexec::Val;
 
-/** `depth` independent symbolic branches: 2^depth client paths. */
+/** `depth` independent branches on the message bytes: 2^depth server
+ *  paths. */
 Program
-MakeForkyClient(uint32_t depth)
+MakeForkyServer(uint32_t depth)
 {
     ProgramBuilder b("forky");
     b.Function("main", {}, 0, [&] {
+        b.ReceiveMessage("msg", depth);
         for (uint32_t i = 0; i < depth; ++i) {
-            Val x = b.ReadInput("x" + std::to_string(i), 8);
+            Val x = b.Local("x" + std::to_string(i), 8,
+                            ProgramBuilder::ArrayAt("msg", 8,
+                                                    Val::Const(8, i)));
             b.If(x < 128, [&] {}, [&] {});
         }
         b.Halt();
     });
     return b.Build();
+}
+
+/** `n` fresh message byte variables in `ctx`. */
+std::vector<ExprRef>
+FreshMessage(ExprContext *ctx, uint32_t n)
+{
+    std::vector<ExprRef> message;
+    for (uint32_t i = 0; i < n; ++i)
+        message.push_back(ctx->FreshVar("msg", 8));
+    return message;
 }
 
 /** Tiny server: accepts iff byte0 < 16 and byte1 == 7. */
@@ -201,9 +216,8 @@ TEST(SchedulerTest, LocalPopAndTermination)
     b.Function("main", {}, 0, [&] { b.Halt(); });
     const Program program = b.Build();
 
-    SchedulerConfig config;
-    config.num_workers = 2;
-    WorkStealingScheduler scheduler(config);
+    WorkStealingScheduler scheduler(/*num_workers=*/2,
+                                    /*max_queued_states=*/1 << 20);
     scheduler.Seed(0, std::make_unique<State>(1, &program));
 
     WorkStealingScheduler::Batch batch;
@@ -221,9 +235,8 @@ TEST(SchedulerTest, IdleWorkerStealsHalf)
     b.Function("main", {}, 0, [&] { b.Halt(); });
     const Program program = b.Build();
 
-    SchedulerConfig config;
-    config.num_workers = 2;
-    WorkStealingScheduler scheduler(config);
+    WorkStealingScheduler scheduler(/*num_workers=*/2,
+                                    /*max_queued_states=*/1 << 20);
     for (uint64_t i = 0; i < 4; ++i) {
         auto state = std::make_unique<State>(i, &program);
         if (i == 0)
@@ -250,10 +263,8 @@ TEST(SchedulerTest, FreshPushRespectsStateBudget)
     b.Function("main", {}, 0, [&] { b.Halt(); });
     const Program program = b.Build();
 
-    SchedulerConfig config;
-    config.num_workers = 1;
-    config.max_queued_states = 2;
-    WorkStealingScheduler scheduler(config);
+    WorkStealingScheduler scheduler(/*num_workers=*/1,
+                                    /*max_queued_states=*/2);
     auto s1 = std::make_unique<State>(1, &program);
     auto s2 = std::make_unique<State>(2, &program);
     auto s3 = std::make_unique<State>(3, &program);
@@ -275,15 +286,15 @@ TEST(SchedulerTest, StealsNeverPushFreshStatesOverBudget)
     b.Function("main", {}, 0, [&] { b.Halt(); });
     const Program program = b.Build();
 
-    SchedulerConfig config;
-    config.num_workers = 4;
-    WorkStealingScheduler scheduler(config);
+    constexpr size_t kWorkers = 4;
+    WorkStealingScheduler scheduler(kWorkers,
+                                    /*max_queued_states=*/1 << 20);
     scheduler.Seed(0, std::make_unique<State>(0, &program));
     constexpr uint64_t kStates = 20000;
     std::atomic<uint64_t> next_id{1};
     std::atomic<int> rejected{0};
     std::vector<std::thread> threads;
-    for (size_t w = 0; w < config.num_workers; ++w) {
+    for (size_t w = 0; w < kWorkers; ++w) {
         threads.emplace_back([&, w] {
             WorkStealingScheduler::Batch batch;
             while (scheduler.Next(w, &batch)) {
@@ -310,21 +321,23 @@ TEST(SchedulerTest, StealsNeverPushFreshStatesOverBudget)
 
 // ------------------------------------------------------- parallel engine
 
-TEST(ParallelEngineTest, ClientModeMatchesSerialEngine)
+TEST(ParallelEngineTest, ForkyServerMatchesSerialEngine)
 {
-    const Program program = MakeForkyClient(5);
+    const Program program = MakeForkyServer(5);
 
     ExprContext serial_ctx;
     Solver serial_solver(&serial_ctx);
     symexec::Engine serial(&serial_ctx, &serial_solver, &program,
-                           Mode::kClient);
+                           Mode::kServer);
+    serial.SetIncomingMessage(FreshMessage(&serial_ctx, 5));
     std::vector<PathResult> serial_paths = serial.Run();
     ASSERT_EQ(serial_paths.size(), 32u);
 
     ExprContext home;
     EngineConfig config;
     config.num_workers = 4;
-    ParallelEngine parallel(&home, &program, Mode::kClient, config);
+    ParallelEngine parallel(&home, &program, config);
+    parallel.SetIncomingMessage(FreshMessage(&home, 5));
     std::vector<PathResult> parallel_paths = parallel.Run();
 
     ASSERT_EQ(parallel_paths.size(), 32u);
@@ -346,7 +359,7 @@ TEST(ParallelEngineTest, ServerModeProducesHomeContextResults)
 
     EngineConfig config;
     config.num_workers = 3;
-    ParallelEngine engine(&home, &program, Mode::kServer, config);
+    ParallelEngine engine(&home, &program, config);
     engine.SetIncomingMessage(message);
     std::vector<PathResult> paths = engine.Run();
 
@@ -380,7 +393,7 @@ TEST(ParallelEngineTest, ResultsAreIdenticalAcrossWorkerCounts)
                                      ctx->FreshVar("msg", 8)};
         EngineConfig config;
         config.num_workers = workers;
-        ParallelEngine engine(ctx, &program, Mode::kServer, config);
+        ParallelEngine engine(ctx, &program, config);
         engine.SetIncomingMessage(message);
         *out = engine.Run();
     };
@@ -408,22 +421,24 @@ TEST(ParallelEngineTest, ResultsAreIdenticalAcrossWorkerCounts)
 
 TEST(ParallelEngineTest, GlobalPathCapIsRespected)
 {
-    const Program program = MakeForkyClient(6);  // 64 paths
+    const Program program = MakeForkyServer(6);  // 64 paths
 
-    // Serial: the satellite fix caps the recorded results exactly.
+    // Serial: the engine caps the recorded results exactly.
     ExprContext serial_ctx;
     Solver serial_solver(&serial_ctx);
     EngineConfig config;
     config.max_finished_paths = 7;
     symexec::Engine serial(&serial_ctx, &serial_solver, &program,
-                           Mode::kClient, config);
+                           Mode::kServer, config);
+    serial.SetIncomingMessage(FreshMessage(&serial_ctx, 6));
     EXPECT_EQ(serial.Run().size(), 7u);
     EXPECT_GE(serial.stats().Get("engine.finished_path_drops"), 0);
 
     // Parallel: the finalize gate enforces the same cap across workers.
     ExprContext home;
     config.num_workers = 4;
-    ParallelEngine parallel(&home, &program, Mode::kClient, config);
+    ParallelEngine parallel(&home, &program, config);
+    parallel.SetIncomingMessage(FreshMessage(&home, 6));
     EXPECT_EQ(parallel.Run().size(), 7u);
 }
 

@@ -12,6 +12,7 @@
 #include "core/achilles.h"
 #include "proto/fsp/fsp_concrete.h"
 #include "proto/fsp/fsp_protocol.h"
+#include "support/rng.h"
 
 namespace achilles {
 namespace fsp {

@@ -5,7 +5,6 @@
 //    (model consistency, like the FSP version);
 //  * configuration equivalence -- every optimization configuration of
 //    the server explorer must discover the same FSP Trojan types;
-//  * search-order independence of the discovered Trojan set;
 //  * completeness of the optimized pipeline: on every registered
 //    protocol and both example specs, the default configuration and an
 //    unoptimized reference configuration emit identical witnesses;
@@ -139,21 +138,6 @@ TEST(ConfigEquivalenceTest, AllOptimizationConfigsFindTheSameTypes)
     core::ServerExplorerConfig apost = base;
     apost.mode = core::SearchMode::kAPosteriori;
     EXPECT_EQ(FspTypesUnder(apost), reference);
-}
-
-TEST(ConfigEquivalenceTest, SearchOrderDoesNotChangeTheTypes)
-{
-    core::ServerExplorerConfig base;
-    const auto dfs = FspTypesUnder(base);
-
-    core::ServerExplorerConfig bfs = base;
-    bfs.engine.order = symexec::SearchOrder::kBfs;
-    EXPECT_EQ(FspTypesUnder(bfs), dfs);
-
-    core::ServerExplorerConfig random = base;
-    random.engine.order = symexec::SearchOrder::kRandom;
-    random.engine.random_seed = 1234;
-    EXPECT_EQ(FspTypesUnder(random), dfs);
 }
 
 /** A witness as two independent runs can compare it: server path id,

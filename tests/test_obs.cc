@@ -435,6 +435,14 @@ TEST(ObsPipelineTest, WitnessSetsAreIdenticalWithObsOnOrOff)
         EXPECT_GT(report.Get("solver.queries"), 0.0);
         EXPECT_GT(report.Get("engine.steps"), 0.0);
         EXPECT_GT(report.Get("obs.trace_events"), 0.0);
+        // The report counts both explored phases: the typed fork count
+        // of the client and server engines equals the registry's live
+        // one, which every engine of the run bumps.
+        EXPECT_GT(report.Get("client.predicates"), 0.0);
+        EXPECT_GT(report.Get("engine.forks"), 0.0);
+        EXPECT_DOUBLE_EQ(report.Get("engine.forks"),
+                         report.Get("engine.states"))
+            << workers << " workers";
         // Solver queries observed by the registry match the span
         // distribution's sample count.
         EXPECT_DOUBLE_EQ(report.Get("solver.conflicts.count"),

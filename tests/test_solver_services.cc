@@ -1,10 +1,12 @@
 // Achilles reproduction -- tests.
 //
-// Explorer contracts on FSP: witness determinism at 1/2/4/8 workers.
+// Explorer contracts on FSP: witnesses and exploration counts at
+// 1/2/4/8 workers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -24,8 +26,24 @@ using smt::Solver;
 using WitnessSummary =
     std::tuple<std::string, std::vector<uint8_t>, uint64_t>;
 
+/** The server stats that must not depend on the worker count: every
+ *  explorer.* entry, the fork count and the finished-path count. */
+std::map<std::string, int64_t>
+ScheduleIndependentCounts(const obs::CounterView &stats)
+{
+    std::map<std::string, int64_t> out;
+    for (const auto &[name, value] : stats.All()) {
+        if (name.rfind("explorer.", 0) == 0 || name == "engine.forks" ||
+            name == "engine.paths_finished") {
+            out[name] = value;
+        }
+    }
+    return out;
+}
+
 std::vector<WitnessSummary>
-RunFspPipeline(size_t workers)
+RunFspPipeline(size_t workers,
+               std::map<std::string, int64_t> *counts = nullptr)
 {
     ExprContext ctx;
     Solver solver(&ctx);
@@ -41,6 +59,8 @@ RunFspPipeline(size_t workers)
     config.server_config.use_different_from = false;
     const core::AchillesResult result =
         core::RunAchilles(&ctx, &solver, config);
+    if (counts != nullptr)
+        *counts = ScheduleIndependentCounts(result.server.stats);
 
     std::vector<WitnessSummary> witnesses;
     core::CanonicalHasher hasher(&ctx);
@@ -57,12 +77,22 @@ TEST(WorkerSweepTest, WitnessesIdenticalAcrossWorkerCounts)
     // The hard determinism constraint: Trojan witness sets (labels,
     // definitions, concrete bytes) are bitwise identical at every
     // worker count. Witness bytes come from a fresh SAT instance per
-    // query, whatever each worker asked before.
-    const std::vector<WitnessSummary> baseline = RunFspPipeline(1);
+    // query, whatever each worker asked before. The explorer's and the
+    // engines' counts are too: each state runs the same checks on
+    // whichever worker, and the merge counts every plane exactly once.
+    std::map<std::string, int64_t> baseline_counts;
+    const std::vector<WitnessSummary> baseline =
+        RunFspPipeline(1, &baseline_counts);
     ASSERT_FALSE(baseline.empty());
+    EXPECT_GT(baseline_counts["explorer.match_queries"], 0);
+    EXPECT_GT(baseline_counts["explorer.trojans"], 0);
+    EXPECT_GT(baseline_counts["engine.forks"], 0);
     for (size_t workers : {2, 4, 8}) {
-        EXPECT_EQ(RunFspPipeline(workers), baseline)
+        std::map<std::string, int64_t> counts;
+        EXPECT_EQ(RunFspPipeline(workers, &counts), baseline)
             << "diverged at " << workers << " workers";
+        EXPECT_EQ(counts, baseline_counts)
+            << "counts diverged at " << workers << " workers";
     }
 }
 

@@ -339,29 +339,6 @@ TEST_F(SymexecTest, StepLimitTerminatesInfiniteLoops)
     EXPECT_EQ(results[0].outcome, PathOutcome::kLimit);
 }
 
-TEST_F(SymexecTest, SearchOrdersVisitAllPaths)
-{
-    for (SearchOrder order :
-         {SearchOrder::kDfs, SearchOrder::kBfs, SearchOrder::kRandom}) {
-        ProgramBuilder b("prog");
-        b.Function("main", {}, 0, [&] {
-            Val x = b.ReadInput("x", 8);
-            Val y = b.ReadInput("y", 8);
-            b.If(x < 16, [&] {}, [&] {});
-            b.If(y < 16, [&] {}, [&] {});
-            b.If((x ^ y) == 0, [&] {}, [&] {});
-        });
-        const Program p = b.Build();
-        EngineConfig config;
-        config.order = order;
-        auto results = RunProgram(p, Mode::kClient, {}, config);
-        // 4 range combinations; x == y is only feasible when the x and y
-        // ranges overlap (both < 16 or both >= 16), giving 2+1+1+2 paths.
-        EXPECT_EQ(results.size(), 6u)
-            << "order=" << static_cast<int>(order);
-    }
-}
-
 /** Listener that prunes every branch whose constraint is an inequality. */
 class PruneListener : public Listener
 {

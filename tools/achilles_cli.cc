@@ -34,11 +34,7 @@
 // Log verbosity follows the ACHILLES_LOG environment variable
 // (debug|info|warn|error|off).
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -50,15 +46,11 @@
 #include "obs/log.h"
 #include "proto/registry.h"
 #include "proto/spec/lower.h"
+#include "tools/flags.h"
 
 using namespace achilles;
 
 namespace {
-
-/** Largest --workers accepted. Each worker is a thread with its own
- *  expression context and solver, so a larger count is a typo, and
- *  one near SIZE_MAX would otherwise abort the scheduler's set-up. */
-constexpr size_t kMaxWorkers = 256;
 
 void
 Usage(const char *argv0)
@@ -71,64 +63,6 @@ Usage(const char *argv0)
         "          [--metrics-out <path>] [--trace-out <path>]\n"
         "          [--progress[=secs]]\n",
         argv0);
-}
-
-/** Parse all of `text` as a decimal integer >= 1 (no overflow). */
-bool
-ParseCount(const char *text, size_t *out)
-{
-    // strtoull accepts (and negates) a leading sign and skips leading
-    // blanks, so insist on a digit up front.
-    if (!std::isdigit(static_cast<unsigned char>(text[0])))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (errno == ERANGE || *end != '\0' || value < 1)
-        return false;
-    *out = static_cast<size_t>(value);
-    return true;
-}
-
-/** Parse all of `text` as a finite decimal number >= 0. */
-bool
-ParseSeconds(const char *text, double *out)
-{
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) &&
-        text[0] != '.') {
-        return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (errno == ERANGE || *end != '\0' || !std::isfinite(value))
-        return false;
-    *out = value;
-    return true;
-}
-
-/** True for the flags that take the next argument as their value. */
-bool
-TakesValue(const char *arg)
-{
-    for (const char *flag :
-         {"--protocol", "--spec", "--workers", "--clients", "--metrics-out",
-          "--trace-out"}) {
-        if (std::strcmp(arg, flag) == 0)
-            return true;
-    }
-    return false;
-}
-
-/** Report a malformed numeric argument; returns the exit status. */
-int
-BadNumber(const char *argv0, const char *flag, const char *want,
-          const char *text)
-{
-    std::fprintf(stderr, "%s: %s needs %s, got '%s'\n", argv0, flag, want,
-                 text);
-    Usage(argv0);
-    return 2;
 }
 
 }  // namespace
@@ -147,10 +81,11 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (TakesValue(arg) && i + 1 == argc) {
-            std::fprintf(stderr, "%s: %s needs a value\n", argv[0], arg);
-            Usage(argv[0]);
-            return 2;
+        if (i + 1 == argc &&
+            flags::TakesValue(arg, {"--protocol", "--spec", "--workers",
+                                    "--clients", "--metrics-out",
+                                    "--trace-out"})) {
+            return flags::MissingValue(argv[0], Usage, arg);
         }
         if (std::strcmp(arg, "--protocol") == 0) {
             protocol = argv[++i];
@@ -159,16 +94,14 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--list-protocols") == 0) {
             list_protocols = true;
         } else if (std::strcmp(arg, "--workers") == 0) {
-            if (!ParseCount(argv[++i], &workers))
-                return BadNumber(argv[0], arg, "an integer >= 1", argv[i]);
-            if (workers > kMaxWorkers) {
-                const std::string want =
-                    "an integer <= " + std::to_string(kMaxWorkers);
-                return BadNumber(argv[0], arg, want.c_str(), argv[i]);
-            }
+            std::string want;
+            if (!flags::ParseWorkers(argv[++i], &workers, &want))
+                return flags::BadNumber(argv[0], Usage, arg, want, argv[i]);
         } else if (std::strcmp(arg, "--clients") == 0) {
-            if (!ParseCount(argv[++i], &num_clients))
-                return BadNumber(argv[0], arg, "an integer >= 1", argv[i]);
+            if (!flags::ParseCount(argv[++i], &num_clients)) {
+                return flags::BadNumber(argv[0], Usage, arg,
+                                        "an integer >= 1", argv[i]);
+            }
         } else if (std::strcmp(arg, "--metrics-out") == 0) {
             metrics_path = argv[++i];
         } else if (std::strcmp(arg, "--trace-out") == 0) {
@@ -176,9 +109,10 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--progress") == 0) {
             progress_secs = 1.0;
         } else if (std::strncmp(arg, "--progress=", 11) == 0) {
-            if (!ParseSeconds(arg + 11, &progress_secs)) {
-                return BadNumber(argv[0], "--progress=",
-                                 "a number of seconds >= 0", arg + 11);
+            if (!flags::ParseSeconds(arg + 11, &progress_secs)) {
+                return flags::BadNumber(argv[0], Usage, "--progress=",
+                                        "a number of seconds >= 0",
+                                        arg + 11);
             }
         } else if (std::strcmp(arg, "--help") == 0 ||
                    std::strcmp(arg, "-h") == 0) {
