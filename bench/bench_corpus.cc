@@ -20,8 +20,8 @@
 //        --json PATH   machine-readable metrics (bench_util.h)
 //
 // Both numbers are decimal integers. A malformed or out-of-range
-// number, or a flag missing its value, prints the usage and exits with
-// status 2 before any run.
+// number, a flag missing its value, or an unknown argument prints the
+// usage and exits with status 2 before any run.
 
 #include <algorithm>
 #include <chrono>
@@ -123,6 +123,8 @@ main(int argc, char **argv)
             specs_dir = argv[++i];
         } else if (std::strcmp(arg, "--json") == 0) {
             ++i;  // bench::ParseBenchArgs opens it below
+        } else {
+            return flags::UnknownArgument(argv[0], Usage, arg);
         }
     }
     bench::ParseBenchArgs(argc, argv);

@@ -13,8 +13,9 @@
 //
 // --clients takes a decimal integer >= 1, and --workers a comma list of
 // them, each at most 256; --progress=secs takes a decimal number >= 0.
-// A malformed or out-of-range number, or a flag missing its value,
-// prints the usage and exits with status 2 before any run.
+// A malformed or out-of-range number, a flag missing its value, or an
+// unknown argument prints the usage and exits with status 2 before any
+// run.
 //
 // Observability: `--trace-out` re-runs the max-worker point with the
 // Chrome-trace recorder attached and writes the trace there (load it in
@@ -210,6 +211,8 @@ main(int argc, char **argv)
                     break;
                 start = comma + 1;
             }
+        } else {
+            return flags::UnknownArgument(argv[0], Usage, arg);
         }
     }
     bench::ParseBenchArgs(argc, argv);

@@ -64,6 +64,7 @@ RunAchilles(smt::ExprContext *ctx, smt::Solver *solver,
             result.preprocessing_stats.Merge(different_from.stats());
         }
         result.negate_stats = negate_op.stats();
+        result.preprocessing_stats.Merge(obs::ViewOf(result.negate_stats));
         span.AddArg("negations",
                     static_cast<int64_t>(result.negations.size()));
     }

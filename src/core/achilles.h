@@ -69,7 +69,8 @@ struct AchillesResult
     ServerAnalysis server;
     PhaseTimings timings;
     NegateStats negate_stats;
-    /** The differentFrom precomputation's counters. */
+    /** The negate operator's and the differentFrom precomputation's
+     *  counters. */
     obs::CounterView preprocessing_stats;
     /** End-of-run observability summary: the client-extraction,
      *  preprocessing, server and home-solver counters summed, then

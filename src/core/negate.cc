@@ -9,6 +9,61 @@
 
 namespace achilles {
 namespace core {
+namespace {
+
+/**
+ * True when `e` is a chain of injective links over one variable: each
+ * link is `not`, a zero or sign extension, `add`/`sub`/`xor` with a
+ * constant on either side, or `mul` by an odd constant. Every such link
+ * is one-to-one on its width (an odd multiplier is a unit mod 2^w), so
+ * e(x) == e(x') forces x == x'.
+ */
+bool
+IsInjectiveChain(smt::ExprRef e)
+{
+    while (!e->IsVar()) {
+        switch (e->kind()) {
+          case smt::Kind::kNot:
+          case smt::Kind::kZExt:
+          case smt::Kind::kSExt:
+            e = e->kid(0);
+            break;
+          case smt::Kind::kAdd:
+          case smt::Kind::kSub:
+          case smt::Kind::kXor:
+          case smt::Kind::kMul: {
+            smt::ExprRef a = e->kid(0);
+            smt::ExprRef b = e->kid(1);
+            if (a->IsConst() == b->IsConst())
+                return false;
+            smt::ExprRef k = a->IsConst() ? a : b;
+            if (e->kind() == smt::Kind::kMul && (k->ConstValue() & 1) == 0)
+                return false;
+            e = a->IsConst() ? b : a;
+            break;
+          }
+          default:
+            return false;
+        }
+    }
+    return true;
+}
+
+}  // namespace
+
+void
+NegateStats::AddTo(obs::CounterView *view) const
+{
+    view->Add("negate.exact_predicates",
+              static_cast<int64_t>(exact_predicates));
+    view->Add("negate.approx_predicates",
+              static_cast<int64_t>(approx_predicates));
+    view->Add("negate.abandoned_fields",
+              static_cast<int64_t>(abandoned_fields));
+    view->Add("negate.overlap_discarded",
+              static_cast<int64_t>(overlap_discarded));
+    view->Add("negate.overlap_proven", static_cast<int64_t>(overlap_proven));
+}
 
 NegateOperator::NegateOperator(smt::ExprContext *ctx, smt::Solver *solver,
                                const MessageLayout *layout,
@@ -120,12 +175,20 @@ NegateOperator::NegateField(const ClientPathPredicate &pred,
     // both under the original constraints and under the negated copy,
     // the candidate overlaps the original value set -- discard it so the
     // negate operator stays an under-approximation of the complement.
-    std::vector<smt::ExprRef> overlap_query = touching;
-    overlap_query.push_back(ctx_->MakeEq(target, e));
-    overlap_query.push_back(candidate);
-    if (solver_->CheckSat(overlap_query) != smt::CheckResult::kUnsat) {
-        ++stats_.overlap_discarded;
-        return result;
+    // An injective chain over the one variable its constraints mention
+    // cannot overlap: e(λ) == e(λ') forces λ == λ', and no λ satisfies
+    // both the constraints and one of their negations. Every other shape
+    // asks the solver.
+    if (self_contained && IsInjectiveChain(e)) {
+        ++stats_.overlap_proven;
+    } else {
+        std::vector<smt::ExprRef> overlap_query = touching;
+        overlap_query.push_back(ctx_->MakeEq(target, e));
+        overlap_query.push_back(candidate);
+        if (solver_->CheckSat(overlap_query) != smt::CheckResult::kUnsat) {
+            ++stats_.overlap_discarded;
+            return result;
+        }
     }
     result.expr = candidate;
     result.exact = false;

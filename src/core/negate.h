@@ -14,10 +14,12 @@
 //                                               (fresh λ', existential)
 //   field value unconstrained / S empty     ->  abandoned for this field
 //
-// As in Section 4.1, each generated field negation is checked for
-// overlap with the original field definition using the solver; negations
-// that overlap are discarded, so the negate operator never introduces
-// false positives.
+// As in Section 4.1, each complex-expression negation is checked for
+// overlap with the original field definition; negations that overlap
+// are discarded, so the negate operator never introduces false
+// positives. The overlap is proven from structure where the shape
+// allows it (an injective chain over the one variable its constraints
+// mention, such as `x * 13 + 7` on a byte) and by the solver otherwise.
 
 #ifndef ACHILLES_CORE_NEGATE_H_
 #define ACHILLES_CORE_NEGATE_H_
@@ -27,6 +29,7 @@
 
 #include "core/message.h"
 #include "core/path_predicate.h"
+#include "obs/metrics.h"
 #include "smt/solver.h"
 
 namespace achilles {
@@ -86,7 +89,15 @@ struct NegateStats
     size_t exact_predicates = 0;
     size_t approx_predicates = 0;
     size_t abandoned_fields = 0;
+    /** Complex-expression negations discarded because the overlap
+     *  query was not UNSAT (kSat, or kUnknown on budget exhaustion). */
     size_t overlap_discarded = 0;
+    /** Complex-expression negations kept because their shape proves
+     *  them disjoint, without an overlap query. */
+    size_t overlap_proven = 0;
+
+    /** The one place these counters are named ("negate.*"). */
+    void AddTo(obs::CounterView *view) const;
 };
 
 /**
@@ -128,6 +139,10 @@ class NegateOperator
      * Core of the per-field negation: negation of `pred`'s field value
      * set, phrased over `target` (a server field expression or a probe
      * variable). Returns {expr, exact} with expr == null if abandoned.
+     * A complex-expression candidate is kept only if it cannot overlap
+     * the field's own values: proven from structure when the field is
+     * an injective chain over the one variable its constraints mention,
+     * and by an UNSAT overlap query otherwise.
      */
     FieldNegation NegateField(const ClientPathPredicate &pred,
                               const FieldSpec &field, smt::ExprRef target);

@@ -54,7 +54,7 @@ PrintReport(std::ostream &os, const MessageLayout &layout,
        << " approx=" << result.negate_stats.approx_predicates
        << " abandoned-fields=" << result.negate_stats.abandoned_fields
        << " overlap-discarded=" << result.negate_stats.overlap_discarded
-       << "\n";
+       << " overlap-proven=" << result.negate_stats.overlap_proven << "\n";
     os << "phase timings (s): client="
        << result.timings.client_extraction
        << " preprocess=" << result.timings.preprocessing

@@ -443,6 +443,11 @@ TEST(ObsPipelineTest, WitnessSetsAreIdenticalWithObsOnOrOff)
         EXPECT_DOUBLE_EQ(report.Get("engine.forks"),
                          report.Get("engine.states"))
             << workers << " workers";
+        // So do the negate operator's counters: one negation per
+        // client predicate.
+        EXPECT_DOUBLE_EQ(report.Get("negate.exact_predicates") +
+                             report.Get("negate.approx_predicates"),
+                         report.Get("client.predicates"));
         // Solver queries observed by the registry match the span
         // distribution's sample count.
         EXPECT_DOUBLE_EQ(report.Get("solver.conflicts.count"),

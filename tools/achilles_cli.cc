@@ -119,10 +119,7 @@ main(int argc, char **argv)
             Usage(argv[0]);
             return 0;
         } else {
-            std::fprintf(stderr, "%s: unknown argument %s\n", argv[0],
-                         arg);
-            Usage(argv[0]);
-            return 2;
+            return flags::UnknownArgument(argv[0], Usage, arg);
         }
     }
 

@@ -4,8 +4,9 @@
 // bench harnesses. A value is all digits (a number of seconds may also
 // carry a fraction) or it is rejected: no sign, no leading blanks, no
 // trailing junk, no overflow. A caller reports a rejected value with
-// BadNumber, and a value-taking flag given last with MissingValue: a
-// usage error with exit status 2, before any analysis runs.
+// BadNumber, a value-taking flag given last with MissingValue, and an
+// argument it does not know with UnknownArgument: a usage error with
+// exit status 2, before any analysis runs.
 
 #ifndef ACHILLES_TOOLS_FLAGS_H_
 #define ACHILLES_TOOLS_FLAGS_H_
@@ -93,6 +94,17 @@ MissingValue(const char *argv0, void (*usage)(const char *argv0),
              const char *flag)
 {
     std::fprintf(stderr, "%s: %s needs a value\n", argv0, flag);
+    usage(argv0);
+    return 2;
+}
+
+/** Report an argument the program does not know, then print the usage;
+ *  returns the exit status. */
+inline int
+UnknownArgument(const char *argv0, void (*usage)(const char *argv0),
+                const char *arg)
+{
+    std::fprintf(stderr, "%s: unknown argument %s\n", argv0, arg);
     usage(argv0);
     return 2;
 }
