@@ -21,7 +21,7 @@
 // Chrome-trace recorder attached and writes the trace there (load it in
 // chrome://tracing or ui.perfetto.dev); `--progress` attaches the live
 // heartbeat to that run; with `--json`, the instrumented run's
-// RunReport lands as the nested "metrics" record. `--obs-overhead`
+// report lands as the nested "metrics" record. `--obs-overhead`
 // measures the full-instrumentation wall-clock cost at one worker --
 // five off/on pairs, alternating which arm runs first, the median
 // per-pair overhead, floored at zero -- and records it as
@@ -78,7 +78,7 @@ struct SweepPoint
     size_t trojans = 0;
     int64_t states_stolen = 0;
     std::vector<WitnessSummary> witnesses;
-    obs::RunReport report;
+    obs::CounterView report;
 };
 
 /** Observability attachments for one RunOnce invocation. */
@@ -100,7 +100,7 @@ RunOnce(size_t workers, size_t num_clients, const ObsOptions &obs_opts = {})
     std::unique_ptr<obs::MetricsRegistry> registry;
     std::unique_ptr<obs::TraceRecorder> tracer;
     if (obs_opts.metrics)
-        registry = std::make_unique<obs::MetricsRegistry>(workers + 1);
+        registry = std::make_unique<obs::MetricsRegistry>();
     if (obs_opts.tracing)
         tracer = std::make_unique<obs::TraceRecorder>(workers + 1);
     obs::ObsHandle obs_handle;
@@ -137,7 +137,8 @@ RunOnce(size_t workers, size_t num_clients, const ObsOptions &obs_opts = {})
         if (out.is_open())
             tracer->WriteChromeTrace(out);
         else
-            obs::LogError("bench: cannot write " + obs_opts.trace_path);
+            std::fprintf(stderr, "bench: cannot write %s\n",
+                         obs_opts.trace_path.c_str());
     }
 
     SweepPoint point;

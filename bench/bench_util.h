@@ -9,7 +9,7 @@
 // line every metric is also written to <path> as a JSON array of
 // {"metric": ..., "value": ...} records, so successive PRs can track the
 // perf trajectory (BENCH_*.json) without scraping stdout. A run's
-// observability summary (obs::RunReport) travels as one nested record,
+// report (AchillesResult::report) travels as one nested record,
 // {"metric": "metrics", "nested": {...}} -- the trend script flattens
 // its entries to "metrics.<name>", so flat lookups keep working.
 
@@ -21,8 +21,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/log.h"
-#include "obs/run_report.h"
+#include "obs/metrics.h"
 
 namespace achilles {
 namespace bench {
@@ -70,7 +69,7 @@ class JsonRecorder
             return;
         std::FILE *f = std::fopen(path_.c_str(), "w");
         if (f == nullptr) {
-            obs::LogError("bench: cannot write " + path_);
+            std::fprintf(stderr, "bench: cannot write %s\n", path_.c_str());
             return;
         }
         const size_t total = records_.size() + nested_.size();
@@ -154,16 +153,16 @@ Metric(const std::string &name, double value,
 }
 
 /**
- * Fold a run's observability summary into the `--json` artifact as the
- * nested "metrics" record. No-op when the report is empty (obs off) or
- * `--json` was not given.
+ * Fold a run's report into the `--json` artifact as the nested
+ * "metrics" record. No-op when `--json` was not given.
  */
 inline void
-RecordRunMetrics(const obs::RunReport &report)
+RecordRunMetrics(const obs::CounterView &report)
 {
-    if (!report.empty())
-        JsonRecorder::Instance().RecordNested("metrics",
-                                              report.metrics());
+    std::vector<std::pair<std::string, double>> entries;
+    for (const auto &[name, value] : report.All())
+        entries.emplace_back(name, static_cast<double>(value));
+    JsonRecorder::Instance().RecordNested("metrics", std::move(entries));
 }
 
 }  // namespace bench

@@ -15,11 +15,8 @@ RunAchilles(smt::ExprContext *ctx, smt::Solver *solver,
     ACHILLES_CHECK(config.server != nullptr, "no server program");
     ACHILLES_CHECK(!config.clients.empty(), "no client programs");
 
-    // Propagate the pipeline's obs handle into the server config unless
-    // a caller already wired it explicitly.
     ServerExplorerConfig server_config = config.server_config;
-    if (!server_config.engine.obs.enabled())
-        server_config.engine.obs = config.obs;
+    server_config.engine.obs = config.obs;
 
     AchillesResult result;
     Timer timer;
@@ -91,19 +88,20 @@ RunAchilles(smt::ExprContext *ctx, smt::Solver *solver,
         "achilles.server_workers",
         static_cast<int64_t>(server_config.engine.num_workers));
 
-    // Fold the run's observability into the result. The counter views
-    // sum: no event is counted in two of them (each phase's engines
-    // count into that phase's stats, the worker solvers into the server
-    // stats, the home solver only on itself).
-    obs::CounterView counters = result.client_predicate.stats;
-    counters.Merge(result.preprocessing_stats);
-    counters.Merge(result.server.stats);
-    counters.Merge(solver->stats());
-    result.report.Add(counters);
-    if (config.obs.metrics_on())
-        result.report.Add(*config.obs.registry);
-    if (config.obs.tracing_on())
-        result.report.AddTrace(*config.obs.tracer);
+    // The report sums the counter views: no event is counted in two of
+    // them (each phase's engines count into that phase's stats, the
+    // worker solvers into the server stats, the home solver only on
+    // itself).
+    result.report = result.client_predicate.stats;
+    result.report.Merge(result.preprocessing_stats);
+    result.report.Merge(result.server.stats);
+    result.report.Merge(solver->stats());
+    if (config.obs.tracing_on()) {
+        result.report.Add("obs.trace_events",
+                          config.obs.tracer->TotalRetained());
+        result.report.Add("obs.trace_dropped",
+                          config.obs.tracer->TotalDropped());
+    }
     return result;
 }
 

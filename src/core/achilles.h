@@ -20,7 +20,6 @@
 #include "core/negate.h"
 #include "core/server_explorer.h"
 #include "obs/obs.h"
-#include "obs/run_report.h"
 #include "smt/solver.h"
 #include "symexec/program.h"
 
@@ -39,12 +38,11 @@ struct AchillesConfig
     /**
      * Observability sinks for the whole pipeline (src/obs/obs.h). When
      * set, RunAchilles records one span per pipeline phase on lane 0,
-     * passes the handle to the client-extraction engines and into the
-     * server-exploration engine config (unless that already carries
-     * one), and folds the registry's aggregate plus trace accounting
-     * into AchillesResult::report. The solver's own instrumentation is
-     * configured at solver construction (SolverConfig::obs) -- pass the
-     * same registry/tracer there.
+     * passes the handle to the client-extraction and server-exploration
+     * engines (replacing `server_config.engine.obs`), and adds the trace
+     * volume to AchillesResult::report. The solver's own
+     * instrumentation is configured at solver construction
+     * (SolverConfig::obs) -- pass the same registry/tracer there.
      */
     obs::ObsHandle obs;
 };
@@ -72,11 +70,11 @@ struct AchillesResult
     /** The negate operator's and the differentFrom precomputation's
      *  counters. */
     obs::CounterView preprocessing_stats;
-    /** End-of-run observability summary: the client-extraction,
-     *  preprocessing, server and home-solver counters summed, then
-     *  (when AchillesConfig::obs carries them) the registry aggregate
-     *  and trace volume. */
-    obs::RunReport report;
+    /** End-of-run summary: the client-extraction, preprocessing,
+     *  server and home-solver counters summed, plus, when
+     *  AchillesConfig::obs carries a tracer, obs.trace_events (events
+     *  retained) and obs.trace_dropped (ring overwrites). */
+    obs::CounterView report;
 };
 
 /** Run the complete Achilles pipeline. */

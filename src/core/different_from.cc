@@ -131,21 +131,25 @@ DifferentFromMatrix::Compute(const std::vector<ClientPathPredicate> &preds,
         smt::ExprRef probe =
             ctx_->FreshVar("probe_" + analyzed[f].name,
                            analyzed[f].size * 8);
+        // One negation per class, over the shared probe; a single class
+        // has no pair to compare.
+        std::vector<smt::ExprRef> negation(c > 1 ? c : 0);
+        for (size_t b = 0; b < negation.size(); ++b) {
+            negation[b] = negate_op->NegateFieldAgainst(
+                preds[rel.members[b][0]], analyzed[f], probe);
+        }
         for (size_t a = 0; a < c; ++a) {
             const uint32_t pa = rel.members[a][0];
             for (size_t b = 0; b < c; ++b) {
                 if (a == b)
                     continue;  // same definition: never different
-                const uint32_t pb = rel.members[b][0];
-                smt::ExprRef neg_b = negate_op->NegateFieldAgainst(
-                    preds[pb], analyzed[f], probe);
-                if (neg_b == nullptr) {
+                if (negation[b] == nullptr) {
                     // Negation abandoned: cannot demonstrate difference.
                     continue;
                 }
                 std::vector<smt::ExprRef> query = defs[pa][f].constraints;
                 query.push_back(ctx_->MakeEq(probe, defs[pa][f].expr));
-                query.push_back(neg_b);
+                query.push_back(negation[b]);
                 ++stats_.solver_queries;
                 if (solver_->CheckSat(query) == smt::CheckResult::kSat)
                     rel.different[a][b] = 1;

@@ -36,14 +36,15 @@ WorkStealingScheduler::Push(size_t worker,
                             bool fresh)
 {
     if (fresh) {
-        if (queued_.load(std::memory_order_acquire) >= max_queued_states_)
+        if (static_cast<size_t>(queued_.load(std::memory_order_acquire)) >=
+            max_queued_states_)
             return false;
         live_.fetch_add(1, std::memory_order_acq_rel);
     }
     {
         // Count the state under the deque lock: a thief decrements
-        // under the same lock, so the unsigned count can never wrap
-        // below zero and make the budget check above reject a fork.
+        // under the same lock, so the count can never dip below zero
+        // and make the budget check above reject a fork.
         std::lock_guard<std::mutex> lock(deques_[worker]->mutex);
         deques_[worker]->states.push_back(std::move(*state));
         queued_.fetch_add(1, std::memory_order_acq_rel);
@@ -88,7 +89,8 @@ WorkStealingScheduler::StealFrom(size_t thief, Batch *out)
             dq.states.pop_front();
         }
         out->owner = victim;
-        queued_.fetch_sub(take, std::memory_order_acq_rel);
+        queued_.fetch_sub(static_cast<int64_t>(take),
+                          std::memory_order_acq_rel);
         stolen_.fetch_add(static_cast<int64_t>(take),
                           std::memory_order_relaxed);
         steal_batches_.fetch_add(1, std::memory_order_relaxed);

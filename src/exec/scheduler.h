@@ -88,10 +88,9 @@ class WorkStealingScheduler
     {
         return steal_batches_.load(std::memory_order_relaxed);
     }
-    size_t queued() const
-    {
-        return queued_.load(std::memory_order_relaxed);
-    }
+    /** States waiting in the deques; ParallelEngine attaches it to the
+     *  live view as phase 2's frontier. */
+    const std::atomic<int64_t> &queued() const { return queued_; }
 
     /** Export scheduler counters into a registry. */
     void ExportStats(obs::CounterView *stats) const;
@@ -109,7 +108,7 @@ class WorkStealingScheduler
     const size_t max_queued_states_;
     std::vector<std::unique_ptr<WorkerDeque>> deques_;
     std::atomic<int64_t> live_{0};
-    std::atomic<size_t> queued_{0};
+    std::atomic<int64_t> queued_{0};
     std::atomic<bool> stop_{false};
     std::atomic<int64_t> stolen_{0};
     std::atomic<int64_t> steal_batches_{0};

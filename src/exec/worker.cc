@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "obs/log.h"
-
 namespace achilles {
 namespace exec {
 
@@ -38,17 +36,10 @@ ParallelEngine::Run()
     scheduler_ =
         std::make_unique<WorkStealingScheduler>(n, config_.max_states);
 
-    // Absorb the scheduler's lock-free queued-state count into the run's
-    // metrics registry as a gauge: the heartbeat's sampler reads it
-    // live without the scheduler's hot paths ever touching the
-    // registry. (RegisterGauge replaces by name, so it overrides any
-    // serial engine.frontier gauge.)
-    if (config_.obs.metrics_on()) {
-        const WorkStealingScheduler *sched = scheduler_.get();
-        config_.obs.registry->RegisterGauge("engine.frontier", [sched] {
-            return static_cast<int64_t>(sched->queued());
-        });
-    }
+    // Phase 2's frontier is the scheduler's queue. Each worker engine
+    // attaches its own frontier under the same name, and it stays 0.
+    if (config_.obs.metrics_on())
+        config_.obs.registry->Attach("engine.frontier", scheduler_->queued());
 
     // Per-worker engines explore disjoint subtrees; ids must therefore
     // come from the fork tree, not from per-engine counters.
@@ -59,8 +50,8 @@ ParallelEngine::Run()
     for (size_t i = 0; i < n; ++i) {
         auto wc = std::make_unique<WorkerContext>();
         wc->worker_id = i;
-        // Worker w owns obs lane 1 + w: its own metric shard and its own
-        // trace track (lane 0 stays with the main/pipeline thread).
+        // Worker w owns obs lane 1 + w: its own trace track (lane 0
+        // stays with the main/pipeline thread).
         engine_config.obs = config_.obs.ForLane(i + 1);
         wc->bridge =
             std::make_unique<ExprBridge>(home_, &wc->ctx, &home_mutex_);
@@ -121,22 +112,14 @@ ParallelEngine::Run()
                      });
     scheduler_->ExportStats(&stats_);
     stats_.Add("exec.workers", static_cast<int64_t>(n));
-
-    // The gauge registered above reads the scheduler this engine owns;
-    // freeze it so a heartbeat (or RunReport) sampling after this engine
-    // is destroyed reads a constant, not a dangling pointer.
     if (config_.obs.metrics_on())
-        config_.obs.registry->RegisterGauge("engine.frontier",
-                                            [] { return int64_t{0}; });
+        config_.obs.registry->Detach(scheduler_->queued());
     return results;
 }
 
 void
 ParallelEngine::WorkerLoop(size_t worker_id)
 {
-    // Tag this thread's log lines (and any Warn from the layers below)
-    // with the worker lane.
-    obs::ScopedLogWorkerId log_id(static_cast<int>(worker_id));
     WorkerContext &wc = *workers_[worker_id];
     WorkStealingScheduler::Batch batch;
     std::vector<std::unique_ptr<symexec::State>> spawned;

@@ -5,14 +5,12 @@
 #include <chrono>
 #include <cstdio>
 
-#include "obs/log.h"
-
 namespace achilles {
 namespace obs {
 
 namespace {
 
-/** Read one aggregated value by name (counter or gauge; 0 if absent). */
+/** Read one aggregated value by name (0 if absent). */
 int64_t
 ValueOf(const std::map<std::string, MetricSnapshot> &agg,
         const std::string &name)
@@ -53,7 +51,7 @@ Heartbeat::Heartbeat(const MetricsRegistry *registry,
 {
     if (!sink_) {
         sink_ = [](const HeartbeatSample &sample) {
-            LogInfo(sample.Format());
+            std::fprintf(stderr, "%s\n", sample.Format().c_str());
         };
     }
 }
@@ -122,7 +120,7 @@ Heartbeat::Loop()
     while (!stop_) {
         if (cv_.wait_for(lock, interval, [this] { return stop_; }))
             break;
-        // Sampling reads only aggregated shard snapshots; drop the lock
+        // Sampling reads only the registry's live view; drop the lock
         // so Stop() is never blocked behind a slow sink.
         lock.unlock();
         sink_(Sample());

@@ -1,15 +1,14 @@
 // Achilles reproduction -- observability layer.
 //
 // Periodic progress heartbeat: a sampler thread that wakes every
-// `interval_seconds`, folds the MetricsRegistry's shard snapshots
-// (relaxed loads plus registered gauges -- it never touches worker
-// structures), and reports one line of live run state:
+// `interval_seconds`, reads the MetricsRegistry's live view (relaxed
+// loads of the attached counts -- it never touches worker structures),
+// and reports one line of live run state:
 //
 //   states explored, frontier depth, queries + queries/sec, kUnknown rate
 //
-// Rates are deltas between consecutive samples. The line goes through
-// the leveled logger by default (whole-line writes, run-id prefix); a
-// test sink can capture it instead.
+// Rates are deltas between consecutive samples. The line goes to stderr
+// by default; a test sink can capture it instead.
 
 #ifndef ACHILLES_OBS_HEARTBEAT_H_
 #define ACHILLES_OBS_HEARTBEAT_H_
@@ -48,7 +47,7 @@ class Heartbeat
   public:
     using Sink = std::function<void(const HeartbeatSample &)>;
 
-    /** `sink` defaults to logging the formatted line at info level. */
+    /** `sink` defaults to printing the formatted line on stderr. */
     Heartbeat(const MetricsRegistry *registry, double interval_seconds,
               Sink sink = nullptr);
     ~Heartbeat();

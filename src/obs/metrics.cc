@@ -2,188 +2,57 @@
 
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <limits>
+#include "support/logging.h"
 
 namespace achilles {
 namespace obs {
 
-/** One distribution's per-shard accumulator. All fields are atomic so
- *  the sampler thread can read mid-run and an off-lane writer is merely
- *  slow, never racy. min/max use CAS; count/sum use fetch_add. */
-struct MetricsRegistry::DistSlot
+void
+MetricsRegistry::Attach(const std::string &name,
+                        const std::atomic<int64_t> &value)
 {
-    std::atomic<int64_t> count{0};
-    std::atomic<int64_t> sum{0};
-    std::atomic<int64_t> min{std::numeric_limits<int64_t>::max()};
-    std::atomic<int64_t> max{std::numeric_limits<int64_t>::min()};
-};
-
-/** Per-shard slot storage. Deques give pointer stability under growth,
- *  so a handle captured at registration stays valid for the registry's
- *  lifetime while later registrations extend the tables. */
-struct MetricsRegistry::Shard
-{
-    std::deque<std::atomic<int64_t>> counters;
-    std::deque<DistSlot> dists;
-};
+    std::lock_guard<std::mutex> lock(mutex_);
+    attached_.emplace_back(name, &value);
+}
 
 void
-MetricsRegistry::Distribution::Record(int64_t value)
+MetricsRegistry::Detach(const std::atomic<int64_t> &value)
 {
-    if (slot_ == nullptr)
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (size_t i = 0; i < attached_.size(); ++i) {
+        if (attached_[i].second != &value)
+            continue;
+        folded_[attached_[i].first] +=
+            value.load(std::memory_order_relaxed);
+        attached_[i] = std::move(attached_.back());
+        attached_.pop_back();
         return;
-    slot_->count.fetch_add(1, std::memory_order_relaxed);
-    slot_->sum.fetch_add(value, std::memory_order_relaxed);
-    int64_t seen = slot_->min.load(std::memory_order_relaxed);
-    while (value < seen &&
-           !slot_->min.compare_exchange_weak(seen, value,
-                                             std::memory_order_relaxed)) {
     }
-    seen = slot_->max.load(std::memory_order_relaxed);
-    while (value > seen &&
-           !slot_->max.compare_exchange_weak(seen, value,
-                                             std::memory_order_relaxed)) {
-    }
-}
-
-MetricsRegistry::MetricsRegistry(size_t num_shards)
-{
-    if (num_shards < 1)
-        num_shards = 1;
-    shards_.reserve(num_shards);
-    for (size_t i = 0; i < num_shards; ++i)
-        shards_.push_back(std::make_unique<Shard>());
-}
-
-MetricsRegistry::~MetricsRegistry() = default;
-
-uint32_t
-MetricsRegistry::Intern(const std::string &name, Kind kind)
-{
-    auto it = ids_.find(name);
-    if (it != ids_.end())
-        return it->second;
-    const uint32_t id = static_cast<uint32_t>(names_.size());
-    ids_.emplace(name, id);
-    names_.push_back(name);
-    kinds_.push_back(kind);
-    // Per-kind dense slot indices: the metric id indexes names_/kinds_;
-    // each shard's slot table is extended lazily below.
-    for (auto &shard : shards_) {
-        if (kind == Kind::kCounter)
-            shard->counters.emplace_back(0);
-        else
-            shard->dists.emplace_back();
-    }
-    return id;
-}
-
-MetricsRegistry::Counter
-MetricsRegistry::GetCounter(size_t shard, const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const uint32_t id = Intern(name, Kind::kCounter);
-    if (kinds_[id] != Kind::kCounter)
-        return Counter();  // name already taken by a distribution
-    // Count how many counters precede this id: slot tables are dense
-    // per kind, in interning order.
-    size_t slot = 0;
-    for (uint32_t i = 0; i < id; ++i)
-        slot += kinds_[i] == Kind::kCounter ? 1 : 0;
-    return Counter(&shards_[shard % shards_.size()]->counters[slot]);
-}
-
-MetricsRegistry::Distribution
-MetricsRegistry::GetDistribution(size_t shard, const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const uint32_t id = Intern(name, Kind::kDistribution);
-    if (kinds_[id] != Kind::kDistribution)
-        return Distribution();
-    size_t slot = 0;
-    for (uint32_t i = 0; i < id; ++i)
-        slot += kinds_[i] == Kind::kDistribution ? 1 : 0;
-    return Distribution(&shards_[shard % shards_.size()]->dists[slot]);
-}
-
-void
-MetricsRegistry::RegisterGauge(const std::string &name,
-                               std::function<int64_t()> read)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    gauges_[name] = std::move(read);
+    ACHILLES_UNREACHABLE("detaching a value that is not attached");
 }
 
 std::map<std::string, MetricSnapshot>
 MetricsRegistry::Aggregate() const
 {
-    // The registration mutex is held for the whole fold: it orders this
-    // read against concurrent slot-table growth (Intern's emplace_back).
-    // Bump paths never take it -- slot values are read with relaxed
-    // loads, so live workers are not blocked, only later registrations
-    // (cold, component-construction-time) briefly are. Gauge callbacks
-    // run under the lock and must not re-enter the registry.
     std::lock_guard<std::mutex> lock(mutex_);
-
     std::map<std::string, MetricSnapshot> out;
-    size_t counter_slot = 0;
-    size_t dist_slot = 0;
-    for (size_t id = 0; id < names_.size(); ++id) {
-        MetricSnapshot snap;
-        if (kinds_[id] == Kind::kCounter) {
-            snap.kind = MetricSnapshot::Kind::kCounter;
-            for (const auto &shard : shards_) {
-                snap.value += shard->counters[counter_slot].load(
-                    std::memory_order_relaxed);
-            }
-            ++counter_slot;
-        } else {
-            snap.kind = MetricSnapshot::Kind::kDistribution;
-            DistSnapshot &d = snap.dist;
-            for (const auto &shard : shards_) {
-                const DistSlot &s = shard->dists[dist_slot];
-                const int64_t count =
-                    s.count.load(std::memory_order_relaxed);
-                if (count == 0)
-                    continue;
-                const int64_t lo = s.min.load(std::memory_order_relaxed);
-                const int64_t hi = s.max.load(std::memory_order_relaxed);
-                if (d.count == 0) {
-                    d.min = lo;
-                    d.max = hi;
-                } else {
-                    d.min = std::min(d.min, lo);
-                    d.max = std::max(d.max, hi);
-                }
-                d.count += count;
-                d.sum += s.sum.load(std::memory_order_relaxed);
-            }
-            ++dist_slot;
-        }
-        out.emplace(names_[id], snap);
-    }
-    for (const auto &[name, read] : gauges_) {
-        MetricSnapshot snap;
-        snap.kind = MetricSnapshot::Kind::kGauge;
-        snap.value = read();
-        out[name] = snap;
-    }
+    for (const auto &[name, value] : folded_)
+        out[name].value += value;
+    for (const auto &[name, value] : attached_)
+        out[name].value += value->load(std::memory_order_relaxed);
     return out;
 }
 
 void
-MetricsRegistry::Dump(std::ostream &os, const std::string &prefix) const
+CounterView::WriteJson(std::ostream &os) const
 {
-    for (const auto &[name, snap] : Aggregate()) {
-        if (snap.kind == MetricSnapshot::Kind::kDistribution) {
-            os << prefix << name << " = {count=" << snap.dist.count
-               << " sum=" << snap.dist.sum << " min=" << snap.dist.min
-               << " max=" << snap.dist.max << "}\n";
-        } else {
-            os << prefix << name << " = " << snap.value << "\n";
-        }
+    os << "{";
+    const char *sep = "";
+    for (const auto &[name, value] : values_) {
+        os << sep << "\"" << name << "\":" << value;
+        sep = ",";
     }
+    os << "}";
 }
 
 }  // namespace obs

@@ -5,17 +5,18 @@
 // instrumentation on. It is a pair of non-owning pointers plus a lane
 // number:
 //
-//   registry  the run-wide sharded MetricsRegistry (null = metrics off)
+//   registry  the run's live view, to which each component built with
+//             the handle attaches its live counts (null = none)
 //   tracer    the Chrome-trace recorder (null = tracing off)
-//   lane      this consumer's shard/track index: 0 for the main or
-//             pipeline thread, 1 + w for parallel worker w
+//   lane      this consumer's trace track: 0 for the main or pipeline
+//             thread, 1 + w for parallel worker w
 //
 // Copying a handle is how it propagates: the parallel engine copies the
 // home config's handle into each worker config with ForLane(1 + w), so
-// every layer running on that worker bumps its own metric shard and
-// writes its own trace track. A default-constructed handle (both
-// pointers null) makes every instrumentation site inert behind a single
-// branch -- the zero-cost-when-disabled contract.
+// every layer running on that worker writes its own trace track. A
+// default-constructed handle (both pointers null) makes every
+// instrumentation site inert behind a single branch -- the
+// zero-cost-when-disabled contract.
 
 #ifndef ACHILLES_OBS_OBS_H_
 #define ACHILLES_OBS_OBS_H_
@@ -34,7 +35,6 @@ struct ObsHandle
     TraceRecorder *tracer = nullptr;
     size_t lane = 0;
 
-    bool enabled() const { return registry != nullptr || tracer != nullptr; }
     bool metrics_on() const { return registry != nullptr; }
     bool tracing_on() const { return tracer != nullptr; }
 
@@ -45,24 +45,6 @@ struct ObsHandle
         ObsHandle h = *this;
         h.lane = new_lane;
         return h;
-    }
-
-    /** Counter handle on this lane's shard (inert when metrics off). */
-    MetricsRegistry::Counter
-    CounterFor(const std::string &name) const
-    {
-        return registry != nullptr
-                   ? registry->GetCounter(lane, name)
-                   : MetricsRegistry::Counter();
-    }
-
-    /** Distribution handle on this lane's shard (inert when off). */
-    MetricsRegistry::Distribution
-    DistributionFor(const std::string &name) const
-    {
-        return registry != nullptr
-                   ? registry->GetDistribution(lane, name)
-                   : MetricsRegistry::Distribution();
     }
 };
 

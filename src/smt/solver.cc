@@ -36,7 +36,8 @@ CheckResultName(CheckStatus s)
 void
 SolverStats::AddTo(obs::CounterView *view) const
 {
-    view->Add("solver.queries", queries);
+    view->Add("solver.queries", queries.Get());
+    view->Add("solver.unknowns", unknowns.Get());
     view->Add("solver.trivial_sat", trivial_sat);
     view->Add("solver.trivial_unsat", trivial_unsat);
     view->Add("solver.rewritten", rewritten);
@@ -51,13 +52,20 @@ Solver::Solver(ExprContext *ctx, SolverConfig config)
     : ctx_(ctx), config_(config)
 {
     if (config_.obs.metrics_on()) {
-        obs_queries_ = config_.obs.CounterFor("solver.queries");
-        obs_unknowns_ = config_.obs.CounterFor("solver.unknowns");
-        obs_conflicts_ = config_.obs.DistributionFor("solver.conflicts");
+        config_.obs.registry->Attach("solver.queries",
+                                     stats_.queries.atomic());
+        config_.obs.registry->Attach("solver.unknowns",
+                                     stats_.unknowns.atomic());
     }
 }
 
-Solver::~Solver() = default;
+Solver::~Solver()
+{
+    if (config_.obs.metrics_on()) {
+        config_.obs.registry->Detach(stats_.queries.atomic());
+        config_.obs.registry->Detach(stats_.unknowns.atomic());
+    }
+}
 
 size_t
 Solver::AssertionsHash::operator()(
@@ -212,16 +220,13 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
     // query runs exactly as before.
     obs::ScopedSpan span(config_.obs.tracer, config_.obs.lane,
                          "solver.query", "solver");
-    const bool obs_on = config_.obs.enabled();
     const int64_t conflicts_before = stats_.sat_conflicts;
     const auto finish = [&](CheckResult result) -> CheckResult {
-        obs_queries_.Bump();
         if (result == CheckStatus::kUnknown)
-            obs_unknowns_.Bump();
-        if (obs_on) {
+            ++stats_.unknowns;
+        if (config_.obs.tracing_on()) {
             const int64_t conflicts =
                 stats_.sat_conflicts - conflicts_before;
-            obs_conflicts_.Record(conflicts);
             span.AddArg("conflicts", conflicts);
             span.AddArg("assertions",
                         static_cast<int64_t>(

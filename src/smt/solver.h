@@ -33,10 +33,13 @@ using CheckResult = CheckStatus;
 const char *CheckResultName(CheckStatus s);
 
 /** Solver-facade counters. Only the owning solver's thread writes
- *  them; the sat_* fields sum the SAT backend's per-call deltas. */
+ *  them, and the heartbeat reads the live ones mid-run; the sat_*
+ *  fields sum the SAT backend's per-call deltas. */
 struct SolverStats
 {
-    int64_t queries = 0;
+    obs::LiveCount queries;
+    /** Queries answered kUnknown (the conflict budget ran out). */
+    obs::LiveCount unknowns;
     /** Queries answered without the cache or a SAT call, including the
      *  verdict-only queries that equality substitution folded to no
      *  live assertion (trivial_sat) or to a false one (trivial_unsat). */
@@ -64,9 +67,8 @@ struct SolverConfig
     bool enable_cache = true;
     /**
      * Observability sinks (src/obs/obs.h): when the registry is set the
-     * solver also bumps the live per-lane query counters and
-     * distributions the heartbeat samples (its typed SolverStats count
-     * either way); when the tracer is set every
+     * solver attaches its live query and kUnknown counts for the
+     * heartbeat to read; when the tracer is set every
      * CheckSat/CheckSatAssuming records one span on the lane's track,
      * annotated with conflicts spent and verdict. Default
      * (both null) leaves a single branch per query -- instrumentation is
@@ -260,11 +262,6 @@ class Solver
     std::unordered_map<std::vector<ExprRef>, CacheEntry, AssertionsHash>
         cache_;
     SolverStats stats_;
-    /** Live obs instruments on this solver's lane shard (inert handles
-     *  when config_.obs carries no registry). */
-    obs::MetricsRegistry::Counter obs_queries_;
-    obs::MetricsRegistry::Counter obs_unknowns_;
-    obs::MetricsRegistry::Distribution obs_conflicts_;
 };
 
 }  // namespace smt

@@ -1,16 +1,10 @@
 // Achilles reproduction -- support library.
 //
-// Error-reporting primitives in the spirit of gem5's logging.hh:
-//   Panic()  -- internal invariant violated (a bug in this library); aborts.
-//   Fatal()  -- unrecoverable user/configuration error; exits cleanly.
-//   Warn()   -- something suspicious but survivable.
-//
-// Warn routes through the observability layer's leveled logger
-// (src/obs/log.h): one whole prefixed line per message with the run id
-// and the calling thread's worker lane, suppressible via ACHILLES_LOG.
-// Panic and Fatal terminate the process, so they print unconditionally
-// -- but through the same single-write discipline, because an invariant
-// can trip on a worker thread while its siblings are still logging.
+// Error reporting in the spirit of gem5's logging.hh: Panic() reports
+// an internal invariant violated (a bug in this library) and aborts,
+// behind the ACHILLES_CHECK and ACHILLES_UNREACHABLE macros. It prints
+// its whole line in one write, because an invariant can trip on a
+// worker thread while its siblings are still printing.
 
 #ifndef ACHILLES_SUPPORT_LOGGING_H_
 #define ACHILLES_SUPPORT_LOGGING_H_
@@ -19,8 +13,6 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
-
-#include "obs/log.h"
 
 namespace achilles {
 
@@ -37,24 +29,6 @@ Panic(const std::string &msg, const char *file, int line)
     out += ")\n";
     std::fwrite(out.data(), 1, out.size(), stderr);
     std::abort();
-}
-
-/** Terminate with a message indicating a user-facing error. */
-[[noreturn]] inline void
-Fatal(const std::string &msg)
-{
-    std::string out = "fatal: ";
-    out += msg;
-    out += "\n";
-    std::fwrite(out.data(), 1, out.size(), stderr);
-    std::exit(1);
-}
-
-/** Emit a non-fatal warning (leveled, run-id/worker-id prefixed). */
-inline void
-Warn(const std::string &msg)
-{
-    obs::LogWarn(msg);
 }
 
 namespace detail {

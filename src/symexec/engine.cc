@@ -26,9 +26,9 @@ PathOutcomeName(PathOutcome o)
 void
 EngineStats::AddTo(obs::CounterView *view) const
 {
+    view->Add("engine.steps", steps.Get());
+    view->Add("engine.forks", forks.Get());
     view->Add("engine.instructions", instructions);
-    view->Add("engine.states_created", states_created);
-    view->Add("engine.forks", forks);
     view->Add("engine.paths_finished", paths_finished);
     view->Add("engine.finished_path_drops", finished_path_drops);
     view->Add("engine.state_budget_drops", state_budget_drops);
@@ -49,18 +49,13 @@ Engine::Engine(smt::ExprContext *ctx, smt::Solver *solver,
       config_(config)
 {
     if (config_.obs.metrics_on()) {
-        obs_steps_ = config_.obs.CounterFor("engine.steps");
-        obs_forks_ = config_.obs.CounterFor("engine.states");
-        // The serial frontier gauge belongs to the home engine; parallel
-        // worker engines (lane >= 1) leave the name to the scheduler's
-        // queued-state gauge registered by exec::ParallelEngine.
-        if (config_.obs.lane == 0) {
-            std::atomic<int64_t> *frontier = &frontier_;
-            config_.obs.registry->RegisterGauge(
-                "engine.frontier", [frontier] {
-                    return frontier->load(std::memory_order_relaxed);
-                });
-        }
+        obs::MetricsRegistry *registry = config_.obs.registry;
+        registry->Attach("engine.steps", stats_.steps.atomic());
+        // The fork count is engine.forks in the report but engine.states
+        // here, only because e2ebench reads this name as symexec.states
+        // (its files change only in a benchmark PR).
+        registry->Attach("engine.states", stats_.forks.atomic());
+        registry->Attach("engine.frontier", frontier_.atomic());
     }
     ACHILLES_CHECK(!program_->functions.empty(), "empty program");
     const int main_idx = program_->FindFunction("main");
@@ -69,14 +64,11 @@ Engine::Engine(smt::ExprContext *ctx, smt::Solver *solver,
 
 Engine::~Engine()
 {
-    // Freeze the serial frontier gauge: the lambda registered in the
-    // constructor captures this engine's member, and a heartbeat
-    // sampler may keep reading the name after this storage dies (or is
-    // reused by the next phase's engine).
-    if (config_.obs.metrics_on() && config_.obs.lane == 0) {
-        const int64_t value = frontier_.load(std::memory_order_relaxed);
-        config_.obs.registry->RegisterGauge("engine.frontier",
-                                            [value] { return value; });
+    if (config_.obs.metrics_on()) {
+        obs::MetricsRegistry *registry = config_.obs.registry;
+        registry->Detach(stats_.steps.atomic());
+        registry->Detach(stats_.forks.atomic());
+        registry->Detach(frontier_.atomic());
     }
 }
 
@@ -499,8 +491,6 @@ DeriveChildId(uint64_t parent, uint32_t seq)
 uint64_t
 Engine::NextChildId(State &parent)
 {
-    ++stats_.states_created;
-    obs_forks_.Bump();
     if (config_.deterministic_state_ids)
         return DeriveChildId(parent.id(), parent.NextForkSeq());
     return next_state_id_++;
@@ -509,7 +499,6 @@ Engine::NextChildId(State &parent)
 std::unique_ptr<State>
 Engine::MakeInitialState()
 {
-    ++stats_.states_created;
     const uint64_t id =
         config_.deterministic_state_ids ? 0 : next_state_id_++;
     auto initial = std::make_unique<State>(id, program_);
@@ -523,7 +512,7 @@ Engine::AdvanceState(State &state,
 {
     obs::ScopedSpan span(config_.obs.tracer, config_.obs.lane,
                          "engine.step", "engine");
-    obs_steps_.Bump();
+    ++stats_.steps;
     if (config_.obs.tracing_on())
         span.AddArg("state", static_cast<int64_t>(state.id()));
     // Run the state until it forks, finishes, or exhausts its budget.
@@ -565,10 +554,9 @@ Engine::Run()
         }
         if (!state->Finished())
             worklist_.push_back(std::move(state));
-        frontier_.store(static_cast<int64_t>(worklist_.size()),
-                        std::memory_order_relaxed);
+        frontier_.Set(static_cast<int64_t>(worklist_.size()));
     }
-    frontier_.store(0, std::memory_order_relaxed);
+    frontier_.Set(0);
     return std::move(results_);
 }
 

@@ -10,7 +10,6 @@
 #ifndef ACHILLES_SYMEXEC_ENGINE_H_
 #define ACHILLES_SYMEXEC_ENGINE_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -64,20 +63,21 @@ struct EngineConfig
     std::vector<uint8_t> error_reply_codes;
     /**
      * Observability sinks (src/obs/obs.h). With a registry the engine
-     * bumps live per-lane exploration counters (engine.steps) and, on
-     * lane 0, publishes an engine.frontier gauge over its worklist; with
-     * a tracer every AdvanceState records one span on the lane's track.
-     * Default-off: a single inert-handle branch per step.
+     * attaches its live counts (steps, forks, frontier) for the
+     * heartbeat to read; with a tracer every AdvanceState records one
+     * span on the lane's track. Default-off: a single branch per step.
      */
     obs::ObsHandle obs;
 };
 
-/** Exploration counters. Only the engine's own thread writes them. */
+/** Exploration counters. Only the engine's own thread writes them;
+ *  the heartbeat reads the live ones mid-run. */
 struct EngineStats
 {
+    /** AdvanceState calls: states run until they fork or finish. */
+    obs::LiveCount steps;
+    obs::LiveCount forks;
     int64_t instructions = 0;
-    int64_t states_created = 0;
-    int64_t forks = 0;
     int64_t paths_finished = 0;
     int64_t finished_path_drops = 0;
     int64_t state_budget_drops = 0;
@@ -232,12 +232,9 @@ class Engine
     uint64_t next_state_id_ = 0;
     std::function<bool()> finalize_gate_;
     EngineStats stats_;
-    /** Live obs instruments (inert when config_.obs is unset). */
-    obs::MetricsRegistry::Counter obs_steps_;
-    obs::MetricsRegistry::Counter obs_forks_;
-    /** Serial-run frontier size, read by the lane-0 gauge from the
-     *  heartbeat's sampler thread. */
-    std::atomic<int64_t> frontier_{0};
+    /** Serial-run worklist size (a worker engine's stays 0), read by
+     *  the heartbeat's sampler thread. */
+    obs::LiveCount frontier_;
 };
 
 }  // namespace symexec

@@ -254,7 +254,7 @@ TEST(SchedulerTest, IdleWorkerStealsHalf)
     EXPECT_EQ(batch.states[1]->id(), 1u);
     EXPECT_EQ(scheduler.states_stolen(), 2);
     EXPECT_EQ(scheduler.steal_batches(), 1);
-    EXPECT_EQ(scheduler.queued(), 2u);
+    EXPECT_EQ(scheduler.queued().load(), 2);
 }
 
 TEST(SchedulerTest, FreshPushRespectsStateBudget)

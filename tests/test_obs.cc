@@ -1,19 +1,23 @@
 // Achilles reproduction -- tests.
 //
-// The observability layer (src/obs/): sharded metrics registry
-// aggregation under concurrent bumps, distribution merge math across
-// shards, counter-view merges, trace-ring overflow accounting,
-// heartbeat snapshot consistency through a test sink, RunReport
-// folding, and the end-to-end contract -- Trojan witness sets are
-// bitwise identical with instrumentation on or off at 1/2/4/8 workers,
-// and the report sums every solver's counters. Runs under the
-// TSan CI job (the registry's relaxed-atomic hot paths and the
-// heartbeat's cross-thread sampling are exactly what it audits).
+// The observability layer (src/obs/): the registry's live view over
+// typed counts (attach, detach and fold; single-writer counts sampled
+// mid-run; components built and destroyed while another thread
+// samples), counter-view merges and JSON, trace-ring overflow
+// accounting, heartbeat snapshot consistency through a test sink, and
+// the end-to-end contract -- Trojan witness sets are bitwise identical
+// with instrumentation on or off at 1/2/4/8 workers, and the report
+// sums every solver's counters. Runs under the TSan CI job (the live
+// counts' relaxed loads and stores and the heartbeat's cross-thread
+// sampling are exactly what it audits).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -23,141 +27,130 @@
 
 #include "core/achilles.h"
 #include "obs/heartbeat.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "obs/run_report.h"
 #include "obs/trace.h"
 #include "proto/fsp/fsp_protocol.h"
+#include "symexec/engine.h"
 
 namespace achilles {
 namespace {
 
-// ------------------------------------------------------ metrics registry
+// ---------------------------------------------------------- live view
 
-TEST(MetricsRegistryTest, CountersAggregateAcrossShards)
+TEST(MetricsRegistryTest, DetachFoldsTheFinalValueAndStopsReading)
 {
-    obs::MetricsRegistry reg(4);
-    auto c0 = reg.GetCounter(0, "x");
-    auto c2 = reg.GetCounter(2, "x");
-    c0.Bump(3);
-    c2.Bump(4);
-    const auto agg = reg.Aggregate();
-    ASSERT_EQ(agg.count("x"), 1u);
-    EXPECT_EQ(agg.at("x").value, 7);
+    obs::MetricsRegistry reg;
+    obs::LiveCount a;
+    obs::LiveCount b;
+    std::atomic<int64_t> queued{7};  // a scheduler-style plain atomic
+    reg.Attach("x", a.atomic());
+    reg.Attach("x", b.atomic());
+    reg.Attach("y", queued);
+    a.Set(3);
+    ++b;
+    ++b;
+    auto agg = reg.Aggregate();
+    EXPECT_EQ(agg.at("x").value, 5);
+    EXPECT_EQ(agg.at("y").value, 7);
+
+    reg.Detach(a.atomic());
+    a.Set(100);  // detached: no longer read
+    ++b;
+    agg = reg.Aggregate();
+    EXPECT_EQ(agg.at("x").value, 6);
+
+    reg.Detach(b.atomic());
+    reg.Detach(queued);
+    queued.store(0);
+    agg = reg.Aggregate();
+    EXPECT_EQ(agg.at("x").value, 6);
+    EXPECT_EQ(agg.at("y").value, 7);
 }
 
-TEST(MetricsRegistryTest, ShardIndicesWrapModuloWidth)
-{
-    obs::MetricsRegistry reg(2);
-    auto c = reg.GetCounter(7, "x");  // 7 % 2 == shard 1
-    c.Bump(5);
-    EXPECT_EQ(reg.Aggregate().at("x").value, 5);
-}
-
-TEST(MetricsRegistryTest, DefaultConstructedHandlesAreInert)
-{
-    obs::MetricsRegistry::Counter c;
-    obs::MetricsRegistry::Distribution d;
-    c.Bump();
-    d.Record(42);  // must not crash
-}
-
-TEST(MetricsRegistryTest, ConcurrentBumpsAreNeverLost)
+TEST(MetricsRegistryTest, LiveCountsSampledMidRunAreMonotoneAndExact)
 {
     constexpr size_t kThreads = 8;
     constexpr int64_t kBumpsPerThread = 20000;
-    obs::MetricsRegistry reg(kThreads);
+    obs::MetricsRegistry reg;
+    std::array<obs::LiveCount, kThreads> counts;
+    for (const obs::LiveCount &count : counts)
+        reg.Attach("count", count.atomic());
     std::vector<std::thread> threads;
     for (size_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&reg, t] {
-            auto c = reg.GetCounter(t, "concurrent");
-            auto d = reg.GetDistribution(t, "dist");
-            for (int64_t i = 0; i < kBumpsPerThread; ++i) {
-                c.Bump();
-                d.Record(i);
-            }
+        threads.emplace_back([&counts, t] {
+            for (int64_t i = 0; i < kBumpsPerThread; ++i)
+                ++counts[t];
         });
     }
-    // Sample mid-run, as the heartbeat does: values must be readable
-    // (and monotone) while writers are live.
+    // Sample mid-run, as the heartbeat does: each count has one writer,
+    // so every read is a value it held, and the sum only grows.
     int64_t seen = 0;
     for (int round = 0; round < 50; ++round) {
-        const auto agg = reg.Aggregate();
-        const auto it = agg.find("concurrent");
-        if (it != agg.end()) {
-            EXPECT_GE(it->second.value, seen);
-            seen = it->second.value;
-        }
+        const int64_t value = reg.Aggregate().at("count").value;
+        EXPECT_GE(value, seen);
+        seen = value;
     }
     for (std::thread &t : threads)
         t.join();
-    const auto agg = reg.Aggregate();
-    EXPECT_EQ(agg.at("concurrent").value,
+    EXPECT_EQ(reg.Aggregate().at("count").value,
               static_cast<int64_t>(kThreads) * kBumpsPerThread);
-    EXPECT_EQ(agg.at("dist").dist.count,
+    for (const obs::LiveCount &count : counts)
+        reg.Detach(count.atomic());
+    EXPECT_EQ(reg.Aggregate().at("count").value,
               static_cast<int64_t>(kThreads) * kBumpsPerThread);
 }
 
-TEST(MetricsRegistryTest, DistributionMergeMathSpansShards)
+TEST(MetricsRegistryTest, ComponentsComeAndGoWhileAnotherThreadAggregates)
 {
-    obs::MetricsRegistry reg(3);
-    auto d0 = reg.GetDistribution(0, "lat");
-    auto d1 = reg.GetDistribution(1, "lat");
-    auto d2 = reg.GetDistribution(2, "lat");
-    d0.Record(10);
-    d0.Record(20);
-    d1.Record(-5);
-    d2.Record(100);
-    const auto snap = reg.Aggregate().at("lat").dist;
-    EXPECT_EQ(snap.count, 4);
-    EXPECT_EQ(snap.sum, 125);
-    EXPECT_EQ(snap.min, -5);
-    EXPECT_EQ(snap.max, 100);
-    EXPECT_DOUBLE_EQ(snap.Mean(), 125.0 / 4.0);
-}
-
-TEST(MetricsRegistryTest, DistinctDistributionsDoNotAlias)
-{
-    // Regression: Aggregate() once forgot to advance the distribution
-    // slot cursor, so every distribution reported the first one's data.
-    obs::MetricsRegistry reg(2);
-    auto a = reg.GetDistribution(0, "a");
-    auto b = reg.GetDistribution(1, "b");
-    auto c = reg.GetCounter(0, "c");  // interleaved kinds
-    a.Record(5);
-    a.Record(7);
-    b.Record(100);
-    c.Bump(3);
-    const auto agg = reg.Aggregate();
-    EXPECT_EQ(agg.at("a").dist.sum, 12);
-    EXPECT_EQ(agg.at("b").dist.count, 1);
-    EXPECT_EQ(agg.at("b").dist.sum, 100);
-    EXPECT_EQ(agg.at("c").value, 3);
-}
-
-TEST(MetricsRegistryTest, GaugeReregistrationReplacesTheCallback)
-{
-    // The freeze-at-join pattern: a component's live gauge is replaced
-    // by a constant when the component dies.
-    obs::MetricsRegistry reg(1);
-    std::atomic<int64_t> live{17};
-    reg.RegisterGauge("g", [&live] {
-        return live.load(std::memory_order_relaxed);
+    // A component detaches in its destructor, under the registry's
+    // mutex, so a sampler on another thread never reads a dead
+    // component's count, and a name keeps its total after the
+    // component is gone.
+    obs::MetricsRegistry reg;
+    obs::ObsHandle handle;
+    handle.registry = &reg;
+    std::atomic<bool> done{false};
+    std::atomic<bool> monotone{true};
+    std::thread sampler([&] {
+        int64_t last = 0;
+        while (!done.load()) {
+            const auto agg = reg.Aggregate();
+            const auto it = agg.find("solver.queries");
+            const int64_t queries = it == agg.end() ? 0 : it->second.value;
+            if (queries < last)
+                monotone = false;
+            last = queries;
+        }
     });
-    EXPECT_EQ(reg.Aggregate().at("g").value, 17);
-    reg.RegisterGauge("g", [] { return int64_t{42}; });
-    EXPECT_EQ(reg.Aggregate().at("g").value, 42);
-}
 
-TEST(MetricsRegistryTest, KindCollisionYieldsInertHandle)
-{
-    obs::MetricsRegistry reg(1);
-    auto c = reg.GetCounter(0, "name");
-    c.Bump();
-    auto d = reg.GetDistribution(0, "name");  // wrong kind
-    d.Record(99);                             // inert: no effect
-    EXPECT_EQ(reg.Aggregate().at("name").value, 1);
+    const std::vector<symexec::Program> clients = fsp::MakeAllClients();
+    int64_t forks = 0;
+    int64_t queries = 0;
+    for (int round = 0; round < 3; ++round) {
+        for (size_t i = 0; i < clients.size() && i < 4; ++i) {
+            smt::ExprContext ctx;
+            smt::SolverConfig solver_config;
+            solver_config.obs = handle;
+            smt::Solver solver(&ctx, solver_config);
+            symexec::EngineConfig engine_config;
+            engine_config.obs = handle;
+            symexec::Engine engine(&ctx, &solver, &clients[i],
+                                   symexec::Mode::kClient, engine_config);
+            engine.Run();
+            forks += engine.stats().Get("engine.forks");
+            queries += solver.stats().Get("solver.queries");
+        }
+    }
+    done = true;
+    sampler.join();
+
+    EXPECT_TRUE(monotone.load());
+    EXPECT_GT(forks, 0);
+    const auto agg = reg.Aggregate();
+    EXPECT_EQ(agg.at("engine.states").value, forks);
+    EXPECT_EQ(agg.at("solver.queries").value, queries);
+    EXPECT_EQ(agg.at("engine.frontier").value, 0);
 }
 
 // ---------------------------------------------------------- counter view
@@ -190,6 +183,17 @@ TEST(CounterViewTest, MergeSumsAndSelfMergeIsSafe)
     EXPECT_EQ(a.Get("k"), 5);
     a.Merge(a);
     EXPECT_EQ(a.Get("k"), 10);
+}
+
+TEST(CounterViewTest, WriteJsonSortsNamesAndPrintsIntegers)
+{
+    obs::CounterView view;
+    view.Add("rate", 15);
+    view.Add("count", 42);
+    view.Add("delta", -3);
+    std::ostringstream os;
+    view.WriteJson(os);
+    EXPECT_EQ(os.str(), "{\"count\":42,\"delta\":-3,\"rate\":15}");
 }
 
 TEST(CounterViewTest, ViewOfListsEveryTypedCounter)
@@ -254,11 +258,19 @@ TEST(TraceRecorderTest, ScopedSpanOnNullRecorderIsInert)
 
 TEST(HeartbeatTest, SampleReadsTheRegistrysAggregate)
 {
-    obs::MetricsRegistry reg(2);
-    reg.GetCounter(0, "engine.steps").Bump(21);
-    reg.GetCounter(1, "solver.queries").Bump(50);
-    reg.GetCounter(1, "solver.unknowns").Bump(5);
-    reg.RegisterGauge("engine.frontier", [] { return int64_t{7}; });
+    obs::MetricsRegistry reg;
+    obs::LiveCount steps;
+    obs::LiveCount frontier;
+    obs::LiveCount queries;
+    obs::LiveCount unknowns;
+    reg.Attach("engine.steps", steps.atomic());
+    reg.Attach("engine.frontier", frontier.atomic());
+    reg.Attach("solver.queries", queries.atomic());
+    reg.Attach("solver.unknowns", unknowns.atomic());
+    steps.Set(21);
+    frontier.Set(7);
+    queries.Set(50);
+    unknowns.Set(5);
 
     obs::Heartbeat hb(&reg, /*interval_seconds=*/3600.0);
     const obs::HeartbeatSample sample = hb.Sample();
@@ -271,8 +283,9 @@ TEST(HeartbeatTest, SampleReadsTheRegistrysAggregate)
 
 TEST(HeartbeatTest, SinkSeesMonotoneSamplesAndStopEmitsFinal)
 {
-    obs::MetricsRegistry reg(1);
-    auto queries = reg.GetCounter(0, "solver.queries");
+    obs::MetricsRegistry reg;
+    obs::LiveCount queries;
+    reg.Attach("solver.queries", queries.atomic());
 
     std::atomic<int64_t> sample_count{0};
     std::atomic<int64_t> last_queries{-1};
@@ -286,7 +299,7 @@ TEST(HeartbeatTest, SinkSeesMonotoneSamplesAndStopEmitsFinal)
                       });
     hb.Start();
     for (int i = 0; i < 100; ++i) {
-        queries.Bump();
+        ++queries;
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     hb.Stop();
@@ -297,58 +310,26 @@ TEST(HeartbeatTest, SinkSeesMonotoneSamplesAndStopEmitsFinal)
     EXPECT_EQ(last_queries.load(), 100);
 }
 
-// ------------------------------------------------------------ run report
-
-TEST(RunReportTest, SetOverwritesAndPreservesInsertionOrder)
-{
-    obs::RunReport report;
-    report.Set("b", 1.0);
-    report.Set("a", 2.0);
-    report.Set("b", 3.0);
-    ASSERT_EQ(report.metrics().size(), 2u);
-    EXPECT_EQ(report.metrics()[0].first, "b");
-    EXPECT_DOUBLE_EQ(report.metrics()[0].second, 3.0);
-    bool found = false;
-    EXPECT_DOUBLE_EQ(report.Get("a", &found), 2.0);
-    EXPECT_TRUE(found);
-    report.Get("missing", &found);
-    EXPECT_FALSE(found);
-}
-
-TEST(RunReportTest, RegistryDistributionsFlatten)
-{
-    obs::MetricsRegistry reg(1);
-    reg.GetDistribution(0, "solver.conflicts").Record(10);
-    reg.GetDistribution(0, "solver.conflicts").Record(30);
-    obs::RunReport report;
-    report.Add(reg);
-    EXPECT_DOUBLE_EQ(report.Get("solver.conflicts.count"), 2.0);
-    EXPECT_DOUBLE_EQ(report.Get("solver.conflicts.sum"), 40.0);
-    EXPECT_DOUBLE_EQ(report.Get("solver.conflicts.min"), 10.0);
-    EXPECT_DOUBLE_EQ(report.Get("solver.conflicts.max"), 30.0);
-    EXPECT_DOUBLE_EQ(report.Get("solver.conflicts.mean"), 20.0);
-}
-
-TEST(RunReportTest, JsonIntegersPrintWithoutDecimalPoint)
-{
-    obs::RunReport report;
-    report.Set("count", 42.0);
-    report.Set("rate", 1.5);
-    std::ostringstream os;
-    report.WriteJson(os);
-    EXPECT_EQ(os.str(), "{\"count\":42,\"rate\":1.5}");
-}
-
 // ------------------------------------------------- end-to-end identity
 
 using WitnessSummary =
     std::tuple<std::string, std::vector<uint8_t>, uint64_t>;
 
-/** `solver_counters_out` receives the home solver's counters plus the
- *  server stats, which hold the worker solvers' counters. */
-std::vector<WitnessSummary>
-RunFsp(size_t workers, bool instrumented, obs::RunReport *report_out,
-       obs::CounterView *solver_counters_out = nullptr)
+struct FspRun
+{
+    std::vector<WitnessSummary> witnesses;
+    obs::CounterView report;
+    /** The home solver's counters plus the server stats, which hold
+     *  the worker solvers' counters. */
+    obs::CounterView solver_counters;
+    /** Instrumented runs: the registry's view after the run, and the
+     *  heartbeat's final sample. */
+    std::map<std::string, obs::MetricSnapshot> live;
+    obs::HeartbeatSample last_sample;
+};
+
+FspRun
+RunFsp(size_t workers, bool instrumented)
 {
     smt::ExprContext ctx;
     smt::SolverConfig solver_config;
@@ -357,7 +338,7 @@ RunFsp(size_t workers, bool instrumented, obs::RunReport *report_out,
     std::unique_ptr<obs::TraceRecorder> tracer;
     obs::ObsHandle handle;
     if (instrumented) {
-        registry = std::make_unique<obs::MetricsRegistry>(workers + 1);
+        registry = std::make_unique<obs::MetricsRegistry>();
         tracer = std::make_unique<obs::TraceRecorder>(workers + 1,
                                                       /*ring=*/1 << 10);
         handle.registry = registry.get();
@@ -376,15 +357,17 @@ RunFsp(size_t workers, bool instrumented, obs::RunReport *report_out,
     config.server_config.engine.num_workers = workers;
     config.obs = handle;
 
-    // The heartbeat samples shard snapshots from its own thread while
+    FspRun run;
+    // The heartbeat samples the live view from its own thread while
     // the workers run -- exactly the cross-thread pattern TSan audits.
     std::unique_ptr<obs::Heartbeat> heartbeat;
     std::atomic<int64_t> sampled{0};
     if (instrumented) {
         heartbeat = std::make_unique<obs::Heartbeat>(
             registry.get(), 0.05,
-            [&sampled](const obs::HeartbeatSample &) {
+            [&sampled, &run](const obs::HeartbeatSample &sample) {
                 sampled.fetch_add(1);
+                run.last_sample = sample;
             });
         heartbeat->Start();
     }
@@ -395,70 +378,68 @@ RunFsp(size_t workers, bool instrumented, obs::RunReport *report_out,
     if (heartbeat != nullptr) {
         heartbeat->Stop();
         EXPECT_GE(sampled.load(), 1);
+        run.live = registry->Aggregate();
     }
-    if (report_out != nullptr)
-        *report_out = result.report;
-    if (solver_counters_out != nullptr) {
-        *solver_counters_out = solver.stats();
-        solver_counters_out->Merge(result.server.stats);
-    }
+    run.report = result.report;
+    run.solver_counters = solver.stats();
+    run.solver_counters.Merge(result.server.stats);
 
     core::CanonicalHasher hasher(&ctx);
-    std::vector<WitnessSummary> witnesses;
     for (const core::TrojanWitness &t : result.server.trojans) {
-        witnesses.emplace_back(t.accept_label, t.concrete,
-                               hasher.HashExprs(t.definition));
+        run.witnesses.emplace_back(t.accept_label, t.concrete,
+                                   hasher.HashExprs(t.definition));
     }
-    std::sort(witnesses.begin(), witnesses.end());
-    return witnesses;
+    std::sort(run.witnesses.begin(), run.witnesses.end());
+    return run;
 }
 
 TEST(ObsPipelineTest, WitnessSetsAreIdenticalWithObsOnOrOff)
 {
     const std::vector<WitnessSummary> baseline =
-        RunFsp(/*workers=*/1, /*instrumented=*/false, nullptr);
+        RunFsp(/*workers=*/1, /*instrumented=*/false).witnesses;
     ASSERT_FALSE(baseline.empty());
     for (size_t workers : {1, 2, 4, 8}) {
-        const std::vector<WitnessSummary> off =
-            RunFsp(workers, false, nullptr);
-        obs::RunReport report;
-        obs::CounterView solver_counters;
-        const std::vector<WitnessSummary> on =
-            RunFsp(workers, true, &report, &solver_counters);
-        EXPECT_EQ(off, baseline)
+        const FspRun off = RunFsp(workers, false);
+        const FspRun on = RunFsp(workers, true);
+        EXPECT_EQ(off.witnesses, baseline)
             << "uninstrumented run diverged at " << workers << " workers";
-        EXPECT_EQ(on, baseline)
+        EXPECT_EQ(on.witnesses, baseline)
             << "instrumented run diverged at " << workers << " workers";
 
-        // The instrumented run's report carries the live-layer
-        // catalog: queries counted, spans recorded, states stepped.
-        EXPECT_GT(report.Get("solver.queries"), 0.0);
-        EXPECT_GT(report.Get("engine.steps"), 0.0);
-        EXPECT_GT(report.Get("obs.trace_events"), 0.0);
+        // The typed counts reach the report with obs off too, the
+        // live ones included.
+        for (const char *name : {"engine.steps", "solver.unknowns"})
+            EXPECT_EQ(off.report.All().count(name), 1u) << name;
+        EXPECT_GT(off.report.Get("engine.steps"), 0);
+
+        const obs::CounterView &report = on.report;
+        EXPECT_GT(report.Get("solver.queries"), 0);
+        EXPECT_GT(report.Get("engine.steps"), 0);
+        EXPECT_GT(report.Get("obs.trace_events"), 0);
         // The report counts both explored phases: the typed fork count
-        // of the client and server engines equals the registry's live
-        // one, which every engine of the run bumps.
-        EXPECT_GT(report.Get("client.predicates"), 0.0);
-        EXPECT_GT(report.Get("engine.forks"), 0.0);
-        EXPECT_DOUBLE_EQ(report.Get("engine.forks"),
-                         report.Get("engine.states"))
+        // of the client and server engines equals the registry's
+        // engine.states, which e2ebench reads as symexec.states.
+        EXPECT_GT(report.Get("client.predicates"), 0);
+        EXPECT_GT(report.Get("engine.forks"), 0);
+        EXPECT_EQ(report.Get("engine.forks"),
+                  on.live.at("engine.states").value)
             << workers << " workers";
+        // The heartbeat's final sample reads the same counts.
+        EXPECT_EQ(on.last_sample.states_explored,
+                  report.Get("engine.steps"));
+        EXPECT_EQ(on.last_sample.queries, report.Get("solver.queries"));
+        EXPECT_EQ(on.last_sample.frontier, 0);
         // So do the negate operator's counters: one negation per
         // client predicate.
-        EXPECT_DOUBLE_EQ(report.Get("negate.exact_predicates") +
-                             report.Get("negate.approx_predicates"),
-                         report.Get("client.predicates"));
-        // Solver queries observed by the registry match the span
-        // distribution's sample count.
-        EXPECT_DOUBLE_EQ(report.Get("solver.conflicts.count"),
-                         report.Get("solver.queries"));
+        EXPECT_EQ(report.Get("negate.exact_predicates") +
+                      report.Get("negate.approx_predicates"),
+                  report.Get("client.predicates"));
         // The report counts every solver of the run: the home solver's
         // serial phases plus each worker solver's stream.
         for (const char *name :
              {"solver.sat_decisions", "solver.sat_calls"}) {
-            EXPECT_GT(solver_counters.Get(name), 0) << name;
-            EXPECT_DOUBLE_EQ(report.Get(name),
-                             static_cast<double>(solver_counters.Get(name)))
+            EXPECT_GT(on.solver_counters.Get(name), 0) << name;
+            EXPECT_EQ(report.Get(name), on.solver_counters.Get(name))
                 << name << " at " << workers << " workers";
         }
     }

@@ -19,7 +19,8 @@
 //                    at most 256)
 //   --clients        client programs to include (default all)
 //                    (both take a decimal integer >= 1)
-//   --metrics-out    write the end-of-run RunReport as one JSON object
+//   --metrics-out    write the end-of-run report (every counter of the
+//                    run, by name) as one JSON object
 //   --trace-out      write the Chrome trace-event JSON (open the file in
 //                    chrome://tracing or https://ui.perfetto.dev)
 //   --progress       print a live progress heartbeat every second (or
@@ -30,9 +31,6 @@
 // unknown argument prints the usage and exits with status 2. A witness
 // the protocol's concrete oracle rejects is an error: the run exits
 // with status 1.
-//
-// Log verbosity follows the ACHILLES_LOG environment variable
-// (debug|info|warn|error|off).
 
 #include <cstdio>
 #include <cstring>
@@ -43,7 +41,6 @@
 
 #include "core/achilles.h"
 #include "obs/heartbeat.h"
-#include "obs/log.h"
 #include "proto/registry.h"
 #include "proto/spec/lower.h"
 #include "tools/flags.h"
@@ -161,16 +158,14 @@ main(int argc, char **argv)
     if (num_clients < bundle.clients.size())
         bundle.clients.resize(num_clients);
 
-    // Observability sinks: metrics whenever any obs output is wanted
-    // (the heartbeat and the report both read the registry), tracing
-    // only when a trace file was asked for. Lane 0 is this thread;
+    // Observability sinks: the live view only for the heartbeat (the
+    // report is built from the typed counts either way), tracing only
+    // when a trace file was asked for. Lane 0 is this thread;
     // exploration workers own lanes 1..N.
-    const bool want_metrics =
-        !metrics_path.empty() || progress_secs > 0 || !trace_path.empty();
     std::unique_ptr<obs::MetricsRegistry> obs_registry;
     std::unique_ptr<obs::TraceRecorder> tracer;
-    if (want_metrics)
-        obs_registry = std::make_unique<obs::MetricsRegistry>(workers + 1);
+    if (progress_secs > 0)
+        obs_registry = std::make_unique<obs::MetricsRegistry>();
     if (!trace_path.empty())
         tracer = std::make_unique<obs::TraceRecorder>(workers + 1);
     obs::ObsHandle obs_handle;
@@ -190,7 +185,7 @@ main(int argc, char **argv)
     config.obs = obs_handle;
 
     std::unique_ptr<obs::Heartbeat> heartbeat;
-    if (obs_registry != nullptr && progress_secs > 0) {
+    if (obs_registry != nullptr) {
         heartbeat = std::make_unique<obs::Heartbeat>(obs_registry.get(),
                                                      progress_secs);
         heartbeat->Start();
@@ -229,10 +224,9 @@ main(int argc, char **argv)
         std::printf("concrete oracle confirms %zu/%zu witnesses\n",
                     confirmed, result.server.trojans.size());
         if (confirmed < result.server.trojans.size()) {
-            obs::LogError("concrete oracle rejects " +
-                          std::to_string(result.server.trojans.size() -
-                                         confirmed) +
-                          " witness(es)");
+            std::fprintf(stderr, "%s: concrete oracle rejects %zu "
+                         "witness(es)\n",
+                         argv[0], result.server.trojans.size() - confirmed);
             status = 1;
         }
     }
@@ -243,7 +237,8 @@ main(int argc, char **argv)
             result.report.WriteJson(out);
             std::printf("metrics written to %s\n", metrics_path.c_str());
         } else {
-            obs::LogError("cannot write " + metrics_path);
+            std::fprintf(stderr, "%s: cannot write %s\n", argv[0],
+                         metrics_path.c_str());
             status = 1;
         }
     }
@@ -257,7 +252,8 @@ main(int argc, char **argv)
                         static_cast<long long>(tracer->TotalRetained()),
                         static_cast<long long>(tracer->TotalDropped()));
         } else {
-            obs::LogError("cannot write " + trace_path);
+            std::fprintf(stderr, "%s: cannot write %s\n", argv[0],
+                         trace_path.c_str());
             status = 1;
         }
     }
