@@ -23,7 +23,7 @@
 // heartbeat to that run; with `--json`, the instrumented run's
 // report lands as the nested "metrics" record. `--obs-overhead`
 // measures the full-instrumentation wall-clock cost at one worker --
-// five off/on pairs, alternating which arm runs first, the median
+// 41 off/on pairs, alternating which arm runs first, the median
 // per-pair overhead, floored at zero -- and records it as
 // obs.overhead_pct (the CI trend gate holds this under an absolute
 // ceiling). Witness sets must stay identical with instrumentation on
@@ -55,6 +55,9 @@ using namespace achilles;
 using namespace achilles::core;
 
 namespace {
+
+/** Off/on pairs --obs-overhead takes the median over. */
+constexpr int kObsOverheadPairs = 41;
 
 void
 Usage(const char *argv0)
@@ -293,12 +296,15 @@ main(int argc, char **argv)
             // runs first cancels warm-up and drift, the median
             // discounts one-off scheduling noise, and the zero floor
             // keeps lucky negative deltas from masking a regression
-            // elsewhere in the trend history.
+            // elsewhere in the trend history. A run of FSP's phase 2
+            // takes ~12 ms at 6 clients on a 4-vCPU host, so a few host
+            // hiccups swing a median of 5 pairs past the 5% ceiling;
+            // the median of 41 moves with the instrumentation instead.
             ObsOptions quiet = full;
             quiet.progress_secs = 0.0;  // no sampler thread in the
             quiet.trace_path.clear();   // timed region, no file I/O
             std::vector<double> overheads;
-            for (int pair = 0; pair < 5; ++pair) {
+            for (int pair = 0; pair < kObsOverheadPairs; ++pair) {
                 SweepPoint off, on;
                 if (pair % 2 == 0) {
                     off = RunOnce(1, num_clients);

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 
+#include "support/hash.h"
+
 namespace achilles {
 namespace smt {
 
@@ -23,6 +25,53 @@ GateKey(uint32_t tag, Lit a, Lit b)
 
 }  // namespace
 
+size_t
+BitBlaster::GateTable::Home(uint64_t key) const
+{
+    return static_cast<size_t>(MixBits(key)) & (slots_.capacity() - 1);
+}
+
+const Lit *
+BitBlaster::GateTable::Find(uint64_t key) const
+{
+    if (slots_.capacity() == 0)
+        return nullptr;
+    const size_t mask = slots_.capacity() - 1;
+    for (size_t pos = Home(key);; pos = (pos + 1) & mask) {
+        const Entry *entry = slots_.Find(pos);
+        if (entry == nullptr)
+            return nullptr;
+        if (entry->key == key)
+            return &entry->out;
+    }
+}
+
+void
+BitBlaster::GateTable::Insert(uint64_t key, Lit out)
+{
+    if (2 * (size_ + 1) > slots_.capacity())
+        Grow();
+    const size_t mask = slots_.capacity() - 1;
+    size_t pos = Home(key);
+    while (slots_.Find(pos) != nullptr)
+        pos = (pos + 1) & mask;
+    slots_.Set(pos, Entry{key, out});
+    ++size_;
+}
+
+void
+BitBlaster::GateTable::Grow()
+{
+    StampTable<Entry> old;
+    std::swap(old, slots_);
+    slots_.Reserve(std::max<size_t>(64, 2 * old.capacity()));
+    size_ = 0;
+    for (size_t pos = 0; pos < old.capacity(); ++pos) {
+        if (const Entry *entry = old.Find(pos))
+            Insert(entry->key, entry->out);
+    }
+}
+
 BitBlaster::BitBlaster(SatSolver *solver) : solver_(solver)
 {
     true_lit_ = NewLit();
@@ -33,9 +82,10 @@ void
 BitBlaster::Reset()
 {
     solver_->Reset();
-    memo_.clear();
-    var_bits_.clear();
-    gate_cache_.clear();
+    pool_.clear();
+    node_bits_.Clear();
+    vars_.clear();
+    gates_.Clear();
     true_lit_ = NewLit();
     solver_->AddUnit(true_lit_);
 }
@@ -62,14 +112,13 @@ BitBlaster::AndGate(Lit a, Lit b)
     if (b.code() < a.code())
         std::swap(a, b);
     const uint64_t key = GateKey(1, a, b);
-    auto it = gate_cache_.find(key);
-    if (it != gate_cache_.end())
-        return it->second;
+    if (const Lit *cached = gates_.Find(key))
+        return *cached;
     const Lit o = NewLit();
     solver_->AddBinary(~o, a);
     solver_->AddBinary(~o, b);
     solver_->AddTernary(o, ~a, ~b);
-    gate_cache_.emplace(key, o);
+    gates_.Insert(key, o);
     return o;
 }
 
@@ -107,17 +156,16 @@ BitBlaster::XorGate(Lit a, Lit b)
     if (b.code() < a.code())
         std::swap(a, b);
     const uint64_t key = GateKey(2, a, b);
-    auto it = gate_cache_.find(key);
     Lit o;
-    if (it != gate_cache_.end()) {
-        o = it->second;
+    if (const Lit *cached = gates_.Find(key)) {
+        o = *cached;
     } else {
         o = NewLit();
         solver_->AddTernary(~o, a, b);
         solver_->AddTernary(~o, ~a, ~b);
         solver_->AddTernary(o, ~a, b);
         solver_->AddTernary(o, a, ~b);
-        gate_cache_.emplace(key, o);
+        gates_.Insert(key, o);
     }
     return flip ? ~o : o;
 }
@@ -148,32 +196,31 @@ BitBlaster::FullAdder(Lit a, Lit b, Lit cin)
 {
     const Lit axb = XorGate(a, b);
     const Lit sum = XorGate(axb, cin);
-    const Lit carry = OrGate(AndGate(a, b), AndGate(axb, cin));
-    return {sum, carry};
+    // The carry's two AND gates, (axb & cin) first: the order numbers
+    // the CNF (see Blast).
+    const Lit carry_in = AndGate(axb, cin);
+    const Lit carry_gen = AndGate(a, b);
+    return {sum, OrGate(carry_gen, carry_in)};
 }
 
-std::vector<Lit>
-BitBlaster::AddVectors(const std::vector<Lit> &a, const std::vector<Lit> &b,
-                       Lit cin)
+void
+BitBlaster::AddVectors(const Lit *a, const Lit *b, size_t w, Lit cin,
+                       Lit *out)
 {
-    ACHILLES_CHECK(a.size() == b.size());
-    std::vector<Lit> out(a.size());
     Lit carry = cin;
-    for (size_t i = 0; i < a.size(); ++i) {
+    for (size_t i = 0; i < w; ++i) {
         auto [sum, cout] = FullAdder(a[i], b[i], carry);
         out[i] = sum;
         carry = cout;
     }
-    return out;
 }
 
 Lit
-BitBlaster::UltVector(const std::vector<Lit> &a, const std::vector<Lit> &b)
+BitBlaster::UltVector(const Lit *a, const Lit *b, size_t w)
 {
-    ACHILLES_CHECK(a.size() == b.size());
     // Ripple comparison from LSB: lt' = (~a & b) | ((a == b) & lt).
     Lit lt = ConstLit(false);
-    for (size_t i = 0; i < a.size(); ++i) {
+    for (size_t i = 0; i < w; ++i) {
         const Lit less_here = AndGate(~a[i], b[i]);
         const Lit eq_here = EqGate(a[i], b[i]);
         lt = OrGate(less_here, AndGate(eq_here, lt));
@@ -181,18 +228,16 @@ BitBlaster::UltVector(const std::vector<Lit> &a, const std::vector<Lit> &b)
     return lt;
 }
 
-std::vector<Lit>
-BitBlaster::ShiftVector(Kind kind, const std::vector<Lit> &in,
-                        const std::vector<Lit> &amount)
+void
+BitBlaster::ShiftVector(Kind kind, const Lit *in, const Lit *amount,
+                        size_t w, std::vector<Lit> *out)
 {
-    const size_t w = in.size();
-    const Lit fill_base =
-        kind == Kind::kAShr ? in[w - 1] : ConstLit(false);
-    std::vector<Lit> acc = in;
+    const Lit fill_base = kind == Kind::kAShr ? in[w - 1] : ConstLit(false);
+    std::vector<Lit> acc(in, in + w);
+    std::vector<Lit> shifted(w);
     // Barrel stages for amount bits that denote in-range distances.
-    for (size_t k = 0; k < amount.size() && (1ull << k) < w; ++k) {
+    for (size_t k = 0; k < w && (1ull << k) < w; ++k) {
         const size_t dist = 1ull << k;
-        std::vector<Lit> shifted(w);
         for (size_t i = 0; i < w; ++i) {
             Lit src;
             if (kind == Kind::kShl)
@@ -201,14 +246,14 @@ BitBlaster::ShiftVector(Kind kind, const std::vector<Lit> &in,
                 src = i + dist < w ? acc[i + dist] : fill_base;
             shifted[i] = MuxGate(amount[k], src, acc[i]);
         }
-        acc = std::move(shifted);
+        acc.swap(shifted);
     }
     // If any amount bit at or above log2(w) is set (or the low bits
     // encode a distance >= w), the result is all-fill. The barrel stages
     // above already handle distances < w; compute an "out of range" flag
     // for amount >= w.
     Lit oor = ConstLit(false);
-    for (size_t k = 0; k < amount.size(); ++k) {
+    for (size_t k = 0; k < w; ++k) {
         if ((1ull << k) >= w)
             oor = OrGate(oor, amount[k]);
     }
@@ -217,32 +262,31 @@ BitBlaster::ShiftVector(Kind kind, const std::vector<Lit> &in,
     size_t covered_bits = 0;
     while ((1ull << covered_bits) < w)
         ++covered_bits;
-    if ((1ull << covered_bits) != w && covered_bits <= amount.size()) {
+    if ((1ull << covered_bits) != w && covered_bits <= w) {
         // amount_low >= w?
-        std::vector<Lit> low(amount.begin(),
-                             amount.begin() +
-                                 std::min(covered_bits, amount.size()));
-        std::vector<Lit> wconst;
-        for (size_t i = 0; i < low.size(); ++i)
-            wconst.push_back(ConstLit((w >> i) & 1));
-        const Lit low_lt_w = UltVector(low, wconst);
+        std::vector<Lit> wconst(covered_bits);
+        for (size_t i = 0; i < covered_bits; ++i)
+            wconst[i] = ConstLit((w >> i) & 1);
+        const Lit low_lt_w = UltVector(amount, wconst.data(), covered_bits);
         oor = OrGate(oor, ~low_lt_w);
     }
-    std::vector<Lit> out(w);
+    out->resize(w);
     for (size_t i = 0; i < w; ++i)
-        out[i] = MuxGate(oor, fill_base, acc[i]);
-    return out;
+        (*out)[i] = MuxGate(oor, fill_base, acc[i]);
 }
 
 void
-BitBlaster::DivRem(const std::vector<Lit> &a, const std::vector<Lit> &b,
-                   std::vector<Lit> *quotient, std::vector<Lit> *remainder)
+BitBlaster::DivRem(const Lit *a, const Lit *b, size_t w, bool want_quotient,
+                   std::vector<Lit> *out)
 {
-    const size_t w = a.size();
     // Restoring division with a (w+1)-bit partial remainder.
     std::vector<Lit> rem(w + 1, ConstLit(false));
-    std::vector<Lit> bext = b;
+    std::vector<Lit> bext(b, b + w);
     bext.push_back(ConstLit(false));
+    std::vector<Lit> neg_b(w + 1);
+    for (size_t i = 0; i <= w; ++i)
+        neg_b[i] = ~bext[i];
+    std::vector<Lit> diff(w + 1);
     std::vector<Lit> q(w, ConstLit(false));
     for (size_t step = 0; step < w; ++step) {
         const size_t bit = w - 1 - step;
@@ -252,180 +296,179 @@ BitBlaster::DivRem(const std::vector<Lit> &a, const std::vector<Lit> &b,
             rem[i] = rem[i - 1];
         rem[0] = a[bit];
         // geq = rem >= bext
-        const Lit geq = ~UltVector(rem, bext);
+        const Lit geq = ~UltVector(rem.data(), bext.data(), w + 1);
         // rem = geq ? rem - bext : rem
-        std::vector<Lit> neg_b(w + 1);
-        for (size_t i = 0; i <= w; ++i)
-            neg_b[i] = ~bext[i];
-        std::vector<Lit> diff = AddVectors(rem, neg_b, ConstLit(true));
+        AddVectors(rem.data(), neg_b.data(), w + 1, ConstLit(true),
+                   diff.data());
         for (size_t i = 0; i <= w; ++i)
             rem[i] = MuxGate(geq, diff[i], rem[i]);
         q[bit] = geq;
     }
-    quotient->assign(q.begin(), q.end());
-    remainder->assign(rem.begin(), rem.begin() + w);
+    if (want_quotient)
+        out->assign(q.begin(), q.end());
+    else
+        out->assign(rem.begin(), rem.begin() + w);
     // SMT-LIB semantics for division by zero (x/0 = all-ones, x%0 = x)
     // fall out of the circuit: with b == 0, geq is always true and the
     // subtraction is a no-op, so q = ~0 and rem = a.
 }
 
-const std::vector<Lit> &
+uint32_t
 BitBlaster::Blast(ExprRef e)
 {
-    auto it = memo_.find(e);
-    if (it != memo_.end())
-        return it->second;
-    std::vector<Lit> bits = BlastNode(e);
-    ACHILLES_CHECK(bits.size() == e->width(), "blast width mismatch");
-    return memo_.emplace(e, std::move(bits)).first->second;
-}
-
-std::vector<Lit>
-BitBlaster::BlastNode(ExprRef e)
-{
-    const uint32_t w = e->width();
+    if (const uint32_t *at = node_bits_.Find(e->id()))
+        return *at;
+    // Kids first, in a fixed order, since it numbers the CNF
+    // (tests/test_smt_bitblast.cc pins it): kid 1 before kid 0 for
+    // these kinds, kid order for the rest.
+    uint32_t kid_bits[3] = {0, 0, 0};
     switch (e->kind()) {
-      case Kind::kConst: {
-        std::vector<Lit> bits(w);
-        for (uint32_t i = 0; i < w; ++i)
-            bits[i] = ConstLit((e->ConstValue() >> i) & 1);
-        return bits;
-      }
-      case Kind::kVar: {
-        auto vit = var_bits_.find(e->VarId());
-        if (vit != var_bits_.end())
-            return vit->second;
-        std::vector<Lit> bits(w);
-        for (uint32_t i = 0; i < w; ++i)
-            bits[i] = NewLit();
-        var_bits_.emplace(e->VarId(), bits);
-        return bits;
-      }
       case Kind::kAdd:
-        return AddVectors(Blast(e->kid(0)), Blast(e->kid(1)),
-                          ConstLit(false));
-      case Kind::kSub: {
-        std::vector<Lit> nb = Blast(e->kid(1));
-        for (Lit &l : nb)
-            l = ~l;
-        return AddVectors(Blast(e->kid(0)), nb, ConstLit(true));
-      }
-      case Kind::kMul: {
-        const std::vector<Lit> a = Blast(e->kid(0));
-        const std::vector<Lit> b = Blast(e->kid(1));
-        std::vector<Lit> acc(w, ConstLit(false));
-        for (uint32_t i = 0; i < w; ++i) {
-            if (IsFalseLit(b[i]))
-                continue;
-            // acc += (a << i) & replicate(b[i])
-            std::vector<Lit> partial(w, ConstLit(false));
-            for (uint32_t j = i; j < w; ++j)
-                partial[j] = AndGate(a[j - i], b[i]);
-            acc = AddVectors(acc, partial, ConstLit(false));
-        }
-        return acc;
-      }
-      case Kind::kUDiv: {
-        std::vector<Lit> q, r;
-        DivRem(Blast(e->kid(0)), Blast(e->kid(1)), &q, &r);
-        return q;
-      }
-      case Kind::kURem: {
-        std::vector<Lit> q, r;
-        DivRem(Blast(e->kid(0)), Blast(e->kid(1)), &q, &r);
-        return r;
-      }
-      case Kind::kAnd: {
-        const std::vector<Lit> &a = Blast(e->kid(0));
-        const std::vector<Lit> &b = Blast(e->kid(1));
-        std::vector<Lit> bits(w);
-        for (uint32_t i = 0; i < w; ++i)
-            bits[i] = AndGate(a[i], b[i]);
-        return bits;
-      }
-      case Kind::kOr: {
-        const std::vector<Lit> &a = Blast(e->kid(0));
-        const std::vector<Lit> &b = Blast(e->kid(1));
-        std::vector<Lit> bits(w);
-        for (uint32_t i = 0; i < w; ++i)
-            bits[i] = OrGate(a[i], b[i]);
-        return bits;
-      }
-      case Kind::kXor: {
-        const std::vector<Lit> &a = Blast(e->kid(0));
-        const std::vector<Lit> &b = Blast(e->kid(1));
-        std::vector<Lit> bits(w);
-        for (uint32_t i = 0; i < w; ++i)
-            bits[i] = XorGate(a[i], b[i]);
-        return bits;
-      }
-      case Kind::kNot: {
-        std::vector<Lit> bits = Blast(e->kid(0));
-        for (Lit &l : bits)
-            l = ~l;
-        return bits;
-      }
+      case Kind::kSub:
+      case Kind::kUDiv:
+      case Kind::kURem:
       case Kind::kShl:
       case Kind::kLShr:
       case Kind::kAShr:
-        return ShiftVector(e->kind(), Blast(e->kid(0)), Blast(e->kid(1)));
-      case Kind::kConcat: {
-        const std::vector<Lit> &high = Blast(e->kid(0));
-        const std::vector<Lit> &low = Blast(e->kid(1));
-        std::vector<Lit> bits = low;
-        bits.insert(bits.end(), high.begin(), high.end());
-        return bits;
+      case Kind::kUlt:
+        kid_bits[1] = Blast(e->kid(1));
+        kid_bits[0] = Blast(e->kid(0));
+        break;
+      default:
+        for (size_t i = 0; i < e->kids().size(); ++i)
+            kid_bits[i] = Blast(e->kid(i));
+        break;
+    }
+    Encode(e, kid_bits);
+    ACHILLES_CHECK(out_.size() == e->width(), "blast width mismatch");
+    const uint32_t at = static_cast<uint32_t>(pool_.size());
+    pool_.insert(pool_.end(), out_.begin(), out_.end());
+    node_bits_.Set(e->id(), at);
+    if (e->IsVar())
+        vars_.emplace_back(e, at);
+    return at;
+}
+
+void
+BitBlaster::Encode(ExprRef e, const uint32_t *kid_bits)
+{
+    const uint32_t w = e->width();
+    const size_t num_kids = e->kids().size();
+    const Lit *a = num_kids > 0 ? Bits(kid_bits[0]) : nullptr;
+    const Lit *b = num_kids > 1 ? Bits(kid_bits[1]) : nullptr;
+    // Operand width: differs from w for extensions and predicates.
+    const uint32_t kw = num_kids > 0 ? e->kid(0)->width() : w;
+    out_.clear();
+    switch (e->kind()) {
+      case Kind::kConst:
+        for (uint32_t i = 0; i < w; ++i)
+            out_.push_back(ConstLit((e->ConstValue() >> i) & 1));
+        return;
+      case Kind::kVar:
+        for (uint32_t i = 0; i < w; ++i)
+            out_.push_back(NewLit());
+        return;
+      case Kind::kAdd:
+        out_.resize(w);
+        AddVectors(a, b, w, ConstLit(false), out_.data());
+        return;
+      case Kind::kSub:
+        rhs_.resize(w);
+        for (uint32_t i = 0; i < w; ++i)
+            rhs_[i] = ~b[i];
+        out_.resize(w);
+        AddVectors(a, rhs_.data(), w, ConstLit(true), out_.data());
+        return;
+      case Kind::kMul: {
+        out_.assign(w, ConstLit(false));
+        std::vector<Lit> &partial = rhs_;
+        for (uint32_t i = 0; i < w; ++i) {
+            if (IsFalseLit(b[i]))
+                continue;
+            // out += (a << i) & replicate(b[i])
+            partial.assign(w, ConstLit(false));
+            for (uint32_t j = i; j < w; ++j)
+                partial[j] = AndGate(a[j - i], b[i]);
+            AddVectors(out_.data(), partial.data(), w, ConstLit(false),
+                       out_.data());
+        }
+        return;
       }
+      case Kind::kUDiv:
+      case Kind::kURem:
+        DivRem(a, b, w, e->kind() == Kind::kUDiv, &out_);
+        return;
+      case Kind::kAnd:
+        for (uint32_t i = 0; i < w; ++i)
+            out_.push_back(AndGate(a[i], b[i]));
+        return;
+      case Kind::kOr:
+        for (uint32_t i = 0; i < w; ++i)
+            out_.push_back(OrGate(a[i], b[i]));
+        return;
+      case Kind::kXor:
+        for (uint32_t i = 0; i < w; ++i)
+            out_.push_back(XorGate(a[i], b[i]));
+        return;
+      case Kind::kNot:
+        for (uint32_t i = 0; i < w; ++i)
+            out_.push_back(~a[i]);
+        return;
+      case Kind::kShl:
+      case Kind::kLShr:
+      case Kind::kAShr:
+        ShiftVector(e->kind(), a, b, w, &out_);
+        return;
+      case Kind::kConcat:
+        // kid 0 is the high part, kid 1 the low part.
+        out_.assign(b, b + e->kid(1)->width());
+        out_.insert(out_.end(), a, a + kw);
+        return;
       case Kind::kExtract: {
-        const std::vector<Lit> &in = Blast(e->kid(0));
         const uint32_t off = static_cast<uint32_t>(e->aux());
-        return std::vector<Lit>(in.begin() + off, in.begin() + off + w);
+        out_.assign(a + off, a + off + w);
+        return;
       }
-      case Kind::kZExt: {
-        std::vector<Lit> bits = Blast(e->kid(0));
-        bits.resize(w, ConstLit(false));
-        return bits;
-      }
-      case Kind::kSExt: {
-        std::vector<Lit> bits = Blast(e->kid(0));
-        const Lit sign = bits.back();
-        bits.resize(w, sign);
-        return bits;
-      }
+      case Kind::kZExt:
+        out_.assign(a, a + kw);
+        out_.resize(w, ConstLit(false));
+        return;
+      case Kind::kSExt:
+        out_.assign(a, a + kw);
+        out_.resize(w, a[kw - 1]);
+        return;
       case Kind::kEq: {
-        const std::vector<Lit> &a = Blast(e->kid(0));
-        const std::vector<Lit> &b = Blast(e->kid(1));
         Lit acc = ConstLit(true);
-        for (size_t i = 0; i < a.size(); ++i)
+        for (uint32_t i = 0; i < kw; ++i)
             acc = AndGate(acc, EqGate(a[i], b[i]));
-        return {acc};
+        out_.push_back(acc);
+        return;
       }
       case Kind::kUlt:
-        return {UltVector(Blast(e->kid(0)), Blast(e->kid(1)))};
+        out_.push_back(UltVector(a, b, kw));
+        return;
       case Kind::kUle:
-        return {~UltVector(Blast(e->kid(1)), Blast(e->kid(0)))};
-      case Kind::kSlt: {
-        std::vector<Lit> a = Blast(e->kid(0));
-        std::vector<Lit> b = Blast(e->kid(1));
-        a.back() = ~a.back();  // flip sign bits: signed -> unsigned order
-        b.back() = ~b.back();
-        return {UltVector(a, b)};
-      }
-      case Kind::kSle: {
-        std::vector<Lit> a = Blast(e->kid(0));
-        std::vector<Lit> b = Blast(e->kid(1));
-        a.back() = ~a.back();
-        b.back() = ~b.back();
-        return {~UltVector(b, a)};
-      }
+        out_.push_back(~UltVector(b, a, kw));
+        return;
+      case Kind::kSlt:
+      case Kind::kSle:
+        // Flip the sign bits: signed order becomes unsigned order.
+        lhs_.assign(a, a + kw);
+        rhs_.assign(b, b + kw);
+        lhs_.back() = ~lhs_.back();
+        rhs_.back() = ~rhs_.back();
+        if (e->kind() == Kind::kSlt)
+            out_.push_back(UltVector(lhs_.data(), rhs_.data(), kw));
+        else
+            out_.push_back(~UltVector(rhs_.data(), lhs_.data(), kw));
+        return;
       case Kind::kIte: {
-        const std::vector<Lit> &cond = Blast(e->kid(0));
-        const std::vector<Lit> &tv = Blast(e->kid(1));
-        const std::vector<Lit> &ev = Blast(e->kid(2));
-        std::vector<Lit> bits(w);
+        const Lit cond = a[0];
+        const Lit *then_bits = b;
+        const Lit *else_bits = Bits(kid_bits[2]);
         for (uint32_t i = 0; i < w; ++i)
-            bits[i] = MuxGate(cond[0], tv[i], ev[i]);
-        return bits;
+            out_.push_back(MuxGate(cond, then_bits[i], else_bits[i]));
+        return;
       }
     }
     ACHILLES_UNREACHABLE("blast: bad kind");
@@ -435,21 +478,24 @@ void
 BitBlaster::AssertTrue(ExprRef e)
 {
     ACHILLES_CHECK(e->width() == 1, "asserting non-boolean");
-    const std::vector<Lit> &bits = Blast(e);
-    solver_->AddUnit(bits[0]);
+    // Every node of e's DAG has an id no larger than e's.
+    node_bits_.Reserve(e->id() + size_t{1});
+    const Lit bit = pool_[Blast(e)];
+    solver_->AddUnit(bit);
 }
 
 void
 BitBlaster::ExtractModel(Model *model) const
 {
-    for (const auto &[var_id, bits] : var_bits_) {
+    for (const auto &[var, at] : vars_) {
+        const Lit *bits = Bits(at);
         uint64_t value = 0;
-        for (size_t i = 0; i < bits.size(); ++i) {
+        for (uint32_t i = 0; i < var->width(); ++i) {
             const Lit l = bits[i];
             const bool bit = solver_->Value(l.var()) != l.negated();
             value |= static_cast<uint64_t>(bit) << i;
         }
-        model->Set(var_id, value);
+        model->Set(var->VarId(), value);
     }
 }
 

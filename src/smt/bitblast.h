@@ -9,12 +9,14 @@
 #ifndef ACHILLES_SMT_BITBLAST_H_
 #define ACHILLES_SMT_BITBLAST_H_
 
-#include <unordered_map>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "smt/eval.h"
 #include "smt/expr.h"
 #include "smt/sat.h"
+#include "smt/stamp_table.h"
 
 namespace achilles {
 namespace smt {
@@ -24,7 +26,11 @@ namespace smt {
  *
  * Owns the mapping from expression nodes to literal vectors. Multiple
  * assertions may be blasted into the same SatSolver; shared sub-DAGs are
- * encoded once.
+ * encoded once. The mapping lives in flat tables: every node's literals
+ * sit back to back in one pool, a StampTable indexed by Expr::id() holds
+ * each node's offset in it, and the gate cache is an open-addressing
+ * table. So every expression asserted between two Resets must come from
+ * one ExprContext, whose node ids the tables are indexed by.
  */
 class BitBlaster
 {
@@ -34,8 +40,9 @@ class BitBlaster
     explicit BitBlaster(SatSolver *solver);
 
     /**
-     * Reset the SatSolver, forget every encoding (the memo, the
-     * variable bits and the gate cache keep their bucket arrays), and
+     * Reset the SatSolver, forget every encoding in O(1) (the node and
+     * gate tables start a new epoch, and the literal pool and the list
+     * of blasted variables are emptied; all keep their capacity), and
      * make var 0 the true literal again: the pair is then in its
      * just-constructed state, so the next instance gets the CNF
      * numbering, clause order and model a new pair would give it.
@@ -44,12 +51,6 @@ class BitBlaster
 
     /** Assert a width-1 expression as a unit constraint. */
     void AssertTrue(ExprRef e);
-
-    /**
-     * Blast an expression, returning its literals (LSB first). Public so
-     * tests can inspect encodings.
-     */
-    const std::vector<Lit> &Blast(ExprRef e);
 
     /**
      * After a kSat Solve, set in `model` the value of every symbolic
@@ -62,6 +63,39 @@ class BitBlaster
     Lit TrueLit() const { return true_lit_; }
 
   private:
+    /**
+     * The gate cache: an open-addressing map from a gate's key (its tag
+     * and input literal codes) to its output literal, probed linearly.
+     * Its slots are a StampTable indexed by probe position, so Clear()
+     * is O(1); it doubles when half full.
+     */
+    class GateTable
+    {
+      public:
+        /** The output cached for `key`, or null. */
+        const Lit *Find(uint64_t key) const;
+        /** Cache `out` for `key`, which must be absent. */
+        void Insert(uint64_t key, Lit out);
+        void
+        Clear()
+        {
+            slots_.Clear();
+            size_ = 0;
+        }
+
+      private:
+        struct Entry
+        {
+            uint64_t key;
+            Lit out;
+        };
+        size_t Home(uint64_t key) const;
+        void Grow();
+
+        StampTable<Entry> slots_;
+        size_t size_ = 0;
+    };
+
     Lit NewLit();
     Lit AndGate(Lit a, Lit b);
     Lit OrGate(Lit a, Lit b);
@@ -71,25 +105,40 @@ class BitBlaster
     /** (sum, carry) of a full adder. */
     std::pair<Lit, Lit> FullAdder(Lit a, Lit b, Lit cin);
 
-    std::vector<Lit> BlastNode(ExprRef e);
-    std::vector<Lit> AddVectors(const std::vector<Lit> &a,
-                                const std::vector<Lit> &b, Lit cin);
-    Lit UltVector(const std::vector<Lit> &a, const std::vector<Lit> &b);
-    std::vector<Lit> ShiftVector(Kind kind, const std::vector<Lit> &in,
-                                 const std::vector<Lit> &amount);
-    void DivRem(const std::vector<Lit> &a, const std::vector<Lit> &b,
-                std::vector<Lit> *quotient, std::vector<Lit> *remainder);
+    /** Offset in pool_ of e's bits (LSB first), blasting e and the
+     *  kids it needs if this instance has not. */
+    uint32_t Blast(ExprRef e);
+    /** e's bits into out_, from its kids' bits at pool_ offsets
+     *  `kid_bits`. Blasts nothing, so pool_ stays put meanwhile. */
+    void Encode(ExprRef e, const uint32_t *kid_bits);
+    /** out[0..w) = a + b + cin; `out` may be `a`. */
+    void AddVectors(const Lit *a, const Lit *b, size_t w, Lit cin, Lit *out);
+    Lit UltVector(const Lit *a, const Lit *b, size_t w);
+    void ShiftVector(Kind kind, const Lit *in, const Lit *amount, size_t w,
+                     std::vector<Lit> *out);
+    void DivRem(const Lit *a, const Lit *b, size_t w, bool want_quotient,
+                std::vector<Lit> *out);
 
+    /** The literals at `at` in pool_, valid until pool_ grows. */
+    const Lit *Bits(uint32_t at) const { return pool_.data() + at; }
     bool IsTrueLit(Lit l) const { return l == true_lit_; }
     bool IsFalseLit(Lit l) const { return l == ~true_lit_; }
     Lit ConstLit(bool b) const { return b ? true_lit_ : ~true_lit_; }
 
     SatSolver *solver_;
     Lit true_lit_;
-    std::unordered_map<const Expr *, std::vector<Lit>> memo_;
-    std::unordered_map<uint32_t, std::vector<Lit>> var_bits_;
-    // Gate CSE cache: key = (kind tag, lit codes).
-    std::unordered_map<uint64_t, Lit> gate_cache_;
+    /** Every blasted node's bits, back to back. */
+    std::vector<Lit> pool_;
+    /** Expr::id() -> offset of the node's bits in pool_. */
+    StampTable<uint32_t> node_bits_;
+    /** The variables blasted, with their bits' offsets in pool_: what
+     *  ExtractModel reads. */
+    std::vector<std::pair<ExprRef, uint32_t>> vars_;
+    GateTable gates_;
+    /** The node Encode is building, and operand scratch. */
+    std::vector<Lit> out_;
+    std::vector<Lit> lhs_;
+    std::vector<Lit> rhs_;
 };
 
 }  // namespace smt

@@ -2,7 +2,7 @@
 
 #include "smt/eval.h"
 
-#include <vector>
+#include "smt/stamp_table.h"
 
 namespace achilles {
 namespace smt {
@@ -10,12 +10,10 @@ namespace smt {
 namespace {
 
 uint64_t
-EvalNode(ExprRef e, const Model &model,
-         std::unordered_map<const Expr *, uint64_t> &memo)
+EvalNode(ExprRef e, const Model &model, StampTable<uint64_t> &memo)
 {
-    auto it = memo.find(e);
-    if (it != memo.end())
-        return it->second;
+    if (const uint64_t *hit = memo.Find(e->id()))
+        return *hit;
 
     const uint64_t mask = WidthMask(e->width());
     auto kid = [&](size_t i) { return EvalNode(e->kid(i), model, memo); };
@@ -125,7 +123,7 @@ EvalNode(ExprRef e, const Model &model,
         break;
     }
     result &= mask;
-    memo.emplace(e, result);
+    memo.Set(e->id(), result);
     return result;
 }
 
@@ -134,7 +132,10 @@ EvalNode(ExprRef e, const Model &model,
 uint64_t
 Evaluate(ExprRef e, const Model &model)
 {
-    std::unordered_map<const Expr *, uint64_t> memo;
+    // Per-thread memo by node id, cleared per call (see StampTable).
+    thread_local StampTable<uint64_t> memo;
+    memo.Clear();
+    memo.Reserve(e->id() + size_t{1});
     return EvalNode(e, model, memo);
 }
 

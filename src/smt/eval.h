@@ -50,8 +50,9 @@ class Model
 
 /**
  * Evaluate `e` under `model`, returning the value masked to e->width().
- * Memoizes across the DAG, so repeated shared sub-expressions (CRC
- * chains) evaluate in linear time.
+ * Memoizes across the DAG, in per-thread scratch indexed by Expr::id()
+ * and cleared per call, so repeated shared sub-expressions (CRC chains)
+ * evaluate in linear time.
  */
 uint64_t Evaluate(ExprRef e, const Model &model);
 

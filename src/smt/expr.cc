@@ -5,8 +5,11 @@
 #include "smt/expr.h"
 
 #include <algorithm>
+#include <new>
 #include <sstream>
+#include <type_traits>
 
+#include "smt/stamp_table.h"
 #include "support/hash.h"
 
 namespace achilles {
@@ -46,11 +49,48 @@ KindName(Kind kind)
 
 namespace {
 
+// Inline kids keep a node at one cache line, and chunks free nodes
+// without running destructors.
+static_assert(sizeof(Expr) == 64, "Expr should stay one cache line");
+static_assert(std::is_trivially_destructible<Expr>::value,
+              "chunks free nodes without destroying them");
+
 /** Combine hashes (boost::hash_combine recipe). */
 size_t
 HashCombine(size_t seed, size_t value)
 {
     return seed ^ (value + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
+}
+
+/** Expr::hash() of the node (kind, width, aux, kids), finalized so its
+ *  low bits can index the intern table. */
+size_t
+NodeHash(Kind kind, uint32_t width, uint64_t aux,
+         std::initializer_list<ExprRef> kids)
+{
+    size_t h = HashCombine(static_cast<size_t>(kind), width);
+    h = HashCombine(h, static_cast<size_t>(aux));
+    for (ExprRef kid : kids)
+        h = HashCombine(h, reinterpret_cast<size_t>(kid));
+    return static_cast<size_t>(MixBits(h));
+}
+
+/** Scratch of the variable walks (CollectVars, VarsOf on a memo miss):
+ *  per thread, and cleared by each walk before use. */
+struct VarWalk
+{
+    StampTable<bool> seen;  // by Expr::id()
+    std::vector<ExprRef> stack;
+};
+
+VarWalk &
+ThreadVarWalk(ExprRef root)
+{
+    thread_local VarWalk walk;
+    walk.seen.Clear();
+    walk.seen.Reserve(root->id() + size_t{1});
+    walk.stack.assign(1, root);
+    return walk;
 }
 
 bool
@@ -71,14 +111,18 @@ IsCommutative(Kind kind)
 
 }  // namespace
 
-Expr::Expr(Kind kind, uint32_t width, uint64_t aux, std::vector<ExprRef> kids)
-    : kind_(kind), width_(width), aux_(aux), kids_(std::move(kids))
+Expr::Expr(Kind kind, uint32_t width, uint64_t aux,
+           std::initializer_list<ExprRef> kids, size_t hash, uint32_t id)
+    : kind_(kind),
+      num_kids_(static_cast<uint8_t>(kids.size())),
+      width_(width),
+      aux_(aux),
+      kids_{nullptr, nullptr, nullptr},
+      hash_(hash),
+      id_(id)
 {
-    size_t h = HashCombine(static_cast<size_t>(kind_), width_);
-    h = HashCombine(h, static_cast<size_t>(aux_));
-    for (ExprRef kid : kids_)
-        h = HashCombine(h, reinterpret_cast<size_t>(kid));
-    hash_ = h;
+    ACHILLES_CHECK(kids.size() <= 3, "a node has at most 3 kids");
+    std::copy(kids.begin(), kids.end(), kids_);
 
     // Pointer-free fingerprint (see struct_hash()): kids contribute
     // their own, so this is O(1) per node.
@@ -86,7 +130,7 @@ Expr::Expr(Kind kind, uint32_t width, uint64_t aux, std::vector<ExprRef> kids)
     s = MixBits(s + 0x9e3779b97f4a7c15ull * (aux_ + 1));
     max_var_bound_ =
         kind_ == Kind::kVar ? static_cast<uint32_t>(aux_) + 1 : 0;
-    for (ExprRef kid : kids_) {
+    for (ExprRef kid : kids) {
         s = MixBits(s + 0xff51afd7ed558ccdull * kid->struct_hash());
         max_var_bound_ = std::max(max_var_bound_, kid->max_var_bound());
     }
@@ -118,14 +162,7 @@ StructuralCompare(ExprRef a, ExprRef b)
     return 0;
 }
 
-bool
-ExprContext::NodeEq::operator()(const Expr *a, const Expr *b) const
-{
-    return a->kind() == b->kind() && a->width() == b->width() &&
-           a->aux() == b->aux() && a->kids() == b->kids();
-}
-
-ExprContext::ExprContext()
+ExprContext::ExprContext() : table_(64, nullptr)
 {
     true_ = MakeConst(1, 1);
     false_ = MakeConst(1, 0);
@@ -133,18 +170,56 @@ ExprContext::ExprContext()
 
 ExprRef
 ExprContext::Intern(Kind kind, uint32_t width, uint64_t aux,
-                    std::vector<ExprRef> kids)
+                    std::initializer_list<ExprRef> kids)
 {
     ACHILLES_CHECK(width >= 1 && width <= 64, "width=", width);
-    auto node = std::make_unique<Expr>(
-        Expr(kind, width, aux, std::move(kids)));
-    auto it = interned_.find(node.get());
-    if (it != interned_.end())
-        return *it;
-    ExprRef ref = node.get();
-    interned_.insert(ref);
-    arena_.push_back(std::move(node));
-    return ref;
+    const size_t hash = NodeHash(kind, width, aux, kids);
+    const size_t mask = table_.size() - 1;
+    size_t pos = hash & mask;
+    for (; table_[pos] != nullptr; pos = (pos + 1) & mask) {
+        const Expr *e = table_[pos];
+        if (e->hash_ == hash && e->kind_ == kind && e->width_ == width &&
+            e->aux_ == aux &&
+            std::equal(kids.begin(), kids.end(), e->kids().begin(),
+                       e->kids().end())) {
+            return e;
+        }
+    }
+    const Expr *node = new (NextNodeSlot()) Expr(
+        kind, width, aux, kids, hash, static_cast<uint32_t>(num_nodes_));
+    table_[pos] = node;
+    if (2 * ++num_nodes_ > table_.size())
+        GrowTable();
+    return node;
+}
+
+void *
+ExprContext::NextNodeSlot()
+{
+    if (chunk_free_ == 0) {
+        chunk_free_ =
+            std::min<size_t>(1024, std::max<size_t>(16, num_nodes_));
+        chunks_.emplace_back(new NodeSlot[chunk_free_]);
+        chunk_next_ = chunks_.back().get();
+    }
+    --chunk_free_;
+    return chunk_next_++;
+}
+
+void
+ExprContext::GrowTable()
+{
+    std::vector<const Expr *> grown(2 * table_.size(), nullptr);
+    const size_t mask = grown.size() - 1;
+    for (const Expr *e : table_) {
+        if (e == nullptr)
+            continue;
+        size_t pos = e->hash() & mask;
+        while (grown[pos] != nullptr)
+            pos = (pos + 1) & mask;
+        grown[pos] = e;
+    }
+    table_ = std::move(grown);
 }
 
 ExprRef
@@ -608,19 +683,19 @@ ExprContext::MakeOrList(const std::vector<ExprRef> &disjuncts)
 void
 ExprContext::CollectVars(ExprRef e, std::unordered_set<uint32_t> *out) const
 {
-    // Iterative DFS with a visited set keyed by node pointer; the DAG can
-    // be deep for CRC-style accumulation chains.
-    std::vector<ExprRef> stack{e};
-    std::unordered_set<const Expr *> seen;
-    while (!stack.empty()) {
-        ExprRef node = stack.back();
-        stack.pop_back();
-        if (!seen.insert(node).second)
+    // Iterative DFS with a visited set keyed by node id; the DAG can be
+    // deep for CRC-style accumulation chains.
+    VarWalk &walk = ThreadVarWalk(e);
+    while (!walk.stack.empty()) {
+        ExprRef node = walk.stack.back();
+        walk.stack.pop_back();
+        if (walk.seen.Find(node->id()))
             continue;
+        walk.seen.Set(node->id(), true);
         if (node->IsVar())
             out->insert(node->VarId());
         for (ExprRef kid : node->kids())
-            stack.push_back(kid);
+            walk.stack.push_back(kid);
     }
 }
 
@@ -631,14 +706,14 @@ ExprContext::VarsOf(ExprRef e)
     if (it != var_sets_.end())
         return it->second;
     std::vector<uint32_t> vars;
-    std::vector<ExprRef> stack{e};
-    std::unordered_set<const Expr *> seen;
-    while (!stack.empty()) {
-        ExprRef node = stack.back();
-        stack.pop_back();
+    VarWalk &walk = ThreadVarWalk(e);
+    while (!walk.stack.empty()) {
+        ExprRef node = walk.stack.back();
+        walk.stack.pop_back();
         // max_var_bound() == 0: a variable-free sub-DAG.
-        if (node->max_var_bound() == 0 || !seen.insert(node).second)
+        if (node->max_var_bound() == 0 || walk.seen.Find(node->id()))
             continue;
+        walk.seen.Set(node->id(), true);
         if (node->IsVar()) {
             vars.push_back(node->VarId());
             continue;
@@ -649,7 +724,7 @@ ExprContext::VarsOf(ExprRef e)
             continue;
         }
         for (ExprRef kid : node->kids())
-            stack.push_back(kid);
+            walk.stack.push_back(kid);
     }
     std::sort(vars.begin(), vars.end());
     vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
@@ -661,12 +736,15 @@ ExprRef
 ExprContext::Substitute(ExprRef e,
                         const std::unordered_map<uint32_t, ExprRef> &map)
 {
-    std::unordered_map<const Expr *, ExprRef> memo;
+    // Per-thread memo by node id, cleared per call: an entry never
+    // outlives the call, so ids of another context cannot collide.
+    thread_local StampTable<ExprRef> memo;
+    memo.Clear();
+    memo.Reserve(e->id() + size_t{1});
     // Recursive lambda with explicit memoization.
     auto rec = [&](auto &&self, ExprRef node) -> ExprRef {
-        auto it = memo.find(node);
-        if (it != memo.end())
-            return it->second;
+        if (const ExprRef *hit = memo.Find(node->id()))
+            return *hit;
         ExprRef result = node;
         if (node->IsVar()) {
             auto mit = map.find(node->VarId());
@@ -676,13 +754,12 @@ ExprContext::Substitute(ExprRef e,
                 result = mit->second;
             }
         } else if (!node->kids().empty()) {
-            std::vector<ExprRef> kids;
-            kids.reserve(node->kids().size());
+            ExprRef kids[3];
             bool changed = false;
-            for (ExprRef kid : node->kids()) {
-                ExprRef nk = self(self, kid);
-                changed |= (nk != kid);
-                kids.push_back(nk);
+            for (size_t i = 0; i < node->kids().size(); ++i) {
+                const ExprRef kid = node->kid(i);
+                kids[i] = self(self, kid);
+                changed |= (kids[i] != kid);
             }
             if (changed) {
                 switch (node->kind()) {
@@ -733,7 +810,7 @@ ExprContext::Substitute(ExprRef e,
                 }
             }
         }
-        memo.emplace(node, result);
+        memo.Set(node->id(), result);
         return result;
     };
     return rec(rec, e);

@@ -10,6 +10,9 @@
 //    structural equality is pointer equality and sub-DAGs are shared
 //    across path predicates (essential: thousands of client path
 //    predicates share most of their structure).
+//  * Each node has a dense id in its context (the n-th node interned gets
+//    n), so the solver path keeps its per-node side tables in flat
+//    arrays (smt/stamp_table.h) rather than hash maps.
 //  * Booleans are width-1 bitvectors; kAnd/kOr/kNot on width 1 double as
 //    the logical connectives.
 //  * Widths are limited to 64 bits. Messages are modelled as arrays of
@@ -19,8 +22,9 @@
 #ifndef ACHILLES_SMT_EXPR_H_
 #define ACHILLES_SMT_EXPR_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -79,6 +83,22 @@ class Expr;
  *  ExprContext that created them. */
 using ExprRef = const Expr *;
 
+/** A node's kids (at most 3, stored in the node), as a read-only span. */
+class KidSpan
+{
+  public:
+    KidSpan(const ExprRef *data, size_t size) : data_(data), size_(size) {}
+    const ExprRef *begin() const { return data_; }
+    const ExprRef *end() const { return data_ + size_; }
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    ExprRef operator[](size_t i) const { return data_[i]; }
+
+  private:
+    const ExprRef *data_;
+    size_t size_;
+};
+
 /**
  * One immutable node in the expression DAG.
  *
@@ -93,9 +113,18 @@ class Expr
     uint32_t width() const { return width_; }
     /** Constant value (kConst), variable id (kVar) or extract offset. */
     uint64_t aux() const { return aux_; }
-    const std::vector<ExprRef> &kids() const { return kids_; }
+    KidSpan kids() const { return KidSpan(kids_, num_kids_); }
     ExprRef kid(size_t i) const { return kids_[i]; }
+    /** Interning hash: of kind, width, aux and the kids' addresses. */
     size_t hash() const { return hash_; }
+
+    /**
+     * Dense index in the owning context: the n-th node interned there
+     * gets n, so every node of a DAG has an id no larger than its
+     * root's. Ids restart at 0 in every context; a table indexed by them
+     * must not mix contexts (see StampTable).
+     */
+    uint32_t id() const { return id_; }
 
     /**
      * Context-independent structural fingerprint: a function of kind,
@@ -137,15 +166,18 @@ class Expr
   private:
     friend class ExprContext;
 
-    Expr(Kind kind, uint32_t width, uint64_t aux, std::vector<ExprRef> kids);
+    Expr(Kind kind, uint32_t width, uint64_t aux,
+         std::initializer_list<ExprRef> kids, size_t hash, uint32_t id);
 
     Kind kind_;
+    uint8_t num_kids_;
     uint32_t width_;
     uint64_t aux_;
-    std::vector<ExprRef> kids_;
+    ExprRef kids_[3];
     size_t hash_;
     uint64_t struct_hash_;
     uint32_t max_var_bound_;
+    uint32_t id_;
 };
 
 /**
@@ -263,10 +295,12 @@ class ExprContext
     /** Disjoin a list of width-1 expressions (False for an empty list). */
     ExprRef MakeOrList(const std::vector<ExprRef> &disjuncts);
 
-    /** Number of distinct live nodes (for stats / tests). */
-    size_t NumNodes() const { return arena_.size(); }
+    /** Number of distinct live nodes (for stats / tests); the next
+     *  node interned gets this id. */
+    size_t NumNodes() const { return num_nodes_; }
 
-    /** Collect the set of variable ids appearing in `e`. */
+    /** Collect the set of variable ids appearing in `e`. The walk's
+     *  visited set is per-thread scratch, cleared per call. */
     void CollectVars(ExprRef e, std::unordered_set<uint32_t> *out) const;
 
     /**
@@ -280,7 +314,9 @@ class ExprContext
     /**
      * Substitute variables in `e` according to `map` (var id -> expr).
      * Unmapped variables are left untouched. Used by the negate
-     * operator's exact fast path and by predicate renaming.
+     * operator's exact fast path, by predicate renaming and by the
+     * solver's equality substitution. The walk memoizes per node in
+     * per-thread scratch indexed by Expr::id(), cleared per call.
      */
     ExprRef Substitute(ExprRef e,
                        const std::unordered_map<uint32_t, ExprRef> &map);
@@ -289,21 +325,33 @@ class ExprContext
     std::string ToString(ExprRef e) const;
 
   private:
+    /** The node (kind, width, aux, kids), looked up first and created
+     *  only if it is new. */
     ExprRef Intern(Kind kind, uint32_t width, uint64_t aux,
-                   std::vector<ExprRef> kids);
+                   std::initializer_list<ExprRef> kids);
     ExprRef MakeBinary(Kind kind, ExprRef a, ExprRef b);
+    /** Storage for the next node, from the current chunk. */
+    void *NextNodeSlot();
+    /** Doubles the intern table and re-inserts every node. */
+    void GrowTable();
 
-    struct NodeHash
+    /** Raw storage for one node; nodes are placed in chunks of these. */
+    struct alignas(Expr) NodeSlot
     {
-        size_t operator()(const Expr *e) const { return e->hash(); }
-    };
-    struct NodeEq
-    {
-        bool operator()(const Expr *a, const Expr *b) const;
+        unsigned char bytes[sizeof(Expr)];
     };
 
-    std::deque<std::unique_ptr<Expr>> arena_;
-    std::unordered_set<const Expr *, NodeHash, NodeEq> interned_;
+    /** Every node, in chunks that double from 16 to 1,024 nodes; a
+     *  node never moves. */
+    std::vector<std::unique_ptr<NodeSlot[]>> chunks_;
+    NodeSlot *chunk_next_ = nullptr;
+    size_t chunk_free_ = 0;
+    size_t num_nodes_ = 0;
+    /** Open-addressing intern table of node pointers, probed linearly
+     *  from Expr::hash(); a power of two, at most half full. It starts
+     *  at 64 slots: a context holds from a few dozen nodes to tens of
+     *  thousands. */
+    std::vector<const Expr *> table_;
     std::vector<VarInfo> vars_;
     std::vector<ExprRef> var_nodes_;
     /** VarsOf's memo. */

@@ -283,8 +283,8 @@ SatSolver::AttachClause(ClauseRef cref)
     ACHILLES_CHECK(ClauseSize(cref) >= 2);
     const Lit c0 = ClauseLit(cref, 0);
     const Lit c1 = ClauseLit(cref, 1);
-    watches_[(~c0).code()].push_back(Watcher{cref, c1});
-    watches_[(~c1).code()].push_back(Watcher{cref, c0});
+    watches_[(~c0).code()].emplace_back(cref, c1);
+    watches_[(~c1).code()].emplace_back(cref, c0);
 }
 
 void
@@ -334,8 +334,8 @@ SatSolver::Propagate()
                 if (LitValue(candidate) != LBool::kFalse) {
                     arena_[cref + 2] = candidate.code();
                     arena_[cref + 1 + k] = false_lit.code();
-                    watches_[(~candidate).code()].push_back(
-                        Watcher{cref, first});
+                    watches_[(~candidate).code()].emplace_back(cref,
+                                                               first);
                     found = true;
                     break;
                 }

@@ -94,6 +94,9 @@ class SatSolver
     /** Create a fresh variable; returns its index. */
     uint32_t NewVar();
     uint32_t NumVars() const { return static_cast<uint32_t>(assigns_.size()); }
+    /** Problem clauses of two or more literals held (units are on the
+     *  trail, satisfied and tautological clauses are dropped). */
+    size_t NumClauses() const { return clauses_.size(); }
 
     /**
      * Add a clause (disjunction of literals). Returns false if the clause
@@ -159,8 +162,15 @@ class SatSolver
     static constexpr ClauseRef kNoClause = 0xffffffffu;
     static constexpr uint32_t kLearntFlag = 0x80000000u;
 
+    /** Built in place by emplace_back: a watcher composed on the stack
+     *  and passed by reference to the vector's growth path is stored
+     *  as two 4-byte halves and reloaded as one 8-byte value, a
+     *  store-forwarding stall on every attach. */
     struct Watcher
     {
+        Watcher() = default;
+        Watcher(ClauseRef c, Lit b) : cref(c), blocker(b) {}
+
         ClauseRef cref;
         Lit blocker;
     };

@@ -104,7 +104,10 @@ struct BatchOutcome
  * into its thread's SAT instance (a SatSolver and BitBlaster pair
  * shared by every Solver on the thread), which is Reset to the state of
  * a newly constructed pair before each query and keeps nothing but
- * buffer capacity. A conjunction that unit propagation alone refutes,
+ * buffer capacity. The blaster's side tables are flat and indexed by
+ * Expr::id(), and so are the per-thread scratch tables of Substitute
+ * and smt/eval; each starts a new epoch per query or call, so a reset
+ * costs O(1) (smt/stamp_table.h). A conjunction that unit propagation alone refutes,
  * such as contradictory range checks on one field, fails while its
  * clauses are emitted and costs no decision or conflict. So every
  * verdict and model is a pure function of the canonical query -- the
